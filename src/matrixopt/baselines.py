@@ -22,18 +22,21 @@ from .problems import CareProblem, LyapunovProblem, SylvesterProblem
 from .report import SolveReport
 
 
+# Outer-step cap of exact Newton when no config is given.
+NEWTON_MAX_STEPS = 100
+
+
 @dataclass
 class BaselineConfig:
     tol: float = 1e-8
     max_iterations: int = 1000
     richardson_omega: float | str = "auto"
-    anderson_depth: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.anderson_depth != 1:
-            raise ValueError("only mixing depth 1 is supported")
+        if isinstance(self.richardson_omega, str) and self.richardson_omega != "auto":
+            raise ValueError("richardson_omega must be 'auto' or a number")
 
 
 def _symmetry_gap(m: np.ndarray) -> float:
@@ -186,7 +189,7 @@ def care_residual(p: CareProblem, x: np.ndarray) -> float:
     return frobenius_norm(p.a.T @ x + x @ p.a - x @ p.n_mat @ x + p.k_mat)
 
 
-def solve_lyapunov_direct(p: LyapunovProblem, max_entries: int | None = None) -> np.ndarray:
+def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
     """Direct dense solve of A^T X + X A + Q = 0 via the vectorized system.
 
     Solvable iff no two eigenvalues of A sum to zero; that failure mode
@@ -195,7 +198,7 @@ def solve_lyapunov_direct(p: LyapunovProblem, max_entries: int | None = None) ->
     """
     n = p.order
     eye = np.eye(n)
-    m_sys = kron(eye, p.a.T, max_entries) + kron(p.a.T, eye, max_entries)
+    m_sys = kron(eye, p.a.T) + kron(p.a.T, eye)
     x = unvec(lu_solve(m_sys, -vec(p.q)), n, n)
     return symmetrize(x)
 
@@ -213,7 +216,7 @@ def solve_newton_care(
     near a solution.  A singular Lyapunov system raises
     :class:`NewtonBreakdownError` carrying the partial report.
     """
-    cfg = cfg or BaselineConfig(max_iterations=100)
+    cfg = cfg or BaselineConfig(max_iterations=NEWTON_MAX_STEPS)
     n = p.order
     x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (n, n):

@@ -27,18 +27,19 @@ from .problems import SylvesterProblem
 from .report import SolveReport
 
 
+# Smallest group norm a reweighting divides by.
+ROW_NORM_FLOOR = 1e-12
+
+
 @dataclass
 class CcomConfig:
     epsilon: float = 1e-8
     max_iterations: int = 100
-    row_norm_floor: float = 1e-12
     group_rows: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.row_norm_floor <= 0:
-            raise ValueError("row_norm_floor must be positive")
         if self.group_rows < 1:
             raise ValueError("group_rows must be a positive integer")
 
@@ -94,11 +95,7 @@ def _grouped_l21(x_flat: np.ndarray, group_rows: int) -> float:
     return float(_group_norms(x_flat, group_rows).sum())
 
 
-def solve_ccom(
-    p: SylvesterProblem,
-    cfg: CcomConfig | None = None,
-    max_entries: int | None = None,
-) -> SolveReport:
+def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveReport:
     """Iterate weighted least-norm steps until the equation residual
     drops below ``cfg.epsilon`` or the iteration cap is hit.
 
@@ -113,7 +110,7 @@ def solve_ccom(
             f"group_rows={cfg.group_rows} does not divide the {m * n} unknowns"
         )
     start = time.perf_counter()
-    m_sys = sylvester_operator_matrix(p, max_entries)
+    m_sys = sylvester_operator_matrix(p)
     c_vec = vec(p.c)
     c_norm = float(np.linalg.norm(c_vec))
 
@@ -135,7 +132,7 @@ def solve_ccom(
         if history[-1] <= cfg.epsilon:
             termination = "converged"
             break
-        norms = np.maximum(_group_norms(x_flat, cfg.group_rows), cfg.row_norm_floor)
+        norms = np.maximum(_group_norms(x_flat, cfg.group_rows), ROW_NORM_FLOOR)
         weights = np.repeat(1.0 / (2.0 * norms), cfg.group_rows)
 
     return SolveReport(

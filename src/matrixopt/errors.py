@@ -45,6 +45,11 @@ class PreconditionError(MatrixOptError, ValueError):
     """A documented solver precondition was violated by the caller."""
 
 
+class ParameterError(PreconditionError):
+    """A solver parameter the method does not take, or a value its
+    config rejects."""
+
+
 class DegenerateDirectionError(MatrixOptError):
     """Search direction lies in the null space of the equation operator."""
 

@@ -5,7 +5,8 @@ Exit codes: 0 converged / success, 1 usage error, 2 solver stopped short
 
 Solver parameters can come from an INI config file (one section per
 method, keys identical to the long flags) with command-line flags taking
-precedence.
+precedence.  The parameter keys, their types and the methods that take
+each one are read off the method table and its config dataclasses.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import configparser
 import itertools
 import json
 import sys
+import typing
 
 import numpy as np
 
-from ..errors import MatrixOptError
+from ..errors import MatrixOptError, ParameterError
 from ..mmio import read_matrix_market, write_matrix_market
+from ..newton_admm import INNER_TOL_MODES
 from ..problems import (
     CareProblem,
     LyapunovProblem,
@@ -28,8 +31,10 @@ from ..problems import (
     care_family,
     sylvester_family,
 )
+from ..quasi_newton import LINESEARCHES, MODES
 from .manifest import (
     METHOD_NAMES,
+    METHODS,
     manifest_for_suite,
     run_manifest,
     run_method,
@@ -46,25 +51,32 @@ EXIT_SOLVER_ERROR = 3
 _SYLVESTER_SUITES = ("t1", "t2", "t3", "t4", "t5", "t6")
 _CARE_SUITES = ("t7", "t8", "t9", "t10")
 
-# Keys a config-file section or CLI flags may set, with their types.
-_PARAM_KEYS = {
-    "tol": float,
-    "max_iterations": int,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "linesearch": str,
-    "mode": str,
-    "sigma1": float,
-    "sigma2": float,
-    "inner_tol_mode": str,
-    "inner_tol_value": float,
-    "inner_max": int,
-    "outer_max": int,
-    "omega": float,
-    "group_rows": int,
-    "check_every": int,
-}
+# Config fields whose values come from a fixed vocabulary.
+_CHOICES = {"linesearch": LINESEARCHES, "mode": MODES, "inner_tol_mode": INNER_TOL_MODES}
+
+
+def _number_or_word(raw: str):
+    """A ``float | str`` field: a number, or a word such as ``auto``."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
+def _param_table() -> dict[str, tuple]:
+    """Parameter key -> (type, choices, methods taking it), sorted by key."""
+    table: dict[str, tuple] = {}
+    for (method, _), spec in METHODS.items():
+        hints = typing.get_type_hints(spec.config) if spec.config else {}
+        for key, name in spec.keys.items():
+            hint = hints[name]
+            kind = hint if hint in (int, float, str) else _number_or_word
+            _, _, methods = table.setdefault(key, (kind, _CHOICES.get(name), {}))
+            methods[method] = None
+    return {key: table[key] for key in sorted(table)}
+
+
+_PARAMS = _param_table()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +104,11 @@ def build_parser() -> _Parser:
     solve.add_argument("--out", help="write the JSON report here instead of stdout")
     solve.add_argument("--to-mm", help="write the solution matrix to this MatrixMarket file")
     solve.add_argument("--history", action="store_true", help="include residual history in the report")
-    _add_param_flags(solve)
+    for key, (kind, choices, methods) in _PARAMS.items():
+        flags = ["--" + key.replace("_", "-")] + (["--max-iter"] if key == "max_iterations" else [])
+        solve.add_argument(
+            *flags, dest=key, type=kind, choices=choices, help=f"taken by {', '.join(methods)}"
+        )
 
     bench = sub.add_parser("bench", help="run a reference-table suite")
     bench.add_argument("--suite", required=True)
@@ -125,25 +141,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iterations", "--max-iter", type=int, dest="max_iterations")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--linesearch", choices=("exact", "armijo", "wolfe"))
-    p.add_argument("--mode", choices=("matrix_form", "vectorized"))
-    p.add_argument("--sigma1", type=float)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--inner-tol-mode", choices=("forcing", "fixed"), dest="inner_tol_mode")
-    p.add_argument("--inner-tol-value", type=float, dest="inner_tol_value")
-    p.add_argument("--inner-max", type=int, dest="inner_max")
-    p.add_argument("--outer-max", type=int, dest="outer_max")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--group-rows", type=int, dest="group_rows")
-    p.add_argument("--check-every", type=int, dest="check_every")
-
-
 def _params_from_config(path: str | None, method: str, parser: _Parser) -> dict:
     if not path:
         return {}
@@ -156,10 +153,10 @@ def _params_from_config(path: str | None, method: str, parser: _Parser) -> dict:
     params = {}
     for key, raw in cfg[method].items():
         key = key.replace("-", "_")
-        if key not in _PARAM_KEYS:
+        if key not in _PARAMS:
             parser.error(f"config key {key!r} in section [{method}] is not recognized")
         try:
-            params[key] = _PARAM_KEYS[key](raw)
+            params[key] = _PARAMS[key][0](raw)
         except ValueError:
             parser.error(f"config key {key!r} has invalid value {raw!r}")
     return params
@@ -167,7 +164,7 @@ def _params_from_config(path: str | None, method: str, parser: _Parser) -> dict:
 
 def _collect_params(args, parser: _Parser) -> dict:
     params = _params_from_config(getattr(args, "config", None), args.method, parser)
-    for key in _PARAM_KEYS:
+    for key in _PARAMS:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -275,6 +272,8 @@ def _cmd_solve(args, parser: _Parser) -> int:
     problem = _build_problem(args, parser)
     try:
         report = run_method(args.method, problem, params)
+    except ParameterError:
+        raise
     except MatrixOptError as exc:
         _emit({"method": args.method, "error": str(exc), "termination": "error"}, args.out)
         return EXIT_SOLVER_ERROR
@@ -309,7 +308,10 @@ def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[flo
     parts = spec.split(":")
     try:
         if len(parts) == 1:
-            return [float(parts[0])]
+            value = float(parts[0])
+            if not value > 0:
+                raise ValueError
+            return [value]
         if len(parts) == 3:
             lo, hi, k = float(parts[0]), float(parts[1]), int(parts[2])
             if k < 1 or lo <= 0 or hi < lo:
@@ -321,7 +323,7 @@ def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[flo
             return list(np.linspace(lo, hi, k))
     except ValueError:
         pass
-    parser.error(f"--{name} must be 'value' or 'lo:hi:count' with 0 < lo <= hi")
+    parser.error(f"--{name} must be 'value' > 0 or 'lo:hi:count' with 0 < lo <= hi")
 
 
 def _cmd_sweep(args, parser: _Parser) -> int:
@@ -381,6 +383,8 @@ def _cmd_sweep(args, parser: _Parser) -> int:
             }
             if report.converged and (best is None or report.iterations < best["iterations"]):
                 best = row
+        except ParameterError:
+            raise
         except MatrixOptError as exc:
             row = {
                 "alpha": point[0],
@@ -432,6 +436,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_plot(args, parser)
+    except ParameterError as exc:
+        parser.exit(EXIT_USAGE, f"matrixopt: error: {exc}\n")
     except MatrixOptError as exc:
         print(f"matrixopt: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR

@@ -15,8 +15,10 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..baselines import (
+    NEWTON_MAX_STEPS,
     BaselineConfig,
     solve_anderson_richardson,
     solve_cg,
@@ -25,7 +27,7 @@ from ..baselines import (
 )
 from ..care_admm import AdmmConfig, solve_care_admm
 from ..ccom import CcomConfig, solve_ccom
-from ..errors import MatrixOptError, PreconditionError
+from ..errors import MatrixOptError, ParameterError, PreconditionError
 from ..newton_admm import (
     NewtonAdmmConfig,
     lyapunov_residual,
@@ -56,150 +58,142 @@ CSV_COLUMNS = (
 )
 
 
-def _wrap_direct(solution, residual: float, elapsed: float) -> SolveReport:
-    return SolveReport(
-        solution=solution,
-        iterations=0,
-        residual_history=[residual],
-        final_residual=residual,
-        wall_time_seconds=elapsed,
-        termination="converged",
-        detail={"direct": True},
-    )
+@dataclass(frozen=True)
+class Method:
+    """How one method solves one problem class.
+
+    ``solve(problem, cfg)`` calls its solver by name, so the function is
+    looked up in this module at call time.  ``keys`` maps each parameter
+    key the method takes to a field of ``config``; ``preset`` holds the
+    fields the method fixes before the keys apply.
+    """
+
+    solve: Callable
+    config: type | None = None
+    keys: dict[str, str] = field(default_factory=dict)
+    preset: dict = field(default_factory=dict)
 
 
-def _run_direct(problem, params):
-    start = time.perf_counter()
-    if isinstance(problem, SylvesterProblem):
-        x = solve_kronecker_direct(problem)
-        return _wrap_direct(x, sylvester_residual(problem, x), time.perf_counter() - start)
-    if isinstance(problem, LyapunovProblem):
-        x = solve_lyapunov_direct(problem)
-        return _wrap_direct(x, lyapunov_residual(problem, x), time.perf_counter() - start)
-    raise PreconditionError("no direct solver for this equation kind")
+def _keys(*same: str, **renamed: str) -> dict[str, str]:
+    """Parameter key -> config field; a key in ``same`` names its field."""
+    return {**{key: key for key in same}, **renamed}
 
 
-def _run_ccom(problem, params):
-    if not isinstance(problem, SylvesterProblem):
-        raise PreconditionError("ccom solves Sylvester equations")
-    cfg = CcomConfig(
-        epsilon=params.get("tol", 1e-8),
-        max_iterations=params.get("max_iterations", 100),
-        group_rows=params.get("group_rows", 1),
-    )
-    return solve_ccom(problem, cfg)
+def _direct(solve, residual):
+    """An exact solve reported as a converged zero-iteration run."""
 
-
-def _run_qn(method):
-    def runner(problem, params):
-        if not isinstance(problem, SylvesterProblem):
-            raise PreconditionError(f"{method} solves Sylvester equations")
-        cfg = QnConfig(
-            method=method,
-            linesearch=params.get("linesearch", "exact"),
-            sigma1=params.get("sigma1", 1e-4),
-            sigma2=params.get("sigma2", 0.9),
-            grad_tol=params.get("tol", 1e-8),
-            max_iterations=params.get("max_iterations", 500),
-            mode=params.get("mode", "matrix_form"),
+    def run(problem, _cfg) -> SolveReport:
+        start = time.perf_counter()
+        x = solve(problem)
+        r = residual(problem, x)
+        return SolveReport(
+            solution=x,
+            iterations=0,
+            residual_history=[r],
+            final_residual=r,
+            wall_time_seconds=time.perf_counter() - start,
+            termination="converged",
+            detail={"direct": True},
         )
-        return solve_quasi_newton(problem, cfg)
 
-    return runner
-
-
-def _baseline_cfg(params):
-    return BaselineConfig(
-        tol=params.get("tol", 1e-8),
-        max_iterations=params.get("max_iterations", 1000),
-        richardson_omega=params.get("omega", "auto"),
-    )
+    return run
 
 
-def _run_cg(problem, params):
-    if not isinstance(problem, SylvesterProblem):
-        raise PreconditionError("cg solves Sylvester equations")
-    return solve_cg(problem, _baseline_cfg(params))
+_QN_KEYS = _keys("max_iterations", "linesearch", "mode", "sigma1", "sigma2", tol="grad_tol")
+_NA_KEYS = _keys("alpha", "beta", tol="outer_tol")
 
-
-def _run_ar(problem, params):
-    if not isinstance(problem, SylvesterProblem):
-        raise PreconditionError("ar solves Sylvester equations")
-    return solve_anderson_richardson(problem, _baseline_cfg(params))
-
-
-def _run_admm(problem, params):
-    if isinstance(problem, CareProblem):
-        cfg = AdmmConfig(
-            alpha=params.get("alpha", 0.5),
-            beta=params.get("beta", 10.0),
-            gamma=params.get("gamma", 0.05),
-            tol=params.get("tol", 1e-8),
-            max_iterations=params.get("max_iterations", 50_000),
-            check_every=params.get("check_every", 1),
-        )
-        return solve_care_admm(problem, cfg)
-    if isinstance(problem, LyapunovProblem):
-        cfg = NewtonAdmmConfig(
-            alpha=params.get("alpha", 0.8),
-            beta=params.get("beta", 50.0),
-        )
-        return solve_lyapunov_admm(
-            problem,
-            cfg,
-            tol=params.get("tol", 1e-8),
-            max_iter=params.get("max_iterations", 5000),
-        )
-    raise PreconditionError("admm solves Riccati or Lyapunov equations")
-
-
-def _run_newton(problem, params):
-    if not isinstance(problem, CareProblem):
-        raise PreconditionError("newton solves Riccati equations")
-    cfg = BaselineConfig(
-        tol=params.get("tol", 1e-8),
-        max_iterations=params.get("max_iterations", 100),
-    )
-    return solve_newton_care(problem, cfg=cfg)
-
-
-def _run_newton_admm(problem, params):
-    if not isinstance(problem, CareProblem):
-        raise PreconditionError("newton-admm solves Riccati equations")
-    cfg = NewtonAdmmConfig(
-        alpha=params.get("alpha", 0.8),
-        beta=params.get("beta", 50.0),
-        outer_tol=params.get("tol", 1e-8),
-        outer_max=params.get("outer_max", 50),
-        inner_tol_mode=params.get("inner_tol_mode", "forcing"),
-        inner_tol_value=params.get("inner_tol_value", 0.1),
-        inner_max=params.get("inner_max", 5000),
-    )
-    return solve_newton_admm(problem, cfg=cfg)
-
-
-REGISTRY = {
-    "ccom": _run_ccom,
-    "dfp": _run_qn("dfp"),
-    "bfgs": _run_qn("bfgs"),
-    "cg": _run_cg,
-    "ar": _run_ar,
-    "admm": _run_admm,
-    "newton": _run_newton,
-    "newton-admm": _run_newton_admm,
-    "direct": _run_direct,
+# (method, problem class) -> Method.  Every default is the config
+# dataclass's own; a key missing from a row is rejected for that row.
+METHODS = {
+    ("ccom", SylvesterProblem): Method(
+        lambda p, cfg: solve_ccom(p, cfg),
+        CcomConfig,
+        _keys("max_iterations", "group_rows", tol="epsilon"),
+    ),
+    ("dfp", SylvesterProblem): Method(
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "dfp"}
+    ),
+    ("bfgs", SylvesterProblem): Method(
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "bfgs"}
+    ),
+    ("cg", SylvesterProblem): Method(
+        lambda p, cfg: solve_cg(p, cfg), BaselineConfig, _keys("tol", "max_iterations")
+    ),
+    ("ar", SylvesterProblem): Method(
+        lambda p, cfg: solve_anderson_richardson(p, cfg),
+        BaselineConfig,
+        _keys("tol", "max_iterations", omega="richardson_omega"),
+    ),
+    ("admm", CareProblem): Method(
+        lambda p, cfg: solve_care_admm(p, cfg),
+        AdmmConfig,
+        _keys("alpha", "beta", "gamma", "tol", "max_iterations", "check_every"),
+    ),
+    ("admm", LyapunovProblem): Method(
+        lambda p, cfg: solve_lyapunov_admm(p, cfg, tol=cfg.outer_tol),
+        NewtonAdmmConfig,
+        {**_NA_KEYS, "max_iterations": "inner_max"},
+    ),
+    ("newton", CareProblem): Method(
+        lambda p, cfg: solve_newton_care(p, cfg=cfg),
+        BaselineConfig,
+        _keys("tol", "max_iterations"),
+        {"max_iterations": NEWTON_MAX_STEPS},
+    ),
+    ("newton-admm", CareProblem): Method(
+        lambda p, cfg: solve_newton_admm(p, cfg=cfg),
+        NewtonAdmmConfig,
+        {**_NA_KEYS, **_keys("outer_max", "inner_tol_mode", "inner_tol_value", "inner_max")},
+    ),
+    ("direct", SylvesterProblem): Method(
+        _direct(lambda p: solve_kronecker_direct(p), lambda p, x: sylvester_residual(p, x))
+    ),
+    ("direct", LyapunovProblem): Method(
+        _direct(lambda p: solve_lyapunov_direct(p), lambda p, x: lyapunov_residual(p, x))
+    ),
 }
 
-METHOD_NAMES = tuple(REGISTRY)
+METHOD_NAMES = tuple(dict.fromkeys(method for method, _ in METHODS))
 
 
-def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
-    """Dispatch one solve through the method registry."""
-    if method not in REGISTRY:
+def configure(method: str, problem, params: dict | None = None):
+    """The solve function and config object for ``method`` on ``problem``.
+
+    ``params`` overrides config fields through the method's key map.  A
+    key the method does not take, or a value its config rejects, raises
+    :class:`ParameterError`.
+    """
+    if method not in METHOD_NAMES:
         raise PreconditionError(
             f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
-    return REGISTRY[method](problem, dict(params or {}))
+    spec = next(
+        (m for (name, kind), m in METHODS.items() if name == method and isinstance(problem, kind)),
+        None,
+    )
+    if spec is None:
+        kinds = " or ".join(kind.__name__ for name, kind in METHODS if name == method)
+        raise PreconditionError(f"{method} solves {kinds}, not {type(problem).__name__}")
+    params = params or {}
+    unknown = [key for key in params if key not in spec.keys]
+    if unknown:
+        raise ParameterError(
+            f"{method} does not take {', '.join(unknown)}; "
+            f"it takes {', '.join(spec.keys) or 'no parameters'}"
+        )
+    if spec.config is None:
+        return spec.solve, None
+    fields = {spec.keys[key]: value for key, value in params.items()}
+    try:
+        return spec.solve, spec.config(**{**spec.preset, **fields})
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{method} rejects {params}: {exc}") from exc
+
+
+def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
+    """Dispatch one solve through the method table."""
+    solve, cfg = configure(method, problem, params)
+    return solve(problem, cfg)
 
 
 @dataclass
@@ -211,7 +205,7 @@ class RunManifest:
 
     def __post_init__(self):
         for row in self.rows:
-            if row.method not in REGISTRY:
+            if row.method not in METHOD_NAMES:
                 raise ValueError(f"manifest row references unknown method {row.method!r}")
 
     def capped_rows(self, cap: int | None = None) -> list[tuple[int, SuiteRow]]:

@@ -53,7 +53,6 @@ class NewtonAdmmConfig:
     inner_tol_mode: str = "forcing"
     inner_tol_value: float = 0.1
     inner_max: int = 5000
-    warm_start: bool = True
     track_inner_lagrangian: bool = False
 
     def __post_init__(self):
@@ -286,11 +285,10 @@ def solve_newton_admm(
                 inner_tol = cfg.inner_tol_value
             else:
                 inner_tol = max(cfg.inner_tol_value * history[-1], cfg.outer_tol / 10.0)
-            init = inner_state if (cfg.warm_start and inner_state is not None) else None
             inner = solve_lyapunov_admm(
                 lyap,
                 cfg,
-                init=init,
+                init=inner_state,
                 tol=inner_tol,
                 max_iter=cfg.inner_max,
                 track_lagrangian=cfg.track_inner_lagrangian,

@@ -262,38 +262,19 @@ def care_family(table_id: str, n: int) -> ProblemSource:
     )
 
 
-def _rows_sylvester(table_id, entries):
-    rows = []
-    for method, n, params, iters, err, secs in entries:
-        rows.append(
-            SuiteRow(
-                source=sylvester_family(table_id, n),
-                method=method,
-                params=params,
-                desk_scale=n <= DESK_SCALE_MAX_ORDER,
-                paper_iterations=iters,
-                paper_error=err,
-                paper_time_seconds=secs,
-            )
+def _rows(family, table_id, entries):
+    return [
+        SuiteRow(
+            source=family(table_id, n),
+            method=method,
+            params=params,
+            desk_scale=n <= DESK_SCALE_MAX_ORDER,
+            paper_iterations=iters,
+            paper_error=err,
+            paper_time_seconds=secs,
         )
-    return rows
-
-
-def _rows_care(table_id, entries):
-    rows = []
-    for method, n, params, iters, err, secs in entries:
-        rows.append(
-            SuiteRow(
-                source=care_family(table_id, n),
-                method=method,
-                params=params,
-                desk_scale=n <= DESK_SCALE_MAX_ORDER,
-                paper_iterations=iters,
-                paper_error=err,
-                paper_time_seconds=secs,
-            )
-        )
-    return rows
+        for method, n, params, iters, err, secs in entries
+    ]
 
 
 def _suite_t1():
@@ -302,7 +283,7 @@ def _suite_t1():
         ("ccom", 100, {}, 1, 1.1574e-09, 22.8),
         ("ccom", 200, {}, 2, 1.9798e-09, 2288.0),
     ]
-    return _rows_sylvester("t1", entries)
+    return _rows(sylvester_family, "t1", entries)
 
 
 def _suite_t2():
@@ -313,7 +294,7 @@ def _suite_t2():
         ("ccom", 100, {}, 1, 1.1574e-09, 19.0),
         ("ccom", 200, {}, 2, 1.9798e-09, 1860.0),
     ]
-    return _rows_sylvester("t2", entries)
+    return _rows(sylvester_family, "t2", entries)
 
 
 def _suite_t3():
@@ -322,7 +303,7 @@ def _suite_t3():
         ("ccom", 100, {}, 1, 2.3124e-09, 14.0),
         ("ccom", 200, {}, 1, 4.9651e-09, 640.0),
     ]
-    return _rows_sylvester("t3", entries)
+    return _rows(sylvester_family, "t3", entries)
 
 
 def _suite_t4():
@@ -333,7 +314,7 @@ def _suite_t4():
         ("dfp", 512, qn, 275, 9.6180e-07, 170.0),
         ("dfp", 1024, qn, 246, 4.9609e-07, 1815.0),
     ]
-    return _rows_sylvester("t4", entries)
+    return _rows(sylvester_family, "t4", entries)
 
 
 def _suite_t5():
@@ -355,7 +336,7 @@ def _suite_t5():
         for method in ("dfp", "bfgs", "ar"):
             iters, err = refs[method]
             entries.append((method, n, {}, iters, err, times[n][method]))
-    return _rows_sylvester("t5", entries)
+    return _rows(sylvester_family, "t5", entries)
 
 
 def _suite_t6():
@@ -377,7 +358,7 @@ def _suite_t6():
     for n, per_method in refs.items():
         for method, (iters, err, secs) in per_method.items():
             entries.append((method, n, {}, iters, err, secs))
-    return _rows_sylvester("t6", entries)
+    return _rows(sylvester_family, "t6", entries)
 
 
 def _suite_t7():
@@ -422,7 +403,7 @@ def _suite_t8():
     for n, (admm_ref, newton_ref) in _T8_REFS.items():
         entries.append(("admm", n, admm_params, *admm_ref))
         entries.append(("newton", n, {}, *newton_ref))
-    return _rows_care("t8", entries)
+    return _rows(care_family, "t8", entries)
 
 
 _T9_REFS = {
@@ -456,7 +437,7 @@ def _suite_newton_admm(table_id, refs, alpha, beta):
     for n, (na_ref, newton_ref) in refs.items():
         entries.append(("newton-admm", n, na_params, *na_ref))
         entries.append(("newton", n, {}, *newton_ref))
-    return _rows_care(table_id, entries)
+    return _rows(care_family, table_id, entries)
 
 
 _SUITES = {

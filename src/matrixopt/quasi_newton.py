@@ -54,6 +54,8 @@ from .report import SolveReport
 METHODS = ("dfp", "bfgs")
 LINESEARCHES = ("exact", "armijo", "wolfe")
 MODES = ("matrix_form", "vectorized")
+# Curvature <delta, y> (and y^T G y) at or below this skips a vectorized update.
+CURVATURE_FLOOR = 1e-14
 
 
 @dataclass
@@ -65,7 +67,6 @@ class QnConfig:
     grad_tol: float = 1e-8
     max_iterations: int = 500
     mode: str = "matrix_form"
-    curvature_floor: float = 1e-14
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -193,20 +194,18 @@ def wolfe_search(
     raise LineSearchError(f"no Wolfe-Powell step after {max_trials} trials")
 
 
-def _curvature_guard(name: str, value: float, floor: float):
-    if value <= floor:
-        raise CurvatureError(f"{name} = {value:.3e} is at or below the floor {floor:.1e}")
+def _curvature_guard(name: str, value: float):
+    if value <= CURVATURE_FLOOR:
+        raise CurvatureError(
+            f"{name} = {value:.3e} is at or below the floor {CURVATURE_FLOOR:.1e}"
+        )
 
 
-def dfp_update(
-    state: QnState,
-    mode: str = "matrix_form",
-    curvature_floor: float = 1e-14,
-) -> np.ndarray:
+def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     """Rank-2 DFP update of the inverse-curvature approximation.
 
     Vectorized mode raises :class:`CurvatureError` when <delta, y> (or the
-    G-weighted denominator) is at or below ``curvature_floor``; the caller
+    G-weighted denominator) is at or below :data:`CURVATURE_FLOOR`; the caller
     is expected to skip the update and continue.  Matrix form resolves
     singular matrix denominators with pseudo-inverses instead.
     """
@@ -215,10 +214,10 @@ def dfp_update(
         d = vec(state.delta).ravel()
         y = vec(state.y).ravel()
         s = float(d @ y)
-        _curvature_guard("<delta, y>", s, curvature_floor)
+        _curvature_guard("<delta, y>", s)
         gy = g @ y
         ygy = float(y @ gy)
-        _curvature_guard("y^T G y", ygy, curvature_floor)
+        _curvature_guard("y^T G y", ygy)
         return symmetrize(g + np.outer(d, d) / s - np.outer(gy, gy) / ygy)
     if mode != "matrix_form":
         raise ValueError(f"unknown mode {mode!r}")
@@ -229,11 +228,7 @@ def dfp_update(
     return symmetrize(g + d @ k @ d.T - gy @ t @ gy.T)
 
 
-def bfgs_update(
-    state: QnState,
-    mode: str = "matrix_form",
-    curvature_floor: float = 1e-14,
-) -> np.ndarray:
+def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     """Rank-2 BFGS update of the inverse-curvature approximation.
 
     In vectorized mode positive definiteness is preserved whenever
@@ -244,7 +239,7 @@ def bfgs_update(
         d = vec(state.delta).ravel()
         y = vec(state.y).ravel()
         s = float(d @ y)
-        _curvature_guard("<delta, y>", s, curvature_floor)
+        _curvature_guard("<delta, y>", s)
         gy = g @ y
         ygy = float(y @ gy)
         dd = np.outer(d, d)
@@ -350,7 +345,7 @@ def solve_quasi_newton(
                 "skipped": False,
             }
             try:
-                inv_h = update_fn(state, cfg.mode, cfg.curvature_floor)
+                inv_h = update_fn(state, cfg.mode)
             except CurvatureError:
                 detail["curvature_skips"] += 1
                 audit["skipped"] = True
