@@ -5,8 +5,8 @@ equation backed by a direct Lyapunov solve.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,9 +17,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import frobenius_norm, kron, lu_solve, symmetrize, trace_inner, unvec, vec
-from .oracle import sylvester_residual
 from .problems import CareProblem, LyapunovProblem, SylvesterProblem
-from .report import SolveReport
+from .report import SolveReport, Stop, iterate
 
 
 # Outer-step cap of exact Newton when no config is given.
@@ -47,7 +46,8 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
     """Conjugate gradient on L(X) = A X + X B under the trace inner product.
 
     Requires symmetric A and B (so that L is self-adjoint); symmetry is
-    checked, positive definiteness is the caller's obligation.  Starts
+    checked, positive definiteness is the caller's obligation: a search
+    direction with <d, L d> <= 0 ends the run as stagnated.  Starts
     from X = 0 and stops when the equation residual drops below ``tol``.
     For orders up to 8 the first five search directions are kept in
     ``detail["directions"]`` so tests can audit pairwise conjugacy.
@@ -58,56 +58,34 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
     if _symmetry_gap(p.a) > 1e-10 * scale_a or _symmetry_gap(p.b) > 1e-10 * scale_b:
         raise PreconditionError("solve_cg requires symmetric A and B")
 
-    start = time.perf_counter()
     m, n = p.shape
-    x = np.zeros((m, n))
-    r = p.c.copy()
-    history = [frobenius_norm(r)]
     detail: dict = {"directions": []}
     keep_dirs = max(m, n) <= 8
 
-    if history[0] <= cfg.tol:
-        return SolveReport(
-            solution=x,
-            iterations=0,
-            residual_history=history,
-            final_residual=history[0],
-            wall_time_seconds=time.perf_counter() - start,
-            termination="converged",
-            detail=detail,
-        )
-
-    d = r.copy()
-    rr = trace_inner(r, r)
-    termination = "max_iterations"
-    iterations = 0
-    for _ in range(cfg.max_iterations):
+    def step(s):
         if keep_dirs and len(detail["directions"]) < 5:
-            detail["directions"].append(d.copy())
-        ld = p.a @ d + d @ p.b
-        dld = trace_inner(d, ld)
+            detail["directions"].append(s.d.copy())
+        ld = p.a @ s.d + s.d @ p.b
+        dld = trace_inner(s.d, ld)
         if dld <= 0:
-            termination = "stagnated"
-            break
-        alpha = rr / dld
-        x = x + alpha * d
-        r = r - alpha * ld
-        iterations += 1
-        history.append(frobenius_norm(r))
-        if history[-1] <= cfg.tol:
-            termination = "converged"
-            break
-        rr_new = trace_inner(r, r)
-        d = r + (rr_new / rr) * d
-        rr = rr_new
+            raise Stop("stagnated")
+        alpha = s.rr / dld
+        s.x = s.x + alpha * s.d
+        s.r = s.r - alpha * ld
+        rr_new = trace_inner(s.r, s.r)
+        s.d = s.r + (rr_new / s.rr) * s.d
+        s.rr = rr_new
+        return s
 
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
+    state = SimpleNamespace(x=np.zeros((m, n)), r=p.c.copy(), d=p.c.copy())
+    state.rr = trace_inner(state.r, state.r)
+    return iterate(
+        state,
+        step,
+        lambda s: frobenius_norm(s.r),
+        lambda s, res: "converged" if res <= cfg.tol else None,
+        cfg.max_iterations,
+        solution=lambda s: s.x,
         detail=detail,
     )
 
@@ -131,53 +109,37 @@ def solve_anderson_richardson(
     else:
         omega = float(cfg.richardson_omega)
 
-    start = time.perf_counter()
-    m, n = p.shape
-    x = np.zeros((m, n))
-    r = p.a @ x + x @ p.b - p.c
-    history = [frobenius_norm(r)]
-    detail = {"omega": omega}
-    termination = "max_iterations"
-    iterations = 0
+    def step(s):
+        gx = s.x - omega * s.r
+        x_next = gx
+        if s.r_prev is not None:
+            dr = s.r - s.r_prev
+            denom = float(np.vdot(dr, dr))
+            if denom > 0:
+                theta = float(np.vdot(s.r, dr)) / denom
+                g_prev = s.x_prev - omega * s.r_prev
+                x_next = gx - theta * (gx - g_prev)
+        s.x_prev, s.r_prev, s.x = s.x, s.r, x_next
+        s.r = p.a @ x_next + x_next @ p.b - p.c
+        return s
 
-    if history[0] <= cfg.tol:
-        termination = "converged"
-    else:
-        x_prev = None
-        r_prev = None
-        for _ in range(cfg.max_iterations):
-            gx = x - omega * r
-            if r_prev is not None:
-                dr = r - r_prev
-                denom = float(np.vdot(dr, dr))
-                if denom > 0:
-                    theta = float(np.vdot(r, dr)) / denom
-                    g_prev = x_prev - omega * r_prev
-                    x_next = gx - theta * (gx - g_prev)
-                else:
-                    x_next = gx
-            else:
-                x_next = gx
-            x_prev, r_prev = x, r
-            x = x_next
-            r = p.a @ x + x @ p.b - p.c
-            iterations += 1
-            history.append(frobenius_norm(r))
-            if history[-1] <= cfg.tol:
-                termination = "converged"
-                break
-            if history[-1] > 1e6 * max(history[0], 1.0):
-                termination = "diverged"
-                break
+    state = SimpleNamespace(x=np.zeros(p.shape), x_prev=None, r_prev=None)
+    state.r = p.a @ state.x + state.x @ p.b - p.c
+    blow_up = 1e6 * max(frobenius_norm(state.r), 1.0)
 
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
-        detail=detail,
+    def stop(s, res):
+        if res <= cfg.tol:
+            return "converged"
+        return "diverged" if res > blow_up else None
+
+    return iterate(
+        state,
+        step,
+        lambda s: frobenius_norm(s.r),
+        stop,
+        cfg.max_iterations,
+        solution=lambda s: s.x,
+        detail={"omega": omega},
     )
 
 
@@ -203,6 +165,16 @@ def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
     return symmetrize(x)
 
 
+def _symmetric_x0(x0: np.ndarray | None, n: int) -> np.ndarray:
+    """The starting iterate of a Newton solver: zero, or a symmetric n x n ``x0``."""
+    x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    if x.shape != (n, n):
+        raise DimensionError(f"x0 must be {n}x{n}, got {x.shape}")
+    if _symmetry_gap(x) > 1e-10 * max(1.0, float(np.abs(x).max())):
+        raise PreconditionError("x0 must be symmetric")
+    return x
+
+
 def solve_newton_care(
     p: CareProblem,
     x0: np.ndarray | None = None,
@@ -217,50 +189,23 @@ def solve_newton_care(
     :class:`NewtonBreakdownError` carrying the partial report.
     """
     cfg = cfg or BaselineConfig(max_iterations=NEWTON_MAX_STEPS)
-    n = p.order
-    x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (n, n):
-        raise DimensionError(f"x0 must be {n}x{n}, got {x.shape}")
-    if _symmetry_gap(x) > 1e-10 * max(1.0, float(np.abs(x).max())):
-        raise PreconditionError("x0 must be symmetric")
 
-    start = time.perf_counter()
-    history = [care_residual(p, x)]
-    iterations = 0
-    termination = "max_iterations"
-    if history[0] <= cfg.tol:
-        termination = "converged"
-    else:
-        for _ in range(cfg.max_iterations):
-            a_k = p.a - p.n_mat @ x
-            q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
-            try:
-                x = solve_lyapunov_direct(LyapunovProblem(a=a_k, q=q_k))
-            except SingularMatrixError as exc:
-                report = SolveReport(
-                    solution=x,
-                    iterations=iterations,
-                    residual_history=history,
-                    final_residual=history[-1],
-                    wall_time_seconds=time.perf_counter() - start,
-                    termination="error",
-                )
-                raise NewtonBreakdownError(
-                    f"singular Lyapunov system at outer step {iterations}: {exc}",
-                    report=report,
-                ) from exc
-            iterations += 1
-            history.append(care_residual(p, x))
-            if history[-1] <= cfg.tol:
-                termination = "converged"
-                break
+    def step(x):
+        a_k = p.a - p.n_mat @ x
+        q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
+        try:
+            return solve_lyapunov_direct(LyapunovProblem(a=a_k, q=q_k))
+        except SingularMatrixError as exc:
+            raise NewtonBreakdownError(f"singular Lyapunov system in a Newton step: {exc}") from exc
 
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
-        detail={"symmetry_gap": _symmetry_gap(x)},
+    report = iterate(
+        _symmetric_x0(x0, p.order),
+        step,
+        lambda x: care_residual(p, x),
+        lambda x, res: "converged" if res <= cfg.tol else None,
+        cfg.max_iterations,
+        solution=lambda x: x,
+        detail={},
     )
+    report.detail["symmetry_gap"] = _symmetry_gap(report.solution)
+    return report

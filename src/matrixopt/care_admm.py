@@ -20,8 +20,7 @@ closed-loop spectral abscissa as diagnostics instead.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError
 from .linalg import cholesky_solve, frobenius_norm, lu_solve, trace_inner
 from .baselines import care_residual
 from .problems import CareProblem
-from .report import SolveReport
+from .report import SolveReport, iterate
 
 
 @dataclass
@@ -52,7 +51,26 @@ class AdmmConfig:
 
 
 @dataclass
-class AdmmState:
+class _BlockState:
+    """Square blocks of one ADMM splitting: every field is an n x n
+    finite array, with n the order of ``x``."""
+
+    def __post_init__(self):
+        n = self.x.shape[0]
+        for f in fields(self):
+            block = getattr(self, f.name)
+            if block.shape != (n, n):
+                raise DimensionError(f"block {f.name} must be {n}x{n}, got {block.shape}")
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"block {f.name} contains non-finite entries")
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(*(np.zeros((n, n)) for _ in fields(cls)))
+
+
+@dataclass
+class AdmmState(_BlockState):
     """Primal blocks X, Y, Z, W and multipliers for the three constraints."""
 
     x: np.ndarray
@@ -62,19 +80,6 @@ class AdmmState:
     lambda_: np.ndarray
     pi_: np.ndarray
     gamma_: np.ndarray
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        for name in ("x", "y", "z", "w", "lambda_", "pi_", "gamma_"):
-            block = getattr(self, name)
-            if block.shape != (n, n):
-                raise DimensionError(f"block {name} must be {n}x{n}, got {block.shape}")
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"block {name} contains non-finite entries")
-
-    @classmethod
-    def zero(cls, n: int) -> "AdmmState":
-        return cls(*(np.zeros((n, n)) for _ in range(7)))
 
 
 def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -146,34 +151,36 @@ def kkt_residuals(p: CareProblem, s: AdmmState) -> tuple[float, ...]:
     )
 
 
+def _augmented_lagrangian(obj: np.ndarray, constraints) -> float:
+    """0.5 ||obj||^2 - sum <mult, gap> + sum 0.5 penalty ||gap||^2 over
+    the (multiplier, gap, penalty) triples of ``constraints``."""
+    value = 0.5 * float(np.vdot(obj, obj))
+    for mult, gap, _ in constraints:
+        value -= trace_inner(mult, gap)
+    for _, gap, penalty in constraints:
+        value += 0.5 * penalty * float(np.vdot(gap, gap))
+    return value
+
+
 def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     """Augmented Lagrangian of the split problem at the given state."""
     a, n_mat, k_mat = p.a, p.n_mat, p.k_mat
-    obj = s.y + s.z @ a - s.w @ s.x + k_mat
-    gap_y = a.T @ s.x - s.y
-    gap_z = s.x - s.z
-    gap_w = s.z @ n_mat - s.w
-    return (
-        0.5 * float(np.vdot(obj, obj))
-        - trace_inner(s.lambda_, gap_y)
-        - trace_inner(s.pi_, gap_z)
-        - trace_inner(s.gamma_, gap_w)
-        + 0.5 * cfg.alpha * float(np.vdot(gap_y, gap_y))
-        + 0.5 * cfg.beta * float(np.vdot(gap_z, gap_z))
-        + 0.5 * cfg.gamma * float(np.vdot(gap_w, gap_w))
+    return _augmented_lagrangian(
+        s.y + s.z @ a - s.w @ s.x + k_mat,
+        (
+            (s.lambda_, a.T @ s.x - s.y, cfg.alpha),
+            (s.pi_, s.x - s.z, cfg.beta),
+            (s.gamma_, s.z @ n_mat - s.w, cfg.gamma),
+        ),
     )
 
 
-def _block_deltas(s: AdmmState, s_new: AdmmState) -> dict:
+def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
+    """Squared change of each block, keyed ``d<block>2``."""
     sq = lambda m: float(np.vdot(m, m))  # noqa: E731
     return {
-        "dx2": sq(s_new.x - s.x),
-        "dy2": sq(s_new.y - s.y),
-        "dz2": sq(s_new.z - s.z),
-        "dw2": sq(s_new.w - s.w),
-        "dlambda2": sq(s_new.lambda_ - s.lambda_),
-        "dpi2": sq(s_new.pi_ - s.pi_),
-        "dgamma2": sq(s_new.gamma_ - s.gamma_),
+        f"d{f.name.rstrip('_')}2": sq(getattr(s_new, f.name) - getattr(s, f.name))
+        for f in fields(s)
     }
 
 
@@ -192,50 +199,39 @@ def solve_care_admm(
     the invariant tests turn into the per-sweep decrease inequality.
     """
     cfg = cfg or AdmmConfig()
-    n = p.order
-    state = init if init is not None else AdmmState.zero(n)
-    start = time.perf_counter()
-
-    history = [care_residual(p, state.x)]
-    detail: dict = {"multiplier_diff_sq_sum": 0.0}
+    detail: dict = {
+        "multiplier_diff_sq_sum": 0.0,
+        "state": init if init is not None else AdmmState.zero(p.order),
+    }
     if cfg.track_lagrangian:
-        detail["lagrangian_history"] = [lagrangian_value(p, state, cfg)]
+        detail["lagrangian_history"] = [lagrangian_value(p, detail["state"], cfg)]
         detail["block_deltas"] = []
 
-    iterations = 0
-    termination = "max_iterations"
-    if history[0] <= cfg.tol:
-        termination = "converged"
-    else:
-        while iterations < cfg.max_iterations:
-            new_state = admm_step(p, state, cfg)
-            iterations += 1
-            deltas = _block_deltas(state, new_state)
-            detail["multiplier_diff_sq_sum"] += (
-                deltas["dlambda2"] + deltas["dpi2"] + deltas["dgamma2"]
-            )
-            if cfg.track_lagrangian:
-                detail["lagrangian_history"].append(lagrangian_value(p, new_state, cfg))
-                detail["block_deltas"].append(deltas)
-            state = new_state
-            if iterations % cfg.check_every == 0 or iterations == cfg.max_iterations:
-                history.append(care_residual(p, state.x))
-                if history[-1] <= cfg.tol:
-                    termination = "converged"
-                    break
+    def step(state):
+        new_state = admm_step(p, state, cfg)
+        deltas = _block_deltas(state, new_state)
+        detail["multiplier_diff_sq_sum"] += (
+            deltas["dlambda2"] + deltas["dpi2"] + deltas["dgamma2"]
+        )
+        if cfg.track_lagrangian:
+            detail["lagrangian_history"].append(lagrangian_value(p, new_state, cfg))
+            detail["block_deltas"].append(deltas)
+        detail["state"] = new_state
+        return new_state
 
+    report = iterate(
+        detail["state"],
+        step,
+        lambda state: care_residual(p, state.x),
+        lambda state, res: "converged" if res <= cfg.tol else None,
+        cfg.max_iterations,
+        check_every=cfg.check_every,
+        solution=lambda state: state.x,
+        detail=detail,
+    )
+    state = detail["state"]
     detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
     detail["final_kkt_residuals"] = kkt_residuals(p, state)
     closed_loop = p.a - p.n_mat @ state.x
     detail["closed_loop_max_real_eig"] = float(np.max(np.linalg.eigvals(closed_loop).real))
-    detail["state"] = state
-
-    return SolveReport(
-        solution=state.x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
-        detail=detail,
-    )
+    return report

@@ -15,16 +15,15 @@ groups the entries of each stacked column together).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, SingularMatrixError
-from .linalg import cholesky_solve, frobenius_norm, lu_solve, unvec, vec
+from .errors import NotPositiveDefiniteError, ParameterError
+from .linalg import cholesky_solve, lu_solve, unvec, vec
 from .oracle import sylvester_operator_matrix, sylvester_residual
 from .problems import SylvesterProblem
-from .report import SolveReport
+from .report import SolveReport, iterate
 
 
 # Smallest group norm a reweighting divides by.
@@ -91,60 +90,45 @@ def _group_norms(x_flat: np.ndarray, group_rows: int) -> np.ndarray:
     return np.sqrt((groups * groups).sum(axis=1))
 
 
-def _grouped_l21(x_flat: np.ndarray, group_rows: int) -> float:
-    return float(_group_norms(x_flat, group_rows).sum())
-
-
 def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveReport:
     """Iterate weighted least-norm steps until the equation residual
     drops below ``cfg.epsilon`` or the iteration cap is hit.
 
     The report's ``detail`` carries the per-iterate group-norm objective
     (``l21_history``) and constraint gap ``||M x - c||_2``
-    (``feasibility_history``).
+    (``feasibility_history``).  A rank-deficient operator raises
+    :class:`SingularMatrixError` carrying the partial report.
     """
     cfg = cfg or CcomConfig()
     m, n = p.shape
     if (m * n) % cfg.group_rows != 0:
-        raise ValueError(
+        raise ParameterError(
             f"group_rows={cfg.group_rows} does not divide the {m * n} unknowns"
         )
-    start = time.perf_counter()
     m_sys = sylvester_operator_matrix(p)
     c_vec = vec(p.c)
-    c_norm = float(np.linalg.norm(c_vec))
-
-    x_mat = np.zeros((m, n))
-    history = [sylvester_residual(p, x_mat)]
     l21_history: list[float] = []
     feas_history: list[float] = []
-    weights = np.ones(m * n)  # D_0 = I
 
-    termination = "max_iterations" if history[0] > cfg.epsilon else "converged"
-    iterations = 0
-    for k in range(cfg.max_iterations if history[0] > cfg.epsilon else 0):
+    def step(state):
+        _, weights = state
         x_flat = ccom_step(m_sys, c_vec, weights).ravel()
-        iterations = k + 1
-        x_mat = unvec(x_flat.reshape(-1, 1), m, n)
-        history.append(sylvester_residual(p, x_mat))
-        l21_history.append(_grouped_l21(x_flat, cfg.group_rows))
+        norms = _group_norms(x_flat, cfg.group_rows)
+        l21_history.append(float(norms.sum()))
         feas_history.append(float(np.linalg.norm(m_sys @ x_flat[:, np.newaxis] - c_vec)))
-        if history[-1] <= cfg.epsilon:
-            termination = "converged"
-            break
-        norms = np.maximum(_group_norms(x_flat, cfg.group_rows), ROW_NORM_FLOOR)
-        weights = np.repeat(1.0 / (2.0 * norms), cfg.group_rows)
+        weights = np.repeat(1.0 / (2.0 * np.maximum(norms, ROW_NORM_FLOOR)), cfg.group_rows)
+        return unvec(x_flat.reshape(-1, 1), m, n), weights
 
-    return SolveReport(
-        solution=x_mat,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
+    return iterate(
+        (np.zeros((m, n)), np.ones(m * n)),  # D_0 = I
+        step,
+        lambda state: sylvester_residual(p, state[0]),
+        lambda state, res: "converged" if res <= cfg.epsilon else None,
+        cfg.max_iterations,
+        solution=lambda state: state[0],
         detail={
             "l21_history": l21_history,
             "feasibility_history": feas_history,
-            "rhs_norm": c_norm,
+            "rhs_norm": float(np.linalg.norm(c_vec)),
         },
     )

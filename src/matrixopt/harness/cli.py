@@ -245,10 +245,7 @@ def _report_json(args, method, params, report, include_history: bool) -> dict:
         "method": method,
         "problem": problem_desc,
         "config": _json_safe(params),
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "termination": report.termination,
-        "wall_time_seconds": report.wall_time_seconds,
+        **report.summary(),
         "detail": _json_safe(report.detail),
     }
     if include_history:
@@ -371,29 +368,25 @@ def _cmd_sweep(args, parser: _Parser) -> int:
             params["gamma"] = point[2]
         if args.max_iterations:
             params["max_iterations" if args.method == "admm" else "inner_max"] = args.max_iterations
+        row = {
+            "alpha": point[0],
+            "beta": point[1],
+            "gamma": point[2] if args.method == "admm" else "",
+        }
         try:
             report = run_method(args.method, problem, params)
-            row = {
-                "alpha": point[0],
-                "beta": point[1],
-                "gamma": point[2] if args.method == "admm" else "",
-                "iterations": report.iterations,
-                "final_residual": report.final_residual,
-                "termination": report.termination,
-            }
-            if report.converged and (best is None or report.iterations < best["iterations"]):
-                best = row
         except ParameterError:
             raise
         except MatrixOptError as exc:
-            row = {
-                "alpha": point[0],
-                "beta": point[1],
-                "gamma": point[2] if args.method == "admm" else "",
-                "iterations": "",
-                "final_residual": "",
-                "termination": f"error: {exc}",
-            }
+            row.update(iterations="", final_residual="", termination=f"error: {exc}")
+        else:
+            row.update(
+                iterations=report.iterations,
+                final_residual=report.final_residual,
+                termination=report.termination,
+            )
+            if report.converged and (best is None or report.iterations < best["iterations"]):
+                best = row
         rows.append(row)
 
     lines = ["alpha,beta,gamma,iterations,final_residual,termination,best"]

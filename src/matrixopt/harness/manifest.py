@@ -250,14 +250,7 @@ def _execute(index: int, row: SuiteRow) -> RunRecord:
         report = run_method(row.method, problem, row.params)
     except MatrixOptError as exc:
         return RunRecord(index=index, row=row, termination="error", error=str(exc))
-    return RunRecord(
-        index=index,
-        row=row,
-        iterations=report.iterations,
-        final_residual=report.final_residual,
-        wall_time_seconds=report.wall_time_seconds,
-        termination=report.termination,
-    )
+    return RunRecord(index=index, row=row, **report.summary())
 
 
 def effective_workers(requested: int | None) -> int:

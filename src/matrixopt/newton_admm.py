@@ -24,22 +24,18 @@ near-exact solves, under which the outer trajectory tracks exact Newton.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .baselines import care_residual
-from .errors import (
-    AdmmBreakdownError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    PreconditionError,
-)
-from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize, trace_inner
+from .baselines import _symmetric_x0, care_residual
+from .care_admm import _augmented_lagrangian, _block_deltas, _BlockState
+from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError
+from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
-from .report import SolveReport
+from .report import SolveReport, iterate
 
 INNER_TOL_MODES = ("forcing", "fixed")
 
@@ -69,7 +65,7 @@ class NewtonAdmmConfig:
 
 
 @dataclass
-class LyapAdmmState:
+class LyapAdmmState(_BlockState):
     """Primal blocks X, Y, Z and the two constraint multipliers."""
 
     x: np.ndarray
@@ -77,19 +73,6 @@ class LyapAdmmState:
     z: np.ndarray
     lambda_: np.ndarray
     pi_: np.ndarray
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        for name in ("x", "y", "z", "lambda_", "pi_"):
-            block = getattr(self, name)
-            if block.shape != (n, n):
-                raise DimensionError(f"block {name} must be {n}x{n}, got {block.shape}")
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"block {name} contains non-finite entries")
-
-    @classmethod
-    def zero(cls, n: int) -> "LyapAdmmState":
-        return cls(*(np.zeros((n, n)) for _ in range(5)))
 
 
 def lyapunov_residual(p: LyapunovProblem, x: np.ndarray) -> float:
@@ -142,27 +125,10 @@ def lyap_admm_step(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) 
 
 def lyap_lagrangian_value(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) -> float:
     """Augmented Lagrangian of the three-block splitting at the state."""
-    obj = s.y + s.z @ p.a + p.q
-    gap_y = p.a.T @ s.x - s.y
-    gap_z = s.x - s.z
-    return (
-        0.5 * float(np.vdot(obj, obj))
-        - trace_inner(s.lambda_, gap_y)
-        - trace_inner(s.pi_, gap_z)
-        + 0.5 * cfg.alpha * float(np.vdot(gap_y, gap_y))
-        + 0.5 * cfg.beta * float(np.vdot(gap_z, gap_z))
+    return _augmented_lagrangian(
+        s.y + s.z @ p.a + p.q,
+        ((s.lambda_, p.a.T @ s.x - s.y, cfg.alpha), (s.pi_, s.x - s.z, cfg.beta)),
     )
-
-
-def _lyap_block_deltas(s: LyapAdmmState, s_new: LyapAdmmState) -> dict:
-    sq = lambda m: float(np.vdot(m, m))  # noqa: E731
-    return {
-        "dx2": sq(s_new.x - s.x),
-        "dy2": sq(s_new.y - s.y),
-        "dz2": sq(s_new.z - s.z),
-        "dlambda2": sq(s_new.lambda_ - s.lambda_),
-        "dpi2": sq(s_new.pi_ - s.pi_),
-    }
 
 
 def solve_lyapunov_admm(
@@ -179,48 +145,32 @@ def solve_lyapunov_admm(
     final state (for warm starts) are kept in ``detail``.
     """
     cfg = cfg or NewtonAdmmConfig()
-    max_iter = cfg.inner_max if max_iter is None else max_iter
-    n = p.order
-    state = init if init is not None else LyapAdmmState.zero(n)
-    start = time.perf_counter()
     fx, fz = _factors(p, cfg.alpha, cfg.beta)
-
-    history = [lyapunov_residual(p, state.x)]
-    detail: dict = {}
+    detail: dict = {"state": init if init is not None else LyapAdmmState.zero(p.order)}
     if track_lagrangian:
-        detail["lagrangian_history"] = [lyap_lagrangian_value(p, state, cfg)]
+        detail["lagrangian_history"] = [lyap_lagrangian_value(p, detail["state"], cfg)]
         detail["block_deltas"] = []
 
-    iterations = 0
-    termination = "max_iterations"
-    if history[0] <= tol:
-        termination = "converged"
-    else:
-        while iterations < max_iter:
-            new_state = _sweep(p, state, cfg.alpha, cfg.beta, fx, fz)
-            iterations += 1
-            if track_lagrangian:
-                detail["lagrangian_history"].append(
-                    lyap_lagrangian_value(p, new_state, cfg)
-                )
-                detail["block_deltas"].append(_lyap_block_deltas(state, new_state))
-            state = new_state
-            history.append(lyapunov_residual(p, state.x))
-            if history[-1] <= tol:
-                termination = "converged"
-                break
+    def step(state):
+        new_state = _sweep(p, state, cfg.alpha, cfg.beta, fx, fz)
+        if track_lagrangian:
+            detail["lagrangian_history"].append(lyap_lagrangian_value(p, new_state, cfg))
+            detail["block_deltas"].append(_block_deltas(state, new_state))
+        detail["state"] = new_state
+        return new_state
 
-    detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
-    detail["state"] = state
-    return SolveReport(
-        solution=symmetrize(state.x),
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
+    report = iterate(
+        detail["state"],
+        step,
+        lambda state: lyapunov_residual(p, state.x),
+        lambda state, res: "converged" if res <= tol else None,
+        cfg.inner_max if max_iter is None else max_iter,
+        solution=lambda state: symmetrize(state.x),
         detail=detail,
     )
+    state = detail["state"]
+    detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
+    return report
 
 
 def _warn_if_not_certified_stable(closed_loop: np.ndarray) -> None:
@@ -247,16 +197,13 @@ def solve_newton_admm(
     stagnated.
     """
     cfg = cfg or NewtonAdmmConfig()
-    n = p.order
-    x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (n, n):
-        raise DimensionError(f"x0 must be {n}x{n}, got {x.shape}")
-    if np.max(np.abs(x - x.T)) > 1e-10 * max(1.0, float(np.abs(x).max())):
-        raise PreconditionError("x0 must be symmetric")
-    _warn_if_not_certified_stable(p.a - p.n_mat @ x)
+    # The outer state: the iterate, its Riccati residual (which the
+    # forcing rule reads), the inner state to warm-start from, and the
+    # number of consecutive inner runs that hit their sweep cap.
+    state = SimpleNamespace(x=_symmetric_x0(x0, p.order), inner=None, capped_streak=0)
+    state.residual = care_residual(p, state.x)
+    _warn_if_not_certified_stable(p.a - p.n_mat @ state.x)
 
-    start = time.perf_counter()
-    history = [care_residual(p, x)]
     detail: dict = {
         "outer_iterations": 0,
         "inner_iterations_per_outer": [],
@@ -265,68 +212,61 @@ def solve_newton_admm(
     }
     if cfg.track_inner_lagrangian:
         detail["inner_lagrangian_traces"] = []
-    keep_trace = n <= 64
+    keep_trace = p.order <= 64
     if keep_trace:
-        detail["outer_trace"] = [x.copy()]
+        detail["outer_trace"] = [state.x.copy()]
 
-    total_inner = 0
-    termination = "max_iterations"
-    inner_state: LyapAdmmState | None = None
-    maxed_streak = 0
-
-    if history[0] <= cfg.outer_tol:
-        termination = "converged"
-    else:
-        for _ in range(cfg.outer_max):
-            a_k = p.a - p.n_mat @ x
-            q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
-            lyap = LyapunovProblem(a=a_k, q=q_k)
-            if cfg.inner_tol_mode == "fixed":
-                inner_tol = cfg.inner_tol_value
-            else:
-                inner_tol = max(cfg.inner_tol_value * history[-1], cfg.outer_tol / 10.0)
-            inner = solve_lyapunov_admm(
-                lyap,
-                cfg,
-                init=inner_state,
-                tol=inner_tol,
-                max_iter=cfg.inner_max,
-                track_lagrangian=cfg.track_inner_lagrangian,
+    def step(outer):
+        x = outer.x
+        a_k = p.a - p.n_mat @ x
+        q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
+        if cfg.inner_tol_mode == "fixed":
+            inner_tol = cfg.inner_tol_value
+        else:
+            inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
+        inner = solve_lyapunov_admm(
+            LyapunovProblem(a=a_k, q=q_k),
+            cfg,
+            init=outer.inner,
+            tol=inner_tol,
+            max_iter=cfg.inner_max,
+            track_lagrangian=cfg.track_inner_lagrangian,
+        )
+        detail["outer_iterations"] += 1
+        detail["inner_iterations_per_outer"].append(inner.iterations)
+        detail["inner_tolerances"].append(inner_tol)
+        detail["inner_final_residuals"].append(inner.final_residual)
+        if cfg.track_inner_lagrangian:
+            detail["inner_lagrangian_traces"].append(
+                {
+                    "lagrangian_history": inner.detail["lagrangian_history"],
+                    "block_deltas": inner.detail["block_deltas"],
+                }
             )
-            total_inner += inner.iterations
-            detail["outer_iterations"] += 1
-            detail["inner_iterations_per_outer"].append(inner.iterations)
-            detail["inner_tolerances"].append(inner_tol)
-            detail["inner_final_residuals"].append(inner.final_residual)
-            if cfg.track_inner_lagrangian:
-                detail["inner_lagrangian_traces"].append(
-                    {
-                        "lagrangian_history": inner.detail["lagrangian_history"],
-                        "block_deltas": inner.detail["block_deltas"],
-                    }
-                )
-            inner_state = inner.detail["state"]
-            x = inner.solution
-            if keep_trace:
-                detail["outer_trace"].append(x.copy())
-            history.append(care_residual(p, x))
-            if inner.termination == "max_iterations":
-                maxed_streak += 1
-                if maxed_streak >= 2:
-                    termination = "stagnated"
-                    break
-            else:
-                maxed_streak = 0
-            if history[-1] <= cfg.outer_tol:
-                termination = "converged"
-                break
+        outer.x = inner.solution
+        if keep_trace:
+            detail["outer_trace"].append(outer.x.copy())
+        outer.residual = care_residual(p, outer.x)
+        outer.inner = inner.detail["state"]
+        if inner.termination == "max_iterations":
+            outer.capped_streak += 1
+        else:
+            outer.capped_streak = 0
+        return outer
 
-    return SolveReport(
-        solution=x,
-        iterations=total_inner,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
+    def stop(outer, res):
+        if outer.capped_streak >= 2:
+            return "stagnated"
+        return "converged" if res <= cfg.outer_tol else None
+
+    report = iterate(
+        state,
+        step,
+        lambda outer: outer.residual,
+        stop,
+        cfg.outer_max,
+        solution=lambda outer: outer.x,
         detail=detail,
     )
+    report.iterations = sum(detail["inner_iterations_per_outer"])
+    return report

@@ -25,8 +25,8 @@ note Armijo never tests curvature and can stall far from the solution.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .linalg import (
 )
 from .oracle import sylvester_residual
 from .problems import SylvesterProblem
-from .report import SolveReport
+from .report import SolveReport, Stop, iterate
 
 METHODS = ("dfp", "bfgs")
 LINESEARCHES = ("exact", "armijo", "wolfe")
@@ -259,18 +259,6 @@ def _direction(g_mat: np.ndarray, inv_h: np.ndarray, mode: str, shape) -> np.nda
     return unvec(-(inv_h @ vec(g_mat)), *shape)
 
 
-def _partial_report(p, x, iterations, history, start, detail) -> SolveReport:
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination="error",
-        detail=detail,
-    )
-
-
 def solve_quasi_newton(
     p: SylvesterProblem,
     cfg: QnConfig | None = None,
@@ -283,7 +271,8 @@ def solve_quasi_newton(
     symmetry error, curvature, accepted step), the objective trace
     (``f_history``), gradient norms, and the count of curvature-skipped
     updates.  Line-search failures re-raise with the partial report
-    attached to the exception.
+    attached to the exception.  A direction that is not a descent
+    direction, or an exact step of zero, ends the run as stagnated.
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
@@ -291,94 +280,77 @@ def solve_quasi_newton(
         raise CapacityError(
             f"vectorized inverse Hessian would need ({m * n})^2 entries"
         )
-    x = np.zeros((m, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (m, n):
-        raise DimensionError(f"x0 must be {m}x{n}, got {x.shape}")
-
-    start = time.perf_counter()
-    inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
-    g = f1_gradient(p, x)
-    history = [sylvester_residual(p, x)]
+    state = SimpleNamespace(
+        x=np.zeros((m, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    )
+    if state.x.shape != (m, n):
+        raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
+    state.inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
+    state.g = f1_gradient(p, state.x)
     detail: dict = {
         "updates": [],
-        "f_history": [f1_value(p, x)],
-        "grad_norm_history": [frobenius_norm(g)],
+        "f_history": [f1_value(p, state.x)],
+        "grad_norm_history": [frobenius_norm(state.g)],
         "curvature_skips": 0,
         "mode": cfg.mode,
         "method": cfg.method,
     }
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
 
-    iterations = 0
-    termination = "max_iterations"
-    if frobenius_norm(g) < cfg.grad_tol:
-        termination = "converged"
-    else:
-        for _ in range(cfg.max_iterations):
-            direction = _direction(g, inv_h, cfg.mode, (m, n))
-            dphi0 = trace_inner(g, direction)
-            if dphi0 >= 0:
-                termination = "stagnated"
-                break
-            try:
-                if cfg.linesearch == "exact":
-                    lam = exact_step(p, x, direction)
-                elif cfg.linesearch == "armijo":
-                    lam = armijo_search(p, x, direction, cfg.sigma1)
-                else:
-                    lam = wolfe_search(p, x, direction, cfg.sigma1, cfg.sigma2)
-            except (LineSearchError, DegenerateDirectionError) as exc:
-                exc.report = _partial_report(p, x, iterations, history, start, detail)
-                raise
-            if lam == 0.0:
-                termination = "stagnated"
-                break
+    def step(s):
+        direction = _direction(s.g, s.inv_h, cfg.mode, (m, n))
+        if trace_inner(s.g, direction) >= 0:
+            raise Stop("stagnated")
+        if cfg.linesearch == "exact":
+            lam = exact_step(p, s.x, direction)
+        elif cfg.linesearch == "armijo":
+            lam = armijo_search(p, s.x, direction, cfg.sigma1)
+        else:
+            lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2)
+        if lam == 0.0:
+            raise Stop("stagnated")
 
-            x_new = x + lam * direction
-            g_new = f1_gradient(p, x_new)
-            delta = x_new - x
-            y = g_new - g
-            state = QnState(x=x_new, g=g_new, inv_hessian=inv_h, delta=delta, y=y)
-            audit = {
-                "step": lam,
-                "curvature": trace_inner(delta, y),
-                "skipped": False,
-            }
-            try:
-                inv_h = update_fn(state, cfg.mode)
-            except CurvatureError:
-                detail["curvature_skips"] += 1
-                audit["skipped"] = True
-            if not audit["skipped"]:
-                if cfg.mode == "matrix_form":
-                    secant_err = frobenius_norm(inv_h @ y - delta)
-                else:
-                    secant_err = float(
-                        np.linalg.norm(inv_h @ vec(y).ravel() - vec(delta).ravel())
-                    )
-                audit["secant_error"] = secant_err
-                audit["delta_norm"] = frobenius_norm(delta)
-                audit["symmetry_error"] = frobenius_norm(inv_h - inv_h.T)
-                audit["inv_hessian_norm"] = frobenius_norm(inv_h)
-                if inv_h.shape[0] <= 64:
-                    audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
-            detail["updates"].append(audit)
+        x_new = s.x + lam * direction
+        g_new = f1_gradient(p, x_new)
+        delta = x_new - s.x
+        y = g_new - s.g
+        inv_h = s.inv_h
+        update = QnState(x=x_new, g=g_new, inv_hessian=inv_h, delta=delta, y=y)
+        audit = {
+            "step": lam,
+            "curvature": trace_inner(delta, y),
+            "skipped": False,
+        }
+        try:
+            inv_h = update_fn(update, cfg.mode)
+        except CurvatureError:
+            detail["curvature_skips"] += 1
+            audit["skipped"] = True
+        if not audit["skipped"]:
+            if cfg.mode == "matrix_form":
+                secant_err = frobenius_norm(inv_h @ y - delta)
+            else:
+                secant_err = float(
+                    np.linalg.norm(inv_h @ vec(y).ravel() - vec(delta).ravel())
+                )
+            audit["secant_error"] = secant_err
+            audit["delta_norm"] = frobenius_norm(delta)
+            audit["symmetry_error"] = frobenius_norm(inv_h - inv_h.T)
+            audit["inv_hessian_norm"] = frobenius_norm(inv_h)
+            if inv_h.shape[0] <= 64:
+                audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
+        detail["updates"].append(audit)
+        s.x, s.g, s.inv_h = x_new, g_new, inv_h
+        detail["f_history"].append(f1_value(p, x_new))
+        detail["grad_norm_history"].append(frobenius_norm(g_new))
+        return s
 
-            x, g = x_new, g_new
-            iterations += 1
-            history.append(sylvester_residual(p, x))
-            detail["f_history"].append(f1_value(p, x))
-            detail["grad_norm_history"].append(frobenius_norm(g))
-            if frobenius_norm(g) < cfg.grad_tol:
-                termination = "converged"
-                break
-
-    return SolveReport(
-        solution=x,
-        iterations=iterations,
-        residual_history=history,
-        final_residual=history[-1],
-        wall_time_seconds=time.perf_counter() - start,
-        termination=termination,
+    return iterate(
+        state,
+        step,
+        lambda s: sylvester_residual(p, s.x),
+        lambda s, res: "converged" if frobenius_norm(s.g) < cfg.grad_tol else None,
+        cfg.max_iterations,
+        solution=lambda s: s.x,
         detail=detail,
     )

@@ -1,0 +1,194 @@
+"""Exact outcomes of every solver on fixed inputs.
+
+Each case pins the iteration count, the termination, the length of the
+residual history and the final residual (to rtol 1e-9) that the solvers
+produced before they shared one iteration driver.  Any change to the
+order of a solver's arithmetic, its stop rule or its history stride
+shows here as a changed outcome.  A case that raises pins the exception
+class instead.
+"""
+
+import numpy as np
+import pytest
+
+from matrixopt.errors import MatrixOptError
+from matrixopt.harness.manifest import run_method
+from matrixopt.problems import (
+    SUITE_IDS,
+    CareProblem,
+    SylvesterProblem,
+    care_family,
+    paper_suite,
+    sylvester_family,
+)
+
+MAX_ORDER = 16
+
+
+def _paper_cases():
+    for table in SUITE_IDS:
+        if table == "t7":
+            continue
+        for index, row in enumerate(paper_suite(table)):
+            if row.source.order <= MAX_ORDER:
+                yield f"{table}[{index}]-{row.method}-n{row.source.order}", (
+                    row.method, row.source.build, row.params,
+                )
+
+
+def _family_cases():
+    variants = [(qn, {"linesearch": ls}) for qn in ("dfp", "bfgs")
+                for ls in ("exact", "wolfe", "armijo")]
+    variants += [(qn, {"mode": "vectorized"}) for qn in ("dfp", "bfgs")]
+    variants += [("cg", {}), ("ar", {}), ("ccom", {}), ("direct", {})]
+    for table in ("t4", "t5", "t6"):
+        source = sylvester_family(table, MAX_ORDER)
+        for method, params in variants:
+            tag = "-".join(str(v) for v in params.values())
+            yield f"{table}-{method}{'-' + tag if tag else ''}", (method, source.build, params)
+
+
+def _care_cases():
+    t8 = care_family("t8", MAX_ORDER).build
+    t8_admm = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014}
+    t9 = care_family("t9", MAX_ORDER).build
+    yield "t8-admm-check7", ("admm", t8, {**t8_admm, "check_every": 7})
+    yield "t8-admm-cap200", ("admm", t8, {**t8_admm, "max_iterations": 200})
+    yield "t8-admm-check7-cap100", (
+        "admm", t8, {**t8_admm, "check_every": 7, "max_iterations": 100},
+    )
+    yield "t9-newton-admm-fixed", (
+        "newton-admm", t9, {"alpha": 0.8, "beta": 53.5, "inner_tol_mode": "fixed",
+                            "inner_tol_value": 1e-10},
+    )
+    yield "t9-newton-admm-stagnating", (
+        "newton-admm", t9, {"alpha": 1e-6, "beta": 1e-6, "outer_max": 5, "inner_max": 50},
+    )
+
+
+def _random3():
+    rng = np.random.default_rng(0)
+    return SylvesterProblem(*(rng.standard_normal((3, 3)) for _ in range(3)))
+
+
+def _singular3():
+    return SylvesterProblem(a=np.eye(3), b=-np.eye(3), c=np.eye(3))
+
+
+def _edge_cases():
+    """Runs that end other than by converging: stagnation, divergence,
+    the iteration cap and mid-run errors."""
+    for qn in ("dfp", "bfgs"):
+        for ls in ("exact", "armijo", "wolfe"):
+            yield f"random3-{qn}-{ls}", (qn, _random3, {"linesearch": ls})
+    yield "negdef3-cg", (
+        "cg", lambda: SylvesterProblem(a=-np.eye(3), b=-np.eye(3), c=np.eye(3)), {},
+    )
+    yield "singular3-cg", ("cg", _singular3, {})
+    yield "singular3-ar", ("ar", _singular3, {})
+    yield "singular3-ccom", ("ccom", _singular3, {})
+    yield "t6-ar-omega1", ("ar", sylvester_family("t6", MAX_ORDER).build, {"omega": 1.0})
+    yield "scalar-newton-breakdown", (
+        "newton", lambda: CareProblem(a=[[0.0]], n_mat=[[0.0]], k_mat=[[1.0]]), {},
+    )
+
+
+CASES = dict([*_paper_cases(), *_family_cases(), *_care_cases(), *_edge_cases()])
+
+
+def outcome(method, build, params):
+    """(iterations, termination, history length, final residual), or the
+    name of the exception class the run raised."""
+    try:
+        report = run_method(method, build(), params)
+    except MatrixOptError as exc:
+        return type(exc).__name__
+    return (
+        report.iterations,
+        report.termination,
+        len(report.residual_history),
+        report.final_residual,
+    )
+
+
+# Recorded before the solvers were ported onto ``report.iterate``.
+GOLDEN = {
+    'negdef3-cg': (0, 'stagnated', 1, 1.7320508075688772),
+    'random3-bfgs-armijo': 'LineSearchError',
+    'random3-bfgs-exact': (34, 'stagnated', 35, 1.5508742471325827),
+    'random3-bfgs-wolfe': 'LineSearchError',
+    'random3-dfp-armijo': (9, 'stagnated', 10, 1.5173721140619076),
+    'random3-dfp-exact': (2, 'stagnated', 3, 1.6829697521897256),
+    'random3-dfp-wolfe': (9, 'stagnated', 10, 1.5173721140619076),
+    'scalar-newton-breakdown': 'NewtonBreakdownError',
+    'singular3-ar': (1000, 'max_iterations', 1001, 1.7320508075688772),
+    'singular3-ccom': 'SingularMatrixError',
+    'singular3-cg': (0, 'stagnated', 1, 1.7320508075688772),
+    't10[0]-newton-admm-n16': (85, 'converged', 10, 9.248550687533169e-09),
+    't10[1]-newton-n16': (5, 'converged', 6, 8.429385500232977e-13),
+    't1[0]-ccom-n10': (1, 'converged', 2, 1.0425548918655045e-14),
+    't2[0]-ccom-n10': (1, 'converged', 2, 1.0425548918655045e-14),
+    't3[0]-ccom-n10': (1, 'converged', 2, 0.0),
+    't4-ar': (2, 'converged', 3, 0.0),
+    't4-bfgs-armijo': (2, 'converged', 3, 0.0),
+    't4-bfgs-exact': (1, 'converged', 2, 0.0),
+    't4-bfgs-vectorized': (1, 'converged', 2, 0.0),
+    't4-bfgs-wolfe': (2, 'converged', 3, 0.0),
+    't4-ccom': (1, 'converged', 2, 9.957827818901353e-16),
+    't4-cg': (1, 'converged', 2, 0.0),
+    't4-dfp-armijo': (2, 'converged', 3, 1.7763568394002505e-15),
+    't4-dfp-exact': (1, 'converged', 2, 0.0),
+    't4-dfp-vectorized': (1, 'converged', 2, 0.0),
+    't4-dfp-wolfe': (2, 'converged', 3, 1.7763568394002505e-15),
+    't4-direct': (0, 'converged', 1, 5.897928109509803e-16),
+    't5-ar': (2, 'converged', 3, 0.0),
+    't5-bfgs-armijo': (2, 'converged', 3, 0.0),
+    't5-bfgs-exact': (1, 'converged', 2, 0.0),
+    't5-bfgs-vectorized': (1, 'converged', 2, 0.0),
+    't5-bfgs-wolfe': (2, 'converged', 3, 0.0),
+    't5-ccom': (1, 'converged', 2, 8.238068436658583e-16),
+    't5-cg': (1, 'converged', 2, 0.0),
+    't5-dfp-armijo': (2, 'converged', 3, 4.884981308350689e-15),
+    't5-dfp-exact': (1, 'converged', 2, 0.0),
+    't5-dfp-vectorized': (1, 'converged', 2, 0.0),
+    't5-dfp-wolfe': (2, 'converged', 3, 4.884981308350689e-15),
+    't5-direct': (0, 'converged', 1, 5.951686021532507e-16),
+    't6-ar': (16, 'converged', 17, 3.6304337552537845e-09),
+    't6-ar-omega1': (29, 'diverged', 30, 12300527.404853132),
+    't6-bfgs-armijo': (2, 'converged', 3, 9.470552199215903e-16),
+    't6-bfgs-exact': (2, 'converged', 3, 9.215731665861842e-16),
+    't6-bfgs-vectorized': (14, 'converged', 15, 3.922044291898453e-10),
+    't6-bfgs-wolfe': (2, 'converged', 3, 9.470552199215903e-16),
+    't6-ccom': (1, 'converged', 2, 1.2196823201173783e-15),
+    't6-cg': (9, 'converged', 10, 2.347073826271071e-09),
+    't6-dfp-armijo': (2, 'converged', 3, 1.5954345535043182e-13),
+    't6-dfp-exact': (2, 'converged', 3, 1.386467766224777e-13),
+    't6-dfp-vectorized': (14, 'converged', 15, 3.9338065703860804e-10),
+    't6-dfp-wolfe': (2, 'converged', 3, 1.5954345535043182e-13),
+    't6-direct': (0, 'converged', 1, 7.493329227000589e-16),
+    't8-admm-cap200': (200, 'max_iterations', 201, 0.0004771852792345927),
+    't8-admm-check7': (574, 'converged', 83, 9.248793964515478e-09),
+    't8-admm-check7-cap100': (100, 'max_iterations', 16, 0.010146033931904998),
+    't8[0]-admm-n16': (563, 'converged', 564, 9.967274830546227e-09),
+    't8[1]-newton-n16': (4, 'converged', 5, 7.748767405218893e-13),
+    't9-newton-admm-fixed': (266, 'converged', 5, 3.513472951985715e-11),
+    't9-newton-admm-stagnating': (100, 'stagnated', 3, 6.213828066375641),
+    't9[0]-newton-admm-n16': (68, 'converged', 9, 3.298127376741072e-09),
+    't9[1]-newton-n16': (4, 'converged', 5, 7.748767405218893e-13),
+}
+
+
+def test_every_case_is_pinned():
+    assert set(GOLDEN) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outcome_is_unchanged(case):
+    got = outcome(*CASES[case])
+    want = GOLDEN[case]
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, tuple), got
+    assert got[:3] == want[:3]
+    assert got[3] == pytest.approx(want[3], rel=1e-9, abs=0.0)

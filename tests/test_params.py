@@ -290,3 +290,13 @@ def test_lyapunov_admm_from_cli(tmp_path, capsys):
                  str(tmp_path / "a.mtx"), str(tmp_path / "q.mtx"), "--max-iter", "2"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2 and payload["iterations"] == 2
+
+
+def test_ccom_group_rows_that_do_not_divide_the_unknowns(capsys):
+    err = _usage_error(
+        ["solve", "sylvester", "--method", "ccom", "--suite", "t1", "--n", "3",
+         "--group-rows", "2"],
+        capsys,
+    )
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "group_rows" in err
