@@ -25,7 +25,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError, SingularMatrixError
-from .linalg import cholesky_solve, frobenius_norm, lu_solve, trace_inner
+from .linalg import (
+    cholesky_solve,
+    frobenius_norm,
+    lu_solve,
+    serial_products,
+    spd_factor,
+    spd_solve,
+    trace_inner,
+)
 from .baselines import care_residual
 from .problems import CareProblem
 from .report import SolveReport, iterate
@@ -61,7 +69,7 @@ class _BlockState:
             block = getattr(self, f.name)
             if block.shape != (n, n):
                 raise DimensionError(f"block {f.name} must be {n}x{n}, got {block.shape}")
-            if not np.all(np.isfinite(block)):
+            if not np.isfinite(block).all():
                 raise ValueError(f"block {f.name} contains non-finite entries")
 
     @classmethod
@@ -93,45 +101,82 @@ def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise AdmmBreakdownError(f"{what} system is singular: {exc}") from exc
 
 
-def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> AdmmState:
+@dataclass(frozen=True)
+class SweepConstants:
+    """The parts of a sweep that depend only on the problem and the
+    penalties: alpha A A^T, beta I, gamma I, and the Z-update system
+    (kept factored when Cholesky succeeds).  The X system adds the first
+    two separately, in the order an unhoisted sweep does, so iterates
+    keep their last bit."""
+
+    al_aat: np.ndarray
+    be_eye: np.ndarray
+    ga_eye: np.ndarray
+    z_sys: np.ndarray
+    z_factor: np.ndarray | None
+
+    @classmethod
+    def of(cls, p: CareProblem, cfg: AdmmConfig) -> "SweepConstants":
+        a, n_mat = p.a, p.n_mat
+        eye = np.eye(p.order)
+        aat = a @ a.T
+        z_sys = aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T)
+        try:
+            z_factor = spd_factor(z_sys)
+        except NotPositiveDefiniteError:
+            z_factor = None
+        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, z_sys, z_factor)
+
+
+def admm_step(
+    p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstants | None = None
+) -> AdmmState:
     """One sweep of the seven updates, X -> Y -> Z -> W -> multipliers.
 
     Every explicit inverse in the closed forms is realized as a linear
     solve; the Z and W updates multiply by an inverse from the right and
     are handled by solving the (symmetric) system against a transposed
-    right-hand side.
+    right-hand side.  ``const`` carries the sweep-invariant systems from
+    :meth:`SweepConstants.of`; without it they are formed here.
     """
     a, n_mat, k_mat = p.a, p.n_mat, p.k_mat
     n = p.order
     if s.x.shape != (n, n):
         raise DimensionError(f"state order {s.x.shape[0]} does not match problem order {n}")
+    if const is None:
+        const = SweepConstants.of(p, cfg)
     al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
-    eye = np.eye(n)
-    aat = a @ a.T
 
-    x_sys = s.w.T @ s.w + al * aat + be * eye
-    x_rhs = s.w.T @ (s.y + s.z @ a + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
+    # Products that occur twice in a sweep are formed once.
+    za = s.z @ a
+    x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
+    x_rhs = s.w.T @ (s.y + za + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
     x = _solve_spd(x_sys, x_rhs, "X-update")
 
-    y = (s.w @ x + al * (a.T @ x) - s.z @ a - k_mat - s.lambda_) / (1.0 + al)
+    wx = s.w @ x
+    atx = a.T @ x
+    y = (wx + al * atx - za - k_mat - s.lambda_) / (1.0 + al)
 
-    z_sys = aat + be * eye + ga * (n_mat @ n_mat.T)
     z_rhs = (
-        (s.w @ x - y - k_mat) @ a.T
+        (wx - y - k_mat) @ a.T
         - s.pi_
         + s.gamma_ @ n_mat.T
         + be * x
         + ga * (s.w @ n_mat.T)
     )
-    z = _solve_spd(z_sys, z_rhs.T, "Z-update").T
+    if const.z_factor is not None:
+        z = spd_solve(const.z_factor, z_rhs.T).T
+    else:
+        z = _solve_spd(const.z_sys, z_rhs.T, "Z-update").T
 
-    w_sys = x @ x.T + ga * eye
-    w_rhs = (y + z @ a + k_mat) @ x.T - s.gamma_ + ga * (z @ n_mat)
+    zn = z @ n_mat
+    w_sys = x @ x.T + const.ga_eye
+    w_rhs = (y + z @ a + k_mat) @ x.T - s.gamma_ + ga * zn
     w = _solve_spd(w_sys, w_rhs.T, "W-update").T
 
-    lambda_ = s.lambda_ - al * (a.T @ x - y)
+    lambda_ = s.lambda_ - al * (atx - y)
     pi_ = s.pi_ - be * (x - z)
-    gamma_ = s.gamma_ - ga * (z @ n_mat - w)
+    gamma_ = s.gamma_ - ga * (zn - w)
     return AdmmState(x=x, y=y, z=z, w=w, lambda_=lambda_, pi_=pi_, gamma_=gamma_)
 
 
@@ -175,13 +220,19 @@ def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     )
 
 
-def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
-    """Squared change of each block, keyed ``d<block>2``."""
+def _block_deltas(s: _BlockState, s_new: _BlockState, names=None) -> dict:
+    """Squared change of each block (or of the blocks in ``names``),
+    keyed ``d<block>2``."""
     sq = lambda m: float(np.vdot(m, m))  # noqa: E731
+    if names is None:
+        names = [f.name for f in fields(s)]
     return {
-        f"d{f.name.rstrip('_')}2": sq(getattr(s_new, f.name) - getattr(s, f.name))
-        for f in fields(s)
+        f"d{name.rstrip('_')}2": sq(getattr(s_new, name) - getattr(s, name)) for name in names
     }
+
+
+# The blocks whose changes make up ``multiplier_diff_sq_sum``.
+_MULTIPLIERS = ("lambda_", "pi_", "gamma_")
 
 
 def solve_care_admm(
@@ -207,9 +258,11 @@ def solve_care_admm(
         detail["lagrangian_history"] = [lagrangian_value(p, detail["state"], cfg)]
         detail["block_deltas"] = []
 
+    const = SweepConstants.of(p, cfg)
+
     def step(state):
-        new_state = admm_step(p, state, cfg)
-        deltas = _block_deltas(state, new_state)
+        new_state = admm_step(p, state, cfg, const)
+        deltas = _block_deltas(state, new_state, None if cfg.track_lagrangian else _MULTIPLIERS)
         detail["multiplier_diff_sq_sum"] += (
             deltas["dlambda2"] + deltas["dpi2"] + deltas["dgamma2"]
         )
@@ -219,16 +272,17 @@ def solve_care_admm(
         detail["state"] = new_state
         return new_state
 
-    report = iterate(
-        detail["state"],
-        step,
-        lambda state: care_residual(p, state.x),
-        lambda state, res: "converged" if res <= cfg.tol else None,
-        cfg.max_iterations,
-        check_every=cfg.check_every,
-        solution=lambda state: state.x,
-        detail=detail,
-    )
+    with serial_products():
+        report = iterate(
+            detail["state"],
+            step,
+            lambda state: care_residual(p, state.x),
+            lambda state, res: "converged" if res <= cfg.tol else None,
+            cfg.max_iterations,
+            check_every=cfg.check_every,
+            solution=lambda state: state.x,
+            detail=detail,
+        )
     state = detail["state"]
     detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
     detail["final_kkt_residuals"] = kkt_residuals(p, state)

@@ -36,6 +36,7 @@ from .manifest import (
     METHOD_NAMES,
     METHODS,
     manifest_for_suite,
+    row_error,
     run_manifest,
     run_method,
     summary_json,
@@ -377,8 +378,8 @@ def _cmd_sweep(args, parser: _Parser) -> int:
             report = run_method(args.method, problem, params)
         except ParameterError:
             raise
-        except MatrixOptError as exc:
-            row.update(iterations="", final_residual="", termination=f"error: {exc}")
+        except Exception as exc:  # noqa: BLE001 - one bad point must not abort the sweep
+            row.update(iterations="", final_residual="", termination=f"error: {row_error(exc)}")
         else:
             row.update(
                 iterations=report.iterations,

@@ -27,7 +27,8 @@ from ..baselines import (
 )
 from ..care_admm import AdmmConfig, solve_care_admm
 from ..ccom import CcomConfig, solve_ccom
-from ..errors import MatrixOptError, ParameterError, PreconditionError
+from ..errors import ParameterError, PreconditionError
+from ..linalg import blas_threads, serial_products
 from ..newton_admm import (
     NewtonAdmmConfig,
     lyapunov_residual,
@@ -244,12 +245,17 @@ def manifest_for_suite(suite: str, desk_scale_cap: int = 256, seed: int = 0) -> 
     return RunManifest(suite=suite, rows=paper_suite(suite), desk_scale_cap=desk_scale_cap, seed=seed)
 
 
+def row_error(exc: Exception) -> str:
+    """A failed row's error text, led by the exception's class name."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _execute(index: int, row: SuiteRow) -> RunRecord:
     try:
         problem = row.source.build()
         report = run_method(row.method, problem, row.params)
-    except MatrixOptError as exc:
-        return RunRecord(index=index, row=row, termination="error", error=str(exc))
+    except Exception as exc:  # noqa: BLE001 - one bad row must not abort the table
+        return RunRecord(index=index, row=row, termination="error", error=row_error(exc))
     return RunRecord(index=index, row=row, **report.summary())
 
 
@@ -277,7 +283,9 @@ def run_manifest(
     if width == 1 or len(jobs) <= 1:
         records = [_execute(i, row) for i, row in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
+        # Held across the pool, so no row's BLAS thread count depends on
+        # which other rows overlap it.
+        with serial_products(), ThreadPoolExecutor(max_workers=width) as pool:
             records = list(pool.map(lambda job: _execute(*job), jobs))
     return sorted(records, key=lambda rec: rec.index)
 
@@ -300,6 +308,7 @@ def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
     return {
         "suite": manifest.suite,
         "seed": manifest.seed,
+        "environment": {"openblas_threads": blas_threads(), "cpu_count": os.cpu_count()},
         "rows_run": len(records),
         "rows_converged": converged,
         "rows_failed": sum(1 for r in records if r.error is not None),

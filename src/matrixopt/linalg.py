@@ -3,12 +3,18 @@
 All matrices are plain two-dimensional ``float64`` numpy arrays; the
 :func:`as_matrix` helper enforces that carrier contract (finite entries,
 explicit shape) at module boundaries.  Operations are pure functions of
-their inputs.
+their inputs, apart from :func:`serial_products`, which sets numpy's
+BLAS thread count for the duration of a block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -79,6 +85,11 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
+# The LAPACK routines behind scipy's cho_factor/cho_solve, resolved once:
+# called directly they skip the per-call batching and validation wrapper.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+
 def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a @ X = rhs for symmetric positive definite ``a`` via Cholesky.
 
@@ -93,29 +104,113 @@ def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"rhs rows {rhs.shape[0]} do not match system order {a.shape[0]}"
         )
-    try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+    return spd_solve(spd_factor(a), rhs)
 
 
-def spd_factor(a: np.ndarray):
+def spd_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky-factor a symmetric positive definite matrix for reuse.
 
-    Returns an opaque factor object accepted by :func:`spd_solve`.
+    Returns an opaque factor object accepted by :func:`spd_solve`.  Only
+    the upper triangle of ``a`` is read.
     """
-    try:
-        return scipy.linalg.cho_factor(
-            np.asarray(a, dtype=np.float64), check_finite=False
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"spd_factor needs a square matrix, got {a.shape}")
+    c, info = _POTRF(a, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite"
         )
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    if info < 0:
+        raise ValueError(f"potrf rejected argument {-info}")
+    return c
 
 
-def spd_solve(factor, rhs: np.ndarray) -> np.ndarray:
+def spd_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve against a factor produced by :func:`spd_factor`."""
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    x, info = _POTRS(factor, rhs, lower=False, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"potrs rejected argument {-info}")
+    return x
+
+
+# Each bundled OpenBLAS copy: (site-packages glob, exported symbol suffix).
+OPENBLAS_COPIES = {
+    "numpy": ("numpy.libs/libscipy_openblas64_*.so", "64_"),
+    "scipy": ("scipy.libs/libscipy_openblas*.so", ""),
+}
+
+
+def find_openblas(copy: str):
+    """(get, set) thread-count controls of the OpenBLAS copy bundled
+    with ``copy`` (``numpy`` or ``scipy``), or None when there is none
+    to find.  Opening a copy that is already loaded returns its handle."""
+    pattern, suffix = OPENBLAS_COPIES[copy]
+    site = Path(np.__file__).resolve().parent.parent
+    for path in sorted(glob.glob(str(site / pattern))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads() -> dict:
+    """Current thread count of each bundled OpenBLAS copy (None when the
+    copy is not found)."""
+    out = {}
+    for copy in OPENBLAS_COPIES:
+        controls = find_openblas(copy)
+        out[copy] = None if controls is None else controls[0]()
+    return out
+
+
+_UNSEEN = object()
+_serial = threading.Lock()
+_serial_state = {"controls": _UNSEEN, "depth": 0, "saved": 1}
+
+
+@contextlib.contextmanager
+def serial_products():
+    """Run the block with numpy's OpenBLAS at one thread.
+
+    numpy and scipy each bundle an OpenBLAS copy with its own worker
+    threads.  A loop that alternates numpy products with scipy
+    factorizations keeps both pools spinning, which on a small machine
+    costs more than the products' threading gains.  Products give the
+    same bits at any thread count, so iterates do not change; a long
+    dot product (a Frobenius norm) may change in its last bit, because
+    threads split its sum.
+
+    The setting is process-wide: blocks nest and may overlap across
+    threads.  The first block to enter saves the count and lowers it to
+    one, the last to leave restores it; a count of one is left alone.
+    Without a findable copy the block runs unchanged.
+    """
+    state = _serial_state
+    with _serial:
+        if state["controls"] is _UNSEEN:
+            state["controls"] = find_openblas("numpy")
+        controls = state["controls"]
+        if controls is not None:
+            if state["depth"] == 0:
+                state["saved"] = controls[0]()
+                if state["saved"] > 1:
+                    controls[1](1)
+            state["depth"] += 1
+    try:
+        yield
+    finally:
+        if controls is not None:
+            with _serial:
+                state["depth"] -= 1
+                if state["depth"] == 0 and state["saved"] > 1:
+                    controls[1](state["saved"])
 
 
 def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .baselines import _symmetric_x0, care_residual
 from .care_admm import _augmented_lagrangian, _block_deltas, _BlockState
 from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError
-from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
+from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
 from .report import SolveReport, iterate
 
@@ -159,15 +159,16 @@ def solve_lyapunov_admm(
         detail["state"] = new_state
         return new_state
 
-    report = iterate(
-        detail["state"],
-        step,
-        lambda state: lyapunov_residual(p, state.x),
-        lambda state, res: "converged" if res <= tol else None,
-        cfg.inner_max if max_iter is None else max_iter,
-        solution=lambda state: symmetrize(state.x),
-        detail=detail,
-    )
+    with serial_products():
+        report = iterate(
+            detail["state"],
+            step,
+            lambda state: lyapunov_residual(p, state.x),
+            lambda state, res: "converged" if res <= tol else None,
+            cfg.inner_max if max_iter is None else max_iter,
+            solution=lambda state: symmetrize(state.x),
+            detail=detail,
+        )
     state = detail["state"]
     detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
     return report
@@ -259,14 +260,15 @@ def solve_newton_admm(
             return "stagnated"
         return "converged" if res <= cfg.outer_tol else None
 
-    report = iterate(
-        state,
-        step,
-        lambda outer: outer.residual,
-        stop,
-        cfg.outer_max,
-        solution=lambda outer: outer.x,
-        detail=detail,
-    )
+    with serial_products():
+        report = iterate(
+            state,
+            step,
+            lambda outer: outer.residual,
+            stop,
+            cfg.outer_max,
+            solution=lambda outer: outer.x,
+            detail=detail,
+        )
     report.iterations = sum(detail["inner_iterations_per_outer"])
     return report

@@ -64,6 +64,14 @@ def _care_cases():
     yield "t9-newton-admm-stagnating", (
         "newton-admm", t9, {"alpha": 1e-6, "beta": 1e-6, "outer_max": 5, "inner_max": 50},
     )
+    # n=128: large enough for numpy's OpenBLAS to split products and
+    # norms across threads.
+    yield "t8-admm-n128-cap40", (
+        "admm", care_family("t8", 128).build, {**t8_admm, "max_iterations": 40},
+    )
+    yield "t9-newton-admm-n128", (
+        "newton-admm", care_family("t9", 128).build, {"alpha": 0.8, "beta": 53.5},
+    )
 
 
 def _random3():
@@ -175,6 +183,9 @@ GOLDEN = {
     't9-newton-admm-stagnating': (100, 'stagnated', 3, 6.213828066375641),
     't9[0]-newton-admm-n16': (68, 'converged', 9, 3.298127376741072e-09),
     't9[1]-newton-n16': (4, 'converged', 5, 7.748767405218893e-13),
+    # Recorded before the ADMM loops ran numpy's OpenBLAS at one thread.
+    't8-admm-n128-cap40': (40, 'max_iterations', 41, 0.2757818949065826),
+    't9-newton-admm-n128': (80, 'converged', 10, 9.284719028069045e-10),
 }
 
 
