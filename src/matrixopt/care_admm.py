@@ -34,7 +34,7 @@ from .linalg import (
     spd_solve,
     trace_inner,
 )
-from .baselines import care_residual
+from .baselines import care_residual, closed_loop_max_real_eig
 from .problems import CareProblem
 from .report import SolveReport, iterate
 
@@ -286,6 +286,5 @@ def solve_care_admm(
     state = detail["state"]
     detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
     detail["final_kkt_residuals"] = kkt_residuals(p, state)
-    closed_loop = p.a - p.n_mat @ state.x
-    detail["closed_loop_max_real_eig"] = float(np.max(np.linalg.eigvals(closed_loop).real))
+    detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, state.x)
     return report

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import glob
+import math
 import threading
 import warnings
 from pathlib import Path
@@ -49,8 +50,12 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    return float(np.linalg.norm(m, "fro"))
+    """Frobenius norm sqrt(sum of squared entries).
+
+    Summed by numpy's own loop, not a BLAS dot product, so the result
+    does not depend on the BLAS thread count.
+    """
+    return math.sqrt(np.einsum("ij,ij->", m, m))
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -182,10 +187,8 @@ def serial_products():
     numpy and scipy each bundle an OpenBLAS copy with its own worker
     threads.  A loop that alternates numpy products with scipy
     factorizations keeps both pools spinning, which on a small machine
-    costs more than the products' threading gains.  Products give the
-    same bits at any thread count, so iterates do not change; a long
-    dot product (a Frobenius norm) may change in its last bit, because
-    threads split its sum.
+    costs more than the products' threading gains.  The ADMM iterates
+    are bit-identical at any thread count.
 
     The setting is process-wide: blocks nest and may overlap across
     threads.  The first block to enter saves the count and lowers it to

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_sylvester
 from matrixopt.baselines import (
@@ -15,6 +16,7 @@ from matrixopt.errors import (
     PreconditionError,
     SingularMatrixError,
 )
+from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm, trace_inner
 from matrixopt.oracle import solve_kronecker_direct
 from matrixopt.problems import (
@@ -22,6 +24,7 @@ from matrixopt.problems import (
     LyapunovProblem,
     SylvesterProblem,
     gen_tridiagonal,
+    paper_suite,
 )
 
 
@@ -159,6 +162,56 @@ class TestLyapunovDirect:
         assert res <= 1e-10 * (1.0 + frobenius_norm(q))
 
 
+def non_normal_stable(n):
+    """A seeded Gaussian matrix shifted left of its spectral disk: non-normal,
+    with complex eigenvalue pairs, so its real Schur form has 2x2 blocks."""
+    rng = np.random.default_rng([5, n])
+    return rng.standard_normal((n, n)) - (np.sqrt(n) + 1.0) * np.eye(n)
+
+
+def scipy_newton(p, steps):
+    """Exact Newton from X = 0 with scipy's Lyapunov solver, ``steps`` steps."""
+    x = np.zeros_like(p.a)
+    for _ in range(steps):
+        a_k = p.a - p.n_mat @ x
+        x = scipy.linalg.solve_continuous_lyapunov(a_k.T, -(x @ p.n_mat @ x + p.k_mat))
+    return x
+
+
+class TestBartelsStewart:
+    ORDERS = (2, 3, 5, 8, 17)
+
+    def test_cases_cover_two_by_two_blocks(self):
+        trailing = []
+        for n in self.ORDERS:
+            t, _ = scipy.linalg.schur(non_normal_stable(n), output="real")
+            assert np.any(np.diag(t, -1) != 0.0), n
+            trailing.append(t[-1, -2] != 0.0)
+        assert any(trailing)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_matches_kronecker_oracle(self, n):
+        a = non_normal_stable(n)
+        q = np.random.default_rng([6, n]).standard_normal((n, n))
+        q = q + q.T
+        x = solve_lyapunov_direct(LyapunovProblem(a=a, q=q))
+        want = solve_kronecker_direct(SylvesterProblem(a=a.T, b=a, c=-q))
+        np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-10)
+
+    def test_rotation_generator_is_singular(self):
+        with pytest.raises(SingularMatrixError):
+            solve_lyapunov_direct(LyapunovProblem(a=[[0.0, 1.0], [-1.0, 0.0]], q=np.eye(2)))
+
+    def test_newton_runs_past_the_kronecker_cap(self):
+        row = paper_suite("t10")[7]
+        p = row.source.build()
+        assert (row.method, p.order) == ("newton", 128)
+        report = run_method("newton", p, row.params)
+        assert report.converged and report.iterations == 5
+        want = scipy_newton(p, report.iterations)
+        assert frobenius_norm(report.solution - want) <= 1e-10 * frobenius_norm(want)
+
+
 class TestNewtonCare:
     def test_scalar_converges_to_stabilizing_root(self):
         p, root = scalar_care()
@@ -216,3 +269,19 @@ class TestNewtonCare:
         report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=50))
         assert report.converged
         assert report.final_residual <= 1e-7
+
+    def test_closed_loop_certificate_of_the_stabilizing_root(self):
+        p, _ = scalar_care()
+        report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=20))
+        assert report.detail["closed_loop_max_real_eig"] < 0
+
+    def test_closed_loop_certificate_records_a_non_stabilizing_root(self):
+        row = paper_suite("t8")[1]
+        p = row.source.build()
+        assert (row.method, p.order) == ("newton", 16)
+        report = run_method("newton", p, row.params)
+        assert report.converged
+        abscissa = float(np.max(np.linalg.eigvals(p.a - p.n_mat @ report.solution).real))
+        recorded = report.detail["closed_loop_max_real_eig"]
+        assert np.sign(recorded) == np.sign(abscissa) == 1.0
+        assert recorded == pytest.approx(abscissa, rel=1e-12)

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import matrixopt.care_admm as care_admm
@@ -171,3 +172,11 @@ def test_bench_summary_records_the_environment():
     assert env["cpu_count"] == os.cpu_count()
     assert env["openblas_threads"]["numpy"] == threads()
     assert set(env["openblas_threads"]) == {"numpy", "scipy"}
+
+
+def test_frobenius_norm_does_not_depend_on_the_thread_count(two_threads):
+    m = np.random.default_rng(512).standard_normal((512, 512))
+    threaded = linalg.frobenius_norm(m)
+    with linalg.serial_products():
+        assert linalg.frobenius_norm(m) == threaded
+    assert threaded == pytest.approx(np.sqrt(np.sum(m * m)), rel=1e-14)
