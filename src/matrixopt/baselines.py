@@ -2,12 +2,17 @@
 Anderson-accelerated Richardson, and exact Newton for the Riccati
 equation backed by a direct Lyapunov solve (Bartels-Stewart on the real
 Schur form; no n^2 x n^2 Kronecker system is formed).
+
+Newton's outer loop, :func:`newton_iteration`, lives here once: exact
+Newton runs it with the direct Lyapunov solve, and Newton-ADMM
+(:mod:`matrixopt.newton_admm`) with an inexact ADMM solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -204,14 +209,43 @@ def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
         return symmetrize(u @ y @ u.T)
 
 
-def _symmetric_x0(x0: np.ndarray | None, n: int) -> np.ndarray:
-    """The starting iterate of a Newton solver: zero, or a symmetric n x n ``x0``."""
+def newton_iteration(
+    p: CareProblem,
+    x0: np.ndarray | None,
+    lyapunov_solve: Callable[[LyapunovProblem], np.ndarray],
+    residual: Callable[[np.ndarray], float],
+    stop: Callable[[np.ndarray, float], str | None],
+    max_steps: int,
+    detail: dict,
+) -> SolveReport:
+    """Newton's iteration for the Riccati equation (Kleinman, 1968).
+
+    From X_0 = ``x0`` (zero when None; must be symmetric n x n), each step
+    hands the linearized equation
+
+        (A - N X_k)^T X_{k+1} + X_{k+1} (A - N X_k) + X_k N X_k + K = 0
+
+    to ``lyapunov_solve``, which returns X_{k+1}; ``residual`` and ``stop``
+    are :func:`~matrixopt.report.iterate`'s.  The report records the final
+    ``symmetry_gap`` and closed-loop abscissa ``closed_loop_max_real_eig``;
+    a non-negative abscissa marks a non-stabilizing root, not an error.
+    """
+    n = p.order
     x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (n, n):
         raise DimensionError(f"x0 must be {n}x{n}, got {x.shape}")
     if _symmetry_gap(x) > 1e-10 * max(1.0, float(np.abs(x).max())):
         raise PreconditionError("x0 must be symmetric")
-    return x
+
+    def step(x):
+        return lyapunov_solve(
+            LyapunovProblem(a=p.a - p.n_mat @ x, q=symmetrize(x @ p.n_mat @ x + p.k_mat))
+        )
+
+    report = iterate(x, step, residual, stop, max_steps, solution=lambda x: x, detail=detail)
+    report.detail["symmetry_gap"] = _symmetry_gap(report.solution)
+    report.detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, report.solution)
+    return report
 
 
 def solve_newton_care(
@@ -221,34 +255,25 @@ def solve_newton_care(
 ) -> SolveReport:
     """Exact Newton iteration for the Riccati equation.
 
-    Each step solves the Lyapunov equation with closed-loop matrix
-    A_k = A - N X_k and forcing Q_k = X_k N X_k + K directly, so the
-    iterates are symmetric by construction and converge quadratically
-    near a solution.  A singular Lyapunov system raises
-    :class:`NewtonBreakdownError` carrying the partial report.  The
-    report records the final closed loop's spectral abscissa in
-    ``detail["closed_loop_max_real_eig"]``; a non-negative value means
-    the iteration reached a non-stabilizing root, which is not an error.
+    Each step of :func:`newton_iteration` solves its Lyapunov equation
+    directly, so the iterates are symmetric by construction and converge
+    quadratically near a solution.  A singular Lyapunov system raises
+    :class:`NewtonBreakdownError` carrying the partial report.
     """
     cfg = cfg or BaselineConfig(max_iterations=NEWTON_MAX_STEPS)
 
-    def step(x):
-        a_k = p.a - p.n_mat @ x
-        q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
+    def lyapunov_solve(lp):
         try:
-            return solve_lyapunov_direct(LyapunovProblem(a=a_k, q=q_k))
+            return solve_lyapunov_direct(lp)
         except SingularMatrixError as exc:
             raise NewtonBreakdownError(f"singular Lyapunov system in a Newton step: {exc}") from exc
 
-    report = iterate(
-        _symmetric_x0(x0, p.order),
-        step,
+    return newton_iteration(
+        p,
+        x0,
+        lyapunov_solve,
         lambda x: care_residual(p, x),
         lambda x, res: "converged" if res <= cfg.tol else None,
         cfg.max_iterations,
-        solution=lambda x: x,
         detail={},
     )
-    report.detail["symmetry_gap"] = _symmetry_gap(report.solution)
-    report.detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, report.solution)
-    return report

@@ -20,16 +20,15 @@ import typing
 
 import numpy as np
 
-from ..errors import MatrixOptError, ParameterError
+from ..errors import MatrixOptError, ParameterError, UnknownSuiteError
 from ..mmio import read_matrix_market, write_matrix_market
 from ..newton_admm import INNER_TOL_MODES
 from ..problems import (
+    DESK_SCALE_MAX_ORDER,
     CareProblem,
     LyapunovProblem,
     SylvesterProblem,
-    ammonia_reactor,
-    care_family,
-    sylvester_family,
+    table_source,
 )
 from ..quasi_newton import LINESEARCHES, MODES
 from .manifest import (
@@ -48,9 +47,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_SOLVER_ERROR = 3
-
-_SYLVESTER_SUITES = ("t1", "t2", "t3", "t4", "t5", "t6")
-_CARE_SUITES = ("t7", "t8", "t9", "t10")
 
 # Config fields whose values come from a fixed vocabulary.
 _CHOICES = {"linesearch": LINESEARCHES, "mode": MODES, "inner_tol_mode": INNER_TOL_MODES}
@@ -113,11 +109,10 @@ def build_parser() -> _Parser:
 
     bench = sub.add_parser("bench", help="run a reference-table suite")
     bench.add_argument("--suite", required=True)
-    bench.add_argument("--cap", type=int, default=256, help="largest order to run (default 256)")
+    bench.add_argument("--cap", type=int, default=DESK_SCALE_MAX_ORDER, help="largest order to run (default %(default)s)")
     bench.add_argument("--out", help="CSV output path (default stdout)")
     bench.add_argument("--json", dest="json_out", help="JSON summary output path")
     bench.add_argument("--workers", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
 
     sweep = sub.add_parser("sweep", help="penalty-parameter sweep")
     sweep.add_argument("--suite", required=True)
@@ -192,22 +187,27 @@ def _build_problem(args, parser: _Parser):
             parser.error(f"invalid problem data: {exc}")
     if not args.suite:
         parser.error("either --suite/--gen or --from-mm is required")
-    suite = args.suite
-    if eq == "sylvester":
-        if suite not in _SYLVESTER_SUITES:
-            parser.error(f"suite {suite!r} is not a Sylvester family ({', '.join(_SYLVESTER_SUITES)})")
-        if not args.n:
-            parser.error("--n is required with a generator suite")
-        return sylvester_family(suite, args.n).build()
-    if eq == "care":
-        if suite == "t7":
-            return ammonia_reactor()
-        if suite not in _CARE_SUITES:
-            parser.error(f"suite {suite!r} is not a Riccati family ({', '.join(_CARE_SUITES)})")
-        if not args.n:
-            parser.error("--n is required with a generator suite")
-        return care_family(suite, args.n).build()
-    parser.error("lyapunov problems come from --from-mm files")
+    if eq == "lyapunov":
+        parser.error("lyapunov problems come from --from-mm files")
+    return _suite_problem(args.suite, args.n, eq, parser)
+
+
+_SUITE_EQUATIONS = {"sylvester": SylvesterProblem, "care": CareProblem}
+
+
+def _suite_problem(suite: str, n: int | None, eq: str, parser: _Parser):
+    """The problem of table ``suite`` at order ``n``, which must be an
+    ``eq`` problem; anything else is a usage error."""
+    try:
+        source = table_source(suite, n or 0)
+    except UnknownSuiteError as exc:
+        parser.error(str(exc))
+    except ValueError:
+        parser.error("--n must be a positive order with a generator suite")
+    problem = source.build()
+    if not isinstance(problem, _SUITE_EQUATIONS[eq]):
+        parser.error(f"suite {suite!r} is not a {eq} problem")
+    return problem
 
 
 def _json_safe(value):
@@ -283,7 +283,7 @@ def _cmd_solve(args, parser: _Parser) -> int:
 
 def _cmd_bench(args, parser: _Parser) -> int:
     try:
-        manifest = manifest_for_suite(args.suite, desk_scale_cap=args.cap, seed=args.seed)
+        manifest = manifest_for_suite(args.suite)
     except MatrixOptError as exc:
         parser.error(str(exc))
     records = run_manifest(manifest, cap=args.cap, workers=args.workers)
@@ -354,12 +354,7 @@ def _cmd_sweep(args, parser: _Parser) -> int:
     if not points:
         parser.error("sweep grid is empty")
 
-    if args.suite == "t7":
-        problem = ammonia_reactor()
-    elif args.suite in _CARE_SUITES:
-        problem = care_family(args.suite, args.n).build()
-    else:
-        parser.error(f"sweep expects a Riccati suite ({', '.join(_CARE_SUITES)})")
+    problem = _suite_problem(args.suite, args.n, "care", parser)
 
     rows = []
     best = None

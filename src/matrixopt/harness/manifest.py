@@ -37,6 +37,7 @@ from ..newton_admm import (
 )
 from ..oracle import solve_kronecker_direct, sylvester_residual
 from ..problems import (
+    DESK_SCALE_MAX_ORDER,
     CareProblem,
     LyapunovProblem,
     SuiteRow,
@@ -201,17 +202,14 @@ def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
 class RunManifest:
     suite: str
     rows: list[SuiteRow]
-    desk_scale_cap: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         for row in self.rows:
             if row.method not in METHOD_NAMES:
                 raise ValueError(f"manifest row references unknown method {row.method!r}")
 
-    def capped_rows(self, cap: int | None = None) -> list[tuple[int, SuiteRow]]:
-        limit = self.desk_scale_cap if cap is None else cap
-        return [(i, row) for i, row in enumerate(self.rows) if row.source.order <= limit]
+    def capped_rows(self, cap: int) -> list[tuple[int, SuiteRow]]:
+        return [(i, row) for i, row in enumerate(self.rows) if row.source.order <= cap]
 
 
 @dataclass
@@ -241,8 +239,8 @@ def _fmt(v) -> str:
     return "" if v is None else format(float(v), ".6e")
 
 
-def manifest_for_suite(suite: str, desk_scale_cap: int = 256, seed: int = 0) -> RunManifest:
-    return RunManifest(suite=suite, rows=paper_suite(suite), desk_scale_cap=desk_scale_cap, seed=seed)
+def manifest_for_suite(suite: str) -> RunManifest:
+    return RunManifest(suite=suite, rows=paper_suite(suite))
 
 
 def row_error(exc: Exception) -> str:
@@ -273,7 +271,7 @@ def effective_workers(requested: int | None) -> int:
 
 def run_manifest(
     manifest: RunManifest,
-    cap: int | None = None,
+    cap: int = DESK_SCALE_MAX_ORDER,
     workers: int | None = None,
 ) -> list[RunRecord]:
     """Execute every row with order <= cap; failures are recorded per row
@@ -307,7 +305,6 @@ def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
     converged = sum(1 for r in records if r.termination == "converged")
     return {
         "suite": manifest.suite,
-        "seed": manifest.seed,
         "environment": {"openblas_threads": blas_threads(), "cpu_count": os.cpu_count()},
         "rows_run": len(records),
         "rows_converged": converged,

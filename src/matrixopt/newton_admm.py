@@ -1,5 +1,6 @@
-"""Newton outer iteration for the Riccati equation with an ADMM-based
-Lyapunov solver inside.
+"""Newton-ADMM for the Riccati equation: exact Newton's outer loop
+(:func:`~matrixopt.baselines.newton_iteration`) with each Lyapunov step
+solved inexactly by ADMM.
 
 Outer loop: at the current symmetric iterate X the equation is
 linearized through its Fréchet derivative E -> (A - N X)^T E + E (A - N X),
@@ -20,19 +21,20 @@ The inner solves are inexact by default: each one runs to a tolerance
 proportional to the current outer residual (a forcing rule), warm-started
 from the previous inner state.  A ``fixed`` tolerance mode mimics
 near-exact solves, under which the outer trajectory tracks exact Newton.
+The report carries the same post-loop record as exact Newton's
+(``symmetry_gap``, ``closed_loop_max_real_eig``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .baselines import _symmetric_x0, care_residual
+from .baselines import care_residual, newton_iteration
 from .care_admm import _augmented_lagrangian, _block_deltas, _BlockState
-from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError
+from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
 from .report import SolveReport, iterate
@@ -174,37 +176,25 @@ def solve_lyapunov_admm(
     return report
 
 
-def _warn_if_not_certified_stable(closed_loop: np.ndarray) -> None:
-    radii = np.abs(closed_loop).sum(axis=1) - np.abs(np.diag(closed_loop))
-    if np.any(np.diag(closed_loop) + radii >= 0):
-        warnings.warn(
-            "initial closed-loop matrix A - N X0 is not certifiably stable "
-            "(Gershgorin); the iteration may converge to a non-stabilizing root",
-            stacklevel=3,
-        )
-
-
 def solve_newton_admm(
     p: CareProblem,
     x0: np.ndarray | None = None,
     cfg: NewtonAdmmConfig | None = None,
 ) -> SolveReport:
-    """Inexact Newton iteration with warm-started ADMM Lyapunov solves.
+    """Exact Newton's loop (:func:`~matrixopt.baselines.newton_iteration`)
+    with each Lyapunov step solved inexactly by warm-started ADMM.
 
     ``report.iterations`` counts the total number of inner sweeps across
-    all outer steps (the headline cost metric); the outer count, per-outer
+    all outer steps (the headline cost metric), on a finished report and
+    on the partial report of an error alike; the outer count, per-outer
     sweep counts, and inner tolerances live in ``detail``.  Two
     consecutive inner runs hitting their sweep cap terminate the run as
     stagnated.
     """
     cfg = cfg or NewtonAdmmConfig()
-    # The outer state: the iterate, its Riccati residual (which the
-    # forcing rule reads), the inner state to warm-start from, and the
-    # number of consecutive inner runs that hit their sweep cap.
-    state = SimpleNamespace(x=_symmetric_x0(x0, p.order), inner=None, capped_streak=0)
-    state.residual = care_residual(p, state.x)
-    _warn_if_not_certified_stable(p.a - p.n_mat @ state.x)
-
+    # Besides the iterate: its Riccati residual (the forcing rule reads it),
+    # the inner state to warm-start from, and the run of capped inner solves.
+    outer = SimpleNamespace(residual=None, inner=None, capped_streak=0)
     detail: dict = {
         "outer_iterations": 0,
         "inner_iterations_per_outer": [],
@@ -215,23 +205,21 @@ def solve_newton_admm(
         detail["inner_lagrangian_traces"] = []
     keep_trace = p.order <= 64
     if keep_trace:
-        detail["outer_trace"] = [state.x.copy()]
+        detail["outer_trace"] = []
 
-    def step(outer):
-        x = outer.x
-        a_k = p.a - p.n_mat @ x
-        q_k = symmetrize(x @ p.n_mat @ x + p.k_mat)
+    def residual(x):
+        if keep_trace:
+            detail["outer_trace"].append(x.copy())
+        outer.residual = care_residual(p, x)
+        return outer.residual
+
+    def lyapunov_solve(lp):
         if cfg.inner_tol_mode == "fixed":
             inner_tol = cfg.inner_tol_value
         else:
             inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
         inner = solve_lyapunov_admm(
-            LyapunovProblem(a=a_k, q=q_k),
-            cfg,
-            init=outer.inner,
-            tol=inner_tol,
-            max_iter=cfg.inner_max,
-            track_lagrangian=cfg.track_inner_lagrangian,
+            lp, cfg, init=outer.inner, tol=inner_tol, track_lagrangian=cfg.track_inner_lagrangian
         )
         detail["outer_iterations"] += 1
         detail["inner_iterations_per_outer"].append(inner.iterations)
@@ -239,36 +227,28 @@ def solve_newton_admm(
         detail["inner_final_residuals"].append(inner.final_residual)
         if cfg.track_inner_lagrangian:
             detail["inner_lagrangian_traces"].append(
-                {
-                    "lagrangian_history": inner.detail["lagrangian_history"],
-                    "block_deltas": inner.detail["block_deltas"],
-                }
+                {key: inner.detail[key] for key in ("lagrangian_history", "block_deltas")}
             )
-        outer.x = inner.solution
-        if keep_trace:
-            detail["outer_trace"].append(outer.x.copy())
-        outer.residual = care_residual(p, outer.x)
         outer.inner = inner.detail["state"]
         if inner.termination == "max_iterations":
             outer.capped_streak += 1
         else:
             outer.capped_streak = 0
-        return outer
+        return inner.solution
 
-    def stop(outer, res):
+    def stop(x, res):
         if outer.capped_streak >= 2:
             return "stagnated"
         return "converged" if res <= cfg.outer_tol else None
 
-    with serial_products():
-        report = iterate(
-            state,
-            step,
-            lambda outer: outer.residual,
-            stop,
-            cfg.outer_max,
-            solution=lambda outer: outer.x,
-            detail=detail,
-        )
+    try:
+        with serial_products():
+            report = newton_iteration(
+                p, x0, lyapunov_solve, residual, stop, cfg.outer_max, detail=detail
+            )
+    except MatrixOptError as exc:
+        if exc.report is not None:
+            exc.report.iterations = sum(detail["inner_iterations_per_outer"])
+        raise
     report.iterations = sum(detail["inner_iterations_per_outer"])
     return report

@@ -166,30 +166,21 @@ GENERATORS = (
 
 @dataclass(frozen=True)
 class ProblemSource:
-    """Reproducible recipe for one benchmark problem.
+    """Reproducible recipe for one benchmark problem: a generator ``name``
+    from :data:`GENERATORS` with its generator-specific ``params``."""
 
-    ``kind`` is ``"generator"`` (with ``name`` in :data:`GENERATORS` and
-    generator-specific ``params``) or ``"file"`` (with ``params["paths"]``
-    holding MatrixMarket file paths).
-    """
-
-    kind: str
     name: str
     order: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("generator", "file"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == "generator" and self.name not in GENERATORS:
+        if self.name not in GENERATORS:
             raise ValueError(f"unknown generator {self.name!r}")
         if self.order < 1:
             raise ValueError("order must be positive")
 
     def build(self):
         """Instantiate the problem this source describes."""
-        if self.kind == "file":
-            raise ValueError("file-backed sources are built by the harness")
         if self.name == "ammonia_reactor":
             return ammonia_reactor()
         n = self.order
@@ -205,7 +196,6 @@ class ProblemSource:
             return CareProblem(
                 a=a, n_mat=(n_mat + n_mat.T) / 2.0, k_mat=np.eye(n)
             )
-        raise ValueError(f"unknown generator {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,6 @@ _CARE_FAMILIES = {
 def sylvester_family(table_id: str, n: int) -> ProblemSource:
     a_bands, b_bands = _SYLVESTER_FAMILIES[table_id]
     return ProblemSource(
-        kind="generator",
         name="sylvester_tridiagonal",
         order=n,
         params={"a": a_bands, "b": b_bands},
@@ -255,11 +244,22 @@ def sylvester_family(table_id: str, n: int) -> ProblemSource:
 def care_family(table_id: str, n: int) -> ProblemSource:
     a_bands, bt_bands = _CARE_FAMILIES[table_id]
     return ProblemSource(
-        kind="generator",
         name="care_tridiagonal",
         order=n,
         params={"a": a_bands, "bt": bt_bands},
     )
+
+
+def table_source(table_id: str, n: int) -> ProblemSource:
+    """The problem of reference table ``table_id`` at order ``n``; t7's
+    ammonia reactor has the fixed order 9 and ignores ``n``."""
+    if table_id == "t7":
+        return ProblemSource(name="ammonia_reactor", order=9)
+    if table_id in _SYLVESTER_FAMILIES:
+        return sylvester_family(table_id, n)
+    if table_id in _CARE_FAMILIES:
+        return care_family(table_id, n)
+    raise UnknownSuiteError(f"unknown suite {table_id!r}; expected one of {', '.join(SUITE_IDS)}")
 
 
 def _rows(family, table_id, entries):
@@ -368,7 +368,7 @@ def _suite_t7():
         (0.2, 100.0, 0.01, 17869, 8.5193e-09, 1.0675),
         (0.2, 100.0, 0.1, 12329, 9.9939e-09, 0.6784),
     ]
-    source = ProblemSource(kind="generator", name="ammonia_reactor", order=9)
+    source = table_source("t7", 9)
     for alpha, beta, gamma, iters, err, secs in triples:
         rows.append(
             SuiteRow(

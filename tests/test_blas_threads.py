@@ -61,7 +61,6 @@ def test_care_admm_steps_run_at_one_thread(two_threads, monkeypatch):
     assert threads() == 2
 
 
-@pytest.mark.filterwarnings("ignore:initial closed-loop matrix")
 def test_newton_admm_sweeps_run_at_one_thread(two_threads, monkeypatch):
     seen = record_threads(monkeypatch, newton_admm, "spd_solve")
     report = run_method("newton-admm", T9(), {})

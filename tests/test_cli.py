@@ -34,7 +34,19 @@ class TestSolve:
             main(["solve", "sylvester", "--method", "direct"])
         assert err.value.code == 1
 
-    def test_newton_admm_t9(self, capsys, recwarn):
+    @pytest.mark.parametrize("argv", [
+        ["solve", "sylvester", "--method", "direct", "--suite", "t8", "--n", "4"],
+        ["solve", "care", "--method", "newton", "--suite", "t9"],
+        ["solve", "care", "--method", "newton", "--suite", "t9", "--n", "-3"],
+        ["solve", "care", "--method", "newton", "--suite", "t11", "--n", "4"],
+        ["sweep", "--suite", "t1", "--n", "4", "--alpha", "1", "--beta", "1", "--gamma", "1"],
+    ])
+    def test_suite_that_does_not_fit_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+
+    def test_newton_admm_t9(self, capsys):
         code, out = run_cli(
             [
                 "solve", "care", "--method", "newton-admm", "--suite", "t9",

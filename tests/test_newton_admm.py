@@ -197,16 +197,16 @@ class TestSolveNewtonAdmm:
         assert report.converged
         assert report.solution[0, 0] == pytest.approx(0.1354066, abs=1e-7)
 
-    def test_warns_when_stability_not_certified(self):
+    def test_records_a_non_stabilizing_root(self):
         p = t9_problem(4)
-        with pytest.warns(UserWarning):
-            solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
+        report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
+        assert report.converged
+        assert report.detail["closed_loop_max_real_eig"] > 0
 
     def test_t9_iteration_accounting(self):
         p = t9_problem(16)
         cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
-        with pytest.warns(UserWarning):
-            report = solve_newton_admm(p, cfg=cfg)
+        report = solve_newton_admm(p, cfg=cfg)
         assert report.converged
         per_outer = report.detail["inner_iterations_per_outer"]
         assert report.iterations == sum(per_outer)
@@ -246,6 +246,11 @@ class TestSolveNewtonAdmm:
         inexact = solve_newton_admm(p, cfg=cfg)
         exact = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=30))
         assert inexact.converged and exact.converged
+        # the same root, certified by the same record
+        assert inexact.detail["closed_loop_max_real_eig"] == pytest.approx(
+            exact.detail["closed_loop_max_real_eig"], rel=1e-6
+        )
+        assert "symmetry_gap" in inexact.detail and "symmetry_gap" in exact.detail
         na_trace = inexact.detail["outer_trace"][1:]
         # replay the exact recurrence to collect its iterates
         x = np.zeros((4, 4))
@@ -266,6 +271,11 @@ class TestSolveNewtonAdmm:
         p = stable_random_care(rng)
         with pytest.raises(PreconditionError):
             solve_newton_admm(p, x0=np.triu(np.ones((4, 4))))
+
+    def test_wrong_shape_x0_rejected(self, rng):
+        p = stable_random_care(rng)
+        with pytest.raises(DimensionError):
+            solve_newton_admm(p, x0=np.eye(3))
 
     def test_zero_initial_residual(self):
         p = CareProblem(a=[[-1.0]], n_mat=[[0.0]], k_mat=[[0.0]])

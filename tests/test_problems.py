@@ -10,6 +10,7 @@ from matrixopt.problems import (
     ammonia_reactor,
     gen_tridiagonal,
     paper_suite,
+    table_source,
 )
 
 
@@ -88,11 +89,10 @@ class TestProblemValidation:
 class TestProblemSource:
     def test_generator_names_validated(self):
         with pytest.raises(ValueError):
-            ProblemSource(kind="generator", name="nope", order=4)
+            ProblemSource(name="nope", order=4)
 
     def test_build_sylvester(self):
         src = ProblemSource(
-            kind="generator",
             name="sylvester_tridiagonal",
             order=4,
             params={"a": (3, -2, -2), "b": (6, 2, 2)},
@@ -104,7 +104,6 @@ class TestProblemSource:
 
     def test_build_care(self):
         src = ProblemSource(
-            kind="generator",
             name="care_tridiagonal",
             order=3,
             params={"a": (6, 2, 1), "bt": (5, 2, 1)},
@@ -156,6 +155,17 @@ class TestPaperSuite:
         assert large and all(not r.desk_scale for r in large)
         small = [r for r in rows if r.source.order <= 256]
         assert small and all(r.desk_scale for r in small)
+
+    def test_table_source_finds_every_table(self):
+        kinds = {"t1": SylvesterProblem, "t6": SylvesterProblem, "t7": CareProblem,
+                 "t8": CareProblem, "t10": CareProblem}
+        for table, kind in kinds.items():
+            assert isinstance(table_source(table, 4).build(), kind)
+        assert table_source("t7", 4).order == 9
+        assert table_source("t8", 16) == paper_suite("t8")[0].source
+        assert table_source("t7", 9) == paper_suite("t7")[0].source
+        with pytest.raises(UnknownSuiteError):
+            table_source("t11", 4)
 
     def test_every_generated_problem_validates(self):
         for table in ("t1", "t3", "t5", "t7"):
