@@ -21,10 +21,16 @@ objective is quadratic along any line, which is also why well-behaved
 runs converge in a handful of steps.  Armijo backtracking and a
 Wolfe-Powell bracket-and-zoom search are provided for comparison runs;
 note Armijo never tests curvature and can stall far from the solution.
+
+The model is updated only when another step will read it: the step whose
+gradient passes ``grad_tol`` forms no update (in matrix form each update
+costs one or two n x n SVDs).  An update whose model has a non-finite
+Frobenius norm ends the run as ``diverged``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -248,9 +254,9 @@ def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     if mode != "matrix_form":
         raise ValueError(f"unknown mode {mode!r}")
     d, y = state.delta, state.y
-    k = pseudo_inverse(d.T @ y)
-    e = np.eye(d.shape[0]) - d @ k @ y.T
-    return symmetrize(e @ g @ e.T + d @ k @ d.T)
+    dk = d @ pseudo_inverse(d.T @ y)
+    e = np.eye(d.shape[0]) - dk @ y.T
+    return symmetrize(e @ g @ e.T + dk @ d.T)
 
 
 def _direction(g_mat: np.ndarray, inv_h: np.ndarray, mode: str, shape) -> np.ndarray:
@@ -267,12 +273,18 @@ def solve_quasi_newton(
     """Quasi-Newton iteration X <- X + lambda (-G g) until ||g||_F falls
     below ``cfg.grad_tol``.
 
-    ``detail`` carries a per-update audit (``updates``: secant error,
-    symmetry error, curvature, accepted step), the objective trace
-    (``f_history``), gradient norms, and the count of curvature-skipped
-    updates.  Line-search failures re-raise with the partial report
-    attached to the exception.  A direction that is not a descent
-    direction, or an exact step of zero, ends the run as stagnated.
+    The model is updated after every step except the one whose gradient
+    passes the tolerance, so a converged run has ``iterations - 1``
+    updates and a run stopped by ``max_iterations`` has ``iterations``.
+    ``detail`` carries one audit per update attempted (``updates``:
+    secant error, symmetry error, model norm, curvature, accepted step),
+    the objective trace (``f_history``), gradient norms, and the count of
+    vectorized updates skipped for curvature (``curvature_skips``).
+    Line-search failures re-raise with the partial report attached to the
+    exception.  A direction that is not a descent direction, or an exact
+    step of zero, ends the run as stagnated; a model whose Frobenius norm
+    is not finite (an entry that overflowed, or a norm that did) ends it
+    as diverged, on the step that formed the model.
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
@@ -286,11 +298,14 @@ def solve_quasi_newton(
     if state.x.shape != (m, n):
         raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
     state.inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
+    state.inv_h_norm = frobenius_norm(state.inv_h)
     state.g = f1_gradient(p, state.x)
+    g_norm = frobenius_norm(state.g)
+    state.done = g_norm < cfg.grad_tol
     detail: dict = {
         "updates": [],
         "f_history": [f1_value(p, state.x)],
-        "grad_norm_history": [frobenius_norm(state.g)],
+        "grad_norm_history": [g_norm],
         "curvature_skips": 0,
         "mode": cfg.mode,
         "method": cfg.method,
@@ -312,10 +327,21 @@ def solve_quasi_newton(
 
         x_new = s.x + lam * direction
         g_new = f1_gradient(p, x_new)
+        g_norm = frobenius_norm(g_new)
+        s.done = g_norm < cfg.grad_tol
+        # Only a next step reads the model, so the converging step forms none.
+        if not s.done:
+            update_model(s, x_new, g_new, lam)
+        s.x, s.g = x_new, g_new
+        detail["f_history"].append(f1_value(p, x_new))
+        detail["grad_norm_history"].append(g_norm)
+        return s
+
+    def update_model(s, x_new, g_new, lam):
+        """Replace ``s.inv_h`` by its update for the step to ``x_new``."""
         delta = x_new - s.x
         y = g_new - s.g
-        inv_h = s.inv_h
-        update = QnState(x=x_new, g=g_new, inv_hessian=inv_h, delta=delta, y=y)
+        update = QnState(x=x_new, g=g_new, inv_hessian=s.inv_h, delta=delta, y=y)
         audit = {
             "step": lam,
             "curvature": trace_inner(delta, y),
@@ -326,7 +352,7 @@ def solve_quasi_newton(
         except CurvatureError:
             detail["curvature_skips"] += 1
             audit["skipped"] = True
-        if not audit["skipped"]:
+        else:
             if cfg.mode == "matrix_form":
                 secant_err = frobenius_norm(inv_h @ y - delta)
             else:
@@ -339,17 +365,21 @@ def solve_quasi_newton(
             audit["inv_hessian_norm"] = frobenius_norm(inv_h)
             if inv_h.shape[0] <= 64:
                 audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
+            s.inv_h, s.inv_h_norm = inv_h, audit["inv_hessian_norm"]
         detail["updates"].append(audit)
-        s.x, s.g, s.inv_h = x_new, g_new, inv_h
-        detail["f_history"].append(f1_value(p, x_new))
-        detail["grad_norm_history"].append(frobenius_norm(g_new))
-        return s
+
+    def stop(s, res):
+        if s.done:
+            return "converged"
+        if not math.isfinite(s.inv_h_norm):
+            return "diverged"
+        return None
 
     return iterate(
         state,
         step,
         lambda s: sylvester_residual(p, s.x),
-        lambda s, res: "converged" if frobenius_norm(s.g) < cfg.grad_tol else None,
+        stop,
         cfg.max_iterations,
         solution=lambda s: s.x,
         detail=detail,

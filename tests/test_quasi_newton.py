@@ -10,7 +10,7 @@ from matrixopt.errors import (
 )
 from matrixopt.linalg import frobenius_norm, kron, trace_inner, vec
 from matrixopt.oracle import solve_kronecker_direct, sylvester_residual
-from matrixopt.problems import SylvesterProblem, gen_tridiagonal
+from matrixopt.problems import SylvesterProblem, gen_tridiagonal, sylvester_family
 from matrixopt.quasi_newton import (
     QnConfig,
     QnState,
@@ -297,7 +297,8 @@ class TestSolver:
     def test_matrix_form_matches_oracle_when_converged(self, rng, method):
         # The m x m curvature model only spans the full operator on
         # favorable (e.g. commuting) instances; elsewhere it may stop
-        # short, which must be reported as stagnation, never as success.
+        # short or blow up, which must be reported as stagnation or
+        # divergence, never as success.
         p = random_sylvester(rng, 4, 3)
         cfg = QnConfig(method=method, mode="matrix_form", grad_tol=1e-10)
         report = solve_quasi_newton(p, cfg)
@@ -306,7 +307,7 @@ class TestSolver:
             err = frobenius_norm(report.solution - x_star)
             assert err <= 1e-6 * (1.0 + frobenius_norm(x_star))
         else:
-            assert report.termination in ("stagnated", "max_iterations")
+            assert report.termination in ("stagnated", "max_iterations", "diverged")
 
     @pytest.mark.parametrize("linesearch", ["exact", "wolfe"])
     def test_descent_every_step(self, rng, linesearch):
@@ -326,8 +327,8 @@ class TestSolver:
         assert report.converged
         for audit in report.detail["updates"]:
             # weak-Wolfe steps keep <delta, y> strictly positive; at worst
-            # a terminal step lands at or below the 1e-14 floor and is
-            # skipped rather than applied
+            # a step late in the run lands at or below the 1e-14 floor and
+            # its update is skipped rather than applied
             assert audit["curvature"] > -1e-12
             if not audit["skipped"]:
                 assert audit["curvature"] > 0
@@ -371,6 +372,50 @@ class TestSolver:
         assert f_hist[-1] <= f_hist[0]
         for prev, cur in zip(f_hist, f_hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, prev)
+
+    @pytest.mark.parametrize("method", ["dfp", "bfgs"])
+    def test_converging_step_forms_no_update(self, monkeypatch, method):
+        update = dfp_update if method == "dfp" else bfgs_update
+        calls = []
+
+        def counted(state, mode="matrix_form"):
+            calls.append(mode)
+            return update(state, mode)
+
+        p = sylvester_family("t6", 16).build()
+        monkeypatch.setattr(f"matrixopt.quasi_newton.{method}_update", counted)
+        report = solve_quasi_newton(p, QnConfig(method=method))
+        assert report.converged and report.iterations == 2
+        assert len(calls) == 1
+        assert len(report.detail["updates"]) == report.iterations - 1
+
+        # A run that stops at the cap still forms its last update.
+        calls.clear()
+        report = solve_quasi_newton(p, QnConfig(method=method, max_iterations=1))
+        assert report.termination == "max_iterations" and report.iterations == 1
+        assert len(calls) == 1
+        assert len(report.detail["updates"]) == report.iterations
+
+    def test_exploding_model_diverges(self, rng):
+        # The m x m model of this nonsymmetric problem overflows; the run
+        # stops on the step that formed it and keeps its finite iterate.
+        p = random_sylvester(rng, 3, 3)
+        report = solve_quasi_newton(p, QnConfig(method="bfgs"))
+        assert report.termination == "diverged"
+        assert not np.isfinite(report.detail["updates"][-1]["inv_hessian_norm"])
+        assert np.isfinite(report.solution).all()
+        assert len(report.residual_history) == report.iterations + 1
+
+    def test_model_with_overflowing_norm_diverges(self, monkeypatch):
+        # Every entry is finite, but the Frobenius norm overflows.
+        monkeypatch.setattr(
+            "matrixopt.quasi_newton.bfgs_update",
+            lambda state, mode="matrix_form": np.full_like(state.inv_hessian, 1e200),
+        )
+        p = sylvester_family("t6", 16).build()
+        report = solve_quasi_newton(p, QnConfig(method="bfgs"))
+        assert report.termination == "diverged" and report.iterations == 1
+        assert len(report.residual_history) == 2
 
     def test_history_invariant(self, rng):
         p = random_sylvester(rng, 3, 3)
