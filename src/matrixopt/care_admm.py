@@ -13,6 +13,12 @@ an SPD linear system - then takes gradient-ascent steps on the three
 multipliers.  The sweep order matters: the per-sweep decrease inequality
 the tests assert is specific to it.
 
+The sweep loop, :func:`sweep_until`, is the one both ADMM splittings of
+the package run on: this four-block one and the three-block Lyapunov
+splitting of :mod:`~matrixopt.newton_admm`.  It owns the ``detail`` keys
+the two share: the final ``state``, the ``asymmetry`` of its X block and,
+on request, the augmented-Lagrangian trace and per-sweep block changes.
+
 X is not kept symmetric during the iteration (the updates do not
 preserve symmetry); the final report logs ``||X - X^T||_F`` and the
 closed-loop spectral abscissa as diagnostics instead.
@@ -220,19 +226,51 @@ def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     )
 
 
-def _block_deltas(s: _BlockState, s_new: _BlockState, names=None) -> dict:
-    """Squared change of each block (or of the blocks in ``names``),
-    keyed ``d<block>2``."""
+def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
+    """Squared change of each block, keyed ``d<block>2``."""
     sq = lambda m: float(np.vdot(m, m))  # noqa: E731
-    if names is None:
-        names = [f.name for f in fields(s)]
     return {
-        f"d{name.rstrip('_')}2": sq(getattr(s_new, name) - getattr(s, name)) for name in names
+        f"d{f.name.rstrip('_')}2": sq(getattr(s_new, f.name) - getattr(s, f.name))
+        for f in fields(s)
     }
 
 
-# The blocks whose changes make up ``multiplier_diff_sq_sum``.
-_MULTIPLIERS = ("lambda_", "pi_", "gamma_")
+def sweep_until(
+    state, sweep, residual, tol, max_iterations, *,
+    lagrangian=None, check_every=1, solution=lambda state: state.x,
+) -> SolveReport:
+    """The sweep loop of both ADMM splittings: apply ``sweep`` until
+    ``residual(state) <= tol`` or ``max_iterations`` sweeps, with numpy's
+    BLAS at one thread.
+
+    ``detail`` keeps the last full ``state`` (for warm starts) and the
+    ``asymmetry`` ``||X - X^T||_F`` of its X block.  Given a
+    ``lagrangian`` (state -> float) it also carries that function's trace
+    ``lagrangian_history`` and the squared block changes ``block_deltas``
+    of every sweep, which the invariant tests turn into the per-sweep
+    decrease inequality.
+    """
+    detail: dict = {"state": state}
+    if lagrangian is not None:
+        detail["lagrangian_history"] = [lagrangian(state)]
+        detail["block_deltas"] = []
+
+    def step(state):
+        new_state = sweep(state)
+        if lagrangian is not None:
+            detail["lagrangian_history"].append(lagrangian(new_state))
+            detail["block_deltas"].append(_block_deltas(state, new_state))
+        detail["state"] = new_state
+        return new_state
+
+    with serial_products():
+        report = iterate(
+            state, step, residual, lambda state, res: "converged" if res <= tol else None,
+            max_iterations, check_every=check_every, solution=solution, detail=detail,
+        )
+    x = detail["state"].x
+    detail["asymmetry"] = frobenius_norm(x - x.T)
+    return report
 
 
 def solve_care_admm(
@@ -245,46 +283,23 @@ def solve_care_admm(
 
     The residual is evaluated every ``check_every`` sweeps; the history
     records the sampled values, starting with the initial residual.  With
-    ``track_lagrangian`` the detail map additionally carries the
-    augmented-Lagrangian trace and squared per-sweep block changes, which
-    the invariant tests turn into the per-sweep decrease inequality.
+    ``track_lagrangian`` the detail map carries the augmented-Lagrangian
+    trace and block changes of :func:`sweep_until`; after the loop it
+    gains the KKT residuals and the closed-loop spectral abscissa.
     """
     cfg = cfg or AdmmConfig()
-    detail: dict = {
-        "multiplier_diff_sq_sum": 0.0,
-        "state": init if init is not None else AdmmState.zero(p.order),
-    }
-    if cfg.track_lagrangian:
-        detail["lagrangian_history"] = [lagrangian_value(p, detail["state"], cfg)]
-        detail["block_deltas"] = []
-
     const = SweepConstants.of(p, cfg)
-
-    def step(state):
-        new_state = admm_step(p, state, cfg, const)
-        deltas = _block_deltas(state, new_state, None if cfg.track_lagrangian else _MULTIPLIERS)
-        detail["multiplier_diff_sq_sum"] += (
-            deltas["dlambda2"] + deltas["dpi2"] + deltas["dgamma2"]
-        )
-        if cfg.track_lagrangian:
-            detail["lagrangian_history"].append(lagrangian_value(p, new_state, cfg))
-            detail["block_deltas"].append(deltas)
-        detail["state"] = new_state
-        return new_state
-
-    with serial_products():
-        report = iterate(
-            detail["state"],
-            step,
-            lambda state: care_residual(p, state.x),
-            lambda state, res: "converged" if res <= cfg.tol else None,
-            cfg.max_iterations,
-            check_every=cfg.check_every,
-            solution=lambda state: state.x,
-            detail=detail,
-        )
-    state = detail["state"]
-    detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
-    detail["final_kkt_residuals"] = kkt_residuals(p, state)
-    detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, state.x)
+    lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
+    report = sweep_until(
+        init if init is not None else AdmmState.zero(p.order),
+        lambda state: admm_step(p, state, cfg, const),
+        lambda state: care_residual(p, state.x),
+        cfg.tol,
+        cfg.max_iterations,
+        lagrangian=lagrangian if cfg.track_lagrangian else None,
+        check_every=cfg.check_every,
+    )
+    state = report.detail["state"]
+    report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
+    report.detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, state.x)
     return report

@@ -92,7 +92,6 @@ def _direct(solve, residual):
             solution=x,
             iterations=0,
             residual_history=[r],
-            final_residual=r,
             wall_time_seconds=time.perf_counter() - start,
             termination="converged",
             detail={"direct": True},
@@ -132,7 +131,7 @@ METHODS = {
         _keys("alpha", "beta", "gamma", "tol", "max_iterations", "check_every"),
     ),
     ("admm", LyapunovProblem): Method(
-        lambda p, cfg: solve_lyapunov_admm(p, cfg, tol=cfg.outer_tol),
+        lambda p, cfg: solve_lyapunov_admm(p, cfg),
         NewtonAdmmConfig,
         {**_NA_KEYS, "max_iterations": "inner_max"},
     ),
@@ -221,7 +220,6 @@ class RunRecord:
     wall_time_seconds: float | None = None
     termination: str | None = None
     error: str | None = None
-    detail: dict = field(default_factory=dict)
 
     def csv_row(self) -> list:
         return [

@@ -233,19 +233,18 @@ def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
     return (vt.T * s_inv) @ u.T
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_entries: int | None = None) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with an output-size guard.
 
     Raises :class:`CapacityError` when the output would exceed
-    ``max_entries`` (default :data:`DEFAULT_KRON_CAP`) entries; the dense
-    product grows quartically, so failing loudly beats thrashing memory.
+    :data:`DEFAULT_KRON_CAP` entries; the dense product grows
+    quartically, so failing loudly beats thrashing memory.
     """
-    cap = DEFAULT_KRON_CAP if max_entries is None else max_entries
     out_rows = a.shape[0] * b.shape[0]
     out_cols = a.shape[1] * b.shape[1]
-    if out_rows * out_cols > cap:
+    if out_rows * out_cols > DEFAULT_KRON_CAP:
         raise CapacityError(
-            f"kron output {out_rows}x{out_cols} exceeds cap of {cap} entries"
+            f"kron output {out_rows}x{out_cols} exceeds cap of {DEFAULT_KRON_CAP} entries"
         )
     return np.kron(a, b)
 

@@ -13,9 +13,13 @@ Inner loop: that equation is split as
     min 0.5 ||Y + Z A + Q||_F^2   s.t.  A^T X = Y,  X = Z,
 
 and swept by a three-block ADMM whose block argmins are closed-form SPD
-solves.  The two system matrices (alpha A A^T + beta I and A A^T + beta I)
-are constant within one Lyapunov problem, so their Cholesky factors are
-computed once per outer step and reused by every inner sweep.
+solves, on the sweep loop CARE-ADMM runs on
+(:func:`~matrixopt.care_admm.sweep_until`).  The two system matrices
+(alpha A A^T + beta I and A A^T + beta I) are constant within one
+Lyapunov problem, so their Cholesky factors are computed once per outer
+step and reused by every inner sweep.  The inner solver reads its sweep
+cap (``inner_max``), its Lagrangian trace switch and its default
+tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
 
 The inner solves are inexact by default: each one runs to a tolerance
 proportional to the current outer residual (a forcing rule), warm-started
@@ -33,11 +37,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .baselines import care_residual, newton_iteration
-from .care_admm import _augmented_lagrangian, _block_deltas, _BlockState
+from .care_admm import _augmented_lagrangian, _BlockState, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
-from .report import SolveReport, iterate
+from .report import SolveReport
 
 INNER_TOL_MODES = ("forcing", "fixed")
 
@@ -93,36 +97,36 @@ def frechet_apply(p: CareProblem, x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return closed_loop.T @ e + e @ closed_loop
 
 
-def _factors(p: LyapunovProblem, alpha: float, beta: float):
+def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
     """Cholesky factors of the two constant sweep systems."""
     aat = p.a @ p.a.T
     eye = np.eye(p.order)
     try:
-        fx = spd_factor(alpha * aat + beta * eye)
-        fz = spd_factor(aat + beta * eye)
+        fx = spd_factor(cfg.alpha * aat + cfg.beta * eye)
+        fz = spd_factor(aat + cfg.beta * eye)
     except NotPositiveDefiniteError as exc:  # impossible for alpha, beta > 0
         raise AdmmBreakdownError(f"sweep system not positive definite: {exc}") from exc
     return fx, fz
 
 
-def _sweep(p: LyapunovProblem, s: LyapAdmmState, alpha: float, beta: float, fx, fz) -> LyapAdmmState:
-    a, q = p.a, p.q
+def lyap_admm_step(
+    p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig, factors=None
+) -> LyapAdmmState:
+    """One three-block sweep X -> Y -> Z followed by the multiplier steps.
+    ``factors`` carries the Cholesky factors of :func:`_factors`; without
+    them they are formed here."""
+    if s.x.shape != (p.order, p.order):
+        raise DimensionError(
+            f"state order {s.x.shape[0]} does not match problem order {p.order}"
+        )
+    fx, fz = factors or _factors(p, cfg)
+    a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
     x = spd_solve(fx, a @ s.lambda_ + s.pi_ + alpha * (a @ s.y) + beta * s.z)
     y = (alpha * (a.T @ x) - s.z @ a - q - s.lambda_) / (1.0 + alpha)
     z = spd_solve(fz, ((-y - q) @ a.T - s.pi_ + beta * x).T).T
     lambda_ = s.lambda_ - alpha * (a.T @ x - y)
     pi_ = s.pi_ - beta * (x - z)
     return LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
-
-
-def lyap_admm_step(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) -> LyapAdmmState:
-    """One three-block sweep X -> Y -> Z followed by the multiplier steps."""
-    if s.x.shape != (p.order, p.order):
-        raise DimensionError(
-            f"state order {s.x.shape[0]} does not match problem order {p.order}"
-        )
-    fx, fz = _factors(p, cfg.alpha, cfg.beta)
-    return _sweep(p, s, cfg.alpha, cfg.beta, fx, fz)
 
 
 def lyap_lagrangian_value(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) -> float:
@@ -137,43 +141,27 @@ def solve_lyapunov_admm(
     p: LyapunovProblem,
     cfg: NewtonAdmmConfig | None = None,
     init: LyapAdmmState | None = None,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-    track_lagrangian: bool = False,
+    tol: float | None = None,
 ) -> SolveReport:
-    """Sweep the three-block ADMM until ||A^T X + X A + Q||_F <= tol.
+    """Sweep the three-block ADMM until ||A^T X + X A + Q||_F <= tol
+    (``cfg.outer_tol`` when not given), for at most ``cfg.inner_max``
+    sweeps; ``cfg.track_inner_lagrangian`` turns on the Lagrangian trace.
 
     The reported solution is symmetrized; the raw asymmetry and the full
     final state (for warm starts) are kept in ``detail``.
     """
     cfg = cfg or NewtonAdmmConfig()
-    fx, fz = _factors(p, cfg.alpha, cfg.beta)
-    detail: dict = {"state": init if init is not None else LyapAdmmState.zero(p.order)}
-    if track_lagrangian:
-        detail["lagrangian_history"] = [lyap_lagrangian_value(p, detail["state"], cfg)]
-        detail["block_deltas"] = []
-
-    def step(state):
-        new_state = _sweep(p, state, cfg.alpha, cfg.beta, fx, fz)
-        if track_lagrangian:
-            detail["lagrangian_history"].append(lyap_lagrangian_value(p, new_state, cfg))
-            detail["block_deltas"].append(_block_deltas(state, new_state))
-        detail["state"] = new_state
-        return new_state
-
-    with serial_products():
-        report = iterate(
-            detail["state"],
-            step,
-            lambda state: lyapunov_residual(p, state.x),
-            lambda state, res: "converged" if res <= tol else None,
-            cfg.inner_max if max_iter is None else max_iter,
-            solution=lambda state: symmetrize(state.x),
-            detail=detail,
-        )
-    state = detail["state"]
-    detail["asymmetry"] = frobenius_norm(state.x - state.x.T)
-    return report
+    factors = _factors(p, cfg)
+    lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
+    return sweep_until(
+        init if init is not None else LyapAdmmState.zero(p.order),
+        lambda state: lyap_admm_step(p, state, cfg, factors),
+        lambda state: lyapunov_residual(p, state.x),
+        cfg.outer_tol if tol is None else tol,
+        cfg.inner_max,
+        lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
+        solution=lambda state: symmetrize(state.x),
+    )
 
 
 def solve_newton_admm(
@@ -218,9 +206,7 @@ def solve_newton_admm(
             inner_tol = cfg.inner_tol_value
         else:
             inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
-        inner = solve_lyapunov_admm(
-            lp, cfg, init=outer.inner, tol=inner_tol, track_lagrangian=cfg.track_inner_lagrangian
-        )
+        inner = solve_lyapunov_admm(lp, cfg, init=outer.inner, tol=inner_tol)
         detail["outer_iterations"] += 1
         detail["inner_iterations_per_outer"].append(inner.iterations)
         detail["inner_tolerances"].append(inner_tol)

@@ -23,20 +23,20 @@ def sylvester_residual(p: SylvesterProblem, x: np.ndarray) -> float:
     return frobenius_norm(p.a @ x + x @ p.b - p.c)
 
 
-def sylvester_operator_matrix(p: SylvesterProblem, max_entries: int | None = None) -> np.ndarray:
+def sylvester_operator_matrix(p: SylvesterProblem) -> np.ndarray:
     """The mn x mn coefficient matrix I_n kron A + B^T kron I_m."""
     m = p.a.shape[0]
     n = p.b.shape[0]
-    return kron(np.eye(n), p.a, max_entries) + kron(p.b.T, np.eye(m), max_entries)
+    return kron(np.eye(n), p.a) + kron(p.b.T, np.eye(m))
 
 
-def solve_kronecker_direct(p: SylvesterProblem, max_entries: int | None = None) -> np.ndarray:
+def solve_kronecker_direct(p: SylvesterProblem) -> np.ndarray:
     """Direct solve of the vectorized system; the package's Sylvester oracle.
 
     Raises :class:`~matrixopt.errors.SingularMatrixError` when the spectra
     of A and -B overlap, and a capacity error when the Kronecker system
     would exceed the size cap.
     """
-    m_sys = sylvester_operator_matrix(p, max_entries)
+    m_sys = sylvester_operator_matrix(p)
     x = lu_solve(m_sys, vec(p.c))
     return unvec(x, p.a.shape[0], p.b.shape[0])

@@ -21,6 +21,8 @@ objective is quadratic along any line, which is also why well-behaved
 runs converge in a handful of steps.  Armijo backtracking and a
 Wolfe-Powell bracket-and-zoom search are provided for comparison runs;
 note Armijo never tests curvature and can stall far from the solution.
+All three read their values and slopes off that exact quadratic profile,
+so a run evaluates one gradient per iterate.
 
 The model is updated only when another step will read it: the step whose
 gradient passes ``grad_tol`` forms no update (in matrix form each update
@@ -124,19 +126,22 @@ def f1_gradient(p: SylvesterProblem, x: np.ndarray) -> np.ndarray:
     return p.a.T @ r + r @ p.b.T
 
 
-def exact_step(p: SylvesterProblem, x: np.ndarray, direction: np.ndarray) -> float:
-    """Closed-form minimizer of the quadratic profile along ``direction``.
-
-    With R the current residual and S the operator image of the
-    direction, the minimizer over nonnegative steps is
-    max(0, -<R, S> / <S, S>).
-    """
+def _profile(p: SylvesterProblem, x: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
+    """Coefficients of the objective along ``d``: with R = A x + x B - C
+    and S = A d + d B, f(x + t d) = phi0 + t dphi0 + t^2 ss / 2 exactly,
+    for (phi0, dphi0, ss) = (||R||^2 / 2, <R, S>, <S, S>)."""
     r = p.a @ x + x @ p.b - p.c
-    s = p.a @ direction + direction @ p.b
-    ss = float(np.vdot(s, s))
+    s = p.a @ d + d @ p.b
+    return 0.5 * float(np.vdot(r, r)), float(np.vdot(r, s)), float(np.vdot(s, s))
+
+
+def exact_step(p: SylvesterProblem, x: np.ndarray, direction: np.ndarray) -> float:
+    """Closed-form minimizer of the quadratic profile along ``direction``:
+    max(0, -dphi0 / ss) over nonnegative steps."""
+    _, dphi0, ss = _profile(p, x, direction)
     if ss == 0.0:
         raise DegenerateDirectionError("direction lies in the operator null space")
-    return max(0.0, -float(np.vdot(r, s)) / ss)
+    return max(0.0, -dphi0 / ss)
 
 
 def armijo_search(
@@ -146,15 +151,14 @@ def armijo_search(
     sigma1: float = 1e-4,
     max_trials: int = 60,
 ) -> float:
-    """Backtracking search halving from 1.0 until sufficient decrease holds."""
-    g0 = f1_gradient(p, x)
-    dphi0 = trace_inner(g0, direction)
+    """Backtracking search halving from 1.0 until sufficient decrease
+    holds, read off the quadratic profile."""
+    phi0, dphi0, ss = _profile(p, x, direction)
     if dphi0 >= 0:
         raise PreconditionError("armijo_search requires a descent direction")
-    phi0 = f1_value(p, x)
     alpha = 1.0
     for _ in range(max_trials):
-        if f1_value(p, x + alpha * direction) <= phi0 + sigma1 * alpha * dphi0:
+        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss <= phi0 + sigma1 * alpha * dphi0:
             return alpha
         alpha *= 0.5
     raise LineSearchError(f"no sufficient-decrease step in {max_trials} halvings")
@@ -171,31 +175,25 @@ def wolfe_search(
     """Bracket-and-zoom search for a step meeting both Wolfe-Powell
     conditions: sufficient decrease with slope fraction ``sigma1`` and the
     curvature bound with fraction ``sigma2`` (which rules out vanishing
-    steps).
+    steps), both read off the quadratic profile.
 
     Starts at 1.0, doubles while the step is too short, bisects once a
     bracket exists; fails after ``max_trials`` trial points.
     """
-    g0 = f1_gradient(p, x)
-    dphi0 = trace_inner(g0, direction)
+    phi0, dphi0, ss = _profile(p, x, direction)
     if dphi0 >= 0:
         raise PreconditionError("wolfe_search requires a descent direction")
-    phi0 = f1_value(p, x)
 
     lo = 0.0
     hi = None
     alpha = 1.0
     for _ in range(max_trials):
-        x_trial = x + alpha * direction
-        phi = f1_value(p, x_trial)
-        if phi > phi0 + sigma1 * alpha * dphi0:
+        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss > phi0 + sigma1 * alpha * dphi0:
             hi = alpha
+        elif dphi0 + alpha * ss < sigma2 * dphi0:
+            lo = alpha
         else:
-            dphi = trace_inner(f1_gradient(p, x_trial), direction)
-            if dphi < sigma2 * dphi0:
-                lo = alpha
-            else:
-                return alpha
+            return alpha
         alpha = 0.5 * (lo + hi) if hi is not None else 2.0 * alpha
     raise LineSearchError(f"no Wolfe-Powell step after {max_trials} trials")
 

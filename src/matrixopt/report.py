@@ -44,7 +44,6 @@ class SolveReport:
     solution: np.ndarray
     iterations: int
     residual_history: list[float]
-    final_residual: float
     wall_time_seconds: float
     termination: str
     detail: dict = field(default_factory=dict)
@@ -56,8 +55,10 @@ class SolveReport:
             raise ValueError("iterations and wall time must be nonnegative")
         if not self.residual_history:
             raise ValueError("residual_history must be nonempty")
-        if self.final_residual != self.residual_history[-1]:
-            raise ValueError("final_residual must equal the last history entry")
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
 
     @property
     def converged(self) -> bool:
@@ -103,7 +104,6 @@ def iterate(
             solution=solution(state),
             iterations=iterations,
             residual_history=history,
-            final_residual=history[-1],
             wall_time_seconds=time.perf_counter() - start,
             termination=termination,
             detail=detail,

@@ -11,6 +11,7 @@ from matrixopt.care_admm import (
     solve_care_admm,
 )
 from matrixopt.linalg import frobenius_norm
+from matrixopt.newton_admm import NewtonAdmmConfig, solve_lyapunov_admm
 from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor
 
 
@@ -253,9 +254,36 @@ class TestSolveCareAdmm:
         report = solve_care_admm(p, AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01))
         assert "asymmetry" in report.detail
         assert "closed_loop_max_real_eig" in report.detail
-        assert report.detail["multiplier_diff_sq_sum"] >= 0.0
         # scalar stabilizing solution: a - n x < 0
         assert report.detail["closed_loop_max_real_eig"] < 0
+
+
+def _care_run(track):
+    return solve_care_admm(
+        scalar_problem(),
+        AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01, max_iterations=40, track_lagrangian=track),
+    )
+
+
+def _lyapunov_run(track):
+    p = LyapunovProblem(a=[[-2.0, 1.0], [0.0, -3.0]], q=np.eye(2))
+    return solve_lyapunov_admm(
+        p, NewtonAdmmConfig(alpha=1.0, beta=2.0, inner_max=40, track_inner_lagrangian=track)
+    )
+
+
+@pytest.mark.parametrize("run", [_care_run, _lyapunov_run], ids=["care", "lyapunov"])
+def test_both_splittings_share_the_loop_record(run):
+    plain, tracked = run(False), run(True)
+    for report in (plain, tracked):
+        assert report.iterations > 0
+        x = report.detail["state"].x
+        assert report.detail["asymmetry"] == frobenius_norm(x - x.T)
+    assert "lagrangian_history" not in plain.detail and "block_deltas" not in plain.detail
+    assert len(tracked.detail["lagrangian_history"]) == tracked.iterations + 1
+    assert len(tracked.detail["block_deltas"]) == tracked.iterations
+    # the trace only observes: the run itself is the same
+    assert tracked.residual_history == plain.residual_history
 
 
 class TestConfigValidation:

@@ -95,8 +95,8 @@ class TestLyapAdmmStep:
         a = rng.standard_normal((4, 4)) - 5 * np.eye(4)
         q = rng.standard_normal((4, 4))
         p = LyapunovProblem(a=a, q=q @ q.T + np.eye(4))
-        cfg = NewtonAdmmConfig(alpha=0.9, beta=7.0)
-        report = solve_lyapunov_admm(p, cfg, tol=1e-10, max_iter=400, track_lagrangian=True)
+        cfg = NewtonAdmmConfig(alpha=0.9, beta=7.0, inner_max=400, track_inner_lagrangian=True)
+        report = solve_lyapunov_admm(p, cfg, tol=1e-10)
         lag = report.detail["lagrangian_history"]
         for k, d in enumerate(report.detail["block_deltas"]):
             rhs = (
@@ -133,7 +133,7 @@ class TestSolveLyapunovAdmm:
             q = rng.standard_normal((n, n))
             p = LyapunovProblem(a=a, q=q @ q.T + np.eye(n))
             report = solve_lyapunov_admm(
-                p, NewtonAdmmConfig(alpha=1.0, beta=10.0), tol=1e-9, max_iter=20_000
+                p, NewtonAdmmConfig(alpha=1.0, beta=10.0, inner_max=20_000), tol=1e-9
             )
             assert report.converged
             x_direct = solve_lyapunov_direct(p)
@@ -146,6 +146,25 @@ class TestSolveLyapunovAdmm:
         report = solve_lyapunov_admm(p, NewtonAdmmConfig(alpha=1.0, beta=5.0), tol=1e-9)
         np.testing.assert_array_equal(report.solution, report.solution.T)
         assert "asymmetry" in report.detail
+
+    def test_settings_come_from_the_config(self, rng):
+        a = rng.standard_normal((4, 4)) - 5 * np.eye(4)
+        q = rng.standard_normal((4, 4))
+        p = LyapunovProblem(a=a, q=q @ q.T + np.eye(4))
+        capped = solve_lyapunov_admm(
+            p, NewtonAdmmConfig(alpha=1.0, beta=5.0, inner_max=3, track_inner_lagrangian=True)
+        )
+        assert capped.termination == "max_iterations" and capped.iterations == 3
+        assert len(capped.detail["lagrangian_history"]) == 4
+        assert "lagrangian_history" not in solve_lyapunov_admm(p, NewtonAdmmConfig()).detail
+
+        cfg = NewtonAdmmConfig(alpha=1.0, beta=5.0, outer_tol=1e-6)
+        default = solve_lyapunov_admm(p, cfg)
+        explicit = solve_lyapunov_admm(p, cfg, tol=cfg.outer_tol)
+        assert default.converged and default.final_residual <= 1e-6
+        assert default.iterations == explicit.iterations
+        assert default.residual_history == explicit.residual_history
+        np.testing.assert_array_equal(default.solution, explicit.solution)
 
 
 class TestFrechetApply:

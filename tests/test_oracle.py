@@ -45,9 +45,10 @@ class TestKroneckerDirect:
             solve_kronecker_direct(p)
 
     def test_capacity_guard(self):
-        p = SylvesterProblem(a=np.eye(10), b=np.eye(10), c=np.eye(10))
+        # (65 * 65)^2 entries exceed the default cap of 4096^2
+        p = SylvesterProblem(a=np.eye(65), b=np.eye(65), c=np.eye(65))
         with pytest.raises(CapacityError):
-            solve_kronecker_direct(p, max_entries=100)
+            solve_kronecker_direct(p)
 
     def test_residual_bound_random(self, rng):
         for _ in range(10):

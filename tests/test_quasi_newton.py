@@ -396,6 +396,22 @@ class TestSolver:
         assert len(calls) == 1
         assert len(report.detail["updates"]) == report.iterations
 
+    @pytest.mark.parametrize("linesearch", ["exact", "armijo", "wolfe"])
+    def test_one_gradient_per_iterate(self, monkeypatch, linesearch):
+        # The searches read the exact quadratic profile, so the only
+        # gradients are the initial one and one per step.
+        calls = []
+
+        def counted(p, x):
+            calls.append(x)
+            return f1_gradient(p, x)
+
+        monkeypatch.setattr("matrixopt.quasi_newton.f1_gradient", counted)
+        p = sylvester_family("t6", 16).build()
+        report = solve_quasi_newton(p, QnConfig(method="bfgs", linesearch=linesearch))
+        assert report.converged
+        assert len(calls) == report.iterations + 1
+
     def test_exploding_model_diverges(self, rng):
         # The m x m model of this nonsymmetric problem overflows; the run
         # stops on the step that formed it and keeps its finite iterate.
