@@ -194,17 +194,21 @@ def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
         t, u = scipy.linalg.schur(p.a, output="real")
         c = -(u.T @ p.q @ u)
         tt = t.T
+        eye = np.eye(n)
+        block_tt = None  # I_2 kron T^T, built at the first 2x2 block
         y = np.zeros((n, n))
         k = 0
         while k < n:
             if k + 1 < n and t[k + 1, k] != 0.0:
+                if block_tt is None:
+                    block_tt = kron(np.eye(2), tt)
                 rhs = c[:, k : k + 2] - y[:, :k] @ t[:k, k : k + 2]
-                m_sys = kron(np.eye(2), tt) + kron(t[k : k + 2, k : k + 2].T, np.eye(n))
+                m_sys = block_tt + kron(t[k : k + 2, k : k + 2].T, eye)
                 y[:, k : k + 2] = unvec(lu_solve(m_sys, vec(rhs)), n, 2)
                 k += 2
             else:
                 rhs = c[:, k] - y[:, :k] @ t[:k, k]
-                y[:, k] = lu_solve(tt + t[k, k] * np.eye(n), rhs)
+                y[:, k] = lu_solve(tt + t[k, k] * eye, rhs)
                 k += 1
         return symmetrize(u @ y @ u.T)
 

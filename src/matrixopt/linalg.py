@@ -4,7 +4,8 @@ All matrices are plain two-dimensional ``float64`` numpy arrays; the
 :func:`as_matrix` helper enforces that carrier contract (finite entries,
 explicit shape) at module boundaries.  Operations are pure functions of
 their inputs, apart from :func:`serial_products`, which sets numpy's
-BLAS thread count for the duration of a block.
+BLAS thread count for the duration of a block.  The LU and Cholesky
+solves call LAPACK directly, bit-identical to scipy's wrappers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import ctypes
 import glob
 import math
 import threading
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,13 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
+# The LAPACK routines behind scipy's LU and Cholesky solvers, resolved once:
+# called directly they skip the per-call batching, validation and warnings.
+_GETRF, _GETRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs"), (np.empty((1, 1)),)
+)
+
+
 def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a @ X = rhs by LU with partial pivoting.
 
@@ -79,20 +86,16 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"rhs rows {rhs.shape[0]} do not match system order {a.shape[0]}"
         )
-    with warnings.catch_warnings():
-        # exact singularity is detected below and raised as our own error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    scale = np.max(np.abs(a))
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or np.min(pivots) < LU_PIVOT_RTOL * scale:
+    scale = np.abs(a).max()
+    lu, piv, info = _GETRF(a, overwrite_a=False)
+    if info < 0:
+        raise ValueError(f"getrf rejected argument {-info}")
+    if scale == 0.0 or np.abs(lu.diagonal()).min() < LU_PIVOT_RTOL * scale:
         raise SingularMatrixError("numerically singular pivot in LU factorization")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-
-
-# The LAPACK routines behind scipy's cho_factor/cho_solve, resolved once:
-# called directly they skip the per-call batching and validation wrapper.
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+    x, info = _GETRS(lu, piv, rhs, trans=0, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"getrs rejected argument {-info}")
+    return x
 
 
 def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

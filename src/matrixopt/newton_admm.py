@@ -122,9 +122,10 @@ def lyap_admm_step(
     fx, fz = factors or _factors(p, cfg)
     a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
     x = spd_solve(fx, a @ s.lambda_ + s.pi_ + alpha * (a @ s.y) + beta * s.z)
-    y = (alpha * (a.T @ x) - s.z @ a - q - s.lambda_) / (1.0 + alpha)
+    atx = a.T @ x
+    y = (alpha * atx - s.z @ a - q - s.lambda_) / (1.0 + alpha)
     z = spd_solve(fz, ((-y - q) @ a.T - s.pi_ + beta * x).T).T
-    lambda_ = s.lambda_ - alpha * (a.T @ x - y)
+    lambda_ = s.lambda_ - alpha * (atx - y)
     pi_ = s.pi_ - beta * (x - z)
     return LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
 

@@ -36,6 +36,17 @@ def _paper_cases():
                 )
 
 
+def _newton_cases():
+    """The timed exact-Newton rows above MAX_ORDER, whose Lyapunov solves
+    run many more column LU solves per step."""
+    for table in ("t8", "t10"):
+        for index, row in enumerate(paper_suite(table)):
+            if row.method == "newton" and MAX_ORDER < row.source.order <= 64:
+                yield f"{table}[{index}]-newton-n{row.source.order}", (
+                    row.method, row.source.build, row.params,
+                )
+
+
 def _family_cases():
     variants = [(qn, {"linesearch": ls}) for qn in ("dfp", "bfgs")
                 for ls in ("exact", "wolfe", "armijo")]
@@ -101,7 +112,9 @@ def _edge_cases():
     )
 
 
-CASES = dict([*_paper_cases(), *_family_cases(), *_care_cases(), *_edge_cases()])
+CASES = dict([
+    *_paper_cases(), *_newton_cases(), *_family_cases(), *_care_cases(), *_edge_cases(),
+])
 
 
 def outcome(method, build, params):
@@ -187,6 +200,11 @@ GOLDEN = {
     # Recorded before the ADMM loops ran numpy's OpenBLAS at one thread.
     't8-admm-n128-cap40': (40, 'max_iterations', 41, 0.2757818949065826),
     't9-newton-admm-n128': (80, 'converged', 10, 9.284719028069045e-10),
+    # Recorded before lu_solve called LAPACK getrf/getrs directly.
+    't8[3]-newton-n32': (4, 'converged', 5, 1.0831627426627062e-12),
+    't8[5]-newton-n64': (4, 'converged', 5, 1.5151954402005297e-12),
+    't10[3]-newton-n32': (5, 'converged', 6, 1.1897206284528737e-12),
+    't10[5]-newton-n64': (5, 'converged', 6, 1.6877002216147113e-12),
 }
 
 

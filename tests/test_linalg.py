@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +14,7 @@ from matrixopt.errors import (
     SingularMatrixError,
 )
 from matrixopt.linalg import (
+    LU_PIVOT_RTOL,
     as_matrix,
     cholesky_solve,
     frobenius_norm,
@@ -80,6 +84,16 @@ class TestFrobeniusAndInner:
 
 
 class TestLuSolve:
+    """lu_solve calls LAPACK getrf/getrs directly: its answers are
+    scipy's to the bit, and singular systems raise our error.  No test
+    here may let a warning escape."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
     def test_identity_system(self, rng):
         b = rng.standard_normal((3, 2))
         np.testing.assert_allclose(lu_solve(np.eye(3), b), b)
@@ -104,6 +118,34 @@ class TestLuSolve:
     def test_non_square(self):
         with pytest.raises(DimensionError):
             lu_solve(np.ones((2, 3)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("rhs_shape", ["vector", "matrix"])
+    def test_bit_identical_to_scipy(self, n, rhs_shape):
+        rng = np.random.default_rng(1000 + n)
+        a = rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n if rhs_shape == "vector" else (n, 3))
+        want = scipy.linalg.lu_solve(
+            scipy.linalg.lu_factor(a, check_finite=False), rhs, check_finite=False
+        )
+        got = lu_solve(a, rhs)
+        assert got.shape == rhs.shape
+        assert np.array_equal(got, want)
+
+    def test_zero_column_is_singular(self, rng):
+        a = rng.standard_normal((4, 4))
+        a[:, 2] = 0.0
+        with pytest.raises(SingularMatrixError):
+            lu_solve(a, np.ones(4))
+
+    def test_pivot_below_the_relative_threshold_is_singular(self):
+        a = np.diag([1.0, 0.5 * LU_PIVOT_RTOL])
+        with pytest.raises(SingularMatrixError):
+            lu_solve(a, np.ones((2, 1)))
+
+    def test_zero_matrix_is_singular(self):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(np.zeros((3, 3)), np.ones(3))
 
 
 class TestCholeskySolve:
