@@ -159,12 +159,15 @@ def solve_anderson_richardson(
     )
 
 
-def care_residual(p: CareProblem, x: np.ndarray) -> float:
-    """Frobenius norm of A^T x + x A - x N x + K."""
+def care_residual(p: CareProblem, x: np.ndarray, atx: np.ndarray | None = None) -> float:
+    """Frobenius norm of A^T x + x A - x N x + K; ``atx`` is the product
+    A^T x when the caller has already formed it."""
     n = p.order
     if x.shape != (n, n):
         raise DimensionError(f"iterate must be {n}x{n}, got {x.shape}")
-    return frobenius_norm(p.a.T @ x + x @ p.a - x @ p.n_mat @ x + p.k_mat)
+    if atx is None:
+        atx = p.a.T @ x
+    return frobenius_norm(atx + x @ p.a - x @ p.n_mat @ x + p.k_mat)
 
 
 def closed_loop_max_real_eig(p: CareProblem, x: np.ndarray) -> float:

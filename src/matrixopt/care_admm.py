@@ -26,6 +26,7 @@ closed-loop spectral abscissa as diagnostics instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,17 +67,33 @@ class AdmmConfig:
 
 @dataclass
 class _BlockState:
-    """Square blocks of one ADMM splitting: every field is an n x n
-    finite array, with n the order of ``x``."""
+    """Square blocks of one ADMM splitting, every field an n x n array.
 
-    def __post_init__(self):
-        n = self.x.shape[0]
-        for f in fields(self):
-            block = getattr(self, f.name)
+    Building a state checks nothing: a solver checks its ``init`` once
+    (:meth:`checked`), and a blow-up in the loop shows as a non-finite
+    residual.  ``products``, no field and so no block, holds products the
+    sweep that made the state formed, with their problem; so blocks are
+    not changed in place."""
+
+    products = None
+
+    def checked(self, n: int):
+        """This state's blocks in a new state without ``products``, after
+        checking that each is a finite n x n array."""
+        blocks = [np.asarray(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
+        for f, block in zip(fields(self), blocks):
             if block.shape != (n, n):
                 raise DimensionError(f"block {f.name} must be {n}x{n}, got {block.shape}")
             if not np.isfinite(block).all():
                 raise ValueError(f"block {f.name} contains non-finite entries")
+        return type(self)(*blocks)
+
+    def carried(self, p, name: str):
+        """The product ``name`` carried from the sweep that made this
+        state, or None unless that sweep ran on problem ``p``."""
+        if self.products is None or self.products[0] is not p:
+            return None
+        return self.products[1][name]
 
     @classmethod
     def zero(cls, n: int):
@@ -144,6 +161,9 @@ def admm_step(
     are handled by solving the (symmetric) system against a transposed
     right-hand side.  ``const`` carries the sweep-invariant systems from
     :meth:`SweepConstants.of`; without it they are formed here.
+
+    The new state carries its Z A, the next sweep's first product, and
+    its A^T X, the residual's; without them ``s.z @ a`` is formed here.
     """
     a, n_mat, k_mat = p.a, p.n_mat, p.k_mat
     n = p.order
@@ -152,23 +172,25 @@ def admm_step(
     if const is None:
         const = SweepConstants.of(p, cfg)
     al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
+    a_t, n_t = a.T, n_mat.T
 
-    # Products that occur twice in a sweep are formed once.
-    za = s.z @ a
+    za = s.carried(p, "za")
+    if za is None:
+        za = s.z @ a
     x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
     x_rhs = s.w.T @ (s.y + za + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
     x = _solve_spd(x_sys, x_rhs, "X-update")
 
     wx = s.w @ x
-    atx = a.T @ x
+    atx = a_t @ x
     y = (wx + al * atx - za - k_mat - s.lambda_) / (1.0 + al)
 
     z_rhs = (
-        (wx - y - k_mat) @ a.T
+        (wx - y - k_mat) @ a_t
         - s.pi_
-        + s.gamma_ @ n_mat.T
+        + s.gamma_ @ n_t
         + be * x
-        + ga * (s.w @ n_mat.T)
+        + ga * (s.w @ n_t)
     )
     if const.z_factor is not None:
         z = spd_solve(const.z_factor, z_rhs.T).T
@@ -176,14 +198,17 @@ def admm_step(
         z = _solve_spd(const.z_sys, z_rhs.T, "Z-update").T
 
     zn = z @ n_mat
+    za = z @ a
     w_sys = x @ x.T + const.ga_eye
-    w_rhs = (y + z @ a + k_mat) @ x.T - s.gamma_ + ga * zn
+    w_rhs = (y + za + k_mat) @ x.T - s.gamma_ + ga * zn
     w = _solve_spd(w_sys, w_rhs.T, "W-update").T
 
     lambda_ = s.lambda_ - al * (atx - y)
     pi_ = s.pi_ - be * (x - z)
     gamma_ = s.gamma_ - ga * (zn - w)
-    return AdmmState(x=x, y=y, z=z, w=w, lambda_=lambda_, pi_=pi_, gamma_=gamma_)
+    new = AdmmState(x=x, y=y, z=z, w=w, lambda_=lambda_, pi_=pi_, gamma_=gamma_)
+    new.products = (p, {"za": za, "atx": atx})
+    return new
 
 
 def kkt_residuals(p: CareProblem, s: AdmmState) -> tuple[float, ...]:
@@ -241,7 +266,8 @@ def sweep_until(
 ) -> SolveReport:
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
     ``residual(state) <= tol`` or ``max_iterations`` sweeps, with numpy's
-    BLAS at one thread.
+    BLAS at one thread.  A residual that is not finite ends the run
+    ``diverged``.
 
     ``detail`` keeps the last full ``state`` (for warm starts) and the
     ``asymmetry`` ``||X - X^T||_F`` of its X block.  Given a
@@ -263,11 +289,18 @@ def sweep_until(
         detail["state"] = new_state
         return new_state
 
+    def stop(state, res):
+        if res <= tol:
+            return "converged"
+        return None if math.isfinite(res) else "diverged"
+
     with serial_products():
         report = iterate(
-            state, step, residual, lambda state, res: "converged" if res <= tol else None,
-            max_iterations, check_every=check_every, solution=solution, detail=detail,
+            state, step, residual, stop, max_iterations,
+            check_every=check_every, solution=solution, detail=detail,
         )
+    # Carried products serve the loop alone; a warm start forms its own.
+    detail["state"].products = None
     x = detail["state"].x
     detail["asymmetry"] = frobenius_norm(x - x.T)
     return report
@@ -285,15 +318,16 @@ def solve_care_admm(
     records the sampled values, starting with the initial residual.  With
     ``track_lagrangian`` the detail map carries the augmented-Lagrangian
     trace and block changes of :func:`sweep_until`; after the loop it
-    gains the KKT residuals and the closed-loop spectral abscissa.
+    gains the KKT residuals and the closed-loop spectral abscissa (NaN
+    when X is not finite).  ``init`` must have finite n x n blocks.
     """
     cfg = cfg or AdmmConfig()
     const = SweepConstants.of(p, cfg)
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
     report = sweep_until(
-        init if init is not None else AdmmState.zero(p.order),
+        init.checked(p.order) if init is not None else AdmmState.zero(p.order),
         lambda state: admm_step(p, state, cfg, const),
-        lambda state: care_residual(p, state.x),
+        lambda state: care_residual(p, state.x, state.carried(p, "atx")),
         cfg.tol,
         cfg.max_iterations,
         lagrangian=lagrangian if cfg.track_lagrangian else None,
@@ -301,5 +335,7 @@ def solve_care_admm(
     )
     state = report.detail["state"]
     report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
-    report.detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, state.x)
+    report.detail["closed_loop_max_real_eig"] = (
+        closed_loop_max_real_eig(p, state.x) if np.isfinite(state.x).all() else math.nan
+    )
     return report

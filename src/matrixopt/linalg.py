@@ -67,9 +67,23 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 # The LAPACK routines behind scipy's LU and Cholesky solvers, resolved once:
 # called directly they skip the per-call batching, validation and warnings.
-_GETRF, _GETRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "potrf", "potrs"), (np.empty((1, 1)),)
+_GETRF, _GETRS, _POTRF, _POTRS, _POSV = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "potrf", "potrs", "posv"), (np.empty((1, 1)),)
 )
+
+
+def _system(a, rhs, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``rhs`` as float64 arrays, checked to form a linear system
+    of order at least one."""
+    a = np.asarray(a, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"{who} needs a non-empty square matrix, got {a.shape}")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
+        raise DimensionError(
+            f"rhs of shape {rhs.shape} does not match system order {a.shape[0]}"
+        )
+    return a, rhs
 
 
 def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -78,14 +92,7 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Raises :class:`SingularMatrixError` when any pivot magnitude falls
     below ``LU_PIVOT_RTOL`` times the largest entry magnitude of ``a``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"lu_solve needs a square matrix, got {a.shape}")
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"rhs rows {rhs.shape[0]} do not match system order {a.shape[0]}"
-        )
+    a, rhs = _system(a, rhs, "lu_solve")
     scale = np.abs(a).max()
     lu, piv, info = _GETRF(a, overwrite_a=False)
     if info < 0:
@@ -99,20 +106,21 @@ def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ X = rhs for symmetric positive definite ``a`` via Cholesky.
+    """Solve a @ X = rhs for symmetric positive definite ``a`` via Cholesky,
+    in one LAPACK ``posv`` call that reads the upper triangle of ``a``.
 
     Raises :class:`NotPositiveDefiniteError` on a non-positive pivot, in
     which case the caller may fall back to :func:`lu_solve`.
     """
-    a = np.asarray(a, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"cholesky_solve needs a square matrix, got {a.shape}")
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionError(
-            f"rhs rows {rhs.shape[0]} do not match system order {a.shape[0]}"
+    a, rhs = _system(a, rhs, "cholesky_solve")
+    _, x, info = _POSV(a, rhs, lower=False, overwrite_a=False, overwrite_b=False)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"{info}-th leading minor of the array is not positive definite"
         )
-    return spd_solve(spd_factor(a), rhs)
+    if info < 0:
+        raise ValueError(f"posv rejected argument {-info}")
+    return x
 
 
 def spd_factor(a: np.ndarray) -> np.ndarray:

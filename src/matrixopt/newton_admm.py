@@ -41,7 +41,7 @@ from .care_admm import _augmented_lagrangian, _BlockState, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
-from .report import SolveReport
+from .report import SolveReport, Stop
 
 INNER_TOL_MODES = ("forcing", "fixed")
 
@@ -81,9 +81,12 @@ class LyapAdmmState(_BlockState):
     pi_: np.ndarray
 
 
-def lyapunov_residual(p: LyapunovProblem, x: np.ndarray) -> float:
-    """Frobenius norm of A^T x + x A + Q."""
-    return frobenius_norm(p.a.T @ x + x @ p.a + p.q)
+def lyapunov_residual(p: LyapunovProblem, x: np.ndarray, atx: np.ndarray | None = None) -> float:
+    """Frobenius norm of A^T x + x A + Q; ``atx`` is the product A^T x
+    when the caller has already formed it."""
+    if atx is None:
+        atx = p.a.T @ x
+    return frobenius_norm(atx + x @ p.a + p.q)
 
 
 def frechet_apply(p: CareProblem, x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -114,20 +117,24 @@ def lyap_admm_step(
 ) -> LyapAdmmState:
     """One three-block sweep X -> Y -> Z followed by the multiplier steps.
     ``factors`` carries the Cholesky factors of :func:`_factors`; without
-    them they are formed here."""
+    them they are formed here.  The new state carries its A^T X for the
+    residual check."""
     if s.x.shape != (p.order, p.order):
         raise DimensionError(
             f"state order {s.x.shape[0]} does not match problem order {p.order}"
         )
     fx, fz = factors or _factors(p, cfg)
     a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
+    a_t = a.T
     x = spd_solve(fx, a @ s.lambda_ + s.pi_ + alpha * (a @ s.y) + beta * s.z)
-    atx = a.T @ x
+    atx = a_t @ x
     y = (alpha * atx - s.z @ a - q - s.lambda_) / (1.0 + alpha)
-    z = spd_solve(fz, ((-y - q) @ a.T - s.pi_ + beta * x).T).T
+    z = spd_solve(fz, ((-y - q) @ a_t - s.pi_ + beta * x).T).T
     lambda_ = s.lambda_ - alpha * (atx - y)
     pi_ = s.pi_ - beta * (x - z)
-    return LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
+    new = LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
+    new.products = (p, {"atx": atx})
+    return new
 
 
 def lyap_lagrangian_value(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) -> float:
@@ -149,15 +156,16 @@ def solve_lyapunov_admm(
     sweeps; ``cfg.track_inner_lagrangian`` turns on the Lagrangian trace.
 
     The reported solution is symmetrized; the raw asymmetry and the full
-    final state (for warm starts) are kept in ``detail``.
+    final state (for warm starts) are kept in ``detail``.  ``init`` must
+    have finite n x n blocks.
     """
     cfg = cfg or NewtonAdmmConfig()
     factors = _factors(p, cfg)
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
     return sweep_until(
-        init if init is not None else LyapAdmmState.zero(p.order),
+        init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order),
         lambda state: lyap_admm_step(p, state, cfg, factors),
-        lambda state: lyapunov_residual(p, state.x),
+        lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
         cfg.outer_tol if tol is None else tol,
         cfg.inner_max,
         lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
@@ -178,7 +186,9 @@ def solve_newton_admm(
     on the partial report of an error alike; the outer count, per-outer
     sweep counts, and inner tolerances live in ``detail``.  Two
     consecutive inner runs hitting their sweep cap terminate the run as
-    stagnated.
+    stagnated.  An inner run that diverges ends the run ``diverged`` at
+    the last outer iterate; like a step that raises, its outer step and
+    inner sweeps are not counted.
     """
     cfg = cfg or NewtonAdmmConfig()
     # Besides the iterate: its Riccati residual (the forcing rule reads it),
@@ -208,6 +218,8 @@ def solve_newton_admm(
         else:
             inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
         inner = solve_lyapunov_admm(lp, cfg, init=outer.inner, tol=inner_tol)
+        if inner.termination == "diverged":
+            raise Stop("diverged")
         detail["outer_iterations"] += 1
         detail["inner_iterations_per_outer"].append(inner.iterations)
         detail["inner_tolerances"].append(inner_tol)

@@ -1,18 +1,23 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from matrixopt import care_admm, newton_admm
 from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.care_admm import (
     AdmmConfig,
     AdmmState,
+    _solve_spd,
     admm_step,
     kkt_residuals,
     lagrangian_value,
     solve_care_admm,
 )
-from matrixopt.linalg import frobenius_norm
-from matrixopt.newton_admm import NewtonAdmmConfig, solve_lyapunov_admm
-from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor
+from matrixopt.errors import AdmmBreakdownError, DimensionError
+from matrixopt.linalg import frobenius_norm, lu_solve
+from matrixopt.newton_admm import LyapAdmmState, NewtonAdmmConfig, solve_lyapunov_admm
+from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor, care_family
 
 
 def scalar_problem():
@@ -123,6 +128,32 @@ class TestAdmmStep:
         p = random_care(rng)
         with pytest.raises(Exception):
             admm_step(p, AdmmState.zero(4), AdmmConfig())
+
+    def test_carried_products_serve_only_their_own_problem(self, rng):
+        # A state made by a sweep on p1 carries p1's products; a sweep on
+        # p2 must form its own, and on p1 reuse them to the same bits.
+        p1, p2 = random_care(rng), random_care(rng)
+        cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1)
+        s1 = admm_step(p1, admm_step(p1, AdmmState.zero(3), cfg), cfg)
+        bare = replace(s1)
+        assert s1.products is not None and bare.products is None
+        for p in (p1, p2):
+            carried, formed = admm_step(p, s1, cfg), admm_step(p, bare, cfg)
+            for f in fields(AdmmState):
+                assert np.array_equal(getattr(carried, f.name), getattr(formed, f.name)), f.name
+        assert care_residual(p1, s1.x, s1.carried(p1, "atx")) == care_residual(p1, s1.x)
+        assert s1.carried(p2, "atx") is None
+
+
+class TestSolveSpd:
+    def test_indefinite_system_falls_back_to_lu(self):
+        system = np.array([[1.0, 2.0], [2.0, 1.0]])
+        rhs = np.array([[1.0, 0.0], [3.0, 1.0]])
+        assert np.array_equal(_solve_spd(system, rhs, "X-update"), lu_solve(system, rhs))
+
+    def test_singular_indefinite_system_is_a_breakdown(self):
+        with pytest.raises(AdmmBreakdownError, match="X-update"):
+            _solve_spd(np.diag([1.0, 0.0, -1.0]), np.ones((3, 1)), "X-update")
 
 
 def _replace(s: AdmmState, block: str, value: np.ndarray) -> AdmmState:
@@ -284,6 +315,98 @@ def test_both_splittings_share_the_loop_record(run):
     assert len(tracked.detail["block_deltas"]) == tracked.iterations
     # the trace only observes: the run itself is the same
     assert tracked.residual_history == plain.residual_history
+
+
+T8_16 = care_family("t8", 16).build()
+LYAP_8 = LyapunovProblem(
+    a=np.diag(np.full(7, 1.0), 1) - 4.0 * np.eye(8) + np.diag(np.full(7, 0.5), -1),
+    q=np.eye(8),
+)
+SWEEP_GLOBALS = {"care": (care_admm, "admm_step"), "lyapunov": (newton_admm, "lyap_admm_step")}
+BLOCK_NAMES = {
+    "care": {"x", "y", "z", "w", "lambda_", "pi_", "gamma_"},
+    "lyapunov": {"x", "y", "z", "lambda_", "pi_"},
+}
+
+
+def _sweeps(splitting, sweeps, init=None, track=False, check_every=1):
+    """``sweeps`` sweeps of one splitting, none of them stopped by the tolerance."""
+    if splitting == "care":
+        cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300, max_iterations=sweeps,
+                         check_every=check_every, track_lagrangian=track)
+        return solve_care_admm(T8_16, cfg, init=init)
+    cfg = NewtonAdmmConfig(inner_max=sweeps, track_inner_lagrangian=track)
+    return solve_lyapunov_admm(LYAP_8, cfg, init=init, tol=1e-300)
+
+
+def _blow_up_from(monkeypatch, splitting, call):
+    """From its ``call``-th call on, the sweep returns a state whose
+    blocks are all inf, as a run that overflowed would."""
+    module, name = SWEEP_GLOBALS[splitting]
+    sweep, calls = getattr(module, name), []
+
+    def blown(p, s, *args):
+        calls.append(1)
+        if len(calls) < call:
+            return sweep(p, s, *args)
+        return type(s)(*(np.full_like(getattr(s, f.name), np.inf) for f in fields(s)))
+
+    monkeypatch.setattr(module, name, blown)
+
+
+@pytest.mark.parametrize("splitting", ["care", "lyapunov"])
+class TestSweepLoop:
+    def test_warm_start_continues_the_run_to_the_bit(self, splitting):
+        # The warm start forms every product afresh, the long run carries
+        # them from sweep to sweep: a stale product would split the two.
+        whole = _sweeps(splitting, 70)
+        first = _sweeps(splitting, 40)
+        rest = _sweeps(splitting, 30, init=first.detail["state"])
+        assert (whole.iterations, first.iterations, rest.iterations) == (70, 40, 30)
+        assert rest.residual_history == whole.residual_history[40:]
+        assert np.array_equal(rest.solution, whole.solution)
+        for f in fields(whole.detail["state"]):
+            assert np.array_equal(
+                getattr(rest.detail["state"], f.name), getattr(whole.detail["state"], f.name)
+            ), f.name
+
+    def test_block_deltas_name_the_blocks_only(self, splitting):
+        report = _sweeps(splitting, 5, track=True)
+        names = {f"d{name.rstrip('_')}2" for name in BLOCK_NAMES[splitting]}
+        assert [set(d) for d in report.detail["block_deltas"]] == [names] * 5
+        assert {f.name for f in fields(report.detail["state"])} == BLOCK_NAMES[splitting]
+
+    def test_blow_up_ends_diverged(self, splitting, monkeypatch):
+        _blow_up_from(monkeypatch, splitting, 5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = _sweeps(splitting, 50)
+        assert (report.termination, report.iterations) == ("diverged", 5)
+        assert len(report.residual_history) == report.iterations + 1
+        assert np.isfinite(report.residual_history[:-1]).all()
+        assert not np.isfinite(report.final_residual)
+
+    def test_non_finite_init_is_rejected(self, splitting):
+        init = _sweeps(splitting, 3).detail["state"]
+        init.y[0, 0] = np.inf
+        with pytest.raises(ValueError, match="block y"):
+            _sweeps(splitting, 3, init=init)
+
+    def test_wrongly_shaped_init_is_rejected(self, splitting):
+        n = T8_16.order if splitting == "care" else LYAP_8.order
+        zero = AdmmState.zero if splitting == "care" else LyapAdmmState.zero
+        with pytest.raises(DimensionError):
+            _sweeps(splitting, 3, init=zero(n + 1))
+        with pytest.raises(DimensionError, match="block z"):
+            _sweeps(splitting, 3, init=replace(zero(n), z=np.zeros((n, n + 1))))
+
+
+def test_blow_up_between_checks_ends_diverged_at_the_next_check(monkeypatch):
+    _blow_up_from(monkeypatch, "care", 10)
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = _sweeps("care", 50, check_every=7)
+    assert (report.termination, report.iterations) == ("diverged", 14)
+    assert len(report.residual_history) == report.iterations // 7 + 1
+    assert np.isnan(report.detail["closed_loop_max_real_eig"])
 
 
 class TestConfigValidation:

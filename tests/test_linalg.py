@@ -147,8 +147,44 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError):
             lu_solve(np.zeros((3, 3)), np.ones(3))
 
+    def test_empty_system_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            lu_solve(np.zeros((0, 0)), np.zeros(0))
+
 
 class TestCholeskySolve:
+    """cholesky_solve is one LAPACK posv call: its answers are scipy's
+    cho_factor/cho_solve to the bit.  No test here may let a warning
+    escape."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("n", [9, 128])
+    @pytest.mark.parametrize("columns", [None, 1, 9, 64, 128], ids=lambda c: f"cols{c}")
+    def test_bit_identical_to_scipy(self, n, columns):
+        rng = np.random.default_rng(2000 + n)
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + n * np.eye(n)
+        rhs = rng.standard_normal(n if columns is None else (n, columns))
+        want = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(a, check_finite=False), rhs, check_finite=False
+        )
+        got = cholesky_solve(a, rhs)
+        assert got.shape == rhs.shape
+        assert np.array_equal(got, want)
+        if columns is not None:
+            # the ADMM sweeps pass transposed (Fortran-ordered) right-hand sides
+            rhs_t = np.ascontiguousarray(rhs.T).T
+            assert np.array_equal(cholesky_solve(a, rhs_t), want)
+
+    def test_empty_system_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            cholesky_solve(np.zeros((0, 0)), np.zeros((0, 1)))
+
     def test_scaled_identity(self):
         x = cholesky_solve(4.0 * np.eye(2), np.array([[8.0], [4.0]]))
         np.testing.assert_allclose(x, [[2.0], [1.0]])

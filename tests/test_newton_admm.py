@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matrixopt import newton_admm
 from matrixopt.baselines import (
     BaselineConfig,
     care_residual,
@@ -231,6 +232,33 @@ class TestSolveNewtonAdmm:
         assert report.iterations == sum(per_outer)
         assert report.detail["outer_iterations"] == len(per_outer)
         assert len(report.residual_history) == len(per_outer) + 1
+
+    def test_inner_blow_up_ends_the_run_diverged(self, monkeypatch):
+        p = t9_problem(16)
+        cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
+        clean = solve_newton_admm(p, cfg=cfg)
+        first, second = clean.detail["inner_iterations_per_outer"][:2]
+        assert second > 3
+        sweep, calls = newton_admm.lyap_admm_step, []
+
+        def blown(lp, s, *args):
+            # three sweeps into the second outer step, every block overflows
+            calls.append(1)
+            if len(calls) < first + 3:
+                return sweep(lp, s, *args)
+            return LyapAdmmState(*(np.full_like(s.x, np.inf) for _ in range(5)))
+
+        monkeypatch.setattr(newton_admm, "lyap_admm_step", blown)
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = solve_newton_admm(p, cfg=cfg)
+        # the diverged outer step is not counted; the report is the first step's
+        assert report.termination == "diverged"
+        assert report.detail["inner_iterations_per_outer"] == [first]
+        assert report.iterations == first
+        assert len(report.residual_history) == report.detail["outer_iterations"] + 1 == 2
+        assert report.residual_history == clean.residual_history[:2]
+        assert np.array_equal(report.solution, clean.detail["outer_trace"][1])
+        assert np.isfinite(report.detail["closed_loop_max_real_eig"])
 
     def test_outer_iterates_symmetric(self, rng):
         p = stable_random_care(rng)
