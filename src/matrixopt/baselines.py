@@ -81,7 +81,7 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
     def step(s):
         if keep_dirs and len(detail["directions"]) < 5:
             detail["directions"].append(s.d.copy())
-        ld = p.a @ s.d + s.d @ p.b
+        ld = p.apply(s.d)
         dld = trace_inner(s.d, ld)
         if dld <= 0:
             raise Stop("stagnated")
@@ -133,14 +133,13 @@ def solve_anderson_richardson(
             denom = float(np.vdot(dr, dr))
             if denom > 0:
                 theta = float(np.vdot(s.r, dr)) / denom
-                g_prev = s.x_prev - omega * s.r_prev
-                x_next = gx - theta * (gx - g_prev)
-        s.x_prev, s.r_prev, s.x = s.x, s.r, x_next
-        s.r = p.a @ x_next + x_next @ p.b - p.c
+                x_next = gx - theta * (gx - s.gx_prev)
+        s.gx_prev, s.r_prev, s.x = gx, s.r, x_next
+        s.r = p.residual_matrix(x_next)
         return s
 
-    state = SimpleNamespace(x=np.zeros(p.shape), x_prev=None, r_prev=None)
-    state.r = p.a @ state.x + state.x @ p.b - p.c
+    state = SimpleNamespace(x=np.zeros(p.shape), gx_prev=None, r_prev=None)
+    state.r = p.residual_matrix(state.x)
     blow_up = 1e6 * max(frobenius_norm(state.r), 1.0)
 
     def stop(s, res):

@@ -251,6 +251,12 @@ def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     )
 
 
+# numpy's error state for a whole ADMM solve: a blow-up already ends the
+# run ``diverged`` (see sweep_until), so its inf and NaN arithmetic, in
+# the loop and in the diagnostics after it, raises no warnings.
+QUIET_BLOW_UP = {"invalid": "ignore", "over": "ignore"}
+
+
 def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
     """Squared change of each block, keyed ``d<block>2``."""
     sq = lambda m: float(np.vdot(m, m))  # noqa: E731
@@ -267,7 +273,7 @@ def sweep_until(
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
     ``residual(state) <= tol`` or ``max_iterations`` sweeps, with numpy's
     BLAS at one thread.  A residual that is not finite ends the run
-    ``diverged``.
+    ``diverged``; callers run the loop under ``np.errstate(**QUIET_BLOW_UP)``.
 
     ``detail`` keeps the last full ``state`` (for warm starts) and the
     ``asymmetry`` ``||X - X^T||_F`` of its X block.  Given a
@@ -324,18 +330,19 @@ def solve_care_admm(
     cfg = cfg or AdmmConfig()
     const = SweepConstants.of(p, cfg)
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
-    report = sweep_until(
-        init.checked(p.order) if init is not None else AdmmState.zero(p.order),
-        lambda state: admm_step(p, state, cfg, const),
-        lambda state: care_residual(p, state.x, state.carried(p, "atx")),
-        cfg.tol,
-        cfg.max_iterations,
-        lagrangian=lagrangian if cfg.track_lagrangian else None,
-        check_every=cfg.check_every,
-    )
-    state = report.detail["state"]
-    report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
-    report.detail["closed_loop_max_real_eig"] = (
-        closed_loop_max_real_eig(p, state.x) if np.isfinite(state.x).all() else math.nan
-    )
+    with np.errstate(**QUIET_BLOW_UP):
+        report = sweep_until(
+            init.checked(p.order) if init is not None else AdmmState.zero(p.order),
+            lambda state: admm_step(p, state, cfg, const),
+            lambda state: care_residual(p, state.x, state.carried(p, "atx")),
+            cfg.tol,
+            cfg.max_iterations,
+            lagrangian=lagrangian if cfg.track_lagrangian else None,
+            check_every=cfg.check_every,
+        )
+        state = report.detail["state"]
+        report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
+        report.detail["closed_loop_max_real_eig"] = (
+            closed_loop_max_real_eig(p, state.x) if np.isfinite(state.x).all() else math.nan
+        )
     return report

@@ -6,6 +6,8 @@ explicit shape) at module boundaries.  Operations are pure functions of
 their inputs, apart from :func:`serial_products`, which sets numpy's
 BLAS thread count for the duration of a block.  The LU and Cholesky
 solves call LAPACK directly, bit-identical to scipy's wrappers.
+:class:`MatrixOperator` multiplies by a narrowly banded matrix through
+its diagonals.
 """
 
 from __future__ import annotations
@@ -258,6 +260,92 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kron output {out_rows}x{out_cols} exceeds cap of {DEFAULT_KRON_CAP} entries"
         )
     return np.kron(a, b)
+
+
+# Widest half-bandwidth whose products are read from the diagonals.
+MAX_HALF_BANDWIDTH = 2
+
+
+class MatrixOperator:
+    """The products M @ X and X @ M with one square matrix M.
+
+    When every nonzero of the n x n matrix M lies within half-bandwidth
+    k <= :data:`MAX_HALF_BANDWIDTH` and 2k + 1 < n, the products are
+    formed from M's 2k + 1 diagonals, in O(k n m) work for an n x m (or
+    m x n) X instead of a dense product's O(n^2 m); otherwise they are
+    the dense products ``m @ x`` and ``x @ m`` unchanged.  Build one
+    with :meth:`of`.
+    """
+
+    __slots__ = ("dense", "bands")
+
+    def __init__(self, dense: np.ndarray | None, bands: tuple = ()):
+        self.dense = dense  # None when banded
+        self.bands = bands  # ((offset, diagonal), ...), main diagonal first
+
+    @classmethod
+    def of(cls, m: np.ndarray) -> "MatrixOperator":
+        """The banded operator of ``m`` when the band form applies, else
+        the dense one: O(n^2) to decide, one count of the nonzeros."""
+        n = m.shape[0]
+        outside = np.count_nonzero(m)
+        for k in range(MAX_HALF_BANDWIDTH + 1):
+            if 2 * k + 1 >= n:
+                break
+            outside -= sum(np.count_nonzero(np.diagonal(m, d)) for d in {k, -k})
+            if outside == 0:
+                offsets = [0] + [d for j in range(1, k + 1) for d in (j, -j)]
+                return cls(None, tuple((d, np.diagonal(m, d).copy()) for d in offsets))
+        return cls(m)
+
+    @property
+    def T(self) -> "MatrixOperator":
+        """The operator of M^T."""
+        if self.dense is not None:
+            return MatrixOperator(self.dense.T)
+        return MatrixOperator(None, tuple((-d, v) for d, v in self.bands))
+
+    def _check(self, rows: int, side: str):
+        n = len(self.bands[0][1]) if self.dense is None else self.dense.shape[0]
+        if rows != n:
+            raise DimensionError(f"{side} product with an order-{n} matrix got {rows}")
+
+    def left(self, x: np.ndarray) -> np.ndarray:
+        """M @ x."""
+        self._check(x.shape[0], "left")
+        if self.dense is not None:
+            return self.dense @ x
+        (_, main), *off = self.bands
+        n = len(main)
+        out = main[:, None] * x
+        for d, v in off:
+            if d > 0:
+                out[: n - d] += v[:, None] * x[d:]
+            else:
+                out[-d:] += v[:, None] * x[: n + d]
+        return out
+
+    def right(self, x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+        """x @ M, or, given ``add_to``, add_to + x @ M formed in place."""
+        self._check(x.shape[1], "right")
+        if self.dense is not None:
+            if add_to is None:
+                return x @ self.dense
+            add_to += x @ self.dense
+            return add_to
+        (_, main), *off = self.bands
+        n = len(main)
+        if add_to is None:
+            out = x * main
+        else:
+            out = add_to
+            out += x * main
+        for d, v in off:
+            if d > 0:
+                out[:, d:] += x[:, : n - d] * v
+            else:
+                out[:, : n + d] += x[:, -d:] * v
+        return out
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .baselines import care_residual, newton_iteration
-from .care_admm import _augmented_lagrangian, _BlockState, sweep_until
+from .care_admm import QUIET_BLOW_UP, _augmented_lagrangian, _BlockState, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
@@ -162,15 +162,16 @@ def solve_lyapunov_admm(
     cfg = cfg or NewtonAdmmConfig()
     factors = _factors(p, cfg)
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
-    return sweep_until(
-        init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order),
-        lambda state: lyap_admm_step(p, state, cfg, factors),
-        lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
-        cfg.outer_tol if tol is None else tol,
-        cfg.inner_max,
-        lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
-        solution=lambda state: symmetrize(state.x),
-    )
+    with np.errstate(**QUIET_BLOW_UP):
+        return sweep_until(
+            init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order),
+            lambda state: lyap_admm_step(p, state, cfg, factors),
+            lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
+            cfg.outer_tol if tol is None else tol,
+            cfg.inner_max,
+            lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
+            solution=lambda state: symmetrize(state.x),
+        )
 
 
 def solve_newton_admm(

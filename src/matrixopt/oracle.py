@@ -16,11 +16,15 @@ from .linalg import frobenius_norm, kron, lu_solve, unvec, vec
 from .problems import SylvesterProblem
 
 
-def sylvester_residual(p: SylvesterProblem, x: np.ndarray) -> float:
-    """Frobenius norm of A x + x B - C."""
+def sylvester_residual(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:
+    """Frobenius norm of A x + x B - C; ``r`` is that matrix when the
+    caller has already formed it.  Formed here, it is the dense product,
+    independent of the problem's banded operator."""
     if x.shape != p.shape:
         raise DimensionError(f"iterate must be {p.shape}, got {x.shape}")
-    return frobenius_norm(p.a @ x + x @ p.b - p.c)
+    if r is None:
+        r = p.a @ x + x @ p.b - p.c
+    return frobenius_norm(r)
 
 
 def sylvester_operator_matrix(p: SylvesterProblem) -> np.ndarray:

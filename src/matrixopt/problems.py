@@ -10,18 +10,25 @@ attached as read-only reference metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, UnknownSuiteError
-from .linalg import as_matrix
+from .linalg import MatrixOperator, as_matrix
 
 SYMMETRY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SylvesterProblem:
-    """Linear matrix equation A X + X B = C with A (m x m), B (n x n), C (m x n)."""
+    """Linear matrix equation A X + X B = C with A (m x m), B (n x n), C (m x n).
+
+    :meth:`apply` and :meth:`apply_adjoint` form the equation operator
+    and its adjoint through :class:`~matrixopt.linalg.MatrixOperator`s of
+    A and B, built at first use: banded A and B are read from their
+    diagonals.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -46,6 +53,31 @@ class SylvesterProblem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.c.shape
+
+    @cached_property
+    def _operators(self) -> tuple[MatrixOperator, MatrixOperator]:
+        return MatrixOperator.of(self.a), MatrixOperator.of(self.b)
+
+    @cached_property
+    def _adjoint_operators(self) -> tuple[MatrixOperator, MatrixOperator]:
+        a, b = self._operators
+        return a.T, b.T
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x + x B."""
+        a, b = self._operators
+        return b.right(x, add_to=a.left(x))
+
+    def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
+        """A^T r + r B^T."""
+        a_t, b_t = self._adjoint_operators
+        return b_t.right(r, add_to=a_t.left(r))
+
+    def residual_matrix(self, x: np.ndarray) -> np.ndarray:
+        """A x + x B - C."""
+        r = self.apply(x)
+        r -= self.c
+        return r
 
 
 @dataclass(frozen=True)

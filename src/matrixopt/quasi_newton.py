@@ -22,7 +22,10 @@ runs converge in a handful of steps.  Armijo backtracking and a
 Wolfe-Powell bracket-and-zoom search are provided for comparison runs;
 note Armijo never tests curvature and can stall far from the solution.
 All three read their values and slopes off that exact quadratic profile,
-so a run evaluates one gradient per iterate.
+so a run evaluates one gradient per iterate.  The residual
+R = A X + X B - C of each iterate is formed once and kept with it: the
+objective value, the recorded residual norm and the next line search
+read it.
 
 The model is updated only when another step will read it: the step whose
 gradient passes ``grad_tol`` forms no update (in matrix form each update
@@ -106,11 +109,13 @@ class QnState:
     y: np.ndarray
 
 
-def f1_value(p: SylvesterProblem, x: np.ndarray) -> float:
-    """0.5 ||A x + x B - C||_F^2."""
+def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:
+    """0.5 ||A x + x B - C||_F^2; ``r`` is the residual A x + x B - C
+    when the caller has already formed it."""
     if x.shape != p.shape:
         raise DimensionError(f"iterate must be {p.shape}, got {x.shape}")
-    r = p.a @ x + x @ p.b - p.c
+    if r is None:
+        r = p.residual_matrix(x)
     return 0.5 * float(np.vdot(r, r))
 
 
@@ -122,23 +127,28 @@ def f1_gradient(p: SylvesterProblem, x: np.ndarray) -> np.ndarray:
     """
     if x.shape != p.shape:
         raise DimensionError(f"iterate must be {p.shape}, got {x.shape}")
-    r = p.a @ x + x @ p.b - p.c
-    return p.a.T @ r + r @ p.b.T
+    return p.apply_adjoint(p.residual_matrix(x))
 
 
-def _profile(p: SylvesterProblem, x: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
+def _profile(
+    p: SylvesterProblem, x: np.ndarray, d: np.ndarray, r: np.ndarray | None = None
+) -> tuple[float, float, float]:
     """Coefficients of the objective along ``d``: with R = A x + x B - C
-    and S = A d + d B, f(x + t d) = phi0 + t dphi0 + t^2 ss / 2 exactly,
-    for (phi0, dphi0, ss) = (||R||^2 / 2, <R, S>, <S, S>)."""
-    r = p.a @ x + x @ p.b - p.c
-    s = p.a @ d + d @ p.b
+    (``r`` when given) and S = A d + d B, f(x + t d) = phi0 + t dphi0 +
+    t^2 ss / 2 exactly, for (phi0, dphi0, ss) = (||R||^2 / 2, <R, S>, <S, S>)."""
+    if r is None:
+        r = p.residual_matrix(x)
+    s = p.apply(d)
     return 0.5 * float(np.vdot(r, r)), float(np.vdot(r, s)), float(np.vdot(s, s))
 
 
-def exact_step(p: SylvesterProblem, x: np.ndarray, direction: np.ndarray) -> float:
+def exact_step(
+    p: SylvesterProblem, x: np.ndarray, direction: np.ndarray, r: np.ndarray | None = None
+) -> float:
     """Closed-form minimizer of the quadratic profile along ``direction``:
-    max(0, -dphi0 / ss) over nonnegative steps."""
-    _, dphi0, ss = _profile(p, x, direction)
+    max(0, -dphi0 / ss) over nonnegative steps.  ``r``, here and in the
+    other searches, is the residual at ``x`` when already formed."""
+    _, dphi0, ss = _profile(p, x, direction, r)
     if ss == 0.0:
         raise DegenerateDirectionError("direction lies in the operator null space")
     return max(0.0, -dphi0 / ss)
@@ -150,10 +160,11 @@ def armijo_search(
     direction: np.ndarray,
     sigma1: float = 1e-4,
     max_trials: int = 60,
+    r: np.ndarray | None = None,
 ) -> float:
     """Backtracking search halving from 1.0 until sufficient decrease
     holds, read off the quadratic profile."""
-    phi0, dphi0, ss = _profile(p, x, direction)
+    phi0, dphi0, ss = _profile(p, x, direction, r)
     if dphi0 >= 0:
         raise PreconditionError("armijo_search requires a descent direction")
     alpha = 1.0
@@ -171,6 +182,7 @@ def wolfe_search(
     sigma1: float = 1e-4,
     sigma2: float = 0.9,
     max_trials: int = 60,
+    r: np.ndarray | None = None,
 ) -> float:
     """Bracket-and-zoom search for a step meeting both Wolfe-Powell
     conditions: sufficient decrease with slope fraction ``sigma1`` and the
@@ -180,7 +192,7 @@ def wolfe_search(
     Starts at 1.0, doubles while the step is too short, bisects once a
     bracket exists; fails after ``max_trials`` trial points.
     """
-    phi0, dphi0, ss = _profile(p, x, direction)
+    phi0, dphi0, ss = _profile(p, x, direction, r)
     if dphi0 >= 0:
         raise PreconditionError("wolfe_search requires a descent direction")
 
@@ -297,12 +309,13 @@ def solve_quasi_newton(
         raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
     state.inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
     state.inv_h_norm = frobenius_norm(state.inv_h)
+    state.r = p.residual_matrix(state.x)
     state.g = f1_gradient(p, state.x)
     g_norm = frobenius_norm(state.g)
     state.done = g_norm < cfg.grad_tol
     detail: dict = {
         "updates": [],
-        "f_history": [f1_value(p, state.x)],
+        "f_history": [f1_value(p, state.x, state.r)],
         "grad_norm_history": [g_norm],
         "curvature_skips": 0,
         "mode": cfg.mode,
@@ -315,15 +328,19 @@ def solve_quasi_newton(
         if trace_inner(s.g, direction) >= 0:
             raise Stop("stagnated")
         if cfg.linesearch == "exact":
-            lam = exact_step(p, s.x, direction)
+            lam = exact_step(p, s.x, direction, r=s.r)
         elif cfg.linesearch == "armijo":
-            lam = armijo_search(p, s.x, direction, cfg.sigma1)
+            lam = armijo_search(p, s.x, direction, cfg.sigma1, r=s.r)
         else:
-            lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2)
+            lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2, r=s.r)
         if lam == 0.0:
             raise Stop("stagnated")
 
         x_new = s.x + lam * direction
+        # The model update below is the step's memory peak: hold no more
+        # n x n arrays through it than the step needs.
+        del direction
+        s.r = p.residual_matrix(x_new)
         g_new = f1_gradient(p, x_new)
         g_norm = frobenius_norm(g_new)
         s.done = g_norm < cfg.grad_tol
@@ -331,7 +348,7 @@ def solve_quasi_newton(
         if not s.done:
             update_model(s, x_new, g_new, lam)
         s.x, s.g = x_new, g_new
-        detail["f_history"].append(f1_value(p, x_new))
+        detail["f_history"].append(f1_value(p, x_new, s.r))
         detail["grad_norm_history"].append(g_norm)
         return s
 
@@ -376,7 +393,7 @@ def solve_quasi_newton(
     return iterate(
         state,
         step,
-        lambda s: sylvester_residual(p, s.x),
+        lambda s: sylvester_residual(p, s.x, s.r),
         stop,
         cfg.max_iterations,
         solution=lambda s: s.x,

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -384,6 +385,18 @@ class TestSweepLoop:
         assert len(report.residual_history) == report.iterations + 1
         assert np.isfinite(report.residual_history[:-1]).all()
         assert not np.isfinite(report.final_residual)
+
+    def test_blow_up_raises_no_warning(self, splitting, monkeypatch):
+        # The solve quiets numpy's inf/NaN warnings itself: the
+        # ``diverged`` label already records the blow-up.
+        _blow_up_from(monkeypatch, splitting, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = _sweeps(splitting, 50)
+        assert (report.termination, report.iterations) == ("diverged", 5)
+        if splitting == "care":
+            assert not np.isfinite(report.detail["final_kkt_residuals"]).any()
+            assert np.isnan(report.detail["closed_loop_max_real_eig"])
 
     def test_non_finite_init_is_rejected(self, splitting):
         init = _sweeps(splitting, 3).detail["state"]

@@ -175,18 +175,18 @@ GOLDEN = {
     't5-dfp-vectorized': (1, 'converged', 2, 0.0),
     't5-dfp-wolfe': (2, 'converged', 3, 4.884981308350689e-15),
     't5-direct': (0, 'converged', 1, 5.951686021532507e-16),
-    't6-ar': (16, 'converged', 17, 3.6304337552537845e-09),
+    't6-ar': (16, 'converged', 17, 3.6304337894906403e-09),  # banded Sylvester operator, was 3.6304337552537845e-09
     't6-ar-omega1': (29, 'diverged', 30, 12300527.404853132),
-    't6-bfgs-armijo': (2, 'converged', 3, 9.470552199215903e-16),
-    't6-bfgs-exact': (2, 'converged', 3, 9.215731665861842e-16),
-    't6-bfgs-vectorized': (14, 'converged', 15, 3.922044291898453e-10),
-    't6-bfgs-wolfe': (2, 'converged', 3, 9.470552199215903e-16),
+    't6-bfgs-armijo': (2, 'converged', 3, 9.35398459678175e-16),  # banded Sylvester operator, was 9.470552199215903e-16
+    't6-bfgs-exact': (2, 'converged', 3, 1.0283910996628163e-15),  # banded Sylvester operator, was 9.215731665861842e-16
+    't6-bfgs-vectorized': (14, 'converged', 15, 3.9220443595945605e-10),  # banded Sylvester operator, was 3.922044291898453e-10
+    't6-bfgs-wolfe': (2, 'converged', 3, 9.35398459678175e-16),  # banded Sylvester operator, was 9.470552199215903e-16
     't6-ccom': (1, 'converged', 2, 1.2196823201173783e-15),
     't6-cg': (9, 'converged', 10, 2.347073826271071e-09),
-    't6-dfp-armijo': (2, 'converged', 3, 1.5954345535043182e-13),
-    't6-dfp-exact': (2, 'converged', 3, 1.386467766224777e-13),
-    't6-dfp-vectorized': (14, 'converged', 15, 3.9338065703860804e-10),
-    't6-dfp-wolfe': (2, 'converged', 3, 1.5954345535043182e-13),
+    't6-dfp-armijo': (2, 'converged', 3, 1.5953366276664622e-13),  # banded Sylvester operator, was 1.5954345535043182e-13
+    't6-dfp-exact': (2, 'converged', 3, 1.6481172357851462e-13),  # banded Sylvester operator, was 1.386467766224777e-13
+    't6-dfp-vectorized': (14, 'converged', 15, 3.9338064924120984e-10),  # banded Sylvester operator, was 3.9338065703860804e-10
+    't6-dfp-wolfe': (2, 'converged', 3, 1.5953366276664622e-13),  # banded Sylvester operator, was 1.5954345535043182e-13
     't6-direct': (0, 'converged', 1, 7.493329227000589e-16),
     't8-admm-cap200': (200, 'max_iterations', 201, 0.0004771852792345927),
     't8-admm-check7': (574, 'converged', 83, 9.248793964515478e-09),

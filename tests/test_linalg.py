@@ -13,8 +13,10 @@ from matrixopt.errors import (
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
+from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import (
     LU_PIVOT_RTOL,
+    MatrixOperator,
     as_matrix,
     cholesky_solve,
     frobenius_norm,
@@ -26,6 +28,7 @@ from matrixopt.linalg import (
     unvec,
     vec,
 )
+from matrixopt.problems import SylvesterProblem, gen_tridiagonal, paper_suite
 
 finite_entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -274,3 +277,99 @@ def test_symmetrize():
     s = symmetrize(m)
     np.testing.assert_allclose(s, s.T)
     np.testing.assert_allclose(s, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def _banded(rng, n, k):
+    """n x n matrix with random, non-constant diagonals -k..k."""
+    return sum(np.diag(rng.standard_normal(n - abs(d)), d) for d in range(-k, k + 1))
+
+
+def _rel_err(got, want):
+    return frobenius_norm(got - want) / frobenius_norm(want)
+
+
+class TestMatrixOperator:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, m", [(9, 9), (9, 4), (6, 11)])
+    def test_band_products_match_the_dense_ones(self, k, order, n, m):
+        rng = np.random.default_rng(100 * k + n + m)
+        a = _banded(rng, n, k)
+        op = MatrixOperator.of(a)
+        assert op.dense is None and len(op.bands) == 2 * k + 1
+        x_left = np.asarray(rng.standard_normal((n, m)), order=order)
+        x_right = np.asarray(rng.standard_normal((m, n)), order=order)
+        assert _rel_err(op.left(x_left), a @ x_left) <= 1e-14
+        assert _rel_err(op.right(x_right), x_right @ a) <= 1e-14
+        assert _rel_err(op.T.left(x_left), a.T @ x_left) <= 1e-14
+        assert _rel_err(op.T.right(x_right), x_right @ a.T) <= 1e-14
+        acc = rng.standard_normal((m, n))
+        want = acc + x_right @ a
+        assert _rel_err(op.right(x_right, add_to=acc), want) <= 1e-14
+
+    def test_half_bandwidth_is_the_smallest_that_holds(self):
+        a = gen_tridiagonal(8, 5.0, -1.0, 0.0)  # lower bidiagonal
+        assert len(MatrixOperator.of(a).bands) == 3
+        assert len(MatrixOperator.of(np.eye(8)).bands) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: rng.standard_normal((7, 7)),  # full
+            lambda rng: gen_tridiagonal(3, 2.0, -1.0, 1.5),  # 2k + 1 == n
+            lambda rng: _banded(rng, 5, 2),  # 2k + 1 == n
+            lambda rng: _banded(rng, 8, 2) + 0.5 * np.eye(8, k=3),  # one entry outside
+            lambda rng: _banded(rng, 8, 1) + np.diag([1.0, 0.0, 0.0, 0.0, 0.0], -3),
+        ],
+        ids=["full", "tridiagonal-3", "pentadiagonal-5", "band-2-plus-one", "band-1-plus-one"],
+    )
+    def test_dense_path_is_the_dense_product_to_the_bit(self, build):
+        rng = np.random.default_rng(3)
+        a = build(rng)
+        n = a.shape[0]
+        b = rng.standard_normal((n, n))
+        op_a, op_b = MatrixOperator.of(a), MatrixOperator.of(b)
+        assert op_a.dense is a and op_b.dense is b
+        x = rng.standard_normal((n, n))
+        assert np.array_equal(op_a.left(x), a @ x)
+        assert np.array_equal(op_a.right(x), x @ a)
+        assert np.array_equal(op_a.T.left(x), a.T @ x)
+        assert np.array_equal(op_b.right(x, add_to=op_a.left(x)), a @ x + x @ b)
+        p = SylvesterProblem(a, b, rng.standard_normal((n, n)))
+        assert np.array_equal(p.apply(x), a @ x + x @ b)
+        assert np.array_equal(p.apply_adjoint(x), a.T @ x + x @ b.T)
+        assert np.array_equal(p.residual_matrix(x), a @ x + x @ b - p.c)
+
+    def test_problem_operator_matches_the_dense_operator(self):
+        rng = np.random.default_rng(5)
+        a, b = _banded(rng, 12, 1), _banded(rng, 7, 2)
+        p = SylvesterProblem(a, b, rng.standard_normal((12, 7)))
+        x = rng.standard_normal((12, 7))
+        assert _rel_err(p.apply(x), a @ x + x @ b) <= 1e-14
+        assert _rel_err(p.apply_adjoint(x), a.T @ x + x @ b.T) <= 1e-14
+        assert _rel_err(p.residual_matrix(x), a @ x + x @ b - p.c) <= 1e-14
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_wrong_order_is_a_dimension_error(self, side):
+        for m in (gen_tridiagonal(6, 2.0, 1.0, 1.0), np.ones((6, 6))):
+            op = MatrixOperator.of(m)
+            x = np.ones((5, 5))
+            with pytest.raises(DimensionError):
+                getattr(op, side)(x)
+
+
+# t6 at n=256, recorded with dense products: the band form keeps every
+# count and termination.
+T6_N256 = {
+    "dfp": (2, "converged", 3),
+    "bfgs": (2, "converged", 3),
+    "cg": (10, "converged", 11),
+    "ar": (17, "converged", 18),
+}
+
+
+@pytest.mark.parametrize("method", sorted(T6_N256))
+def test_t6_n256_keeps_its_counts(method):
+    (row,) = [r for r in paper_suite("t6") if r.method == method and r.source.order == 256]
+    report = run_method(method, row.source.build(), row.params)
+    assert (report.iterations, report.termination, len(report.residual_history)) == T6_N256[method]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,17 @@ class TestSolveNewtonAdmm:
         assert report.residual_history == clean.residual_history[:2]
         assert np.array_equal(report.solution, clean.detail["outer_trace"][1])
         assert np.isfinite(report.detail["closed_loop_max_real_eig"])
+
+    def test_inner_blow_up_raises_no_warning(self, monkeypatch):
+        p = t9_problem(16)
+        monkeypatch.setattr(
+            newton_admm, "lyap_admm_step",
+            lambda lp, s, *args: LyapAdmmState(*(np.full_like(s.x, np.inf) for _ in range(5))),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
+        assert (report.termination, report.iterations) == ("diverged", 0)
 
     def test_outer_iterates_symmetric(self, rng):
         p = stable_random_care(rng)
