@@ -6,8 +6,9 @@ explicit shape) at module boundaries.  Operations are pure functions of
 their inputs, apart from :func:`serial_products`, which sets numpy's
 BLAS thread count for the duration of a block.  The LU and Cholesky
 solves call LAPACK directly, bit-identical to scipy's wrappers.
-:class:`MatrixOperator` multiplies by a narrowly banded matrix through
-its diagonals.
+:func:`pseudo_inverse` skips its SVD for a square matrix whose LU
+inverse certifies full rank.  :class:`MatrixOperator` multiplies by a
+narrowly banded matrix through its diagonals.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ LU_PIVOT_RTOL = 1e-14
 
 # Default relative singular-value cutoff for the pseudo-inverse.
 DEFAULT_RANK_TOL = 1e-12
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -230,14 +233,33 @@ def serial_products():
 
 
 def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via SVD.
+    """Moore-Penrose inverse.
 
-    Singular values below ``rank_tol * sigma_max`` are truncated.  The
-    zero matrix maps to the zero matrix of transposed shape.
+    Singular values at or below ``rank_tol * sigma_max`` are truncated.
+    The zero matrix maps to the zero matrix of transposed shape.
+
+    A non-empty square ``a`` whose LU inverse certifies full rank skips
+    the SVD.  ||a||_F ||a^-1||_F bounds sigma_max / sigma_min from above;
+    the SVD's singular values carry rounding errors of about
+    n eps sigma_max, so when the bound stays below
+    ``1 / (rank_tol + n eps)`` the SVD would keep every singular value,
+    and the inverse is the answer.  A singular pivot, a larger or
+    non-finite bound leaves the matrix to the SVD.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0] if a.ndim == 2 else 0
+    if n > 0 and a.shape[1] == n:
+        try:
+            inv = lu_solve(a, np.eye(n))
+        except SingularMatrixError:
+            pass
+        else:
+            # Python floats: an overflowing product is inf, never a warning.
+            tol = rank_tol + n * _EPS
+            if frobenius_norm(a) * frobenius_norm(inv) * tol < 1.0:
+                return inv
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))

@@ -24,13 +24,13 @@ note Armijo never tests curvature and can stall far from the solution.
 All three read their values and slopes off that exact quadratic profile,
 so a run evaluates one gradient per iterate.  The residual
 R = A X + X B - C of each iterate is formed once and kept with it: the
-objective value, the recorded residual norm and the next line search
-read it.
+gradient, the objective value, the recorded residual norm and the next
+line search read it.
 
 The model is updated only when another step will read it: the step whose
 gradient passes ``grad_tol`` forms no update (in matrix form each update
-costs one or two n x n SVDs).  An update whose model has a non-finite
-Frobenius norm ends the run as ``diverged``.
+costs one or two n x n pseudo-inverses).  An update whose model has a
+non-finite Frobenius norm ends the run as ``diverged``.
 """
 
 from __future__ import annotations
@@ -119,15 +119,20 @@ def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) ->
     return 0.5 * float(np.vdot(r, r))
 
 
-def f1_gradient(p: SylvesterProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient A^T R + R B^T with R = A x + x B - C.
+def f1_gradient(
+    p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient A^T R + R B^T with R = A x + x B - C (``r`` when the
+    caller has already formed it).
 
     This is the adjoint of the equation operator applied to the residual,
     validated against central finite differences in the test suite.
     """
     if x.shape != p.shape:
         raise DimensionError(f"iterate must be {p.shape}, got {x.shape}")
-    return p.apply_adjoint(p.residual_matrix(x))
+    if r is None:
+        r = p.residual_matrix(x)
+    return p.apply_adjoint(r)
 
 
 def _profile(
@@ -310,7 +315,7 @@ def solve_quasi_newton(
     state.inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
     state.inv_h_norm = frobenius_norm(state.inv_h)
     state.r = p.residual_matrix(state.x)
-    state.g = f1_gradient(p, state.x)
+    state.g = f1_gradient(p, state.x, state.r)
     g_norm = frobenius_norm(state.g)
     state.done = g_norm < cfg.grad_tol
     detail: dict = {
@@ -341,7 +346,7 @@ def solve_quasi_newton(
         # n x n arrays through it than the step needs.
         del direction
         s.r = p.residual_matrix(x_new)
-        g_new = f1_gradient(p, x_new)
+        g_new = f1_gradient(p, x_new, s.r)
         g_norm = frobenius_norm(g_new)
         s.done = g_norm < cfg.grad_tol
         # Only a next step reads the model, so the converging step forms none.

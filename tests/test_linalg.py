@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +16,7 @@ from matrixopt.errors import (
 )
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import (
+    DEFAULT_RANK_TOL,
     LU_PIVOT_RTOL,
     MatrixOperator,
     as_matrix,
@@ -230,6 +232,128 @@ class TestPseudoInverse:
             assert frobenius_norm(ap @ a @ ap - ap) <= 1e-10 * frobenius_norm(ap)
             assert frobenius_norm((a @ ap).T - a @ ap) <= 1e-10 * max(1.0, na)
             assert frobenius_norm((ap @ a).T - ap @ a) <= 1e-10 * max(1.0, na)
+
+    @staticmethod
+    def _counted_svd(monkeypatch):
+        """Route np.linalg.svd through a counter; returns the call list."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @staticmethod
+    def _with_singular_values(rng, s):
+        n = len(s)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (u * s) @ v.T
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_full_rank_square_skips_the_svd(self, monkeypatch, rng, n):
+        a = self._with_singular_values(rng, rng.uniform(1.0, 4.0, n))
+        expected = np.linalg.pinv(a)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        ap = pseudo_inverse(a)
+        assert frobenius_norm(ap - expected) <= 1e-12 * frobenius_norm(expected)
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "non-square", "zero"])
+    def test_rank_deficient_non_square_and_zero_take_the_svd(self, monkeypatch, rng, kind):
+        a = {
+            "rank-deficient": rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5)),
+            "non-square": rng.standard_normal((4, 6)),
+            "zero": np.zeros((3, 3)),
+        }[kind]
+        expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+        calls = self._counted_svd(monkeypatch)
+        ap = pseudo_inverse(a)
+        assert calls == [a.shape]
+        assert frobenius_norm(ap - expected) <= 1e-12 * max(1.0, frobenius_norm(expected))
+
+    def test_cutoff_matrices_take_the_svd(self, monkeypatch):
+        # sigma_min = rank_tol * sigma_max exactly: the SVD's keep-or-drop
+        # decision is set by rounding, so the certificate must leave every
+        # such matrix to it.  These spectra put ||a||_F ||a^-1||_F within
+        # rounding of the condition number itself.
+        rng = np.random.default_rng(7)
+        spectra = ([1.0, DEFAULT_RANK_TOL], [1.0, math.sqrt(DEFAULT_RANK_TOL), DEFAULT_RANK_TOL])
+        cases = [self._with_singular_values(rng, s) for s in spectra for _ in range(100)]
+        expected = [np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL) for a in cases]
+        calls = self._counted_svd(monkeypatch)
+        for a, e in zip(cases, expected):
+            assert frobenius_norm(pseudo_inverse(a) - e) <= 1e-10 * frobenius_norm(e)
+        assert len(calls) == len(cases)
+
+    # Outcomes of the SVD on non-finite input, recorded before the LU path
+    # existed: the LU path leaves every such matrix to the SVD.
+    @pytest.mark.parametrize("a, outcome", [
+        ([[np.nan]], np.linalg.LinAlgError),
+        ([[1.0, np.nan], [0.0, 1.0]], np.linalg.LinAlgError),
+        (np.full((3, 3), np.inf), np.linalg.LinAlgError),
+        ([[np.inf]], [[0.0]]),
+        ([[1.0, np.inf], [0.0, 1.0]], np.full((2, 2), np.nan)),
+        ([[np.inf, 0.0], [0.0, 1.0]], np.zeros((2, 2))),
+    ], ids=["nan-1x1", "nan-2x2", "inf-3x3", "inf-1x1", "inf-2x2-upper", "inf-2x2-diagonal"])
+    def test_non_finite_input_keeps_its_svd_outcome(self, monkeypatch, a, outcome):
+        calls = self._counted_svd(monkeypatch)
+        a = np.array(a)
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                pseudo_inverse(a)
+        else:
+            np.testing.assert_array_equal(pseudo_inverse(a), outcome)
+        assert calls == [a.shape]
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_overflowing_bound_warns_nothing(self, monkeypatch, scale):
+        # ||a||_F or ||a^-1||_F is not finite: the matrix goes to the SVD.
+        a = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+        calls = self._counted_svd(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ap = pseudo_inverse(a)
+        assert calls == [a.shape]
+        assert frobenius_norm(ap - expected) <= 1e-12 * frobenius_norm(expected)
+
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_ratio=st.floats(-16.0, -2.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    @example(n=2, seed=0, log_ratio=-12.0, log_scale=0.0)
+    @example(n=5, seed=1, log_ratio=-12.0, log_scale=2.5)
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_admits_no_matrix_the_svd_truncates(self, n, seed, log_ratio, log_scale):
+        # M = U diag(s) V^T with sigma_min / sigma_max = 10^log_ratio, across
+        # rank_tol; the other singular values lie between, spread in log.
+        rng = np.random.default_rng(seed)
+        ratio = 10.0 ** log_ratio
+        s = np.sort(np.r_[1.0, ratio ** rng.uniform(0.0, 1.0, n - 2), ratio])[::-1]
+        s *= 10.0 ** log_scale
+        a = self._with_singular_values(rng, s)
+        ap = pseudo_inverse(a)
+        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
+            expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+            assert frobenius_norm(ap - expected) <= 1e-10 * frobenius_norm(expected)
+        # The four Penrose identities, to rounding scaled by the effective
+        # condition number ||a||_2 ||a^+||_2 of either path's answer; the
+        # first also carries the truncated part, below rank_tol sigma_max.
+        unit = 1e3 * n * np.finfo(float).eps * np.linalg.norm(a, 2) * np.linalg.norm(ap, 2)
+        na, nap = frobenius_norm(a), frobenius_norm(ap)
+        assert frobenius_norm(a @ ap @ a - a) <= (unit + math.sqrt(n) * DEFAULT_RANK_TOL) * na
+        assert frobenius_norm(ap @ a @ ap - ap) <= unit * nap
+        assert frobenius_norm((a @ ap).T - a @ ap) <= unit
+        assert frobenius_norm((ap @ a).T - ap @ a) <= unit
 
 
 class TestKronVec:

@@ -402,9 +402,9 @@ class TestSolver:
         # gradients are the initial one and one per step.
         calls = []
 
-        def counted(p, x):
+        def counted(p, x, r=None):
             calls.append(x)
-            return f1_gradient(p, x)
+            return f1_gradient(p, x, r)
 
         monkeypatch.setattr("matrixopt.quasi_newton.f1_gradient", counted)
         p = sylvester_family("t6", 16).build()
