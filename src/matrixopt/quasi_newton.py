@@ -27,10 +27,17 @@ R = A X + X B - C of each iterate is formed once and kept with it: the
 gradient, the objective value, the recorded residual norm and the next
 line search read it.
 
-The model is updated only when another step will read it: the step whose
-gradient passes ``grad_tol`` forms no update (in matrix form each update
-costs one or two n x n pseudo-inverses).  An update whose model has a
-non-finite Frobenius norm ends the run as ``diverged``.
+The start model is the identity and is never formed (``None`` stands
+for it): the first direction is -g, and the first update reads G y = y
+and forms E E^T in place of E I E^T.  The model is updated only when
+another step will read it: the step whose gradient passes ``grad_tol``
+forms no update (in matrix form each update costs one or two n x n
+pseudo-inverses).  An update keeps the order of its textbook expression,
+(G + d K d^T) - (G y) T (G y)^T for DFP and E G E^T + dk d^T for BFGS,
+but accumulates it in one array, and a step releases its old iterate
+before the update, so the first update of a square matrix-form run
+holds at most eight n x n arrays at once.  An update whose model has a non-finite Frobenius norm
+ends the run as ``diverged``.
 """
 
 from __future__ import annotations
@@ -99,12 +106,13 @@ class QnState:
     """One inverse-curvature update's operands.
 
     ``delta = X_k - X_{k-1}`` and ``y = g_k - g_{k-1}`` are m x n;
-    ``inv_hessian`` is m x m in matrix form, mn x mn vectorized.
+    ``inv_hessian`` is m x m in matrix form, mn x mn vectorized, and None
+    for the identity, the start model.
     """
 
     x: np.ndarray
     g: np.ndarray
-    inv_hessian: np.ndarray
+    inv_hessian: np.ndarray | None
     delta: np.ndarray
     y: np.ndarray
 
@@ -222,6 +230,19 @@ def _curvature_guard(name: str, value: float):
         )
 
 
+def _plus_identity(m: np.ndarray) -> np.ndarray:
+    """m + I, formed in m's storage."""
+    m.flat[:: m.shape[0] + 1] += 1.0
+    return m
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2, formed in m's storage."""
+    m += m.T
+    m *= 0.5
+    return m
+
+
 def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     """Rank-2 DFP update of the inverse-curvature approximation.
 
@@ -236,6 +257,8 @@ def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
         y = vec(state.y).ravel()
         s = float(d @ y)
         _curvature_guard("<delta, y>", s)
+        if g is None:
+            g = np.eye(d.size)
         gy = g @ y
         ygy = float(y @ gy)
         _curvature_guard("y^T G y", ygy)
@@ -243,10 +266,19 @@ def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     if mode != "matrix_form":
         raise ValueError(f"unknown mode {mode!r}")
     d, y = state.delta, state.y
-    k = pseudo_inverse(d.T @ y)
-    gy = g @ y
-    t = pseudo_inverse(y.T @ gy)
-    return symmetrize(g + d @ k @ d.T - gy @ t @ gy.T)
+    gy = y if g is None else g @ y
+    # (G + d K d^T) - (G y) T (G y)^T, accumulated in one array; the
+    # subtrahend is formed first so that G y and T are gone before K is.
+    correction = gy @ pseudo_inverse(y.T @ gy) @ gy.T
+    del gy
+    out = d @ pseudo_inverse(d.T @ y) @ d.T
+    if g is None:
+        _plus_identity(out)
+    else:
+        out += g
+    out -= correction
+    del correction
+    return _symmetrized(out)
 
 
 def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
@@ -261,6 +293,8 @@ def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
         y = vec(state.y).ravel()
         s = float(d @ y)
         _curvature_guard("<delta, y>", s)
+        if g is None:
+            g = np.eye(d.size)
         gy = g @ y
         ygy = float(y @ gy)
         dd = np.outer(d, d)
@@ -270,11 +304,19 @@ def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
         raise ValueError(f"unknown mode {mode!r}")
     d, y = state.delta, state.y
     dk = d @ pseudo_inverse(d.T @ y)
-    e = np.eye(d.shape[0]) - dk @ y.T
-    return symmetrize(e @ g @ e.T + dk @ d.T)
+    # E = I - dk y^T, then E G E^T + dk d^T accumulated in one array.
+    e = dk @ y.T
+    np.negative(e, out=e)
+    _plus_identity(e)
+    out = e @ e.T if g is None else e @ g @ e.T
+    del e
+    out += dk @ d.T
+    return _symmetrized(out)
 
 
-def _direction(g_mat: np.ndarray, inv_h: np.ndarray, mode: str, shape) -> np.ndarray:
+def _direction(g_mat: np.ndarray, inv_h: np.ndarray | None, mode: str, shape) -> np.ndarray:
+    if inv_h is None:
+        return -g_mat
     if mode == "matrix_form":
         return -(inv_h @ g_mat)
     return unvec(-(inv_h @ vec(g_mat)), *shape)
@@ -312,8 +354,9 @@ def solve_quasi_newton(
     )
     if state.x.shape != (m, n):
         raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
-    state.inv_h = np.eye(m) if cfg.mode == "matrix_form" else np.eye(m * n)
-    state.inv_h_norm = frobenius_norm(state.inv_h)
+    # The identity start model is never formed: None stands for it.
+    state.inv_h = None
+    state.inv_h_norm = math.sqrt(m if cfg.mode == "matrix_form" else m * n)
     state.r = p.residual_matrix(state.x)
     state.g = f1_gradient(p, state.x, state.r)
     g_norm = frobenius_norm(state.g)
@@ -349,30 +392,36 @@ def solve_quasi_newton(
         g_new = f1_gradient(p, x_new, s.r)
         g_norm = frobenius_norm(g_new)
         s.done = g_norm < cfg.grad_tol
-        # Only a next step reads the model, so the converging step forms none.
-        if not s.done:
-            update_model(s, x_new, g_new, lam)
-        s.x, s.g = x_new, g_new
+        # Only a next step reads the model, so the converging step forms
+        # none.  The old iterate is released before the update.
+        if s.done:
+            s.x, s.g = x_new, g_new
+        else:
+            delta, y = x_new - s.x, g_new - s.g
+            s.x, s.g = x_new, g_new
+            update_model(s, delta, y, lam)
         detail["f_history"].append(f1_value(p, x_new, s.r))
         detail["grad_norm_history"].append(g_norm)
         return s
 
-    def update_model(s, x_new, g_new, lam):
-        """Replace ``s.inv_h`` by its update for the step to ``x_new``."""
-        delta = x_new - s.x
-        y = g_new - s.g
-        update = QnState(x=x_new, g=g_new, inv_hessian=s.inv_h, delta=delta, y=y)
+    def update_model(s, delta, y, lam):
+        """Replace ``s.inv_h`` by its update for the step ``delta`` that
+        moved the gradient by ``y``."""
         audit = {
             "step": lam,
             "curvature": trace_inner(delta, y),
             "skipped": False,
         }
         try:
-            inv_h = update_fn(update, cfg.mode)
+            inv_h = update_fn(
+                QnState(x=s.x, g=s.g, inv_hessian=s.inv_h, delta=delta, y=y), cfg.mode
+            )
         except CurvatureError:
             detail["curvature_skips"] += 1
             audit["skipped"] = True
         else:
+            # Release the old model before the audit's temporaries.
+            s.inv_h = inv_h
             if cfg.mode == "matrix_form":
                 secant_err = frobenius_norm(inv_h @ y - delta)
             else:
@@ -385,7 +434,7 @@ def solve_quasi_newton(
             audit["inv_hessian_norm"] = frobenius_norm(inv_h)
             if inv_h.shape[0] <= 64:
                 audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
-            s.inv_h, s.inv_h_norm = inv_h, audit["inv_hessian_norm"]
+            s.inv_h_norm = audit["inv_hessian_norm"]
         detail["updates"].append(audit)
 
     def stop(s, res):

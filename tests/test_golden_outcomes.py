@@ -179,16 +179,16 @@ GOLDEN = {
     't5-direct': (0, 'converged', 1, 5.951686021532507e-16),
     't6-ar': (16, 'converged', 17, 3.6304337894906403e-09),  # banded Sylvester operator, was 3.6304337552537845e-09
     't6-ar-omega1': (29, 'diverged', 30, 12300527.404853132),
-    't6-bfgs-armijo': (2, 'converged', 3, 4.611046175249546e-16),  # certified LU pseudo-inverse, was 9.35398459678175e-16
-    't6-bfgs-exact': (2, 'converged', 3, 4.3952828076356995e-16),  # certified LU pseudo-inverse, was 1.0283910996628163e-15
+    't6-bfgs-armijo': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
+    't6-bfgs-exact': (2, 'converged', 3, 4.2651787210335784e-16),  # identity start model, getri inverse, was 4.3952828076356995e-16
     't6-bfgs-vectorized': (14, 'converged', 15, 3.9220443595945605e-10),  # banded Sylvester operator, was 3.922044291898453e-10
-    't6-bfgs-wolfe': (2, 'converged', 3, 4.611046175249546e-16),  # certified LU pseudo-inverse, was 9.35398459678175e-16
+    't6-bfgs-wolfe': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
     't6-ccom': (1, 'converged', 2, 1.2196823201173783e-15),
     't6-cg': (9, 'converged', 10, 2.347073826271071e-09),
-    't6-dfp-armijo': (2, 'converged', 3, 3.081228427184746e-14),  # certified LU pseudo-inverse, was 1.5953366276664622e-13
-    't6-dfp-exact': (2, 'converged', 3, 3.299927058553371e-14),  # certified LU pseudo-inverse, was 1.6481172357851462e-13
+    't6-dfp-armijo': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
+    't6-dfp-exact': (2, 'converged', 3, 3.650313286098203e-14),  # identity start model, getri inverse, was 3.299927058553371e-14
     't6-dfp-vectorized': (14, 'converged', 15, 3.9338064924120984e-10),  # banded Sylvester operator, was 3.9338065703860804e-10
-    't6-dfp-wolfe': (2, 'converged', 3, 3.081228427184746e-14),  # certified LU pseudo-inverse, was 1.5953366276664622e-13
+    't6-dfp-wolfe': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
     't6-direct': (0, 'converged', 1, 7.493329227000589e-16),
     't8-admm-cap200': (200, 'max_iterations', 201, 0.0004771852792345927),
     't8-admm-check7': (574, 'converged', 83, 9.248793964515478e-09),

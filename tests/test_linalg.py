@@ -23,6 +23,7 @@ from matrixopt.linalg import (
     cholesky_solve,
     frobenius_norm,
     kron,
+    lu_inverse,
     lu_solve,
     pseudo_inverse,
     symmetrize,
@@ -155,6 +156,51 @@ class TestLuSolve:
     def test_empty_system_is_a_dimension_error(self):
         with pytest.raises(DimensionError):
             lu_solve(np.zeros((0, 0)), np.zeros(0))
+
+
+class TestLuInverse:
+    """lu_inverse shares lu_solve's factorization and pivot test, and
+    inverts the factors with getri."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 200])
+    def test_matches_lu_solve_on_the_identity(self, n):
+        rng = np.random.default_rng(2000 + n)
+        a = rng.standard_normal((n, n)) + math.sqrt(n) * np.eye(n)
+        want = lu_solve(a, np.eye(n))
+        got = lu_inverse(a)
+        assert frobenius_norm(got - want) <= 1e-13 * frobenius_norm(want)
+
+    @pytest.mark.parametrize("solve", [
+        lambda a: lu_solve(a, np.ones(a.shape[0])), lu_inverse,
+    ], ids=["lu_solve", "lu_inverse"])
+    @pytest.mark.parametrize("a", [
+        np.ones((2, 2)),
+        np.diag([1.0, 0.5 * LU_PIVOT_RTOL]),
+        np.diag([1.0, 2.0 * LU_PIVOT_RTOL]) @ np.array([[1.0, 0.0], [1.0, 1.0]]),
+        np.zeros((3, 3)),
+        np.diag([-3.0, 1e-14]),
+    ], ids=["rank-one", "below-threshold", "above-threshold", "zero", "negative-scale"])
+    def test_one_pivot_rule(self, solve, a):
+        # Both raise exactly when a pivot falls below the threshold
+        # relative to max |a_ij|, which may be a negative entry's.
+        pivots = np.abs(scipy.linalg.lapack.dgetrf(a)[0].diagonal())
+        scale = np.abs(a).max()
+        if scale == 0.0 or pivots.min() < LU_PIVOT_RTOL * scale:
+            with pytest.raises(SingularMatrixError):
+                solve(a)
+        else:
+            assert np.isfinite(solve(a)).all()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_non_square_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError):
+            lu_inverse(np.ones(shape))
 
 
 class TestCholeskySolve:

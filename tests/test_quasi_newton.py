@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,33 @@ class TestUpdates:
             1.0 + frobenius_norm(ref_x)
         )
 
+    @pytest.mark.parametrize("update", [dfp_update, bfgs_update])
+    @pytest.mark.parametrize("mode, m, n", [
+        ("matrix_form", 1, 1), ("matrix_form", 3, 2), ("matrix_form", 2, 5),
+        ("matrix_form", 8, 8), ("matrix_form", 64, 48),
+        ("vectorized", 1, 1), ("vectorized", 3, 2), ("vectorized", 4, 4),
+    ])
+    def test_no_model_is_the_identity(self, update, mode, m, n):
+        # inv_hessian=None stands for the start model I without forming it.
+        rng = np.random.default_rng(100 * m + n)
+        d = rng.standard_normal((m, n))
+        q = rng.standard_normal((m, m))
+        y = (q @ q.T + m * np.eye(m)) @ d  # <delta, y> > 0
+        size = m if mode == "matrix_form" else m * n
+        got = update(QnState(x=d, g=y, inv_hessian=None, delta=d, y=y), mode)
+        want = update(QnState(x=d, g=y, inv_hessian=np.eye(size), delta=d, y=y), mode)
+        assert got.shape == want.shape
+        assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
+
+    def test_update_leaves_its_operands_alone(self, rng):
+        st = self._state(rng, 4, 3, "matrix_form")
+        st.inv_hessian = rng.standard_normal((4, 4))
+        before = [a.copy() for a in (st.x, st.g, st.inv_hessian, st.delta, st.y)]
+        for update in (dfp_update, bfgs_update):
+            update(st, "matrix_form")
+            after = (st.x, st.g, st.inv_hessian, st.delta, st.y)
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
 
 class TestSolver:
     def test_zero_iterations_at_solution(self, rng):
@@ -424,11 +453,12 @@ class TestSolver:
 
     def test_model_with_overflowing_norm_diverges(self, monkeypatch):
         # Every entry is finite, but the Frobenius norm overflows.
+        p = sylvester_family("t6", 16).build()
+        m = p.shape[0]
         monkeypatch.setattr(
             "matrixopt.quasi_newton.bfgs_update",
-            lambda state, mode="matrix_form": np.full_like(state.inv_hessian, 1e200),
+            lambda state, mode="matrix_form": np.full((m, m), 1e200),
         )
-        p = sylvester_family("t6", 16).build()
         report = solve_quasi_newton(p, QnConfig(method="bfgs"))
         assert report.termination == "diverged" and report.iterations == 1
         assert len(report.residual_history) == 2
@@ -437,6 +467,33 @@ class TestSolver:
         p = random_sylvester(rng, 3, 3)
         report = solve_quasi_newton(p, QnConfig(grad_tol=1e-9))
         assert len(report.residual_history) == report.iterations + 1
+
+
+# Peak traced allocation of one matrix-form solve of t6 at n=256 (two
+# steps, one model update), in n x n float64 arrays, rounded: the start
+# model is never formed, the update accumulates in one array and the
+# old iterate is released before it.  It was 14 (dfp) and 12 (bfgs) with
+# a formed identity and out-of-place updates.
+PEAK_ARRAYS = {"dfp": 8, "bfgs": 8}
+
+
+@pytest.mark.parametrize("method", sorted(PEAK_ARRAYS))
+def test_matrix_form_peak_memory(method):
+    n = 256
+    p = sylvester_family("t6", n).build()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = solve_quasi_newton(p, QnConfig(method=method))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.converged and report.iterations == 2
+    assert round(peak / (n * n * 8)) <= PEAK_ARRAYS[method]
 
 
 class TestConfigValidation:
