@@ -3,13 +3,15 @@
 All matrices are plain two-dimensional ``float64`` numpy arrays; the
 :func:`as_matrix` helper enforces that carrier contract (finite entries,
 explicit shape) at module boundaries.  Operations are pure functions of
-their inputs, apart from :func:`serial_products`, which sets numpy's
-BLAS thread count for the duration of a block.  The LU and Cholesky
-solves call LAPACK directly, bit-identical to scipy's wrappers;
-:func:`lu_solve` and :func:`lu_inverse` share one factorization and
-pivot test.  :func:`pseudo_inverse` skips its SVD for a square matrix
-whose LU inverse certifies full rank.  :class:`MatrixOperator`
-multiplies by a narrowly banded matrix through its diagonals.
+their inputs, apart from :func:`serial_products`, which sets the BLAS
+thread count of numpy's or scipy's OpenBLAS copy for the duration of a
+block.  The LU and Cholesky solves call LAPACK directly, bit-identical
+to scipy's wrappers; :func:`lu_solve` and :func:`lu_inverse` share one
+factorization and pivot test.  :func:`pseudo_inverse` skips its SVD for
+a square matrix whose LU inverse certifies full rank.
+:func:`sylvester_apply` is the one kernel for A X + X B (- C): it reads
+a narrowly banded :class:`MatrixOperator` from its diagonals, one
+cache-sized block of rows at a time.
 """
 
 from __future__ import annotations
@@ -232,28 +234,31 @@ def blas_threads() -> dict:
 
 _UNSEEN = object()
 _serial = threading.Lock()
-_serial_state = {"controls": _UNSEEN, "depth": 0, "saved": 1}
+_serial_state = {
+    copy: {"controls": _UNSEEN, "depth": 0, "saved": 1} for copy in OPENBLAS_COPIES
+}
 
 
 @contextlib.contextmanager
-def serial_products():
-    """Run the block with numpy's OpenBLAS at one thread.
+def serial_products(copy: str = "numpy"):
+    """Run the block with the OpenBLAS copy bundled with ``copy``
+    (``numpy`` or ``scipy``) at one thread.
 
     numpy and scipy each bundle an OpenBLAS copy with its own worker
     threads.  A loop that alternates numpy products with scipy
     factorizations keeps both pools spinning, which on a small machine
-    costs more than the products' threading gains.  The ADMM iterates
-    are bit-identical at any thread count.
+    costs more than the threading gains of the copy held at one thread.
 
     The setting is process-wide: blocks nest and may overlap across
-    threads.  The first block to enter saves the count and lowers it to
-    one, the last to leave restores it; a count of one is left alone.
+    threads.  Under one lock, each copy keeps its own depth count: the
+    first block to enter saves the copy's count and lowers it to one,
+    the last to leave restores it; a count of one is left alone.
     Without a findable copy the block runs unchanged.
     """
-    state = _serial_state
+    state = _serial_state[copy]
     with _serial:
         if state["controls"] is _UNSEEN:
-            state["controls"] = find_openblas("numpy")
+            state["controls"] = find_openblas(copy)
         controls = state["controls"]
         if controls is not None:
             if state["depth"] == 0:
@@ -305,7 +310,10 @@ def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
         return np.zeros((a.shape[1], a.shape[0]))
     keep = s > rank_tol * s[0]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * s_inv) @ u.T
+    # Scaled in place, one array fewer: vt.T then has the layout of a scaled
+    # copy of it, so the product is the same to the bit.
+    vt *= s_inv[:, None]
+    return vt.T @ u.T
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,16 +335,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Widest half-bandwidth whose products are read from the diagonals.
 MAX_HALF_BANDWIDTH = 2
 
+# Output bytes per row block of :func:`sylvester_apply`: with the block's
+# rows of x and one temporary it stays in a core's cache (32 rows at n=1024).
+BLOCK_BYTES = 256 * 1024
+
 
 class MatrixOperator:
-    """The products M @ X and X @ M with one square matrix M.
+    """One square matrix M, kept as the operand of the products M @ X
+    and X @ M that :func:`sylvester_apply` forms.
 
     When every nonzero of the n x n matrix M lies within half-bandwidth
-    k <= :data:`MAX_HALF_BANDWIDTH` and 2k + 1 < n, the products are
-    formed from M's 2k + 1 diagonals, in O(k n m) work for an n x m (or
-    m x n) X instead of a dense product's O(n^2 m); otherwise they are
-    the dense products ``m @ x`` and ``x @ m`` unchanged.  Build one
-    with :meth:`of`.
+    k <= :data:`MAX_HALF_BANDWIDTH` and 2k + 1 < n, M is kept as its
+    2k + 1 diagonals and a product costs O(k n m) for an n x m (or
+    m x n) X instead of a dense product's O(n^2 m); otherwise M is kept
+    whole and its products are the dense ``m @ x`` and ``x @ m``.
+    Build one with :meth:`of`.
     """
 
     __slots__ = ("dense", "bands")
@@ -372,42 +385,84 @@ class MatrixOperator:
         if rows != n:
             raise DimensionError(f"{side} product with an order-{n} matrix got {rows}")
 
-    def left(self, x: np.ndarray) -> np.ndarray:
-        """M @ x."""
-        self._check(x.shape[0], "left")
-        if self.dense is not None:
-            return self.dense @ x
-        (_, main), *off = self.bands
-        n = len(main)
-        out = main[:, None] * x
-        for d, v in off:
-            if d > 0:
-                out[: n - d] += v[:, None] * x[d:]
-            else:
-                out[-d:] += v[:, None] * x[: n + d]
-        return out
 
-    def right(self, x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
-        """x @ M, or, given ``add_to``, add_to + x @ M formed in place."""
-        self._check(x.shape[1], "right")
-        if self.dense is not None:
-            if add_to is None:
-                return x @ self.dense
-            add_to += x @ self.dense
-            return add_to
-        (_, main), *off = self.bands
-        n = len(main)
-        if add_to is None:
-            out = x * main
-        else:
-            out = add_to
-            out += x * main
-        for d, v in off:
-            if d > 0:
-                out[:, d:] += x[:, : n - d] * v
-            else:
-                out[:, : n + d] += x[:, -d:] * v
-        return out
+def sylvester_apply(
+    a: MatrixOperator, b: MatrixOperator, x: np.ndarray, c: np.ndarray | None = None
+) -> np.ndarray:
+    """a x + x b, minus ``c`` when given, as a new C-ordered array.
+
+    A dense side is one whole-matrix product, ``a @ x`` first and
+    ``x @ b`` added after every banded term.  Banded terms are formed a
+    block of rows at a time (about :data:`BLOCK_BYTES` of output), so
+    every pass over a block runs in cache: A's diagonals from row
+    slices of x, B's diagonals as shifted adds on the flat block.
+    Every entry receives the same terms in the same order as the
+    whole-matrix per-side products (A's diagonals, B's, main diagonal
+    first, then ``-c``), so the result is bit-identical to them.
+    """
+    m, n = x.shape
+    a._check(m, "left")
+    b._check(n, "right")
+    out = np.empty((m, n)) if a.dense is None else a.dense @ x
+    if a.dense is None or b.dense is None:
+        _banded_terms(a.bands, b.bands, x, out, None if b.dense is not None else c)
+    if b.dense is not None:
+        out += x @ b.dense
+        if c is not None:
+            out -= c
+    return out
+
+
+def _banded_terms(left: tuple, right: tuple, x: np.ndarray, out: np.ndarray, c):
+    """Form the banded terms of a x + x b (- c) in ``out``, a block of
+    rows at a time: A's terms overwrite a block (``left`` empty: ``out``
+    already holds a @ x), B's terms and ``-c`` are added to it."""
+    m, n = x.shape
+    rows = min(m, max(1, BLOCK_BYTES // (8 * n)))
+    tmp = np.empty(rows * n)
+    if right:
+        x_flat = np.ascontiguousarray(x).reshape(-1)
+        # B's off-diagonals laid along the flat block: entry i * n + j of
+        # a tile multiplies the x entry that lands in column j.  Entries
+        # whose x would come from a neighbouring row hold 1.0, so that
+        # product never warns; it is replaced by -0.0 before the add.
+        tiles = []
+        for d, v in right[1:]:
+            row = np.ones(n)
+            row[max(d, 0) : n + min(d, 0)] = v
+            tiles.append((d, np.tile(row, rows)))
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        block = out[r0:r1]
+        if left:
+            (_, main), *off = left
+            np.multiply(main[r0:r1, None], x[r0:r1], out=block)
+            for d, v in off:
+                # Row i gains v[i + min(d, 0)] * x[i + d] where row i + d exists.
+                lo, hi = max(r0, -d), min(r1, m - d)
+                if lo < hi:
+                    term = tmp[: (hi - lo) * n].reshape(hi - lo, n)
+                    shift = min(d, 0)
+                    np.multiply(v[lo + shift : hi + shift, None], x[lo + d : hi + d], out=term)
+                    block[lo - r0 : hi - r0] += term
+        if right:
+            size = (r1 - r0) * n
+            flat, x_block, term = block.reshape(-1), x_flat[r0 * n : r1 * n], tmp[:size]
+            np.multiply(x_block.reshape(r1 - r0, n), right[0][1], out=term.reshape(r1 - r0, n))
+            flat += term
+            for d, tile in tiles:
+                # Column j of the block gains x[:, j - d] * v: the flat
+                # block shifted by d.  -0.0, the additive identity, fills
+                # the columns the shift wraps, so even a zero keeps its sign.
+                if d > 0:
+                    np.multiply(x_block[: size - d], tile[d:size], out=term[d:])
+                    term.reshape(r1 - r0, n)[:, :d] = -0.0
+                else:
+                    np.multiply(x_block[-d:], tile[: size + d], out=term[: size + d])
+                    term.reshape(r1 - r0, n)[:, n + d :] = -0.0
+                flat += term
+        if c is not None:
+            block -= c[r0:r1]
 
 
 def vec(m: np.ndarray) -> np.ndarray:

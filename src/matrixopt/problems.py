@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, UnknownSuiteError
-from .linalg import MatrixOperator, as_matrix
+from .linalg import MatrixOperator, as_matrix, sylvester_apply
 
 SYMMETRY_ATOL = 1e-12
 
@@ -24,10 +24,11 @@ SYMMETRY_ATOL = 1e-12
 class SylvesterProblem:
     """Linear matrix equation A X + X B = C with A (m x m), B (n x n), C (m x n).
 
-    :meth:`apply` and :meth:`apply_adjoint` form the equation operator
-    and its adjoint through :class:`~matrixopt.linalg.MatrixOperator`s of
-    A and B, built at first use: banded A and B are read from their
-    diagonals.
+    :meth:`apply`, :meth:`apply_adjoint` and :meth:`residual_matrix`
+    form the equation operator, its adjoint and the residual with
+    :func:`~matrixopt.linalg.sylvester_apply` on
+    :class:`~matrixopt.linalg.MatrixOperator`s of A and B, built at
+    first use: banded A and B are read from their diagonals.
     """
 
     a: np.ndarray
@@ -65,19 +66,15 @@ class SylvesterProblem:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x + x B."""
-        a, b = self._operators
-        return b.right(x, add_to=a.left(x))
+        return sylvester_apply(*self._operators, x)
 
     def apply_adjoint(self, r: np.ndarray) -> np.ndarray:
         """A^T r + r B^T."""
-        a_t, b_t = self._adjoint_operators
-        return b_t.right(r, add_to=a_t.left(r))
+        return sylvester_apply(*self._adjoint_operators, r)
 
     def residual_matrix(self, x: np.ndarray) -> np.ndarray:
         """A x + x B - C."""
-        r = self.apply(x)
-        r -= self.c
-        return r
+        return sylvester_apply(*self._operators, x, self.c)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ pseudo-inverses).  An update keeps the order of its textbook expression,
 but accumulates it in one array, and a step releases its old iterate
 before the update, so the first update of a square matrix-form run
 holds at most eight n x n arrays at once.  An update whose model has a non-finite Frobenius norm
-ends the run as ``diverged``.
+ends the run as ``diverged``.  The loop holds scipy's OpenBLAS copy,
+which factors the LU inverses, at one thread (``serial_products``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .linalg import (
     DEFAULT_KRON_CAP,
     frobenius_norm,
     pseudo_inverse,
+    serial_products,
     symmetrize,
     trace_inner,
     vec,
@@ -444,12 +446,13 @@ def solve_quasi_newton(
             return "diverged"
         return None
 
-    return iterate(
-        state,
-        step,
-        lambda s: sylvester_residual(p, s.x, s.r),
-        stop,
-        cfg.max_iterations,
-        solution=lambda s: s.x,
-        detail=detail,
-    )
+    with serial_products("scipy"):
+        return iterate(
+            state,
+            step,
+            lambda s: sylvester_residual(p, s.x, s.r),
+            stop,
+            cfg.max_iterations,
+            solution=lambda s: s.x,
+            detail=detail,
+        )

@@ -1,5 +1,6 @@
-"""numpy's OpenBLAS runs one thread inside the ADMM sweep loops and gets
-its own thread count back afterwards, whatever way the loop ends."""
+"""numpy's OpenBLAS runs one thread inside the ADMM sweep loops, and
+scipy's inside the quasi-Newton loop; each copy gets its own thread
+count back afterwards, whatever way the loop ends."""
 
 import os
 import sys
@@ -11,33 +12,59 @@ import pytest
 import matrixopt.care_admm as care_admm
 import matrixopt.linalg as linalg
 import matrixopt.newton_admm as newton_admm
-from matrixopt.errors import AdmmBreakdownError
+import matrixopt.quasi_newton as quasi_newton
+from matrixopt.errors import AdmmBreakdownError, SingularMatrixError
 from matrixopt.harness.manifest import manifest_for_suite, run_manifest, run_method, summary_json
-from matrixopt.problems import care_family
+from matrixopt.problems import care_family, sylvester_family
 
 CONTROLS = linalg.find_openblas("numpy")
+SCIPY_CONTROLS = linalg.find_openblas("scipy")
 
 pytestmark = pytest.mark.skipif(CONTROLS is None, reason="numpy's bundled OpenBLAS not found")
+needs_scipy_copy = pytest.mark.skipif(
+    SCIPY_CONTROLS is None, reason="scipy's bundled OpenBLAS not found"
+)
 
 T8 = care_family("t8", 8).build
 T8_ADMM = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "max_iterations": 30}
 T9 = care_family("t9", 8).build
+# Two dfp steps, one model update: two pseudo-inverses.
+T6 = sylvester_family("t6", 16).build
 
 
 def threads() -> int:
     return CONTROLS[0]()
 
 
+def scipy_threads() -> int:
+    return SCIPY_CONTROLS[0]()
+
+
+def _at_two_threads(controls):
+    saved = controls[0]()
+    controls[1](2)
+    if controls[0]() != 2:
+        controls[1](saved)
+        pytest.skip("OpenBLAS cannot run two threads here")
+    return saved
+
+
 @pytest.fixture
 def two_threads():
     """numpy's copy at two threads for the test, then as it was."""
-    saved = threads()
-    CONTROLS[1](2)
-    if threads() != 2:
-        CONTROLS[1](saved)
-        pytest.skip("numpy's OpenBLAS cannot run two threads here")
+    saved = _at_two_threads(CONTROLS)
     yield
     CONTROLS[1](saved)
+
+
+@pytest.fixture
+def scipy_two_threads():
+    """scipy's copy at two threads for the test, then as it was."""
+    if SCIPY_CONTROLS is None:
+        pytest.skip("scipy's bundled OpenBLAS not found")
+    saved = _at_two_threads(SCIPY_CONTROLS)
+    yield
+    SCIPY_CONTROLS[1](saved)
 
 
 def record_threads(monkeypatch, module, name):
@@ -135,12 +162,19 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     assert threads() == 2
 
 
-def test_worker_pool_runs_rows_at_one_thread(two_threads, monkeypatch):
-    seen = record_threads(monkeypatch, care_admm, "admm_step")
+def test_worker_pool_runs_rows_at_one_thread(two_threads, scipy_two_threads, monkeypatch):
+    seen = []
+    original = care_admm.admm_step
+
+    def wrapped(*args, **kwargs):
+        seen.append((threads(), scipy_threads()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(care_admm, "admm_step", wrapped)
     records = run_manifest(manifest_for_suite("t8"), cap=16, workers=2)
     assert all(rec.error is None for rec in records)
-    assert seen and set(seen) == {1}
-    assert threads() == 2
+    assert seen and set(seen) == {(1, 1)}
+    assert threads() == scipy_threads() == 2
 
 
 def test_a_count_of_one_is_never_raised(monkeypatch):
@@ -157,7 +191,7 @@ def test_a_count_of_one_is_never_raised(monkeypatch):
 
 def test_guard_is_a_no_op_without_the_library(two_threads, monkeypatch):
     monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
-    monkeypatch.setitem(linalg._serial_state, "controls", linalg._UNSEEN)
+    monkeypatch.setitem(linalg._serial_state["numpy"], "controls", linalg._UNSEEN)
     seen = record_threads(monkeypatch, care_admm, "admm_step")
     report = run_method("admm", T8(), T8_ADMM)
     assert report.iterations == 30
@@ -179,3 +213,75 @@ def test_frobenius_norm_does_not_depend_on_the_thread_count(two_threads):
     with linalg.serial_products():
         assert linalg.frobenius_norm(m) == threaded
     assert threaded == pytest.approx(np.sqrt(np.sum(m * m)), rel=1e-14)
+
+
+def record_scipy_threads(monkeypatch):
+    """Wrap quasi_newton's ``pseudo_inverse`` so each call appends
+    scipy's thread count."""
+    seen = []
+    original = quasi_newton.pseudo_inverse
+
+    def wrapped(*args, **kwargs):
+        seen.append(scipy_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quasi_newton, "pseudo_inverse", wrapped)
+    return seen
+
+
+@needs_scipy_copy
+def test_quasi_newton_factors_at_one_scipy_thread(two_threads, scipy_two_threads, monkeypatch):
+    seen = record_scipy_threads(monkeypatch)
+    report = run_method("dfp", T6(), {})
+    assert report.converged and report.iterations == 2
+    assert seen == [1, 1]
+    # numpy's copy keeps its count: only scipy's is held.
+    assert threads() == scipy_threads() == 2
+
+
+@needs_scipy_copy
+def test_scipy_count_is_restored_after_an_exception(scipy_two_threads, monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(scipy_threads())
+        raise SingularMatrixError("injected")
+
+    monkeypatch.setattr(quasi_newton, "pseudo_inverse", failing)
+    with pytest.raises(SingularMatrixError):
+        run_method("bfgs", T6(), {})
+    assert calls == [1]
+    assert scipy_threads() == 2
+
+
+@needs_scipy_copy
+def test_a_scipy_count_of_one_is_never_raised(monkeypatch):
+    saved = scipy_threads()
+    SCIPY_CONTROLS[1](1)
+    try:
+        seen = record_scipy_threads(monkeypatch)
+        run_method("bfgs", T6(), {})
+        assert set(seen) == {1}
+        assert scipy_threads() == 1
+    finally:
+        SCIPY_CONTROLS[1](saved)
+
+
+@needs_scipy_copy
+def test_scipy_guard_is_a_no_op_without_the_library(scipy_two_threads, monkeypatch):
+    monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
+    monkeypatch.setitem(linalg._serial_state["scipy"], "controls", linalg._UNSEEN)
+    seen = record_scipy_threads(monkeypatch)
+    report = run_method("dfp", T6(), {})
+    assert report.iterations == 2
+    assert seen == [2, 2]
+    assert scipy_threads() == 2
+
+
+def test_each_copy_keeps_its_own_depth(two_threads, scipy_two_threads):
+    with linalg.serial_products("scipy"):
+        assert (threads(), scipy_threads()) == (2, 1)
+        with linalg.serial_products("numpy"):
+            assert (threads(), scipy_threads()) == (1, 1)
+        assert (threads(), scipy_threads()) == (2, 1)
+    assert (threads(), scipy_threads()) == (2, 2)

@@ -7,6 +7,12 @@ comment names the change and the old value.  Any change to the
 order of a solver's arithmetic, its stop rule or its history stride
 shows here as a changed outcome.  A case that raises pins the exception
 class instead.
+
+Final residuals depend on the BLAS thread count once a factorization
+or product is large enough to thread (the 256 x 256 Kronecker systems
+of the n=16 ccom and direct cases, the n=128 ADMM cases), so every case
+runs with both bundled OpenBLAS copies at two threads, the count the
+values were recorded at.
 """
 
 import numpy as np
@@ -14,6 +20,7 @@ import pytest
 
 from matrixopt.errors import MatrixOptError
 from matrixopt.harness.manifest import run_method
+from matrixopt.linalg import OPENBLAS_COPIES, find_openblas
 from matrixopt.problems import (
     SUITE_IDS,
     CareProblem,
@@ -24,6 +31,29 @@ from matrixopt.problems import (
 )
 
 MAX_ORDER = 16
+
+# The BLAS thread count of both OpenBLAS copies when GOLDEN was recorded.
+RECORDED_THREADS = 2
+
+
+@pytest.fixture(scope="module", autouse=True)
+def recorded_thread_counts():
+    """Both OpenBLAS copies at RECORDED_THREADS for the module, then
+    each back at its own count."""
+    controls = {copy: find_openblas(copy) for copy in OPENBLAS_COPIES}
+    missing = [copy for copy, found in controls.items() if found is None]
+    if missing:
+        pytest.skip(f"cannot set the thread count of {', '.join(missing)}'s OpenBLAS")
+    saved = {copy: get() for copy, (get, _) in controls.items()}
+    try:
+        for copy, (get, set_) in controls.items():
+            set_(RECORDED_THREADS)
+            if get() != RECORDED_THREADS:
+                pytest.skip(f"{copy}'s OpenBLAS cannot run {RECORDED_THREADS} threads here")
+        yield
+    finally:
+        for copy, (_, set_) in controls.items():
+            set_(saved[copy])
 
 
 def _paper_cases():

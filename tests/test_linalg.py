@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import matrixopt.linalg as linalg
 from matrixopt.errors import (
     CapacityError,
     DimensionError,
@@ -26,6 +27,7 @@ from matrixopt.linalg import (
     lu_inverse,
     lu_solve,
     pseudo_inverse,
+    sylvester_apply,
     symmetrize,
     trace_inner,
     unvec,
@@ -279,6 +281,15 @@ class TestPseudoInverse:
             assert frobenius_norm((a @ ap).T - a @ ap) <= 1e-10 * max(1.0, na)
             assert frobenius_norm((ap @ a).T - ap @ a) <= 1e-10 * max(1.0, na)
 
+    @pytest.mark.parametrize("m, n, r", [(3, 3, 1), (6, 4, 2), (4, 6, 3), (64, 40, 20)])
+    def test_svd_path_is_the_scaled_copy_product_to_the_bit(self, rng, m, n, r):
+        """vt scaled in place gives the product of a scaled copy of vt.T."""
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        keep = s > DEFAULT_RANK_TOL * s[0]
+        s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        assert np.array_equal(pseudo_inverse(a), (vt.T * s_inv) @ u.T)
+
     @staticmethod
     def _counted_svd(monkeypatch):
         """Route np.linalg.svd through a counter; returns the call list."""
@@ -449,13 +460,20 @@ def test_symmetrize():
     np.testing.assert_allclose(s, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def _banded(rng, n, k):
-    """n x n matrix with random, non-constant diagonals -k..k."""
-    return sum(np.diag(rng.standard_normal(n - abs(d)), d) for d in range(-k, k + 1))
+def _banded(rng, n, k, upper=None):
+    """n x n matrix with random, non-constant diagonals -k..k (-k..upper
+    when given)."""
+    upper = k if upper is None else upper
+    return sum(np.diag(rng.standard_normal(n - abs(d)), d) for d in range(-k, upper + 1))
 
 
 def _rel_err(got, want):
     return frobenius_norm(got - want) / frobenius_norm(want)
+
+
+def _zero(n):
+    """The operator of the n x n zero matrix: one all-zero diagonal."""
+    return MatrixOperator.of(np.zeros((n, n)))
 
 
 class TestMatrixOperator:
@@ -469,13 +487,17 @@ class TestMatrixOperator:
         assert op.dense is None and len(op.bands) == 2 * k + 1
         x_left = np.asarray(rng.standard_normal((n, m)), order=order)
         x_right = np.asarray(rng.standard_normal((m, n)), order=order)
-        assert _rel_err(op.left(x_left), a @ x_left) <= 1e-14
-        assert _rel_err(op.right(x_right), x_right @ a) <= 1e-14
-        assert _rel_err(op.T.left(x_left), a.T @ x_left) <= 1e-14
-        assert _rel_err(op.T.right(x_right), x_right @ a.T) <= 1e-14
+        zero = _zero(m)
+        assert _rel_err(sylvester_apply(op, zero, x_left), a @ x_left) <= 1e-14
+        assert _rel_err(sylvester_apply(zero, op, x_right), x_right @ a) <= 1e-14
+        assert _rel_err(sylvester_apply(op.T, zero, x_left), a.T @ x_left) <= 1e-14
+        assert _rel_err(sylvester_apply(zero, op.T, x_right), x_right @ a.T) <= 1e-14
         acc = rng.standard_normal((m, n))
         want = acc + x_right @ a
-        assert _rel_err(op.right(x_right, add_to=acc), want) <= 1e-14
+        assert _rel_err(sylvester_apply(zero, op, x_right, -acc), want) <= 1e-14
+        b = _banded(rng, m, k)
+        got = sylvester_apply(op, MatrixOperator.of(b), x_left, acc.T)
+        assert _rel_err(got, a @ x_left + x_left @ b - acc.T) <= 1e-14
 
     def test_half_bandwidth_is_the_smallest_that_holds(self):
         a = gen_tridiagonal(8, 5.0, -1.0, 0.0)  # lower bidiagonal
@@ -498,14 +520,15 @@ class TestMatrixOperator:
         a = build(rng)
         n = a.shape[0]
         b = rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n))
         op_a, op_b = MatrixOperator.of(a), MatrixOperator.of(b)
         assert op_a.dense is a and op_b.dense is b
         x = rng.standard_normal((n, n))
-        assert np.array_equal(op_a.left(x), a @ x)
-        assert np.array_equal(op_a.right(x), x @ a)
-        assert np.array_equal(op_a.T.left(x), a.T @ x)
-        assert np.array_equal(op_b.right(x, add_to=op_a.left(x)), a @ x + x @ b)
-        p = SylvesterProblem(a, b, rng.standard_normal((n, n)))
+        assert np.array_equal(sylvester_apply(op_a, op_a, x), a @ x + x @ a)
+        assert np.array_equal(sylvester_apply(op_a.T, op_b.T, x), a.T @ x + x @ b.T)
+        assert np.array_equal(sylvester_apply(op_a, op_b, x), a @ x + x @ b)
+        assert np.array_equal(sylvester_apply(op_a, op_b, x, c), a @ x + x @ b - c)
+        p = SylvesterProblem(a, b, c)
         assert np.array_equal(p.apply(x), a @ x + x @ b)
         assert np.array_equal(p.apply_adjoint(x), a.T @ x + x @ b.T)
         assert np.array_equal(p.residual_matrix(x), a @ x + x @ b - p.c)
@@ -521,11 +544,121 @@ class TestMatrixOperator:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_wrong_order_is_a_dimension_error(self, side):
+        eye = MatrixOperator.of(np.eye(5))
+        x = np.ones((5, 5))
         for m in (gen_tridiagonal(6, 2.0, 1.0, 1.0), np.ones((6, 6))):
             op = MatrixOperator.of(m)
-            x = np.ones((5, 5))
             with pytest.raises(DimensionError):
-                getattr(op, side)(x)
+                if side == "left":
+                    sylvester_apply(op, eye, x)
+                else:
+                    sylvester_apply(eye, op, x)
+
+
+def _reference_left(op, x):
+    """M @ x by the whole-matrix per-side code the kernel replaced."""
+    if op.dense is not None:
+        return op.dense @ x
+    (_, main), *off = op.bands
+    n = len(main)
+    out = main[:, None] * x
+    for d, v in off:
+        if d > 0:
+            out[: n - d] += v[:, None] * x[d:]
+        else:
+            out[-d:] += v[:, None] * x[: n + d]
+    return out
+
+
+def _reference_right(op, x, add_to):
+    """add_to + x @ M formed in ``add_to``, by the same per-side code."""
+    if op.dense is not None:
+        add_to += x @ op.dense
+        return add_to
+    (_, main), *off = op.bands
+    n = len(main)
+    out = add_to
+    out += x * main
+    for d, v in off:
+        if d > 0:
+            out[:, d:] += x[:, : n - d] * v
+        else:
+            out[:, : n + d] += x[:, -d:] * v
+    return out
+
+
+def _reference(a, b, x, c=None):
+    out = _reference_right(b, x, _reference_left(a, x))
+    if c is not None:
+        out -= c
+    return out
+
+
+def _same_bits(got, want):
+    """Equal to the bit, the sign of a zero included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# (lower, upper) half-bandwidths, one-sided bands included.
+BANDS = [(0, 0), (1, 1), (2, 2), (1, 0), (0, 2), (2, 1)]
+
+
+class TestSylvesterApply:
+    """The row-blocked kernel against the whole-matrix per-side products."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 64], ids=["rows1", "rows3", "rows64"])
+    @pytest.mark.parametrize("m, n", [(7, 7), (5, 11), (13, 6)])
+    @pytest.mark.parametrize(
+        "pairing", ["banded-banded", "dense-banded", "banded-dense", "dense-dense"]
+    )
+    def test_bit_identical_to_the_per_side_products(self, monkeypatch, pairing, m, n, rows):
+        # Blocks of 1 and 3 rows leave a partial last block at every m
+        # here; blocks of 64 rows hold all of m.
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * n * rows)
+        rng = np.random.default_rng(m * n + rows)
+        a_kind, b_kind = pairing.split("-")
+        for (a_lo, a_hi), (b_lo, b_hi) in zip(BANDS, BANDS[2:] + BANDS[:2]):
+            a = _banded(rng, m, a_lo, a_hi) if a_kind == "banded" else rng.standard_normal((m, m))
+            b = _banded(rng, n, b_lo, b_hi) if b_kind == "banded" else rng.standard_normal((n, n))
+            op_a, op_b = MatrixOperator.of(a), MatrixOperator.of(b)
+            # A band too wide for its order (2k + 1 >= m) stays dense.
+            assert (op_a.dense is None) == (a_kind == "banded" and 2 * max(a_lo, a_hi) < m - 1)
+            assert (op_b.dense is None) == (b_kind == "banded" and 2 * max(b_lo, b_hi) < n - 1)
+            c = rng.standard_normal((m, n))
+            for order in ("C", "F"):
+                x = np.asarray(rng.standard_normal((m, n)), order=order)
+                x[::2, ::3] = -0.0
+                for got, want in (
+                    (sylvester_apply(op_a, op_b, x), _reference(op_a, op_b, x)),
+                    (sylvester_apply(op_a, op_b, x, c), _reference(op_a, op_b, x, c)),
+                    (sylvester_apply(op_a.T, op_b.T, x), _reference(op_a.T, op_b.T, x)),
+                    (sylvester_apply(op_a.T, op_b.T, x, c), _reference(op_a.T, op_b.T, x, c)),
+                ):
+                    assert got.flags.c_contiguous
+                    assert _same_bits(got, want), (a_lo, a_hi, b_lo, b_hi, order)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64], ids=["rows1", "rows3", "rows64"])
+    def test_an_infinity_stays_in_its_row(self, monkeypatch, rows):
+        """Shifting the flat block by a column wraps an entry's last
+        column into the next row's first; an inf there must not reach it."""
+        m, n = 9, 8
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * n * rows)
+        rng = np.random.default_rng(rows)
+        # Positive coefficients: every term an inf reaches has its sign,
+        # so the reference forms no inf - inf.
+        op_a = MatrixOperator.of(np.abs(_banded(rng, m, 1, 1)))
+        op_b = MatrixOperator.of(np.abs(_banded(rng, n, 2, 2)))
+        x = rng.standard_normal((m, n))
+        x[2, -1], x[6, 0] = np.inf, -np.inf
+        # Row 0 of the result sums only -0.0 terms: a wrapped column must
+        # add -0.0 there too, or that zero loses its sign.
+        x[:2] = -0.0
+        for a, b in ((op_a, op_b), (op_a.T, op_b.T)):
+            got = sylvester_apply(a, b, x)
+            assert _same_bits(got, _reference(a, b, x))
+            assert not np.isnan(got).any()
+            assert np.signbit(got[0]).all()
+            assert np.isfinite([got[3, 0], got[3, 1], got[5, -1], got[5, -2]]).all()
 
 
 # t6 at n=256, recorded with dense products: the band form keeps every
