@@ -58,10 +58,6 @@ class LineSearchError(MatrixOptError):
     """Line search exhausted its trial budget without an acceptable step."""
 
 
-class CurvatureError(MatrixOptError):
-    """Quasi-Newton curvature ``<delta, y>`` fell below the floor."""
-
-
 class AdmmBreakdownError(MatrixOptError):
     """An ADMM block solve failed; the penalty systems should be SPD,
     so this signals a bug or pathological input."""

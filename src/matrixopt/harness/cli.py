@@ -30,7 +30,7 @@ from ..problems import (
     SylvesterProblem,
     table_source,
 )
-from ..quasi_newton import LINESEARCHES, MODES
+from ..quasi_newton import LINESEARCHES
 from .manifest import (
     METHOD_NAMES,
     METHODS,
@@ -49,7 +49,7 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SOLVER_ERROR = 3
 
 # Config fields whose values come from a fixed vocabulary.
-_CHOICES = {"linesearch": LINESEARCHES, "mode": MODES, "inner_tol_mode": INNER_TOL_MODES}
+_CHOICES = {"linesearch": LINESEARCHES, "inner_tol_mode": INNER_TOL_MODES}
 
 
 def _number_or_word(raw: str):

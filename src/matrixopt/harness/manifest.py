@@ -100,7 +100,7 @@ def _direct(solve, residual):
     return run
 
 
-_QN_KEYS = _keys("max_iterations", "linesearch", "mode", "sigma1", "sigma2", tol="grad_tol")
+_QN_KEYS = _keys("max_iterations", "linesearch", "sigma1", "sigma2", tol="grad_tol")
 _NA_KEYS = _keys("alpha", "beta", tol="outer_tol")
 
 # (method, problem class) -> Method.  Every default is the config

@@ -1,20 +1,15 @@
-"""DFP and BFGS solvers for min 0.5 ||A X + X B - C||_F^2.
+"""DFP and BFGS solvers for min 0.5 ||A X + X B - C||_F^2 in matrix form.
 
-Two operating modes:
-
-``matrix_form``
-    The inverse-curvature approximation G is m x m and acts on the m x n
-    gradient by left multiplication (search direction -G g).  The rank-2
-    update fractions then have n x n *matrix* denominators, which are
-    resolved with Moore-Penrose pseudo-inverses: the DFP correction reads
-    ``delta (delta^T y)^+ delta^T - (G y)(y^T G y)^+ (G y)^T``, the unique
-    reading that preserves the secant relation G y = delta when the
-    denominators are nonsingular.
-
-``vectorized``
-    The iterate is flattened; G is mn x mn and the updates are the
-    textbook scalar-denominator formulas.  Memory grows as (mn)^2, so
-    this mode is capped at small orders.
+The inverse-curvature approximation G is m x m and acts on the m x n
+gradient by left multiplication (search direction -G g).  The rank-2
+update fractions then have n x n *matrix* denominators, which are
+resolved with Moore-Penrose pseudo-inverses: the DFP correction reads
+``delta (delta^T y)^+ delta^T - (G y)(y^T G y)^+ (G y)^T``, the unique
+reading that preserves the secant relation G y = delta when the
+denominators are nonsingular.  An m x m model captures the whole
+operator only on favourable problems, such as commuting A and B; on
+general problems a run may stop short of the solution, as ``stagnated``
+or ``diverged`` or with a line-search error carrying the partial report.
 
 The default line search is the closed-form exact minimizer: the
 objective is quadratic along any line, which is also why well-behaved
@@ -31,14 +26,15 @@ The start model is the identity and is never formed (``None`` stands
 for it): the first direction is -g, and the first update reads G y = y
 and forms E E^T in place of E I E^T.  The model is updated only when
 another step will read it: the step whose gradient passes ``grad_tol``
-forms no update (in matrix form each update costs one or two n x n
-pseudo-inverses).  An update keeps the order of its textbook expression,
+forms no update (each update costs one or two n x n pseudo-inverses).
+An update keeps the order of its textbook expression,
 (G + d K d^T) - (G y) T (G y)^T for DFP and E G E^T + dk d^T for BFGS,
 but accumulates it in one array, and a step releases its old iterate
-before the update, so the first update of a square matrix-form run
-holds at most eight n x n arrays at once.  An update whose model has a non-finite Frobenius norm
-ends the run as ``diverged``.  The loop holds scipy's OpenBLAS copy,
-which factors the LU inverses, at one thread (``serial_products``).
+before the update, so the first update of a square run holds at most
+eight n x n arrays at once.  An update whose model has a non-finite
+Frobenius norm ends the run as ``diverged``.  The loop holds scipy's
+OpenBLAS copy, which factors the LU inverses, at one thread
+(``serial_products``).
 """
 
 from __future__ import annotations
@@ -50,22 +46,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (
-    CapacityError,
-    CurvatureError,
     DegenerateDirectionError,
     DimensionError,
     LineSearchError,
     PreconditionError,
 )
 from .linalg import (
-    DEFAULT_KRON_CAP,
     frobenius_norm,
     pseudo_inverse,
     serial_products,
-    symmetrize,
     trace_inner,
-    vec,
-    unvec,
 )
 from .oracle import sylvester_residual
 from .problems import SylvesterProblem
@@ -73,9 +63,6 @@ from .report import SolveReport, Stop, iterate
 
 METHODS = ("dfp", "bfgs")
 LINESEARCHES = ("exact", "armijo", "wolfe")
-MODES = ("matrix_form", "vectorized")
-# Curvature <delta, y> (and y^T G y) at or below this skips a vectorized update.
-CURVATURE_FLOOR = 1e-14
 
 
 @dataclass
@@ -86,15 +73,12 @@ class QnConfig:
     sigma2: float = 0.9
     grad_tol: float = 1e-8
     max_iterations: int = 500
-    mode: str = "matrix_form"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.linesearch not in LINESEARCHES:
             raise ValueError(f"linesearch must be one of {LINESEARCHES}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if not 0 < self.sigma1 < 0.5:
             raise ValueError("sigma1 must lie in (0, 0.5)")
         if not self.sigma1 < self.sigma2 < 1:
@@ -108,8 +92,7 @@ class QnState:
     """One inverse-curvature update's operands.
 
     ``delta = X_k - X_{k-1}`` and ``y = g_k - g_{k-1}`` are m x n;
-    ``inv_hessian`` is m x m in matrix form, mn x mn vectorized, and None
-    for the identity, the start model.
+    ``inv_hessian`` is m x m, or None for the identity, the start model.
     """
 
     x: np.ndarray
@@ -225,13 +208,6 @@ def wolfe_search(
     raise LineSearchError(f"no Wolfe-Powell step after {max_trials} trials")
 
 
-def _curvature_guard(name: str, value: float):
-    if value <= CURVATURE_FLOOR:
-        raise CurvatureError(
-            f"{name} = {value:.3e} is at or below the floor {CURVATURE_FLOOR:.1e}"
-        )
-
-
 def _plus_identity(m: np.ndarray) -> np.ndarray:
     """m + I, formed in m's storage."""
     m.flat[:: m.shape[0] + 1] += 1.0
@@ -245,28 +221,10 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
-    """Rank-2 DFP update of the inverse-curvature approximation.
-
-    Vectorized mode raises :class:`CurvatureError` when <delta, y> (or the
-    G-weighted denominator) is at or below :data:`CURVATURE_FLOOR`; the caller
-    is expected to skip the update and continue.  Matrix form resolves
-    singular matrix denominators with pseudo-inverses instead.
-    """
+def dfp_update(state: QnState) -> np.ndarray:
+    """Rank-2 DFP update of the m x m inverse-curvature approximation;
+    singular matrix denominators are resolved with pseudo-inverses."""
     g = state.inv_hessian
-    if mode == "vectorized":
-        d = vec(state.delta).ravel()
-        y = vec(state.y).ravel()
-        s = float(d @ y)
-        _curvature_guard("<delta, y>", s)
-        if g is None:
-            g = np.eye(d.size)
-        gy = g @ y
-        ygy = float(y @ gy)
-        _curvature_guard("y^T G y", ygy)
-        return symmetrize(g + np.outer(d, d) / s - np.outer(gy, gy) / ygy)
-    if mode != "matrix_form":
-        raise ValueError(f"unknown mode {mode!r}")
     d, y = state.delta, state.y
     gy = y if g is None else g @ y
     # (G + d K d^T) - (G y) T (G y)^T, accumulated in one array; the
@@ -283,27 +241,10 @@ def dfp_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     return _symmetrized(out)
 
 
-def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
-    """Rank-2 BFGS update of the inverse-curvature approximation.
-
-    In vectorized mode positive definiteness is preserved whenever
-    <delta, y> > 0, which the Wolfe-Powell search guarantees.
-    """
+def bfgs_update(state: QnState) -> np.ndarray:
+    """Rank-2 BFGS update of the m x m inverse-curvature approximation;
+    the matrix denominator delta^T y is resolved with a pseudo-inverse."""
     g = state.inv_hessian
-    if mode == "vectorized":
-        d = vec(state.delta).ravel()
-        y = vec(state.y).ravel()
-        s = float(d @ y)
-        _curvature_guard("<delta, y>", s)
-        if g is None:
-            g = np.eye(d.size)
-        gy = g @ y
-        ygy = float(y @ gy)
-        dd = np.outer(d, d)
-        cross = np.outer(d, gy)
-        return symmetrize(g + (s + ygy) / (s * s) * dd - (cross + cross.T) / s)
-    if mode != "matrix_form":
-        raise ValueError(f"unknown mode {mode!r}")
     d, y = state.delta, state.y
     dk = d @ pseudo_inverse(d.T @ y)
     # E = I - dk y^T, then E G E^T + dk d^T accumulated in one array.
@@ -316,29 +257,20 @@ def bfgs_update(state: QnState, mode: str = "matrix_form") -> np.ndarray:
     return _symmetrized(out)
 
 
-def _direction(g_mat: np.ndarray, inv_h: np.ndarray | None, mode: str, shape) -> np.ndarray:
-    if inv_h is None:
-        return -g_mat
-    if mode == "matrix_form":
-        return -(inv_h @ g_mat)
-    return unvec(-(inv_h @ vec(g_mat)), *shape)
-
-
 def solve_quasi_newton(
     p: SylvesterProblem,
     cfg: QnConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> SolveReport:
-    """Quasi-Newton iteration X <- X + lambda (-G g) until ||g||_F falls
-    below ``cfg.grad_tol``.
+    """Quasi-Newton iteration X <- X + lambda (-G g), with G the m x m
+    model, until ||g||_F falls below ``cfg.grad_tol``.
 
     The model is updated after every step except the one whose gradient
     passes the tolerance, so a converged run has ``iterations - 1``
     updates and a run stopped by ``max_iterations`` has ``iterations``.
-    ``detail`` carries one audit per update attempted (``updates``:
+    ``detail`` carries one audit per update (``updates``:
     secant error, symmetry error, model norm, curvature, accepted step),
-    the objective trace (``f_history``), gradient norms, and the count of
-    vectorized updates skipped for curvature (``curvature_skips``).
+    the objective trace (``f_history``) and the gradient norms.
     Line-search failures re-raise with the partial report attached to the
     exception.  A direction that is not a descent direction, or an exact
     step of zero, ends the run as stagnated; a model whose Frobenius norm
@@ -347,10 +279,6 @@ def solve_quasi_newton(
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
-    if cfg.mode == "vectorized" and (m * n) ** 2 > DEFAULT_KRON_CAP:
-        raise CapacityError(
-            f"vectorized inverse Hessian would need ({m * n})^2 entries"
-        )
     state = SimpleNamespace(
         x=np.zeros((m, n)) if x0 is None else np.array(x0, dtype=np.float64)
     )
@@ -358,7 +286,7 @@ def solve_quasi_newton(
         raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
     # The identity start model is never formed: None stands for it.
     state.inv_h = None
-    state.inv_h_norm = math.sqrt(m if cfg.mode == "matrix_form" else m * n)
+    state.inv_h_norm = math.sqrt(m)
     state.r = p.residual_matrix(state.x)
     state.g = f1_gradient(p, state.x, state.r)
     g_norm = frobenius_norm(state.g)
@@ -367,14 +295,12 @@ def solve_quasi_newton(
         "updates": [],
         "f_history": [f1_value(p, state.x, state.r)],
         "grad_norm_history": [g_norm],
-        "curvature_skips": 0,
-        "mode": cfg.mode,
         "method": cfg.method,
     }
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
 
     def step(s):
-        direction = _direction(s.g, s.inv_h, cfg.mode, (m, n))
+        direction = -s.g if s.inv_h is None else -(s.inv_h @ s.g)
         if trace_inner(s.g, direction) >= 0:
             raise Stop("stagnated")
         if cfg.linesearch == "exact":
@@ -412,31 +338,19 @@ def solve_quasi_newton(
         audit = {
             "step": lam,
             "curvature": trace_inner(delta, y),
-            "skipped": False,
         }
-        try:
-            inv_h = update_fn(
-                QnState(x=s.x, g=s.g, inv_hessian=s.inv_h, delta=delta, y=y), cfg.mode
-            )
-        except CurvatureError:
-            detail["curvature_skips"] += 1
-            audit["skipped"] = True
-        else:
-            # Release the old model before the audit's temporaries.
-            s.inv_h = inv_h
-            if cfg.mode == "matrix_form":
-                secant_err = frobenius_norm(inv_h @ y - delta)
-            else:
-                secant_err = float(
-                    np.linalg.norm(inv_h @ vec(y).ravel() - vec(delta).ravel())
-                )
-            audit["secant_error"] = secant_err
-            audit["delta_norm"] = frobenius_norm(delta)
-            audit["symmetry_error"] = frobenius_norm(inv_h - inv_h.T)
-            audit["inv_hessian_norm"] = frobenius_norm(inv_h)
-            if inv_h.shape[0] <= 64:
-                audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
-            s.inv_h_norm = audit["inv_hessian_norm"]
+        inv_h = update_fn(
+            QnState(x=s.x, g=s.g, inv_hessian=s.inv_h, delta=delta, y=y)
+        )
+        # Release the old model before the audit's temporaries.
+        s.inv_h = inv_h
+        audit["secant_error"] = frobenius_norm(inv_h @ y - delta)
+        audit["delta_norm"] = frobenius_norm(delta)
+        audit["symmetry_error"] = frobenius_norm(inv_h - inv_h.T)
+        audit["inv_hessian_norm"] = frobenius_norm(inv_h)
+        if inv_h.shape[0] <= 64:
+            audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
+        s.inv_h_norm = audit["inv_hessian_norm"]
         detail["updates"].append(audit)
 
     def stop(s, res):

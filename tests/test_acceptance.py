@@ -72,10 +72,6 @@ def random_problem_runs():
         x_star = solve_kronecker_direct(p)
         reports = {"direct": None}
         reports["ccom"] = solve_ccom(p, CcomConfig(epsilon=1e-10))
-        for method in ("dfp", "bfgs"):
-            reports[method] = solve_quasi_newton(
-                p, QnConfig(method=method, mode="vectorized", grad_tol=1e-9)
-            )
         if spd:
             reports["cg"] = solve_cg(p, BaselineConfig(tol=1e-10))
         runs.append((p, x_star, reports))
@@ -357,8 +353,6 @@ def test_criterion_11_secant_and_symmetry(t5_runs, t6_runs):
     reports = list(t5_runs.values()) + [t6_runs["dfp"], t6_runs["bfgs"]]
     for report in reports:
         for audit in report.detail["updates"]:
-            if audit["skipped"]:
-                continue
             updates += 1
             assert audit["secant_error"] <= 1e-8 * (1.0 + audit["delta_norm"])
             assert audit["symmetry_error"] <= 1e-10 * max(1.0, audit["inv_hessian_norm"])

@@ -81,7 +81,6 @@ def _newton_cases():
 def _family_cases():
     variants = [(qn, {"linesearch": ls}) for qn in ("dfp", "bfgs")
                 for ls in ("exact", "wolfe", "armijo")]
-    variants += [(qn, {"mode": "vectorized"}) for qn in ("dfp", "bfgs")]
     variants += [("cg", {}), ("ar", {}), ("ccom", {}), ("direct", {})]
     for table in ("t4", "t5", "t6"):
         source = sylvester_family(table, MAX_ORDER)
@@ -186,38 +185,32 @@ GOLDEN = {
     't4-ar': (2, 'converged', 3, 0.0),
     't4-bfgs-armijo': (2, 'converged', 3, 0.0),
     't4-bfgs-exact': (1, 'converged', 2, 0.0),
-    't4-bfgs-vectorized': (1, 'converged', 2, 0.0),
     't4-bfgs-wolfe': (2, 'converged', 3, 0.0),
     't4-ccom': (1, 'converged', 2, 9.957827818901353e-16),
     't4-cg': (1, 'converged', 2, 0.0),
     't4-dfp-armijo': (2, 'converged', 3, 1.7763568394002505e-15),
     't4-dfp-exact': (1, 'converged', 2, 0.0),
-    't4-dfp-vectorized': (1, 'converged', 2, 0.0),
     't4-dfp-wolfe': (2, 'converged', 3, 1.7763568394002505e-15),
     't4-direct': (0, 'converged', 1, 5.897928109509803e-16),
     't5-ar': (2, 'converged', 3, 0.0),
     't5-bfgs-armijo': (2, 'converged', 3, 0.0),
     't5-bfgs-exact': (1, 'converged', 2, 0.0),
-    't5-bfgs-vectorized': (1, 'converged', 2, 0.0),
     't5-bfgs-wolfe': (2, 'converged', 3, 0.0),
     't5-ccom': (1, 'converged', 2, 8.238068436658583e-16),
     't5-cg': (1, 'converged', 2, 0.0),
     't5-dfp-armijo': (2, 'converged', 3, 4.884981308350689e-15),
     't5-dfp-exact': (1, 'converged', 2, 0.0),
-    't5-dfp-vectorized': (1, 'converged', 2, 0.0),
     't5-dfp-wolfe': (2, 'converged', 3, 4.884981308350689e-15),
     't5-direct': (0, 'converged', 1, 5.951686021532507e-16),
     't6-ar': (16, 'converged', 17, 3.6304337894906403e-09),  # banded Sylvester operator, was 3.6304337552537845e-09
     't6-ar-omega1': (29, 'diverged', 30, 12300527.404853132),
     't6-bfgs-armijo': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
     't6-bfgs-exact': (2, 'converged', 3, 4.2651787210335784e-16),  # identity start model, getri inverse, was 4.3952828076356995e-16
-    't6-bfgs-vectorized': (14, 'converged', 15, 3.9220443595945605e-10),  # banded Sylvester operator, was 3.922044291898453e-10
     't6-bfgs-wolfe': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
     't6-ccom': (1, 'converged', 2, 1.2196823201173783e-15),
     't6-cg': (9, 'converged', 10, 2.347073826271071e-09),
     't6-dfp-armijo': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
     't6-dfp-exact': (2, 'converged', 3, 3.650313286098203e-14),  # identity start model, getri inverse, was 3.299927058553371e-14
-    't6-dfp-vectorized': (14, 'converged', 15, 3.9338064924120984e-10),  # banded Sylvester operator, was 3.9338065703860804e-10
     't6-dfp-wolfe': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
     't6-direct': (0, 'converged', 1, 7.493329227000589e-16),
     't8-admm-cap200': (200, 'max_iterations', 201, 0.0004771852792345927),

@@ -35,8 +35,8 @@ S, L, C = SylvesterProblem, LyapunovProblem, CareProblem
 # ``omega`` through a helper shared with ar, but solve_cg never used it.
 ADAPTER_KEYS = {
     ("ccom", S): {"tol", "max_iterations", "group_rows"},
-    ("dfp", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations", "mode"},
-    ("bfgs", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations", "mode"},
+    ("dfp", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
+    ("bfgs", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
     ("cg", S): {"tol", "max_iterations"},
     ("ar", S): {"tol", "max_iterations", "omega"},
     ("admm", C): {"alpha", "beta", "gamma", "tol", "max_iterations", "check_every"},
@@ -54,11 +54,11 @@ ADAPTER_DEFAULTS = {
     ("ccom", S): CcomConfig(epsilon=1e-8, max_iterations=100, group_rows=1),
     ("dfp", S): QnConfig(
         method="dfp", linesearch="exact", sigma1=1e-4, sigma2=0.9,
-        grad_tol=1e-8, max_iterations=500, mode="matrix_form",
+        grad_tol=1e-8, max_iterations=500,
     ),
     ("bfgs", S): QnConfig(
         method="bfgs", linesearch="exact", sigma1=1e-4, sigma2=0.9,
-        grad_tol=1e-8, max_iterations=500, mode="matrix_form",
+        grad_tol=1e-8, max_iterations=500,
     ),
     ("cg", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
     ("ar", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
@@ -84,7 +84,6 @@ SOLVE_FLAGS = {
     "beta": (["--beta"], float, None),
     "gamma": (["--gamma"], float, None),
     "linesearch": (["--linesearch"], str, ("exact", "armijo", "wolfe")),
-    "mode": (["--mode"], str, ("matrix_form", "vectorized")),
     "sigma1": (["--sigma1"], float, None),
     "sigma2": (["--sigma2"], float, None),
     "inner_tol_mode": (["--inner-tol-mode"], str, ("forcing", "fixed")),
@@ -102,7 +101,7 @@ NON_PARAM_DESTS = {
 # A value each key accepts, as it is written on a command line.
 SAMPLE = {
     "tol": "1e-6", "max_iterations": "7", "alpha": "0.7", "beta": "3", "gamma": "0.2",
-    "linesearch": "wolfe", "mode": "vectorized", "sigma1": "0.01", "sigma2": "0.5",
+    "linesearch": "wolfe", "sigma1": "0.01", "sigma2": "0.5",
     "inner_tol_mode": "fixed", "inner_tol_value": "0.001", "inner_max": "9",
     "outer_max": "4", "omega": "0.05", "group_rows": "2", "check_every": "3",
 }

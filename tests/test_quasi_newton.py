@@ -5,12 +5,12 @@ import pytest
 
 from conftest import central_difference_gradient, random_sylvester
 from matrixopt.errors import (
-    CurvatureError,
     DegenerateDirectionError,
     LineSearchError,
+    MatrixOptError,
     PreconditionError,
 )
-from matrixopt.linalg import frobenius_norm, kron, trace_inner, vec
+from matrixopt.linalg import frobenius_norm, trace_inner
 from matrixopt.oracle import solve_kronecker_direct, sylvester_residual
 from matrixopt.problems import SylvesterProblem, gen_tridiagonal, sylvester_family
 from matrixopt.quasi_newton import (
@@ -27,6 +27,15 @@ from matrixopt.quasi_newton import (
 )
 
 SCALAR = SylvesterProblem(a=[[3.0]], b=[[6.0]], c=[[9.0]])
+
+
+def _commuting(n):
+    # Symmetric A, B sharing an eigenbasis keep delta^T y symmetric, so
+    # the symmetrized pseudo-inverse updates retain the secant relation
+    # exactly; this mirrors the benchmark families.
+    return SylvesterProblem(
+        a=gen_tridiagonal(n, 5, -1, -1), b=gen_tridiagonal(n, 6, 2, 2), c=np.eye(n)
+    )
 
 
 class TestObjective:
@@ -148,35 +157,8 @@ class TestArmijoSearch:
             armijo_search(p, x, f1_gradient(p, x))
 
 
-def _reference_dfp_quadratic(m_sys, c_vec, steps):
-    """Textbook vector DFP with exact line search on 0.5||M v - c||^2."""
-    n = m_sys.shape[1]
-    h = m_sys.T @ m_sys
-    grad = lambda v: m_sys.T @ (m_sys @ v - c_vec)  # noqa: E731
-    v = np.zeros(n)
-    g = grad(v)
-    G = np.eye(n)
-    trail = []
-    for _ in range(steps):
-        d = -G @ g
-        hd = h @ d
-        denom = d @ hd
-        if denom <= 0:
-            break
-        lam = -(g @ d) / denom
-        v_new = v + lam * d
-        g_new = grad(v_new)
-        dv = v_new - v
-        dy = g_new - g
-        Gy = G @ dy
-        G = G + np.outer(dv, dv) / (dv @ dy) - np.outer(Gy, Gy) / (dy @ Gy)
-        v, g = v_new, g_new
-        trail.append(v.copy())
-    return trail
-
-
 class TestUpdates:
-    def _state(self, rng, m, n, mode):
+    def _state(self, rng, m, n):
         p = random_sylvester(rng, m, n)
         x0 = rng.standard_normal((m, n))
         g0 = f1_gradient(p, x0)
@@ -184,10 +166,7 @@ class TestUpdates:
         lam = exact_step(p, x0, d)
         x1 = x0 + lam * d
         g1 = f1_gradient(p, x1)
-        size = m if mode == "matrix_form" else m * n
-        return QnState(
-            x=x1, g=g1, inv_hessian=np.eye(size), delta=x1 - x0, y=g1 - g0
-        )
+        return QnState(x=x1, g=g1, inv_hessian=np.eye(m), delta=x1 - x0, y=g1 - g0)
 
     def test_scalar_reduces_to_ratio(self):
         st = QnState(
@@ -198,19 +177,10 @@ class TestUpdates:
             y=np.array([[8.0]]),
         )
         for update in (dfp_update, bfgs_update):
-            for mode in ("matrix_form", "vectorized"):
-                out = update(st, mode)
-                assert out[0, 0] == pytest.approx(0.25)
+            assert update(st)[0, 0] == pytest.approx(0.25)
 
     def _commuting_state(self, n=6):
-        # Symmetric A, B sharing an eigenbasis keep delta^T y symmetric,
-        # so the symmetrized pseudo-inverse updates retain the secant
-        # relation exactly; this mirrors the benchmark families.
-        p = SylvesterProblem(
-            a=gen_tridiagonal(n, 5, -1, -1),
-            b=gen_tridiagonal(n, 6, 2, 2),
-            c=np.eye(n),
-        )
+        p = _commuting(n)
         x0 = np.zeros((n, n))
         g0 = f1_gradient(p, x0)
         d = -g0
@@ -226,75 +196,34 @@ class TestUpdates:
             st = self._commuting_state()
             s = st.delta.T @ st.y
             assert np.linalg.matrix_rank(s) == s.shape[0]
-            g_new = update(st, "matrix_form")
+            g_new = update(st)
             err = frobenius_norm(g_new @ st.y - st.delta)
-            assert err <= 1e-8 * (1.0 + frobenius_norm(st.delta))
-
-    def test_vectorized_secant(self, rng):
-        for update in (dfp_update, bfgs_update):
-            st = self._state(rng, 3, 2, "vectorized")
-            g_new = update(st, "vectorized")
-            err = np.linalg.norm(g_new @ vec(st.y).ravel() - vec(st.delta).ravel())
             assert err <= 1e-8 * (1.0 + frobenius_norm(st.delta))
 
     def test_symmetry_after_update(self, rng):
         for update in (dfp_update, bfgs_update):
-            for mode in ("matrix_form", "vectorized"):
-                st = self._state(rng, 3, 3, mode)
-                g_new = update(st, mode)
-                assert frobenius_norm(g_new - g_new.T) <= 1e-10 * frobenius_norm(g_new)
-
-    def test_vectorized_curvature_error(self):
-        st = QnState(
-            x=np.ones((1, 1)),
-            g=np.ones((1, 1)),
-            inv_hessian=np.eye(1),
-            delta=np.array([[1.0]]),
-            y=np.array([[-1.0]]),
-        )
-        with pytest.raises(CurvatureError):
-            bfgs_update(st, "vectorized")
-
-    def test_vectorized_dfp_matches_reference(self, rng):
-        p = random_sylvester(rng, 3, 2)
-        m, n = 3, 2
-        m_sys = kron(np.eye(n), p.a) + kron(p.b.T, np.eye(m))
-        c_vec = vec(p.c).ravel()
-        reference = _reference_dfp_quadratic(m_sys, c_vec, steps=4)
-        cfg = QnConfig(method="dfp", linesearch="exact", mode="vectorized",
-                       max_iterations=4, grad_tol=1e-300)
-        report = solve_quasi_newton(p, cfg)
-        # compare the final iterate against the reference trajectory point
-        assert len(reference) >= report.iterations
-        ref_x = reference[report.iterations - 1].reshape(n, m).T
-        assert frobenius_norm(report.solution - ref_x) <= 1e-9 * (
-            1.0 + frobenius_norm(ref_x)
-        )
+            g_new = update(self._state(rng, 3, 3))
+            assert frobenius_norm(g_new - g_new.T) <= 1e-10 * frobenius_norm(g_new)
 
     @pytest.mark.parametrize("update", [dfp_update, bfgs_update])
-    @pytest.mark.parametrize("mode, m, n", [
-        ("matrix_form", 1, 1), ("matrix_form", 3, 2), ("matrix_form", 2, 5),
-        ("matrix_form", 8, 8), ("matrix_form", 64, 48),
-        ("vectorized", 1, 1), ("vectorized", 3, 2), ("vectorized", 4, 4),
-    ])
-    def test_no_model_is_the_identity(self, update, mode, m, n):
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (2, 5), (8, 8), (64, 48)])
+    def test_no_model_is_the_identity(self, update, m, n):
         # inv_hessian=None stands for the start model I without forming it.
         rng = np.random.default_rng(100 * m + n)
         d = rng.standard_normal((m, n))
         q = rng.standard_normal((m, m))
         y = (q @ q.T + m * np.eye(m)) @ d  # <delta, y> > 0
-        size = m if mode == "matrix_form" else m * n
-        got = update(QnState(x=d, g=y, inv_hessian=None, delta=d, y=y), mode)
-        want = update(QnState(x=d, g=y, inv_hessian=np.eye(size), delta=d, y=y), mode)
+        got = update(QnState(x=d, g=y, inv_hessian=None, delta=d, y=y))
+        want = update(QnState(x=d, g=y, inv_hessian=np.eye(m), delta=d, y=y))
         assert got.shape == want.shape
         assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
 
     def test_update_leaves_its_operands_alone(self, rng):
-        st = self._state(rng, 4, 3, "matrix_form")
+        st = self._state(rng, 4, 3)
         st.inv_hessian = rng.standard_normal((4, 4))
         before = [a.copy() for a in (st.x, st.g, st.inv_hessian, st.delta, st.y)]
         for update in (dfp_update, bfgs_update):
-            update(st, "matrix_form")
+            update(st)
             after = (st.x, st.g, st.inv_hessian, st.delta, st.y)
             assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
@@ -312,25 +241,23 @@ class TestSolver:
         assert report.iterations == 1
         assert report.solution[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("linesearch", ["exact", "armijo", "wolfe"])
     @pytest.mark.parametrize("method", ["dfp", "bfgs"])
-    def test_vectorized_converges_and_matches_oracle(self, rng, method):
-        p = random_sylvester(rng, 4, 3)
-        cfg = QnConfig(method=method, mode="vectorized", grad_tol=1e-10)
-        report = solve_quasi_newton(p, cfg)
-        assert report.converged
-        x_star = solve_kronecker_direct(p)
-        err = frobenius_norm(report.solution - x_star)
-        assert err <= 1e-6 * (1.0 + frobenius_norm(x_star))
-
-    @pytest.mark.parametrize("method", ["dfp", "bfgs"])
-    def test_matrix_form_matches_oracle_when_converged(self, rng, method):
+    def test_matrix_form_matches_oracle_when_converged(self, method, linesearch, seed):
         # The m x m curvature model only spans the full operator on
         # favorable (e.g. commuting) instances; elsewhere it may stop
         # short or blow up, which must be reported as stagnation or
-        # divergence, never as success.
-        p = random_sylvester(rng, 4, 3)
-        cfg = QnConfig(method=method, mode="matrix_form", grad_tol=1e-10)
-        report = solve_quasi_newton(p, cfg)
+        # divergence, or raised with the partial report, never as success.
+        rng = np.random.default_rng(seed)
+        m, n = (int(k) for k in rng.integers(1, 7, size=2))
+        p = random_sylvester(rng, m, n)
+        cfg = QnConfig(method=method, linesearch=linesearch, grad_tol=1e-10)
+        try:
+            report = solve_quasi_newton(p, cfg)
+        except MatrixOptError as exc:
+            assert exc.report is not None
+            return
         if report.converged:
             x_star = solve_kronecker_direct(p)
             err = frobenius_norm(report.solution - x_star)
@@ -339,37 +266,29 @@ class TestSolver:
             assert report.termination in ("stagnated", "max_iterations", "diverged")
 
     @pytest.mark.parametrize("linesearch", ["exact", "wolfe"])
-    def test_descent_every_step(self, rng, linesearch):
-        p = random_sylvester(rng, 4, 4)
-        cfg = QnConfig(method="bfgs", linesearch=linesearch, mode="vectorized",
-                       grad_tol=1e-9)
-        report = solve_quasi_newton(p, cfg)
+    def test_descent_every_step(self, linesearch):
+        cfg = QnConfig(method="bfgs", linesearch=linesearch, grad_tol=1e-9)
+        report = solve_quasi_newton(_commuting(16), cfg)
+        assert report.converged
         f_hist = report.detail["f_history"]
         for prev, cur in zip(f_hist, f_hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, prev)
 
-    def test_wolfe_guarantees_curvature(self, rng):
-        p = random_sylvester(rng, 3, 3)
-        cfg = QnConfig(method="bfgs", linesearch="wolfe", mode="vectorized",
-                       grad_tol=1e-9)
-        report = solve_quasi_newton(p, cfg)
-        assert report.converged
+    def test_wolfe_guarantees_curvature(self):
+        cfg = QnConfig(method="bfgs", linesearch="wolfe", grad_tol=1e-9)
+        report = solve_quasi_newton(_commuting(6), cfg)
+        assert report.converged and report.detail["updates"]
         for audit in report.detail["updates"]:
-            # weak-Wolfe steps keep <delta, y> strictly positive; at worst
-            # a step late in the run lands at or below the 1e-14 floor and
-            # its update is skipped rather than applied
-            assert audit["curvature"] > -1e-12
-            if not audit["skipped"]:
-                assert audit["curvature"] > 0
-                assert audit["min_eigenvalue"] > 0
+            # weak-Wolfe steps keep <delta, y> strictly positive, and a
+            # positive curvature keeps the BFGS model positive definite
+            assert audit["curvature"] > 0
+            assert audit["min_eigenvalue"] > 0
 
-    def test_secant_and_symmetry_audit(self, rng):
-        p = random_sylvester(rng, 4, 2)
-        cfg = QnConfig(method="bfgs", mode="vectorized", grad_tol=1e-10)
-        report = solve_quasi_newton(p, cfg)
+    def test_secant_and_symmetry_audit(self):
+        cfg = QnConfig(method="bfgs", grad_tol=1e-10)
+        report = solve_quasi_newton(_commuting(32), cfg)
+        assert report.converged and report.detail["updates"]
         for audit in report.detail["updates"]:
-            if audit["skipped"]:
-                continue
             assert audit["secant_error"] <= 1e-8 * (1.0 + audit["delta_norm"])
             assert audit["symmetry_error"] <= 1e-10 * max(1.0, audit["inv_hessian_norm"])
 
@@ -407,9 +326,9 @@ class TestSolver:
         update = dfp_update if method == "dfp" else bfgs_update
         calls = []
 
-        def counted(state, mode="matrix_form"):
-            calls.append(mode)
-            return update(state, mode)
+        def counted(state):
+            calls.append(state)
+            return update(state)
 
         p = sylvester_family("t6", 16).build()
         monkeypatch.setattr(f"matrixopt.quasi_newton.{method}_update", counted)
@@ -457,7 +376,7 @@ class TestSolver:
         m = p.shape[0]
         monkeypatch.setattr(
             "matrixopt.quasi_newton.bfgs_update",
-            lambda state, mode="matrix_form": np.full((m, m), 1e200),
+            lambda state: np.full((m, m), 1e200),
         )
         report = solve_quasi_newton(p, QnConfig(method="bfgs"))
         assert report.termination == "diverged" and report.iterations == 1
