@@ -18,6 +18,8 @@ the package run on: this four-block one and the three-block Lyapunov
 splitting of :mod:`~matrixopt.newton_admm`.  It owns the ``detail`` keys
 the two share: the final ``state``, the ``asymmetry`` of its X block and,
 on request, the augmented-Lagrangian trace and per-sweep block changes.
+It also owns its start state, so a running solve holds two generations
+of blocks: the state a sweep reads and the one it builds.
 
 X is not kept symmetric during the iteration (the updates do not
 preserve symmetry); the final report logs ``||X - X^T||_F`` and the
@@ -73,7 +75,8 @@ class _BlockState:
     (:meth:`checked`), and a blow-up in the loop shows as a non-finite
     residual.  ``products``, no field and so no block, holds products the
     sweep that made the state formed, with their problem; so blocks are
-    not changed in place."""
+    not changed in place.  The next sweep drops them once it has read
+    them: by then the residual check has read its own."""
 
     products = None
 
@@ -175,6 +178,7 @@ def admm_step(
     a_t, n_t = a.T, n_mat.T
 
     za = s.carried(p, "za")
+    s.products = None
     if za is None:
         za = s.z @ a
     x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
@@ -267,7 +271,7 @@ def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
 
 
 def sweep_until(
-    state, sweep, residual, tol, max_iterations, *,
+    start: list, sweep, residual, tol, max_iterations, *,
     lagrangian=None, check_every=1, solution=lambda state: state.x,
 ) -> SolveReport:
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
@@ -275,16 +279,18 @@ def sweep_until(
     BLAS at one thread.  A residual that is not finite ends the run
     ``diverged``; callers run the loop under ``np.errstate(**QUIET_BLOW_UP)``.
 
-    ``detail`` keeps the last full ``state`` (for warm starts) and the
-    ``asymmetry`` ``||X - X^T||_F`` of its X block.  Given a
-    ``lagrangian`` (state -> float) it also carries that function's trace
-    ``lagrangian_history`` and the squared block changes ``block_deltas``
-    of every sweep, which the invariant tests turn into the per-sweep
-    decrease inequality.
+    The loop owns its start state: ``start`` is a one-element list that
+    it pops, and a caller keeps no other reference, so the start state
+    dies with the first sweep.  ``detail`` keeps the last full ``state``
+    (for warm starts) and the ``asymmetry`` ``||X - X^T||_F`` of its X
+    block.  Given a ``lagrangian`` (state -> float) it also carries that
+    function's trace ``lagrangian_history`` and the squared block changes
+    ``block_deltas`` of every sweep, which the invariant tests turn into
+    the per-sweep decrease inequality.
     """
-    detail: dict = {"state": state}
+    detail: dict = {"state": start.pop()}
     if lagrangian is not None:
-        detail["lagrangian_history"] = [lagrangian(state)]
+        detail["lagrangian_history"] = [lagrangian(detail["state"])]
         detail["block_deltas"] = []
 
     def step(state):
@@ -302,7 +308,7 @@ def sweep_until(
 
     with serial_products():
         report = iterate(
-            state, step, residual, stop, max_iterations,
+            detail["state"], step, residual, stop, max_iterations,
             check_every=check_every, solution=solution, detail=detail,
         )
     # Carried products serve the loop alone; a warm start forms its own.
@@ -325,14 +331,17 @@ def solve_care_admm(
     ``track_lagrangian`` the detail map carries the augmented-Lagrangian
     trace and block changes of :func:`sweep_until`; after the loop it
     gains the KKT residuals and the closed-loop spectral abscissa (NaN
-    when X is not finite).  ``init`` must have finite n x n blocks.
+    when X is not finite).  ``init`` must have finite n x n blocks; it is
+    read, never written, and the solve keeps no reference to it.
     """
     cfg = cfg or AdmmConfig()
     const = SweepConstants.of(p, cfg)
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
+    start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
+    del init
     with np.errstate(**QUIET_BLOW_UP):
         report = sweep_until(
-            init.checked(p.order) if init is not None else AdmmState.zero(p.order),
+            start,
             lambda state: admm_step(p, state, cfg, const),
             lambda state: care_residual(p, state.x, state.carried(p, "atx")),
             cfg.tol,

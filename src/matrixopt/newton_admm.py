@@ -118,11 +118,12 @@ def lyap_admm_step(
     """One three-block sweep X -> Y -> Z followed by the multiplier steps.
     ``factors`` carries the Cholesky factors of :func:`_factors`; without
     them they are formed here.  The new state carries its A^T X for the
-    residual check."""
+    residual check; the old state's, read by then, is dropped."""
     if s.x.shape != (p.order, p.order):
         raise DimensionError(
             f"state order {s.x.shape[0]} does not match problem order {p.order}"
         )
+    s.products = None
     fx, fz = factors or _factors(p, cfg)
     a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
     a_t = a.T
@@ -157,14 +158,17 @@ def solve_lyapunov_admm(
 
     The reported solution is symmetrized; the raw asymmetry and the full
     final state (for warm starts) are kept in ``detail``.  ``init`` must
-    have finite n x n blocks.
+    have finite n x n blocks; it is read, never written, and the solve
+    keeps no reference to it.
     """
     cfg = cfg or NewtonAdmmConfig()
     factors = _factors(p, cfg)
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
+    start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
+    del init
     with np.errstate(**QUIET_BLOW_UP):
         return sweep_until(
-            init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order),
+            start,
             lambda state: lyap_admm_step(p, state, cfg, factors),
             lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
             cfg.outer_tol if tol is None else tol,
@@ -193,8 +197,9 @@ def solve_newton_admm(
     """
     cfg = cfg or NewtonAdmmConfig()
     # Besides the iterate: its Riccati residual (the forcing rule reads it),
-    # the inner state to warm-start from, and the run of capped inner solves.
-    outer = SimpleNamespace(residual=None, inner=None, capped_streak=0)
+    # the inner state to warm-start from (in a list the next inner solve
+    # pops, so that solve holds it alone), and the run of capped inner solves.
+    outer = SimpleNamespace(residual=None, inner=[], capped_streak=0)
     detail: dict = {
         "outer_iterations": 0,
         "inner_iterations_per_outer": [],
@@ -218,7 +223,9 @@ def solve_newton_admm(
             inner_tol = cfg.inner_tol_value
         else:
             inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
-        inner = solve_lyapunov_admm(lp, cfg, init=outer.inner, tol=inner_tol)
+        inner = solve_lyapunov_admm(
+            lp, cfg, init=outer.inner.pop() if outer.inner else None, tol=inner_tol
+        )
         if inner.termination == "diverged":
             raise Stop("diverged")
         detail["outer_iterations"] += 1
@@ -229,7 +236,7 @@ def solve_newton_admm(
             detail["inner_lagrangian_traces"].append(
                 {key: inner.detail[key] for key in ("lagrangian_history", "block_deltas")}
             )
-        outer.inner = inner.detail["state"]
+        outer.inner.append(inner.detail["state"])
         if inner.termination == "max_iterations":
             outer.capped_streak += 1
         else:

@@ -10,6 +10,9 @@ denominators are nonsingular.  An m x m model captures the whole
 operator only on favourable problems, such as commuting A and B; on
 general problems a run may stop short of the solution, as ``stagnated``
 or ``diverged`` or with a line-search error carrying the partial report.
+A line search that fails after the model has blown up ends the run
+``diverged``: its Frobenius norm then exceeds sqrt(m) / eps, sqrt(m)
+being the norm of the identity start and eps machine epsilon.
 
 The default line search is the closed-form exact minimizer: the
 objective is quadratic along any line, which is also why well-behaved
@@ -272,10 +275,12 @@ def solve_quasi_newton(
     secant error, symmetry error, model norm, curvature, accepted step),
     the objective trace (``f_history``) and the gradient norms.
     Line-search failures re-raise with the partial report attached to the
-    exception.  A direction that is not a descent direction, or an exact
-    step of zero, ends the run as stagnated; a model whose Frobenius norm
-    is not finite (an entry that overflowed, or a norm that did) ends it
-    as diverged, on the step that formed the model.
+    exception, unless the model's Frobenius norm exceeds sqrt(m) / eps: a
+    line search that fails after such a blow-up ends the run as diverged.
+    A direction that is not a descent direction, or an exact step of
+    zero, ends the run as stagnated; a model whose Frobenius norm is not
+    finite (an entry that overflowed, or a norm that did) ends it as
+    diverged, on the step that formed the model.
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
@@ -298,17 +303,23 @@ def solve_quasi_newton(
         "method": cfg.method,
     }
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
+    blown_up_norm = math.sqrt(m) / np.finfo(np.float64).eps
 
     def step(s):
         direction = -s.g if s.inv_h is None else -(s.inv_h @ s.g)
         if trace_inner(s.g, direction) >= 0:
             raise Stop("stagnated")
-        if cfg.linesearch == "exact":
-            lam = exact_step(p, s.x, direction, r=s.r)
-        elif cfg.linesearch == "armijo":
-            lam = armijo_search(p, s.x, direction, cfg.sigma1, r=s.r)
-        else:
-            lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2, r=s.r)
+        try:
+            if cfg.linesearch == "exact":
+                lam = exact_step(p, s.x, direction, r=s.r)
+            elif cfg.linesearch == "armijo":
+                lam = armijo_search(p, s.x, direction, cfg.sigma1, r=s.r)
+            else:
+                lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2, r=s.r)
+        except LineSearchError:
+            if s.inv_h_norm > blown_up_norm:
+                raise Stop("diverged") from None
+            raise
         if lam == 0.0:
             raise Stop("stagnated")
 

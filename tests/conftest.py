@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,23 @@ def central_difference_gradient(f, x, h=1e-6):
         e[idx] = h
         g[idx] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def peak_blocks(run, n):
+    """Call ``run()`` and return its result with the peak memory it
+    allocated on top of what was live before, in n x n float64 blocks."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak / (n * n * 8)
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from conftest import peak_blocks
 from matrixopt import care_admm, newton_admm
 from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.care_admm import (
@@ -133,17 +135,21 @@ class TestAdmmStep:
     def test_carried_products_serve_only_their_own_problem(self, rng):
         # A state made by a sweep on p1 carries p1's products; a sweep on
         # p2 must form its own, and on p1 reuse them to the same bits.
+        # Either sweep drops them once read.
         p1, p2 = random_care(rng), random_care(rng)
         cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1)
         s1 = admm_step(p1, admm_step(p1, AdmmState.zero(3), cfg), cfg)
         bare = replace(s1)
         assert s1.products is not None and bare.products is None
-        for p in (p1, p2):
-            carried, formed = admm_step(p, s1, cfg), admm_step(p, bare, cfg)
-            for f in fields(AdmmState):
-                assert np.array_equal(getattr(carried, f.name), getattr(formed, f.name)), f.name
         assert care_residual(p1, s1.x, s1.carried(p1, "atx")) == care_residual(p1, s1.x)
         assert s1.carried(p2, "atx") is None
+        for p in (p1, p2):
+            s = replace(s1)
+            s.products = s1.products
+            carried, formed = admm_step(p, s, cfg), admm_step(p, bare, cfg)
+            assert s.products is None
+            for f in fields(AdmmState):
+                assert np.array_equal(getattr(carried, f.name), getattr(formed, f.name)), f.name
 
 
 class TestSolveSpd:
@@ -398,6 +404,15 @@ class TestSweepLoop:
             assert not np.isfinite(report.detail["final_kkt_residuals"]).any()
             assert np.isnan(report.detail["closed_loop_max_real_eig"])
 
+    def test_init_is_read_not_written(self, splitting):
+        init = _sweeps(splitting, 3).detail["state"]
+        blocks = {f.name: getattr(init, f.name) for f in fields(init)}
+        before = {name: block.copy() for name, block in blocks.items()}
+        _sweeps(splitting, 5, init=init)
+        for name, block in blocks.items():
+            assert getattr(init, name) is block
+            assert np.array_equal(block, before[name]), name
+
     def test_non_finite_init_is_rejected(self, splitting):
         init = _sweeps(splitting, 3).detail["state"]
         init.y[0, 0] = np.inf
@@ -411,6 +426,41 @@ class TestSweepLoop:
             _sweeps(splitting, 3, init=zero(n + 1))
         with pytest.raises(DimensionError, match="block z"):
             _sweeps(splitting, 3, init=replace(zero(n), z=np.zeros((n, n + 1))))
+
+
+def test_start_state_dies_with_the_first_sweep():
+    # The loop pops its start from the list it is handed, so once the
+    # first sweep is done no reference to the start state is left.
+    cfg = NewtonAdmmConfig()
+    start = [LyapAdmmState.zero(LYAP_8.order)]
+    start_block = weakref.ref(start[0].x)
+    alive = []
+
+    def sweep(state):
+        alive.append(start_block() is not None)
+        return newton_admm.lyap_admm_step(LYAP_8, state, cfg)
+
+    report = care_admm.sweep_until(
+        start, sweep, lambda state: newton_admm.lyapunov_residual(LYAP_8, state.x), 1e-300, 3
+    )
+    assert report.iterations == 3 and start == []
+    assert alive == [True, False, False]
+
+
+# Peak traced allocation of t8 admm at n=128, capped at 40 sweeps, in
+# n x n blocks (problem built beforehand): a sweep holds the state it
+# reads, the one it builds and its temporaries.  It was 38 when the start
+# state and the old state's carried products lived through the loop.
+ADMM_PEAK_BLOCKS = 32
+
+
+def test_admm_peak_memory():
+    n = 128
+    p = care_family("t8", n).build()
+    cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, max_iterations=40)
+    report, peak = peak_blocks(lambda: solve_care_admm(p, cfg), n)
+    assert report.iterations == 40
+    assert round(peak) <= ADMM_PEAK_BLOCKS
 
 
 def test_blow_up_between_checks_ends_diverged_at_the_next_check(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import matrixopt.baselines as baselines
 import matrixopt.care_admm as care_admm
 import matrixopt.newton_admm as newton_admm
+import matrixopt.quasi_newton as quasi_newton
 from matrixopt.errors import (
     AdmmBreakdownError,
     LineSearchError,
@@ -141,8 +142,15 @@ ERROR_CASES = {
         "newton", lambda: CareProblem(a=[[0.0]], n_mat=[[0.0]], k_mat=[[1.0]]), {},
         NewtonBreakdownError, None,
     ),
-    "bfgs-armijo": ("bfgs", _random3, {"linesearch": "armijo"}, LineSearchError, None),
-    "bfgs-wolfe": ("bfgs", _random3, {"linesearch": "wolfe"}, LineSearchError, None),
+    # A search that fails under a model short of a blow-up raises.
+    "bfgs-armijo": (
+        "bfgs", _random3, {"linesearch": "armijo"}, LineSearchError,
+        (quasi_newton, "armijo_search", 2),
+    ),
+    "bfgs-wolfe": (
+        "bfgs", _random3, {"linesearch": "wolfe"}, LineSearchError,
+        (quasi_newton, "wolfe_search", 2),
+    ),
     "cg": ("cg", T6, {}, SingularMatrixError, (baselines, "trace_inner", 6)),
     "care-admm": ("admm", T8, T8_ADMM, AdmmBreakdownError, (care_admm, "admm_step", 4)),
     "newton-admm": (

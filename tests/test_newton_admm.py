@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import peak_blocks
 from matrixopt import newton_admm
 from matrixopt.baselines import (
     BaselineConfig,
@@ -10,7 +11,7 @@ from matrixopt.baselines import (
     solve_lyapunov_direct,
     solve_newton_care,
 )
-from matrixopt.errors import DimensionError, PreconditionError
+from matrixopt.errors import AdmmBreakdownError, DimensionError, PreconditionError
 from matrixopt.linalg import frobenius_norm
 from matrixopt.newton_admm import (
     LyapAdmmState,
@@ -22,7 +23,7 @@ from matrixopt.newton_admm import (
     solve_lyapunov_admm,
     solve_newton_admm,
 )
-from matrixopt.problems import CareProblem, LyapunovProblem, gen_tridiagonal
+from matrixopt.problems import CareProblem, LyapunovProblem, care_family, gen_tridiagonal
 
 
 def scalar_lyapunov():
@@ -241,7 +242,12 @@ class TestSolveNewtonAdmm:
         clean = solve_newton_admm(p, cfg=cfg)
         first, second = clean.detail["inner_iterations_per_outer"][:2]
         assert second > 3
-        sweep, calls = newton_admm.lyap_admm_step, []
+        sweep, calls, warm = newton_admm.lyap_admm_step, [], []
+        solve = newton_admm.solve_lyapunov_admm
+
+        def recorded(lp, cfg, init=None, tol=None):
+            warm.append(init is not None)
+            return solve(lp, cfg, init=init, tol=tol)
 
         def blown(lp, s, *args):
             # three sweeps into the second outer step, every block overflows
@@ -250,10 +256,14 @@ class TestSolveNewtonAdmm:
                 return sweep(lp, s, *args)
             return LyapAdmmState(*(np.full_like(s.x, np.inf) for _ in range(5)))
 
+        monkeypatch.setattr(newton_admm, "solve_lyapunov_admm", recorded)
         monkeypatch.setattr(newton_admm, "lyap_admm_step", blown)
         with np.errstate(invalid="ignore", over="ignore"):
             report = solve_newton_admm(p, cfg=cfg)
-        # the diverged outer step is not counted; the report is the first step's
+        # the second inner solve, handed the first one's final state, blew
+        # up; the diverged outer step is not counted, the report is the
+        # first step's
+        assert warm == [False, True]
         assert report.termination == "diverged"
         assert report.detail["inner_iterations_per_outer"] == [first]
         assert report.iterations == first
@@ -261,6 +271,29 @@ class TestSolveNewtonAdmm:
         assert report.residual_history == clean.residual_history[:2]
         assert np.array_equal(report.solution, clean.detail["outer_trace"][1])
         assert np.isfinite(report.detail["closed_loop_max_real_eig"])
+
+    def test_warm_started_inner_error_counts_the_finished_inner_sweeps(self, monkeypatch):
+        # The second inner solve, handed the first one's final state,
+        # raises three sweeps in: the error's partial report counts the
+        # first outer step's inner sweeps.
+        p = t9_problem(16)
+        cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
+        clean = solve_newton_admm(p, cfg=cfg)
+        done = clean.detail["inner_iterations_per_outer"][0]
+        sweep, calls = newton_admm.lyap_admm_step, []
+
+        def breaks(lp, s, *args):
+            calls.append(1)
+            if len(calls) < done + 3:
+                return sweep(lp, s, *args)
+            raise AdmmBreakdownError("sweep system breaks down")
+
+        monkeypatch.setattr(newton_admm, "lyap_admm_step", breaks)
+        with pytest.raises(AdmmBreakdownError) as exc:
+            solve_newton_admm(p, cfg=cfg)
+        report = exc.value.report
+        assert (report.termination, report.iterations) == ("error", done)
+        assert report.detail["outer_iterations"] == 1
 
     def test_inner_blow_up_raises_no_warning(self, monkeypatch):
         p = t9_problem(16)
@@ -341,6 +374,23 @@ class TestSolveNewtonAdmm:
         p = CareProblem(a=[[-1.0]], n_mat=[[0.0]], k_mat=[[0.0]])
         report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=1.0, beta=1.0))
         assert report.converged and report.iterations == 0
+
+
+# Peak traced allocation of t9 newton-admm at n=128, in n x n blocks
+# (problem built beforehand): the problem and its Lyapunov step, the two
+# sweep factors, the outer iterate, and the inner state a sweep reads
+# and the one it builds.  It was 24 when the start state and the warm
+# start handed to the inner solve lived through the inner loop.
+NEWTON_ADMM_PEAK_BLOCKS = 20
+
+
+def test_newton_admm_peak_memory():
+    n = 128
+    p = care_family("t9", n).build()
+    cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
+    report, peak = peak_blocks(lambda: solve_newton_admm(p, cfg=cfg), n)
+    assert report.converged and report.iterations == 80
+    assert round(peak) <= NEWTON_ADMM_PEAK_BLOCKS
 
 
 class TestLyapLagrangian:

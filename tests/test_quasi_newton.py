@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, random_sylvester
+from conftest import central_difference_gradient, peak_blocks, random_sylvester
 from matrixopt.errors import (
     DegenerateDirectionError,
     LineSearchError,
@@ -249,6 +247,8 @@ class TestSolver:
         # favorable (e.g. commuting) instances; elsewhere it may stop
         # short or blow up, which must be reported as stagnation or
         # divergence, or raised with the partial report, never as success.
+        # A bfgs model that blows up ends the run diverged under every
+        # line search, a failed inexact search included.
         rng = np.random.default_rng(seed)
         m, n = (int(k) for k in rng.integers(1, 7, size=2))
         p = random_sylvester(rng, m, n)
@@ -256,12 +256,14 @@ class TestSolver:
         try:
             report = solve_quasi_newton(p, cfg)
         except MatrixOptError as exc:
-            assert exc.report is not None
+            assert method == "dfp" and exc.report is not None
             return
         if report.converged:
             x_star = solve_kronecker_direct(p)
             err = frobenius_norm(report.solution - x_star)
             assert err <= 1e-6 * (1.0 + frobenius_norm(x_star))
+        elif method == "bfgs":
+            assert report.termination == "diverged"
         else:
             assert report.termination in ("stagnated", "max_iterations", "diverged")
 
@@ -370,6 +372,38 @@ class TestSolver:
         assert np.isfinite(report.solution).all()
         assert len(report.residual_history) == report.iterations + 1
 
+    @pytest.mark.parametrize("linesearch", ["armijo", "wolfe"])
+    def test_failed_search_after_blow_up_diverges(self, monkeypatch, linesearch):
+        # The search fails on the second step: after the model blew up
+        # past sqrt(m)/eps the run ends diverged with its partial report;
+        # under the identity start (norm sqrt(m)) the failure still raises.
+        p = sylvester_family("t6", 16).build()
+        m = p.shape[0]
+        search = f"matrixopt.quasi_newton.{linesearch}_search"
+        searched = []
+
+        def fails_on_second(*args, **kwargs):
+            searched.append(1)
+            if len(searched) == 2:
+                raise LineSearchError("no step")
+            return 1e-3
+
+        monkeypatch.setattr(search, fails_on_second)
+        monkeypatch.setattr(
+            "matrixopt.quasi_newton.bfgs_update",
+            lambda state: 2.0 / np.finfo(np.float64).eps * np.eye(m),  # norm 2 sqrt(m)/eps
+        )
+        cfg = QnConfig(method="bfgs", linesearch=linesearch)
+        report = solve_quasi_newton(p, cfg)
+        assert (report.termination, report.iterations) == ("diverged", 1)
+        assert len(report.residual_history) == 2
+
+        searched.clear()
+        monkeypatch.setattr("matrixopt.quasi_newton.bfgs_update", lambda state: np.eye(m))
+        with pytest.raises(LineSearchError) as exc:
+            solve_quasi_newton(p, cfg)
+        assert exc.value.report.iterations == 1
+
     def test_model_with_overflowing_norm_diverges(self, monkeypatch):
         # Every entry is finite, but the Frobenius norm overflows.
         p = sylvester_family("t6", 16).build()
@@ -400,19 +434,9 @@ PEAK_ARRAYS = {"dfp": 8, "bfgs": 8}
 def test_matrix_form_peak_memory(method):
     n = 256
     p = sylvester_family("t6", n).build()
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        report = solve_quasi_newton(p, QnConfig(method=method))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+    report, peak = peak_blocks(lambda: solve_quasi_newton(p, QnConfig(method=method)), n)
     assert report.converged and report.iterations == 2
-    assert round(peak / (n * n * 8)) <= PEAK_ARRAYS[method]
+    assert round(peak) <= PEAK_ARRAYS[method]
 
 
 class TestConfigValidation:
