@@ -41,7 +41,6 @@ from .problems import (
 )
 from .quasi_newton import (
     QnConfig,
-    QnState,
     bfgs_update,
     dfp_update,
     exact_step,
@@ -66,7 +65,6 @@ __all__ = [
     "NewtonAdmmConfig",
     "ProblemSource",
     "QnConfig",
-    "QnState",
     "SolveReport",
     "SuiteRow",
     "SylvesterProblem",

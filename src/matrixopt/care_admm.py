@@ -55,7 +55,6 @@ class AdmmConfig:
     gamma: float = 0.05
     tol: float = 1e-8
     max_iterations: int = 50_000
-    check_every: int = 1
     track_lagrangian: bool = False
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class AdmmConfig:
             raise ValueError("penalties alpha, beta, gamma must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -130,28 +127,29 @@ def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SweepConstants:
     """The parts of a sweep that depend only on the problem and the
-    penalties: alpha A A^T, beta I, gamma I, and the Z-update system
-    (kept factored when Cholesky succeeds).  The X system adds the first
-    two separately, in the order an unhoisted sweep does, so iterates
-    keep their last bit."""
+    penalties: alpha A A^T, beta I, gamma I, and the Cholesky factor of
+    the Z-update system A A^T + beta I + gamma N N^T.  The X system adds
+    the first two separately, in the order an unhoisted sweep does, so
+    iterates keep their last bit.  A Z system that Cholesky rejects
+    (possible only when beta I + gamma N N^T is negligible against a
+    singular A A^T) raises :class:`AdmmBreakdownError` here, before any
+    sweep."""
 
     al_aat: np.ndarray
     be_eye: np.ndarray
     ga_eye: np.ndarray
-    z_sys: np.ndarray
-    z_factor: np.ndarray | None
+    z_factor: np.ndarray
 
     @classmethod
     def of(cls, p: CareProblem, cfg: AdmmConfig) -> "SweepConstants":
         a, n_mat = p.a, p.n_mat
         eye = np.eye(p.order)
         aat = a @ a.T
-        z_sys = aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T)
         try:
-            z_factor = spd_factor(z_sys)
-        except NotPositiveDefiniteError:
-            z_factor = None
-        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, z_sys, z_factor)
+            z_factor = spd_factor(aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T))
+        except NotPositiveDefiniteError as exc:
+            raise AdmmBreakdownError(f"Z-update system not positive definite: {exc}") from exc
+        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, z_factor)
 
 
 def admm_step(
@@ -184,6 +182,7 @@ def admm_step(
     x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
     x_rhs = s.w.T @ (s.y + za + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
     x = _solve_spd(x_sys, x_rhs, "X-update")
+    del x_sys, x_rhs
 
     wx = s.w @ x
     atx = a_t @ x
@@ -196,16 +195,16 @@ def admm_step(
         + be * x
         + ga * (s.w @ n_t)
     )
-    if const.z_factor is not None:
-        z = spd_solve(const.z_factor, z_rhs.T).T
-    else:
-        z = _solve_spd(const.z_sys, z_rhs.T, "Z-update").T
+    del wx
+    z = spd_solve(const.z_factor, z_rhs.T).T
+    del z_rhs
 
     zn = z @ n_mat
     za = z @ a
     w_sys = x @ x.T + const.ga_eye
     w_rhs = (y + za + k_mat) @ x.T - s.gamma_ + ga * zn
     w = _solve_spd(w_sys, w_rhs.T, "W-update").T
+    del w_sys, w_rhs
 
     lambda_ = s.lambda_ - al * (atx - y)
     pi_ = s.pi_ - be * (x - z)
@@ -272,7 +271,7 @@ def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
 
 def sweep_until(
     start: list, sweep, residual, tol, max_iterations, *,
-    lagrangian=None, check_every=1, solution=lambda state: state.x,
+    lagrangian=None, solution=lambda state: state.x,
 ) -> SolveReport:
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
     ``residual(state) <= tol`` or ``max_iterations`` sweeps, with numpy's
@@ -309,7 +308,7 @@ def sweep_until(
     with serial_products():
         report = iterate(
             detail["state"], step, residual, stop, max_iterations,
-            check_every=check_every, solution=solution, detail=detail,
+            solution=solution, detail=detail,
         )
     # Carried products serve the loop alone; a warm start forms its own.
     detail["state"].products = None
@@ -326,13 +325,13 @@ def solve_care_admm(
     """Iterate :func:`admm_step` from the zero state (or ``init``) until
     the Riccati residual of the X block drops below ``cfg.tol``.
 
-    The residual is evaluated every ``check_every`` sweeps; the history
-    records the sampled values, starting with the initial residual.  With
-    ``track_lagrangian`` the detail map carries the augmented-Lagrangian
-    trace and block changes of :func:`sweep_until`; after the loop it
-    gains the KKT residuals and the closed-loop spectral abscissa (NaN
-    when X is not finite).  ``init`` must have finite n x n blocks; it is
-    read, never written, and the solve keeps no reference to it.
+    The history records the residual after every sweep, starting with the
+    initial residual.  With ``track_lagrangian`` the detail map carries
+    the augmented-Lagrangian trace and block changes of
+    :func:`sweep_until`; after the loop it gains the KKT residuals and
+    the closed-loop spectral abscissa (NaN when X is not finite).
+    ``init`` must have finite n x n blocks; it is read, never written,
+    and the solve keeps no reference to it.
     """
     cfg = cfg or AdmmConfig()
     const = SweepConstants.of(p, cfg)
@@ -347,7 +346,6 @@ def solve_care_admm(
             cfg.tol,
             cfg.max_iterations,
             lagrangian=lagrangian if cfg.track_lagrangian else None,
-            check_every=cfg.check_every,
         )
         state = report.detail["state"]
         report.detail["final_kkt_residuals"] = kkt_residuals(p, state)

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import MatrixOptError, ParameterError, UnknownSuiteError
 from ..mmio import read_matrix_market, write_matrix_market
-from ..newton_admm import INNER_TOL_MODES
 from ..problems import (
     DESK_SCALE_MAX_ORDER,
     CareProblem,
@@ -49,7 +48,7 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SOLVER_ERROR = 3
 
 # Config fields whose values come from a fixed vocabulary.
-_CHOICES = {"linesearch": LINESEARCHES, "inner_tol_mode": INNER_TOL_MODES}
+_CHOICES = {"linesearch": LINESEARCHES}
 
 
 def _number_or_word(raw: str):
@@ -170,8 +169,8 @@ def _collect_params(args, parser: _Parser) -> dict:
 def _build_problem(args, parser: _Parser):
     eq = args.equation
     if args.from_mm:
-        mats = [read_matrix_market(path) for path in args.from_mm]
         try:
+            mats = [read_matrix_market(path) for path in args.from_mm]
             if eq == "sylvester":
                 if len(mats) != 3:
                     parser.error("sylvester --from-mm needs three files: A B C")

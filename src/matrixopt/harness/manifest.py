@@ -128,7 +128,7 @@ METHODS = {
     ("admm", CareProblem): Method(
         lambda p, cfg: solve_care_admm(p, cfg),
         AdmmConfig,
-        _keys("alpha", "beta", "gamma", "tol", "max_iterations", "check_every"),
+        _keys("alpha", "beta", "gamma", "tol", "max_iterations"),
     ),
     ("admm", LyapunovProblem): Method(
         lambda p, cfg: solve_lyapunov_admm(p, cfg),
@@ -144,7 +144,7 @@ METHODS = {
     ("newton-admm", CareProblem): Method(
         lambda p, cfg: solve_newton_admm(p, cfg=cfg),
         NewtonAdmmConfig,
-        {**_NA_KEYS, **_keys("outer_max", "inner_tol_mode", "inner_tol_value", "inner_max")},
+        {**_NA_KEYS, **_keys("outer_max", "inner_tol_value", "inner_max")},
     ),
     ("direct", SylvesterProblem): Method(
         _direct(lambda p: solve_kronecker_direct(p), lambda p, x: sylvester_residual(p, x))

@@ -65,13 +65,16 @@ def read_matrix_market(path) -> np.ndarray:
     size_line = pos + 1
     pos += 1
 
+    if fmt == "array" and len(size_tokens) != 2:
+        raise ParseError("array size line must be 'rows cols'", line=size_line)
+    if fmt == "coordinate" and len(size_tokens) != 3:
+        raise ParseError("coordinate size line must be 'rows cols nnz'", line=size_line)
+    rows, cols = _parse_dims(size_tokens[:2], size_line)
+    if symmetry == "symmetric" and rows != cols:
+        raise ParseError("symmetric matrix must be square", line=size_line)
+    m = np.zeros((rows, cols))
+
     if fmt == "array":
-        if len(size_tokens) != 2:
-            raise ParseError("array size line must be 'rows cols'", line=size_line)
-        rows, cols = _parse_dims(size_tokens, size_line)
-        if symmetry == "symmetric" and rows != cols:
-            raise ParseError("symmetric matrix must be square", line=size_line)
-        m = np.zeros((rows, cols))
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
         values = _parse_values(lines, pos, expected)
         idx = 0
@@ -88,14 +91,10 @@ def read_matrix_market(path) -> np.ndarray:
                     idx += 1
         return m
 
-    if len(size_tokens) != 3:
-        raise ParseError("coordinate size line must be 'rows cols nnz'", line=size_line)
-    rows, cols = _parse_dims(size_tokens[:2], size_line)
     try:
         nnz = int(size_tokens[2])
     except ValueError:
         raise ParseError("entry count is not an integer", line=size_line) from None
-    m = np.zeros((rows, cols))
     seen = 0
     for offset, raw in enumerate(lines[pos:], start=pos + 1):
         text = raw.strip()

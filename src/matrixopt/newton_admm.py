@@ -21,12 +21,11 @@ step and reused by every inner sweep.  The inner solver reads its sweep
 cap (``inner_max``), its Lagrangian trace switch and its default
 tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
 
-The inner solves are inexact by default: each one runs to a tolerance
-proportional to the current outer residual (a forcing rule), warm-started
-from the previous inner state.  A ``fixed`` tolerance mode mimics
-near-exact solves, under which the outer trajectory tracks exact Newton.
-The report carries the same post-loop record as exact Newton's
-(``symmetry_gap``, ``closed_loop_max_real_eig``).
+The inner solves are inexact: each one runs to the tolerance
+max(inner_tol_value ||R(X_k)||_F, outer_tol / 10), proportional to the
+current outer residual (a forcing rule), warm-started from the previous
+inner state.  The report carries the same post-loop record as exact
+Newton's (``symmetry_gap``, ``closed_loop_max_real_eig``).
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symm
 from .problems import CareProblem, LyapunovProblem
 from .report import SolveReport, Stop
 
-INNER_TOL_MODES = ("forcing", "fixed")
-
 
 @dataclass
 class NewtonAdmmConfig:
@@ -52,7 +49,6 @@ class NewtonAdmmConfig:
     beta: float = 50.0
     outer_tol: float = 1e-8
     outer_max: int = 50
-    inner_tol_mode: str = "forcing"
     inner_tol_value: float = 0.1
     inner_max: int = 5000
     track_inner_lagrangian: bool = False
@@ -62,12 +58,8 @@ class NewtonAdmmConfig:
             raise ValueError("penalties alpha, beta must be positive")
         if self.outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
-        if self.inner_tol_mode not in INNER_TOL_MODES:
-            raise ValueError(f"inner_tol_mode must be one of {INNER_TOL_MODES}")
-        if self.inner_tol_mode == "forcing" and not 0 < self.inner_tol_value < 1:
+        if not 0 < self.inner_tol_value < 1:
             raise ValueError("forcing factor must lie in (0, 1)")
-        if self.inner_tol_mode == "fixed" and self.inner_tol_value <= 0:
-            raise ValueError("fixed inner tolerance must be positive")
 
 
 @dataclass
@@ -219,10 +211,7 @@ def solve_newton_admm(
         return outer.residual
 
     def lyapunov_solve(lp):
-        if cfg.inner_tol_mode == "fixed":
-            inner_tol = cfg.inner_tol_value
-        else:
-            inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
+        inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
         inner = solve_lyapunov_admm(
             lp, cfg, init=outer.inner.pop() if outer.inner else None, tol=inner_tol
         )

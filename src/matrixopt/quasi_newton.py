@@ -90,21 +90,6 @@ class QnConfig:
             raise ValueError("grad_tol must be positive")
 
 
-@dataclass
-class QnState:
-    """One inverse-curvature update's operands.
-
-    ``delta = X_k - X_{k-1}`` and ``y = g_k - g_{k-1}`` are m x n;
-    ``inv_hessian`` is m x m, or None for the identity, the start model.
-    """
-
-    x: np.ndarray
-    g: np.ndarray
-    inv_hessian: np.ndarray | None
-    delta: np.ndarray
-    y: np.ndarray
-
-
 def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:
     """0.5 ||A x + x B - C||_F^2; ``r`` is the residual A x + x B - C
     when the caller has already formed it."""
@@ -159,7 +144,7 @@ def armijo_search(
     p: SylvesterProblem,
     x: np.ndarray,
     direction: np.ndarray,
-    sigma1: float = 1e-4,
+    sigma1: float = QnConfig.sigma1,
     max_trials: int = 60,
     r: np.ndarray | None = None,
 ) -> float:
@@ -180,8 +165,8 @@ def wolfe_search(
     p: SylvesterProblem,
     x: np.ndarray,
     direction: np.ndarray,
-    sigma1: float = 1e-4,
-    sigma2: float = 0.9,
+    sigma1: float = QnConfig.sigma1,
+    sigma2: float = QnConfig.sigma2,
     max_trials: int = 60,
     r: np.ndarray | None = None,
 ) -> float:
@@ -224,11 +209,11 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def dfp_update(state: QnState) -> np.ndarray:
-    """Rank-2 DFP update of the m x m inverse-curvature approximation;
+def dfp_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rank-2 DFP update of the m x m inverse-curvature approximation
+    ``g`` (None for the identity, the start model) for the m x n step
+    ``d = X_k - X_{k-1}`` that moved the gradient by ``y = g_k - g_{k-1}``;
     singular matrix denominators are resolved with pseudo-inverses."""
-    g = state.inv_hessian
-    d, y = state.delta, state.y
     gy = y if g is None else g @ y
     # (G + d K d^T) - (G y) T (G y)^T, accumulated in one array; the
     # subtrahend is formed first so that G y and T are gone before K is.
@@ -244,11 +229,10 @@ def dfp_update(state: QnState) -> np.ndarray:
     return _symmetrized(out)
 
 
-def bfgs_update(state: QnState) -> np.ndarray:
-    """Rank-2 BFGS update of the m x m inverse-curvature approximation;
-    the matrix denominator delta^T y is resolved with a pseudo-inverse."""
-    g = state.inv_hessian
-    d, y = state.delta, state.y
+def bfgs_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rank-2 BFGS update of the inverse-curvature approximation ``g``,
+    with :func:`dfp_update`'s operands; the matrix denominator d^T y is
+    resolved with a pseudo-inverse."""
     dk = d @ pseudo_inverse(d.T @ y)
     # E = I - dk y^T, then E G E^T + dk d^T accumulated in one array.
     e = dk @ y.T
@@ -350,9 +334,7 @@ def solve_quasi_newton(
             "step": lam,
             "curvature": trace_inner(delta, y),
         }
-        inv_h = update_fn(
-            QnState(x=s.x, g=s.g, inv_hessian=s.inv_h, delta=delta, y=y)
-        )
+        inv_h = update_fn(s.inv_h, delta, y)
         # Release the old model before the audit's temporaries.
         s.inv_h = inv_h
         audit["secant_error"] = frobenius_norm(inv_h @ y - delta)

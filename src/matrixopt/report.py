@@ -5,9 +5,8 @@ runs on.
 step, its residual, its stop rule and its ``detail`` entries.
 
 * History: ``residual_history`` starts with the residual of the initial
-  state, then records the residual after every ``check_every``-th step
-  and after the step that reaches ``max_iterations``.  With the default
-  stride of 1 it has ``iterations + 1`` entries.
+  state, then records the residual after every step, so it has
+  ``iterations + 1`` entries.
 * Stop order: after each recorded residual ``r`` the driver asks
   ``stop(state, r)`` for a termination, before it checks the cap.  An
   initial state that already passes ends the run at 0 iterations, and a
@@ -37,7 +36,7 @@ TERMINATIONS = ("converged", "max_iterations", "stagnated", "diverged", "error")
 @dataclass
 class SolveReport:
     """Outcome of one solver run; :func:`iterate` fixes how the history
-    is sampled.  ``detail`` carries solver-specific diagnostics
+    is recorded.  ``detail`` carries solver-specific diagnostics
     (per-update audits, inner-iteration counts, objective histories, ...).
     """
 
@@ -86,7 +85,6 @@ def iterate(
     stop: Callable[[Any, float], str | None],
     max_iterations: int,
     *,
-    check_every: int = 1,
     solution: Callable[[Any], np.ndarray],
     detail: dict,
 ) -> SolveReport:
@@ -119,9 +117,8 @@ def iterate(
                 (termination,) = halt.args
                 break
             iterations += 1
-            if iterations % check_every == 0 or iterations == max_iterations:
-                history.append(residual(state))
-                termination = stop(state, history[-1])
+            history.append(residual(state))
+            termination = stop(state, history[-1])
     except MatrixOptError as exc:
         if history:
             exc.report = report("error")

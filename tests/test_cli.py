@@ -85,6 +85,16 @@ class TestSolve:
         assert code == 3
         assert json.loads(out)["termination"] == "error"
 
+    def test_malformed_input_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n")
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "care", "--method", "admm", "--from-mm", str(bad), str(bad), str(bad)])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert "invalid problem data: line 2: symmetric matrix must be square" in err_text
+        assert "Traceback" not in err_text
+
     def test_from_mm_lyapunov(self, tmp_path, capsys):
         write_matrix_market(tmp_path / "a.mtx", np.diag([-1.0, -2.0]))
         write_matrix_market(tmp_path / "q.mtx", np.eye(2))

@@ -1,4 +1,4 @@
-"""The shared iteration driver: history stride, stop order, uncounted
+"""The shared iteration driver: history, stop order, uncounted
 stops, and the partial report every solver attaches to a mid-run error."""
 
 import numpy as np
@@ -19,7 +19,7 @@ from matrixopt.problems import CareProblem, SylvesterProblem, care_family, sylve
 from matrixopt.report import Stop, iterate
 
 
-def _count_down(start, max_iterations, check_every=1, stop_at=0.0, raise_at=None):
+def _count_down(start, max_iterations, stop_at=0.0, raise_at=None):
     """Drive x -> x - 1 from ``start`` with residual x; converge at or below
     ``stop_at``; raise Stop("stagnated") instead of the ``raise_at``-th step."""
     calls = []
@@ -36,7 +36,6 @@ def _count_down(start, max_iterations, check_every=1, stop_at=0.0, raise_at=None
         lambda x: x,
         lambda x, r: "converged" if r <= stop_at else None,
         max_iterations,
-        check_every=check_every,
         solution=lambda x: np.array([[x]]),
         detail={},
     )
@@ -54,11 +53,6 @@ class TestIterate:
         report, calls = _count_down(0.0, 10)
         assert calls == [] and report.iterations == 0
         assert report.residual_history == [0.0] and report.converged
-
-    def test_stride_samples_every_kth_and_the_last_step(self):
-        report, _ = _count_down(100.0, 10, check_every=4)
-        assert report.residual_history == [100.0, 96.0, 92.0, 90.0]
-        assert (report.iterations, report.termination) == (10, "max_iterations")
 
     def test_stop_rule_is_asked_before_the_cap(self):
         report, _ = _count_down(3.0, 3)

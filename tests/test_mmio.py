@@ -30,6 +30,15 @@ def test_symmetric_coordinate_expansion(tmp_path):
     assert m[1, 0] == 5.0 and m[0, 1] == 5.0 and m[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("fmt, size", [("coordinate", "2 3 1"), ("array", "2 3")])
+def test_non_square_symmetric_is_rejected_at_the_size_line(tmp_path, fmt, size):
+    path = tmp_path / "nonsquare.mtx"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real symmetric\n{size}\n1 3 1.0\n")
+    with pytest.raises(ParseError, match="must be square") as err:
+        read_matrix_market(path)
+    assert err.value.line == 2
+
+
 def test_symmetric_array_expansion(tmp_path):
     path = tmp_path / "syma.mtx"
     # lower triangle, column-major: (1,1) (2,1) (2,2)

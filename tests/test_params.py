@@ -4,7 +4,10 @@ does not take."""
 
 import argparse
 import dataclasses
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +42,10 @@ ADAPTER_KEYS = {
     ("bfgs", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
     ("cg", S): {"tol", "max_iterations"},
     ("ar", S): {"tol", "max_iterations", "omega"},
-    ("admm", C): {"alpha", "beta", "gamma", "tol", "max_iterations", "check_every"},
+    ("admm", C): {"alpha", "beta", "gamma", "tol", "max_iterations"},
     ("admm", L): {"alpha", "beta", "tol", "max_iterations"},
     ("newton", C): {"tol", "max_iterations"},
-    ("newton-admm", C): {
-        "alpha", "beta", "tol", "outer_max", "inner_tol_mode", "inner_tol_value", "inner_max",
-    },
+    ("newton-admm", C): {"alpha", "beta", "tol", "outer_max", "inner_tol_value", "inner_max"},
     ("direct", S): set(),
     ("direct", L): set(),
 }
@@ -62,15 +63,12 @@ ADAPTER_DEFAULTS = {
     ),
     ("cg", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
     ("ar", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
-    ("admm", C): AdmmConfig(
-        alpha=0.5, beta=10.0, gamma=0.05, tol=1e-8, max_iterations=50_000, check_every=1
-    ),
+    ("admm", C): AdmmConfig(alpha=0.5, beta=10.0, gamma=0.05, tol=1e-8, max_iterations=50_000),
     # the Lyapunov adapter passed tol=1e-8 and max_iter=5000 to the solver
     ("admm", L): NewtonAdmmConfig(alpha=0.8, beta=50.0, outer_tol=1e-8, inner_max=5000),
     ("newton", C): BaselineConfig(tol=1e-8, max_iterations=100),
     ("newton-admm", C): NewtonAdmmConfig(
-        alpha=0.8, beta=50.0, outer_tol=1e-8, outer_max=50,
-        inner_tol_mode="forcing", inner_tol_value=0.1, inner_max=5000,
+        alpha=0.8, beta=50.0, outer_tol=1e-8, outer_max=50, inner_tol_value=0.1, inner_max=5000,
     ),
     ("direct", S): None,
     ("direct", L): None,
@@ -86,13 +84,11 @@ SOLVE_FLAGS = {
     "linesearch": (["--linesearch"], str, ("exact", "armijo", "wolfe")),
     "sigma1": (["--sigma1"], float, None),
     "sigma2": (["--sigma2"], float, None),
-    "inner_tol_mode": (["--inner-tol-mode"], str, ("forcing", "fixed")),
     "inner_tol_value": (["--inner-tol-value"], float, None),
     "inner_max": (["--inner-max"], int, None),
     "outer_max": (["--outer-max"], int, None),
     "omega": (["--omega"], None, None),  # a number or "auto"
     "group_rows": (["--group-rows"], int, None),
-    "check_every": (["--check-every"], int, None),
 }
 NON_PARAM_DESTS = {
     "help", "equation", "method", "suite", "n", "from_mm", "config", "out", "to_mm", "history",
@@ -102,8 +98,8 @@ NON_PARAM_DESTS = {
 SAMPLE = {
     "tol": "1e-6", "max_iterations": "7", "alpha": "0.7", "beta": "3", "gamma": "0.2",
     "linesearch": "wolfe", "sigma1": "0.01", "sigma2": "0.5",
-    "inner_tol_mode": "fixed", "inner_tol_value": "0.001", "inner_max": "9",
-    "outer_max": "4", "omega": "0.05", "group_rows": "2", "check_every": "3",
+    "inner_tol_value": "0.001", "inner_max": "9",
+    "outer_max": "4", "omega": "0.05", "group_rows": "2",
 }
 
 
@@ -198,6 +194,34 @@ class TestVocabulary:
         assert loose.iterations < tight.iterations
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_QUALIFIERS = {"CARE": C, "Lyapunov": L}
+
+
+def _readme_keys():
+    """(method, problem class) -> keys, as the README's Solver parameters
+    table lists them; a qualifier such as ``(CARE)`` picks one problem
+    class of a method, and parenthesised notes on keys are not keys."""
+    section = README.read_text(encoding="utf-8").split("### Solver parameters", 1)[1]
+    lines = section.splitlines()
+    body = lines[lines.index("| Method | Keys |") + 2:]
+    table = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), body):
+        label, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        qualifier = re.search(r"\((\w+)\)", label)
+        kinds = [README_QUALIFIERS[qualifier.group(1)]] if qualifier else [S, L, C]
+        rows = [(name, kind) for name in re.findall(r"`([\w-]+)`", label)
+                for kind in kinds if (name, kind) in METHODS]
+        assert rows, line
+        for row in rows:
+            table[row] = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", keys)))
+    return table
+
+
+def test_readme_table_lists_each_methods_keys():
+    assert _readme_keys() == {row: set(spec.keys) for row, spec in METHODS.items()}
+
+
 def _usage_error(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
@@ -243,6 +267,17 @@ class TestUsageErrors:
         err = _usage_error(argv, capsys)
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "method, key, raw", [("admm", "check_every", "3"), ("newton-admm", "inner_tol_mode", "fixed")]
+    )
+    def test_retired_key_is_rejected(self, method, key, raw, tmp_path, capsys):
+        base = ["solve", "care", "--method", method, "--suite", "t8", "--n", "4"]
+        flag = "--" + key.replace("_", "-")
+        assert flag in _usage_error(base + [flag, raw], capsys)
+        ini = tmp_path / "retired.ini"
+        ini.write_text(f"[{method}]\n{key.replace('_', '-')} = {raw}\n")
+        assert key in _usage_error(base + ["--config", str(ini)], capsys)
 
     def test_sweep_rejects_non_positive_single_value(self, capsys):
         err = _usage_error(

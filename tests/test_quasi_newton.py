@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from matrixopt.oracle import solve_kronecker_direct, sylvester_residual
 from matrixopt.problems import SylvesterProblem, gen_tridiagonal, sylvester_family
 from matrixopt.quasi_newton import (
     QnConfig,
-    QnState,
     armijo_search,
     bfgs_update,
     dfp_update,
@@ -155,6 +156,13 @@ class TestArmijoSearch:
             armijo_search(p, x, f1_gradient(p, x))
 
 
+@pytest.mark.parametrize("search", [armijo_search, wolfe_search])
+def test_line_search_defaults_are_the_configs(search):
+    params = inspect.signature(search).parameters
+    for name in {"sigma1", "sigma2"} & set(params):
+        assert params[name].default == getattr(QnConfig(), name)
+
+
 class TestUpdates:
     def _state(self, rng, m, n):
         p = random_sylvester(rng, m, n)
@@ -164,18 +172,13 @@ class TestUpdates:
         lam = exact_step(p, x0, d)
         x1 = x0 + lam * d
         g1 = f1_gradient(p, x1)
-        return QnState(x=x1, g=g1, inv_hessian=np.eye(m), delta=x1 - x0, y=g1 - g0)
+        return np.eye(m), x1 - x0, g1 - g0
 
     def test_scalar_reduces_to_ratio(self):
-        st = QnState(
-            x=np.array([[1.0]]),
-            g=np.array([[0.5]]),
-            inv_hessian=np.eye(1),
-            delta=np.array([[2.0]]),
-            y=np.array([[8.0]]),
-        )
         for update in (dfp_update, bfgs_update):
-            assert update(st)[0, 0] == pytest.approx(0.25)
+            assert update(np.eye(1), np.array([[2.0]]), np.array([[8.0]]))[0, 0] == (
+                pytest.approx(0.25)
+            )
 
     def _commuting_state(self, n=6):
         p = _commuting(n)
@@ -185,22 +188,22 @@ class TestUpdates:
         lam = exact_step(p, x0, d)
         x1 = x0 + lam * d
         g1 = f1_gradient(p, x1)
-        return QnState(x=x1, g=g1, inv_hessian=np.eye(n), delta=x1 - x0, y=g1 - g0)
+        return np.eye(n), x1 - x0, g1 - g0
 
     def test_matrix_form_secant(self):
         # delta (delta^T y)^+ (delta^T y) = delta whenever delta^T y is
         # nonsingular, hence G+ y = delta.
         for update in (dfp_update, bfgs_update):
-            st = self._commuting_state()
-            s = st.delta.T @ st.y
+            g, d, y = self._commuting_state()
+            s = d.T @ y
             assert np.linalg.matrix_rank(s) == s.shape[0]
-            g_new = update(st)
-            err = frobenius_norm(g_new @ st.y - st.delta)
-            assert err <= 1e-8 * (1.0 + frobenius_norm(st.delta))
+            g_new = update(g, d, y)
+            err = frobenius_norm(g_new @ y - d)
+            assert err <= 1e-8 * (1.0 + frobenius_norm(d))
 
     def test_symmetry_after_update(self, rng):
         for update in (dfp_update, bfgs_update):
-            g_new = update(self._state(rng, 3, 3))
+            g_new = update(*self._state(rng, 3, 3))
             assert frobenius_norm(g_new - g_new.T) <= 1e-10 * frobenius_norm(g_new)
 
     @pytest.mark.parametrize("update", [dfp_update, bfgs_update])
@@ -211,19 +214,18 @@ class TestUpdates:
         d = rng.standard_normal((m, n))
         q = rng.standard_normal((m, m))
         y = (q @ q.T + m * np.eye(m)) @ d  # <delta, y> > 0
-        got = update(QnState(x=d, g=y, inv_hessian=None, delta=d, y=y))
-        want = update(QnState(x=d, g=y, inv_hessian=np.eye(m), delta=d, y=y))
+        got = update(None, d, y)
+        want = update(np.eye(m), d, y)
         assert got.shape == want.shape
         assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
 
     def test_update_leaves_its_operands_alone(self, rng):
-        st = self._state(rng, 4, 3)
-        st.inv_hessian = rng.standard_normal((4, 4))
-        before = [a.copy() for a in (st.x, st.g, st.inv_hessian, st.delta, st.y)]
+        _, d, y = self._state(rng, 4, 3)
+        operands = (rng.standard_normal((4, 4)), d, y)
+        before = [a.copy() for a in operands]
         for update in (dfp_update, bfgs_update):
-            update(st)
-            after = (st.x, st.g, st.inv_hessian, st.delta, st.y)
-            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+            update(*operands)
+            assert all(np.array_equal(a, b) for a, b in zip(operands, before))
 
 
 class TestSolver:
@@ -328,9 +330,9 @@ class TestSolver:
         update = dfp_update if method == "dfp" else bfgs_update
         calls = []
 
-        def counted(state):
-            calls.append(state)
-            return update(state)
+        def counted(*operands):
+            calls.append(operands)
+            return update(*operands)
 
         p = sylvester_family("t6", 16).build()
         monkeypatch.setattr(f"matrixopt.quasi_newton.{method}_update", counted)
@@ -391,7 +393,7 @@ class TestSolver:
         monkeypatch.setattr(search, fails_on_second)
         monkeypatch.setattr(
             "matrixopt.quasi_newton.bfgs_update",
-            lambda state: 2.0 / np.finfo(np.float64).eps * np.eye(m),  # norm 2 sqrt(m)/eps
+            lambda *operands: 2.0 / np.finfo(np.float64).eps * np.eye(m),  # norm 2 sqrt(m)/eps
         )
         cfg = QnConfig(method="bfgs", linesearch=linesearch)
         report = solve_quasi_newton(p, cfg)
@@ -399,7 +401,7 @@ class TestSolver:
         assert len(report.residual_history) == 2
 
         searched.clear()
-        monkeypatch.setattr("matrixopt.quasi_newton.bfgs_update", lambda state: np.eye(m))
+        monkeypatch.setattr("matrixopt.quasi_newton.bfgs_update", lambda *operands: np.eye(m))
         with pytest.raises(LineSearchError) as exc:
             solve_quasi_newton(p, cfg)
         assert exc.value.report.iterations == 1
@@ -410,7 +412,7 @@ class TestSolver:
         m = p.shape[0]
         monkeypatch.setattr(
             "matrixopt.quasi_newton.bfgs_update",
-            lambda state: np.full((m, m), 1e200),
+            lambda *operands: np.full((m, m), 1e200),
         )
         report = solve_quasi_newton(p, QnConfig(method="bfgs"))
         assert report.termination == "diverged" and report.iterations == 1
