@@ -10,6 +10,7 @@ Newton runs it with the direct Lyapunov solve, and Newton-ADMM
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -65,8 +66,6 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
     checked, positive definiteness is the caller's obligation: a search
     direction with <d, L d> <= 0 ends the run as stagnated.  Starts
     from X = 0 and stops when the equation residual drops below ``tol``.
-    For orders up to 8 the first five search directions are kept in
-    ``detail["directions"]`` so tests can audit pairwise conjugacy.
     """
     cfg = cfg or BaselineConfig()
     scale_a = max(1.0, float(np.abs(p.a).max()))
@@ -74,13 +73,7 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
     if _symmetry_gap(p.a) > 1e-10 * scale_a or _symmetry_gap(p.b) > 1e-10 * scale_b:
         raise PreconditionError("solve_cg requires symmetric A and B")
 
-    m, n = p.shape
-    detail: dict = {"directions": []}
-    keep_dirs = max(m, n) <= 8
-
     def step(s):
-        if keep_dirs and len(detail["directions"]) < 5:
-            detail["directions"].append(s.d.copy())
         ld = p.apply(s.d)
         dld = trace_inner(s.d, ld)
         if dld <= 0:
@@ -93,7 +86,7 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
         s.rr = rr_new
         return s
 
-    state = SimpleNamespace(x=np.zeros((m, n)), r=p.c.copy(), d=p.c.copy())
+    state = SimpleNamespace(x=np.zeros(p.shape), r=p.c.copy(), d=p.c.copy())
     state.rr = trace_inner(state.r, state.r)
     return iterate(
         state,
@@ -102,7 +95,7 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
         lambda s, res: "converged" if res <= cfg.tol else None,
         cfg.max_iterations,
         solution=lambda s: s.x,
-        detail=detail,
+        detail={},
     )
 
 
@@ -169,9 +162,26 @@ def care_residual(p: CareProblem, x: np.ndarray, atx: np.ndarray | None = None) 
     return frobenius_norm(atx + x @ p.a - x @ p.n_mat @ x + p.k_mat)
 
 
-def closed_loop_max_real_eig(p: CareProblem, x: np.ndarray) -> float:
-    """Spectral abscissa of the closed loop A - N x; negative iff x stabilizes."""
-    return float(np.max(np.linalg.eigvals(p.a - p.n_mat @ x).real))
+def certify_care(p: CareProblem, x: np.ndarray, residual: float) -> dict:
+    """Certificate of a CARE answer ``x`` whose report ends at ``residual``
+    (not recomputed): that residual, it over ||K||_F (NaN when K = 0),
+    ||x - x^T||_F, the closed-loop abscissa max Re eig(A - N x) and the
+    ``root``: ``stabilizing`` when every closed-loop eigenvalue has negative
+    real part, ``anti-stabilizing`` when every one has positive real part,
+    else ``mixed``.  A non-finite ``x`` gets NaN and no ``root``."""
+    k_norm = frobenius_norm(p.k_mat)
+    asymmetry, abscissa, root = math.nan, math.nan, None
+    if np.isfinite(x).all():
+        real = np.linalg.eigvals(p.a - p.n_mat @ x).real
+        asymmetry, abscissa = frobenius_norm(x - x.T), float(real.max())
+        root = "stabilizing" if abscissa < 0 else "anti-stabilizing" if real.min() > 0 else "mixed"
+    return {
+        "residual": residual,
+        "relative_residual": residual / k_norm if k_norm else math.nan,
+        "asymmetry": asymmetry,
+        "closed_loop_max_real_eig": abscissa,
+        "root": root,
+    }
 
 
 def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
@@ -232,9 +242,9 @@ def newton_iteration(
         (A - N X_k)^T X_{k+1} + X_{k+1} (A - N X_k) + X_k N X_k + K = 0
 
     to ``lyapunov_solve``, which returns X_{k+1}; ``residual`` and ``stop``
-    are :func:`~matrixopt.report.iterate`'s.  The report records the final
-    ``symmetry_gap`` and closed-loop abscissa ``closed_loop_max_real_eig``;
-    a non-negative abscissa marks a non-stabilizing root, not an error.
+    are :func:`~matrixopt.report.iterate`'s.  The report's
+    ``detail["certificate"]`` is :func:`certify_care` of its answer; a
+    root that is not stabilizing is labelled, not an error.
     """
     n = p.order
     x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
@@ -249,8 +259,7 @@ def newton_iteration(
         )
 
     report = iterate(x, step, residual, stop, max_steps, solution=lambda x: x, detail=detail)
-    report.detail["symmetry_gap"] = _symmetry_gap(report.solution)
-    report.detail["closed_loop_max_real_eig"] = closed_loop_max_real_eig(p, report.solution)
+    report.detail["certificate"] = certify_care(p, report.solution, report.final_residual)
     return report
 
 

@@ -16,14 +16,14 @@ the tests assert is specific to it.
 The sweep loop, :func:`sweep_until`, is the one both ADMM splittings of
 the package run on: this four-block one and the three-block Lyapunov
 splitting of :mod:`~matrixopt.newton_admm`.  It owns the ``detail`` keys
-the two share: the final ``state``, the ``asymmetry`` of its X block and,
-on request, the augmented-Lagrangian trace and per-sweep block changes.
-It also owns its start state, so a running solve holds two generations
-of blocks: the state a sweep reads and the one it builds.
+the two share: the final ``state`` and, on request, the
+augmented-Lagrangian trace and per-sweep block changes.  It also owns
+its start state, so a running solve holds two generations of blocks:
+the state a sweep reads and the one it builds.
 
 X is not kept symmetric during the iteration (the updates do not
-preserve symmetry); the final report logs ``||X - X^T||_F`` and the
-closed-loop spectral abscissa as diagnostics instead.
+preserve symmetry); the report's ``certificate``
+(:func:`~matrixopt.baselines.certify_care`) records ``||X - X^T||_F``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .linalg import (
     spd_solve,
     trace_inner,
 )
-from .baselines import care_residual, closed_loop_max_real_eig
+from .baselines import care_residual, certify_care
 from .problems import CareProblem
 from .report import SolveReport, iterate
 
@@ -281,11 +281,10 @@ def sweep_until(
     The loop owns its start state: ``start`` is a one-element list that
     it pops, and a caller keeps no other reference, so the start state
     dies with the first sweep.  ``detail`` keeps the last full ``state``
-    (for warm starts) and the ``asymmetry`` ``||X - X^T||_F`` of its X
-    block.  Given a ``lagrangian`` (state -> float) it also carries that
-    function's trace ``lagrangian_history`` and the squared block changes
-    ``block_deltas`` of every sweep, which the invariant tests turn into
-    the per-sweep decrease inequality.
+    (for warm starts).  Given a ``lagrangian`` (state -> float) it also
+    carries that function's trace ``lagrangian_history`` and the squared
+    block changes ``block_deltas`` of every sweep, which the invariant
+    tests turn into the per-sweep decrease inequality.
     """
     detail: dict = {"state": start.pop()}
     if lagrangian is not None:
@@ -312,8 +311,6 @@ def sweep_until(
         )
     # Carried products serve the loop alone; a warm start forms its own.
     detail["state"].products = None
-    x = detail["state"].x
-    detail["asymmetry"] = frobenius_norm(x - x.T)
     return report
 
 
@@ -329,7 +326,7 @@ def solve_care_admm(
     initial residual.  With ``track_lagrangian`` the detail map carries
     the augmented-Lagrangian trace and block changes of
     :func:`sweep_until`; after the loop it gains the KKT residuals and
-    the closed-loop spectral abscissa (NaN when X is not finite).
+    the ``certificate`` of :func:`~matrixopt.baselines.certify_care`.
     ``init`` must have finite n x n blocks; it is read, never written,
     and the solve keeps no reference to it.
     """
@@ -349,7 +346,5 @@ def solve_care_admm(
         )
         state = report.detail["state"]
         report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
-        report.detail["closed_loop_max_real_eig"] = (
-            closed_loop_max_real_eig(p, state.x) if np.isfinite(state.x).all() else math.nan
-        )
+        report.detail["certificate"] = certify_care(p, state.x, report.final_residual)
     return report

@@ -279,13 +279,9 @@ def run_manifest(
     if width == 1 or len(jobs) <= 1:
         records = [_execute(i, row) for i, row in jobs]
     else:
-        # Both copies are held across the pool, so no row's BLAS thread
-        # counts depend on which other rows overlap it.
-        with (
-            serial_products("numpy"),
-            serial_products("scipy"),
-            ThreadPoolExecutor(max_workers=width) as pool,
-        ):
+        # numpy's copy is held across the pool (each ADMM loop holds it anyway);
+        # scipy's keeps its count, so factorizations round as at width 1.
+        with serial_products("numpy"), ThreadPoolExecutor(max_workers=width) as pool:
             records = list(pool.map(lambda job: _execute(*job), jobs))
     return sorted(records, key=lambda rec: rec.index)
 

@@ -33,8 +33,9 @@ def write_matrix_market(path, m: np.ndarray, comment: str | None = None) -> None
 def read_matrix_market(path) -> np.ndarray:
     """Read a MatrixMarket file into a dense matrix.
 
-    Symmetric files are expanded to full dense storage.  Coordinate
-    indices are 1-based; duplicate coordinate entries accumulate.
+    Symmetric files hold the lower triangle (an entry above it is a
+    :class:`ParseError`) and are expanded to full dense storage.
+    Coordinate indices are 1-based; duplicate entries accumulate.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -110,6 +111,8 @@ def read_matrix_market(path) -> np.ndarray:
             raise ParseError(f"cannot parse entry {text!r}", line=offset) from None
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParseError(f"index ({i}, {j}) out of bounds", line=offset)
+        if symmetry == "symmetric" and i < j:
+            raise ParseError(f"symmetric entry ({i}, {j}) above the diagonal", line=offset)
         m[i - 1, j - 1] += v
         if symmetry == "symmetric" and i != j:
             m[j - 1, i - 1] += v

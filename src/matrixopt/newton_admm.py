@@ -24,8 +24,8 @@ tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
 The inner solves are inexact: each one runs to the tolerance
 max(inner_tol_value ||R(X_k)||_F, outer_tol / 10), proportional to the
 current outer residual (a forcing rule), warm-started from the previous
-inner state.  The report carries the same post-loop record as exact
-Newton's (``symmetry_gap``, ``closed_loop_max_real_eig``).
+inner state.  The report carries the same ``certificate`` as exact
+Newton's (:func:`~matrixopt.baselines.certify_care`).
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ def solve_lyapunov_admm(
     (``cfg.outer_tol`` when not given), for at most ``cfg.inner_max``
     sweeps; ``cfg.track_inner_lagrangian`` turns on the Lagrangian trace.
 
-    The reported solution is symmetrized; the raw asymmetry and the full
-    final state (for warm starts) are kept in ``detail``.  ``init`` must
-    have finite n x n blocks; it is read, never written, and the solve
-    keeps no reference to it.
+    The reported solution is symmetrized; ``detail["state"]`` keeps the
+    full final state, raw X block included (for warm starts).  ``init``
+    must have finite n x n blocks; it is read, never written, and the
+    solve keeps no reference to it.
     """
     cfg = cfg or NewtonAdmmConfig()
     factors = _factors(p, cfg)
@@ -200,13 +200,8 @@ def solve_newton_admm(
     }
     if cfg.track_inner_lagrangian:
         detail["inner_lagrangian_traces"] = []
-    keep_trace = p.order <= 64
-    if keep_trace:
-        detail["outer_trace"] = []
 
     def residual(x):
-        if keep_trace:
-            detail["outer_trace"].append(x.copy())
         outer.residual = care_residual(p, x)
         return outer.residual
 

@@ -71,9 +71,16 @@ class TestConjugateGradient:
 
     def test_directions_pairwise_conjugate(self, rng):
         p = random_sylvester(rng, 5, 5, spd=True)
-        report = solve_cg(p, BaselineConfig(tol=1e-12))
-        dirs = report.detail["directions"]
-        assert len(dirs) >= 2
+        dirs = []
+
+        class Recording(SylvesterProblem):
+            def apply(self, x):
+                dirs.append(x.copy())
+                return super().apply(x)
+
+        report = solve_cg(Recording(p.a, p.b, p.c), BaselineConfig(tol=1e-12))
+        assert report.converged and len(dirs) == report.iterations >= 2
+        dirs = dirs[:5]
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
                 li = p.a @ dirs[i] + dirs[i] @ p.b
@@ -244,7 +251,7 @@ class TestNewtonCare:
         )
         report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-10, max_iterations=30))
         assert report.converged
-        assert report.detail["symmetry_gap"] <= 1e-10
+        assert report.detail["certificate"]["asymmetry"] <= 1e-10
 
     def test_breakdown_carries_partial_report(self):
         p = CareProblem(a=[[0.0]], n_mat=[[0.0]], k_mat=[[1.0]])
@@ -273,7 +280,8 @@ class TestNewtonCare:
     def test_closed_loop_certificate_of_the_stabilizing_root(self):
         p, _ = scalar_care()
         report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=20))
-        assert report.detail["closed_loop_max_real_eig"] < 0
+        cert = report.detail["certificate"]
+        assert cert["closed_loop_max_real_eig"] < 0 and cert["root"] == "stabilizing"
 
     def test_closed_loop_certificate_records_a_non_stabilizing_root(self):
         row = paper_suite("t8")[1]
@@ -282,6 +290,8 @@ class TestNewtonCare:
         report = run_method("newton", p, row.params)
         assert report.converged
         abscissa = float(np.max(np.linalg.eigvals(p.a - p.n_mat @ report.solution).real))
-        recorded = report.detail["closed_loop_max_real_eig"]
+        cert = report.detail["certificate"]
+        recorded = cert["closed_loop_max_real_eig"]
         assert np.sign(recorded) == np.sign(abscissa) == 1.0
         assert recorded == pytest.approx(abscissa, rel=1e-12)
+        assert cert["root"] == "anti-stabilizing"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,15 @@ from matrixopt.harness.manifest import (
 )
 from matrixopt.harness.plotting import emit_convergence_plot
 from matrixopt.problems import CareProblem, SuiteRow, paper_suite, sylvester_family
+
+
+def _factoring_rows():
+    """t8 admm (50 sweeps) and t9 newton-admm at n=128, where Cholesky
+    rounding depends on the BLAS thread count of scipy's OpenBLAS."""
+    admm, newton_admm = paper_suite("t8")[6], paper_suite("t9")[6]
+    assert (admm.method, newton_admm.method, admm.source.order) == ("admm", "newton-admm", 128)
+    admm = replace(admm, params={**admm.params, "max_iterations": 50})
+    return RunManifest(suite="t8+t9", rows=[admm, newton_admm])
 
 
 class TestRegistry:
@@ -77,10 +87,14 @@ class TestManifest:
         return [(r.row.method, r.iterations, r.final_residual, r.termination)
                 for r in records]
 
-    def test_worker_pool_matches_serial(self):
-        manifest = manifest_for_suite("t8")
-        serial = self._stable_fields(run_manifest(manifest, cap=16, workers=1))
-        parallel = self._stable_fields(run_manifest(manifest, cap=16, workers=4))
+    @pytest.mark.parametrize(
+        "manifest, cap, workers",
+        [(manifest_for_suite("t8"), 16, 4), (_factoring_rows(), 128, 2)],
+        ids=["t8-n16", "t8-t9-n128"],
+    )
+    def test_worker_pool_matches_serial(self, manifest, cap, workers):
+        serial = self._stable_fields(run_manifest(manifest, cap=cap, workers=1))
+        parallel = self._stable_fields(run_manifest(manifest, cap=cap, workers=workers))
         assert serial == parallel
 
     def test_deterministic_across_runs(self):

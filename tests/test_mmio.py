@@ -30,6 +30,21 @@ def test_symmetric_coordinate_expansion(tmp_path):
     assert m[1, 0] == 5.0 and m[0, 1] == 5.0 and m[0, 0] == 1.0
 
 
+def test_symmetric_coordinate_entry_above_the_diagonal_is_rejected(tmp_path):
+    # Mirrored and summed, both (2,1) and (1,2) would read 10.0.
+    path = tmp_path / "upper.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 3\n"
+        "1 1 1.0\n"
+        "2 1 5.0\n"
+        "1 2 5.0\n"
+    )
+    with pytest.raises(ParseError, match="above the diagonal") as err:
+        read_matrix_market(path)
+    assert err.value.line == 5
+
+
 @pytest.mark.parametrize("fmt, size", [("coordinate", "2 3 1"), ("array", "2 3")])
 def test_non_square_symmetric_is_rejected_at_the_size_line(tmp_path, fmt, size):
     path = tmp_path / "nonsquare.mtx"

@@ -12,7 +12,7 @@ from matrixopt.baselines import (
     solve_newton_care,
 )
 from matrixopt.errors import AdmmBreakdownError, DimensionError, PreconditionError
-from matrixopt.linalg import frobenius_norm
+from matrixopt.linalg import frobenius_norm, symmetrize
 from matrixopt.newton_admm import (
     LyapAdmmState,
     NewtonAdmmConfig,
@@ -44,6 +44,19 @@ def scalar_fixed_state():
 def t9_problem(n=16):
     bt = gen_tridiagonal(n, 5, 2, 1)
     return CareProblem(a=gen_tridiagonal(n, 6, 2, 1), n_mat=bt.T @ bt, k_mat=np.eye(n))
+
+
+def outer_iterates(monkeypatch):
+    """The list each later newton-admm run appends its outer iterates to,
+    recorded through the Riccati residual it reads from its module."""
+    seen, residual = [], newton_admm.care_residual
+
+    def recording(p, x, *args):
+        seen.append(x.copy())
+        return residual(p, x, *args)
+
+    monkeypatch.setattr(newton_admm, "care_residual", recording)
+    return seen
 
 
 def stable_random_care(rng, n=4):
@@ -149,7 +162,9 @@ class TestSolveLyapunovAdmm:
         p = LyapunovProblem(a=a, q=q @ q.T)
         report = solve_lyapunov_admm(p, NewtonAdmmConfig(alpha=1.0, beta=5.0), tol=1e-9)
         np.testing.assert_array_equal(report.solution, report.solution.T)
-        assert "asymmetry" in report.detail
+        x = report.detail["state"].x
+        assert frobenius_norm(x - x.T) > 0
+        np.testing.assert_array_equal(report.solution, symmetrize(x))
 
     def test_settings_come_from_the_config(self, rng):
         a = rng.standard_normal((4, 4)) - 5 * np.eye(4)
@@ -224,7 +239,8 @@ class TestSolveNewtonAdmm:
         p = t9_problem(4)
         report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
         assert report.converged
-        assert report.detail["closed_loop_max_real_eig"] > 0
+        cert = report.detail["certificate"]
+        assert cert["closed_loop_max_real_eig"] > 0 and cert["root"] == "anti-stabilizing"
 
     def test_t9_iteration_accounting(self):
         p = t9_problem(16)
@@ -239,7 +255,9 @@ class TestSolveNewtonAdmm:
     def test_inner_blow_up_ends_the_run_diverged(self, monkeypatch):
         p = t9_problem(16)
         cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
+        trace = outer_iterates(monkeypatch)
         clean = solve_newton_admm(p, cfg=cfg)
+        first_step = trace[1]
         first, second = clean.detail["inner_iterations_per_outer"][:2]
         assert second > 3
         sweep, calls, warm = newton_admm.lyap_admm_step, [], []
@@ -269,8 +287,8 @@ class TestSolveNewtonAdmm:
         assert report.iterations == first
         assert len(report.residual_history) == report.detail["outer_iterations"] + 1 == 2
         assert report.residual_history == clean.residual_history[:2]
-        assert np.array_equal(report.solution, clean.detail["outer_trace"][1])
-        assert np.isfinite(report.detail["closed_loop_max_real_eig"])
+        assert np.array_equal(report.solution, first_step)
+        assert np.isfinite(report.detail["certificate"]["closed_loop_max_real_eig"])
 
     def test_warm_started_inner_error_counts_the_finished_inner_sweeps(self, monkeypatch):
         # The second inner solve, handed the first one's final state,
@@ -306,22 +324,24 @@ class TestSolveNewtonAdmm:
             report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
         assert (report.termination, report.iterations) == ("diverged", 0)
 
-    def test_outer_iterates_symmetric(self, rng):
+    def test_outer_iterates_symmetric(self, rng, monkeypatch):
         p = stable_random_care(rng)
+        trace = outer_iterates(monkeypatch)
         report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=1.0, beta=5.0))
         assert report.converged
-        for x in report.detail["outer_trace"]:
+        assert len(trace) == len(report.residual_history)
+        for x in trace:
             assert frobenius_norm(x - x.T) <= 1e-10
 
-    def test_newton_step_consistency(self, rng):
+    def test_newton_step_consistency(self, rng, monkeypatch):
         # each inner solution satisfies the linearized equation: the
         # derivative applied to the step matches minus the residual map
         # within the inner tolerance
         p = stable_random_care(rng)
         cfg = NewtonAdmmConfig(alpha=1.0, beta=5.0, outer_tol=1e-11, inner_tol_value=1e-6)
+        trace = outer_iterates(monkeypatch)
         report = solve_newton_admm(p, cfg=cfg)
         assert report.converged
-        trace = report.detail["outer_trace"]
         f = lambda z: p.a.T @ z + z @ p.a - z @ p.n_mat @ z + p.k_mat  # noqa: E731
         for k in range(len(trace) - 1):
             step = trace[k + 1] - trace[k]
@@ -331,21 +351,24 @@ class TestSolveNewtonAdmm:
             tol = max(report.detail["inner_tolerances"][k], 1e-9)
             assert frobenius_norm(lhs + f(trace[k])) <= 10.0 * tol
 
-    def test_matches_exact_newton_with_tight_inner(self, rng):
+    def test_matches_exact_newton_with_tight_inner(self, rng, monkeypatch):
         p = stable_random_care(rng, n=4)
         # a forcing factor of 1e-6 and a tight outer tolerance keep every
         # inner solve near exact
         cfg = NewtonAdmmConfig(alpha=1.0, beta=8.0, outer_tol=1e-11, inner_tol_value=1e-6,
                                inner_max=50_000)
+        trace = outer_iterates(monkeypatch)
         inexact = solve_newton_admm(p, cfg=cfg)
         exact = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=30))
         assert inexact.converged and exact.converged
         # the same root, certified by the same record
-        assert inexact.detail["closed_loop_max_real_eig"] == pytest.approx(
-            exact.detail["closed_loop_max_real_eig"], rel=1e-6
+        na_cert, cert = inexact.detail["certificate"], exact.detail["certificate"]
+        assert set(na_cert) == set(cert)
+        assert na_cert["root"] == cert["root"] == "stabilizing"
+        assert na_cert["closed_loop_max_real_eig"] == pytest.approx(
+            cert["closed_loop_max_real_eig"], rel=1e-6
         )
-        assert "symmetry_gap" in inexact.detail and "symmetry_gap" in exact.detail
-        na_trace = inexact.detail["outer_trace"][1:]
+        na_trace = trace[1:]
         # replay the exact recurrence to collect its iterates
         x = np.zeros((4, 4))
         for k in range(min(len(na_trace), exact.iterations)):

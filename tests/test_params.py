@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matrixopt.baselines import BaselineConfig
+from matrixopt.baselines import BaselineConfig, certify_care
 from matrixopt.care_admm import AdmmConfig
 from matrixopt.ccom import CcomConfig
 from matrixopt.errors import ParameterError, PreconditionError
@@ -220,6 +220,17 @@ def _readme_keys():
 
 def test_readme_table_lists_each_methods_keys():
     assert _readme_keys() == {row: set(spec.keys) for row, spec in METHODS.items()}
+
+
+def test_readme_certificate_bullet_names_the_certificate_keys():
+    """The sub-bullets of the README's CARE certificate bullet, one per
+    key, name exactly the keys ``certify_care`` returns."""
+    text = README.read_text(encoding="utf-8")
+    bullet = text.split("- Every CARE report", 1)[1].split("\n- ", 1)[0]
+    named = re.findall(r"^  - `(\w+)`:", bullet, flags=re.MULTILINE)
+    p = CareProblem(a=[[-1.0]], n_mat=[[1.0]], k_mat=[[1.0]])
+    assert len(named) == len(set(named))
+    assert set(named) == set(certify_care(p, np.zeros((1, 1)), 1.0))
 
 
 def _usage_error(argv, capsys):
