@@ -361,7 +361,7 @@ def _cmd_sweep(args, parser: _Parser) -> int:
         params = {"alpha": point[0], "beta": point[1], "tol": args.tol}
         if args.method == "admm":
             params["gamma"] = point[2]
-        if args.max_iterations:
+        if args.max_iterations is not None:
             params["max_iterations" if args.method == "admm" else "inner_max"] = args.max_iterations
         row = {
             "alpha": point[0],

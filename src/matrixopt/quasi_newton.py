@@ -125,7 +125,7 @@ def _profile(
     if r is None:
         r = p.residual_matrix(x)
     s = p.apply(d)
-    return 0.5 * float(np.vdot(r, r)), float(np.vdot(r, s)), float(np.vdot(s, s))
+    return f1_value(p, x, r), float(np.vdot(r, s)), float(np.vdot(s, s))
 
 
 def exact_step(
@@ -255,12 +255,12 @@ def solve_quasi_newton(
     The model is updated after every step except the one whose gradient
     passes the tolerance, so a converged run has ``iterations - 1``
     updates and a run stopped by ``max_iterations`` has ``iterations``.
-    ``detail`` carries one audit per update (``updates``:
-    secant error, symmetry error, model norm, curvature, accepted step),
-    the objective trace (``f_history``) and the gradient norms.
-    Line-search failures re-raise with the partial report attached to the
-    exception, unless the model's Frobenius norm exceeds sqrt(m) / eps: a
-    line search that fails after such a blow-up ends the run as diverged.
+    ``detail`` carries only ``grad_norm_history``, the gradient norm of
+    each iterate, which the stop rule reads; the objective is half the
+    square of each ``residual_history`` entry.  Line-search failures
+    re-raise with the partial report attached to the exception, unless
+    the model's Frobenius norm exceeds sqrt(m) / eps: a line search that
+    fails after such a blow-up ends the run as diverged.
     A direction that is not a descent direction, or an exact step of
     zero, ends the run as stagnated; a model whose Frobenius norm is not
     finite (an entry that overflowed, or a norm that did) ends it as
@@ -280,12 +280,7 @@ def solve_quasi_newton(
     state.g = f1_gradient(p, state.x, state.r)
     g_norm = frobenius_norm(state.g)
     state.done = g_norm < cfg.grad_tol
-    detail: dict = {
-        "updates": [],
-        "f_history": [f1_value(p, state.x, state.r)],
-        "grad_norm_history": [g_norm],
-        "method": cfg.method,
-    }
+    detail: dict = {"grad_norm_history": [g_norm]}
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
     blown_up_norm = math.sqrt(m) / np.finfo(np.float64).eps
 
@@ -322,29 +317,10 @@ def solve_quasi_newton(
         else:
             delta, y = x_new - s.x, g_new - s.g
             s.x, s.g = x_new, g_new
-            update_model(s, delta, y, lam)
-        detail["f_history"].append(f1_value(p, x_new, s.r))
+            s.inv_h = update_fn(s.inv_h, delta, y)
+            s.inv_h_norm = frobenius_norm(s.inv_h)
         detail["grad_norm_history"].append(g_norm)
         return s
-
-    def update_model(s, delta, y, lam):
-        """Replace ``s.inv_h`` by its update for the step ``delta`` that
-        moved the gradient by ``y``."""
-        audit = {
-            "step": lam,
-            "curvature": trace_inner(delta, y),
-        }
-        inv_h = update_fn(s.inv_h, delta, y)
-        # Release the old model before the audit's temporaries.
-        s.inv_h = inv_h
-        audit["secant_error"] = frobenius_norm(inv_h @ y - delta)
-        audit["delta_norm"] = frobenius_norm(delta)
-        audit["symmetry_error"] = frobenius_norm(inv_h - inv_h.T)
-        audit["inv_hessian_norm"] = frobenius_norm(inv_h)
-        if inv_h.shape[0] <= 64:
-            audit["min_eigenvalue"] = float(np.linalg.eigvalsh(inv_h).min())
-        s.inv_h_norm = audit["inv_hessian_norm"]
-        detail["updates"].append(audit)
 
     def stop(s, res):
         if s.done:

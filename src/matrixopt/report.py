@@ -12,6 +12,8 @@ step, its residual, its stop rule and its ``detail`` entries.
   initial state that already passes ends the run at 0 iterations, and a
   run that passes on its last allowed step is ``converged``.  A step may
   also end the run, uncounted, by raising :class:`Stop`.
+* Caps: a negative ``max_iterations`` raises
+  :class:`~matrixopt.errors.ParameterError` before the first residual.
 * Errors: a :class:`~matrixopt.errors.MatrixOptError` raised inside the
   loop leaves with the partial report of the steps taken so far in its
   ``report`` attribute, with termination ``"error"``.
@@ -28,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MatrixOptError
+from .errors import MatrixOptError, ParameterError
 
 TERMINATIONS = ("converged", "max_iterations", "stagnated", "diverged", "error")
 
@@ -37,7 +39,7 @@ TERMINATIONS = ("converged", "max_iterations", "stagnated", "diverged", "error")
 class SolveReport:
     """Outcome of one solver run; :func:`iterate` fixes how the history
     is recorded.  ``detail`` carries solver-specific diagnostics
-    (per-update audits, inner-iteration counts, objective histories, ...).
+    (gradient-norm histories, inner-iteration counts, certificates, ...).
     """
 
     solution: np.ndarray
@@ -93,6 +95,8 @@ def iterate(
     ``solution(state)`` is the iterate the report returns; the step may
     fill ``detail`` as it goes.
     """
+    if max_iterations < 0:
+        raise ParameterError(f"iteration cap must be nonnegative, got {max_iterations}")
     start = time.perf_counter()
     history: list[float] = []
     iterations = 0

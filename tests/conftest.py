@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import matrixopt.quasi_newton as quasi_newton
+from matrixopt.linalg import frobenius_norm
 from matrixopt.problems import SylvesterProblem
 
 
@@ -45,6 +47,42 @@ def peak_blocks(run, n):
         if started:
             tracemalloc.stop()
     return result, peak / (n * n * 8)
+
+
+def recorded_updates(run):
+    """Call ``run()`` with ``dfp_update`` and ``bfgs_update`` wrapped, and
+    return its result with one ``(d, y, model)`` per model update, in
+    order.  The solver reads the update through its module global, so
+    the wrapper sees every update.  It keeps references: no update writes
+    its operands, and no later step writes an earlier model."""
+    updates = []
+    originals = {name: getattr(quasi_newton, name) for name in ("dfp_update", "bfgs_update")}
+
+    def recording(update):
+        def recorded(g, d, y):
+            model = update(g, d, y)
+            updates.append((d, y, model))
+            return model
+
+        return recorded
+
+    try:
+        for name, update in originals.items():
+            setattr(quasi_newton, name, recording(update))
+        result = run()
+    finally:
+        for name, update in originals.items():
+            setattr(quasi_newton, name, update)
+    return result, updates
+
+
+def assert_secant_and_symmetry(updates):
+    """Each recorded model G+ meets the secant relation G+ y = d and is
+    symmetric, to the audit bounds of the quasi-Newton convergence
+    argument."""
+    for d, y, model in updates:
+        assert frobenius_norm(model @ y - d) <= 1e-8 * (1.0 + frobenius_norm(d))
+        assert frobenius_norm(model - model.T) <= 1e-10 * max(1.0, frobenius_norm(model))
 
 
 @pytest.fixture

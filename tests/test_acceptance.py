@@ -11,7 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, random_sylvester
+from conftest import (
+    assert_secant_and_symmetry,
+    central_difference_gradient,
+    random_sylvester,
+    recorded_updates,
+)
 from matrixopt.baselines import (
     BaselineConfig,
     care_residual,
@@ -80,14 +85,19 @@ def random_problem_runs():
 
 @pytest.fixture(scope="module")
 def t5_runs():
+    """The table-5 reports, their wall time and their recorded model updates."""
     reports = {}
+    updates = []
     start = time.perf_counter()
     for n in (128, 256):
         p = sylvester_family("t5", n).build()
         for method in ("dfp", "bfgs"):
             cfg = QnConfig(method=method, linesearch="exact", grad_tol=1e-10)
-            reports[(method, n)] = solve_quasi_newton(p, cfg)
-    return reports, time.perf_counter() - start
+            reports[(method, n)], recorded = recorded_updates(
+                lambda: solve_quasi_newton(p, cfg)
+            )
+            updates += recorded
+    return reports, time.perf_counter() - start, updates
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +105,12 @@ def t6_runs():
     start = time.perf_counter()
     p = sylvester_family("t6", 128).build()
     reports = {"cg": solve_cg(p, BaselineConfig(tol=1e-12, max_iterations=100))}
+    updates = []
     for method in ("dfp", "bfgs"):
         cfg = QnConfig(method=method, linesearch="exact", grad_tol=1e-10)
-        reports[method] = solve_quasi_newton(p, cfg)
-    return reports, time.perf_counter() - start
+        reports[method], recorded = recorded_updates(lambda: solve_quasi_newton(p, cfg))
+        updates += recorded
+    return reports, time.perf_counter() - start, updates
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +175,7 @@ def test_criterion_01_oracle_equivalence(random_problem_runs):
 
 
 def test_criterion_02_table5_scaled(t5_runs):
-    t5_runs, elapsed = t5_runs
+    t5_runs, elapsed, _ = t5_runs
     assert elapsed < 60.0
     for (method, n), report in t5_runs.items():
         assert report.converged
@@ -174,7 +186,7 @@ def test_criterion_02_table5_scaled(t5_runs):
 
 
 def test_criterion_03_table6_scaled(t6_runs):
-    t6_runs, elapsed = t6_runs
+    t6_runs, elapsed, _ = t6_runs
     assert elapsed < 60.0
     cg = t6_runs["cg"]
     assert cg.converged and cg.iterations <= 30 and cg.final_residual <= 1e-12
@@ -348,16 +360,10 @@ def test_criterion_10_gradient_and_frechet_checks():
 
 
 def test_criterion_11_secant_and_symmetry(t5_runs, t6_runs):
-    t5_runs, t6_runs = t5_runs[0], t6_runs[0]
-    updates = 0
-    reports = list(t5_runs.values()) + [t6_runs["dfp"], t6_runs["bfgs"]]
-    for report in reports:
-        for audit in report.detail["updates"]:
-            updates += 1
-            assert audit["secant_error"] <= 1e-8 * (1.0 + audit["delta_norm"])
-            assert audit["symmetry_error"] <= 1e-10 * max(1.0, audit["inv_hessian_norm"])
-    assert updates > 0
-    _pass(11, f"secant and symmetry bounds held for all {updates} updates "
+    updates = t5_runs[2] + t6_runs[2]
+    assert_secant_and_symmetry(updates)
+    assert updates
+    _pass(11, f"secant and symmetry bounds held for all {len(updates)} updates "
               "in the table-5/6 runs (0 violations)")
 
 

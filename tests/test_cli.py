@@ -46,6 +46,22 @@ class TestSolve:
             main(argv)
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "sylvester", "--method", "cg", "--suite", "t6", "--n", "16",
+         "--max-iterations", "-3"],
+        ["solve", "care", "--method", "newton-admm", "--suite", "t9", "--n", "16",
+         "--inner-max", "-1"],
+        ["solve", "care", "--method", "newton-admm", "--suite", "t9", "--n", "16",
+         "--outer-max", "-1"],
+        ["sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1",
+         "--gamma", "0.1", "--max-iterations", "-1"],
+    ])
+    def test_negative_cap_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert "iteration cap must be nonnegative" in capsys.readouterr().err
+
     def test_newton_admm_t9(self, capsys):
         code, out = run_cli(
             [
@@ -208,6 +224,22 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith(",converged,*")
+
+    @pytest.mark.parametrize("method, gamma, termination", [
+        ("admm", ["--gamma", "0.0014"], "max_iterations"),
+        ("newton-admm", [], "stagnated"),  # inner_max 0: no sweep, twice
+    ])
+    def test_zero_max_iterations_is_kept(self, capsys, method, gamma, termination):
+        code, out = run_cli(
+            [
+                "sweep", "--suite", "t8", "--n", "4", "--method", method,
+                "--alpha", "0.91", "--beta", "2.8", *gamma, "--max-iterations", "0",
+            ],
+            capsys,
+        )
+        row = out.strip().splitlines()[1].split(",")
+        assert code == 2
+        assert (row[3], row[5]) == ("0", termination)
 
     def test_grid_finds_best(self, capsys, recwarn):
         code, out = run_cli(

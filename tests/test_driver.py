@@ -12,6 +12,7 @@ from matrixopt.errors import (
     AdmmBreakdownError,
     LineSearchError,
     NewtonBreakdownError,
+    ParameterError,
     SingularMatrixError,
 )
 from matrixopt.harness.manifest import run_method
@@ -61,6 +62,13 @@ class TestIterate:
     def test_zero_cap_takes_no_step(self):
         report, calls = _count_down(3.0, 0)
         assert calls == [] and report.termination == "max_iterations"
+
+    def test_negative_cap_raises_before_the_first_residual(self):
+        residuals = []
+        with pytest.raises(ParameterError, match="nonnegative"):
+            iterate(3.0, lambda x: x - 1.0, residuals.append, lambda x, r: None, -1,
+                    solution=lambda x: np.array([[x]]), detail={})
+        assert residuals == []
 
     def test_stop_exception_ends_the_run_uncounted(self):
         report, calls = _count_down(5.0, 10, raise_at=3)

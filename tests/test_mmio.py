@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from matrixopt.errors import ParseError
 from matrixopt.mmio import read_matrix_market, write_matrix_market
@@ -121,3 +124,50 @@ def test_comments_and_blank_lines(tmp_path):
         "2.5\n"
     )
     np.testing.assert_allclose(read_matrix_market(path), [[1.5], [2.5]])
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[5e-324, -2.2250738585072014e-308], [-0.0, 1.7976931348623157e308]]))
+@settings(max_examples=60, deadline=None)
+def test_array_round_trip_is_bit_exact(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    write_matrix_market(path, m)
+    back = read_matrix_market(path)
+    assert back.shape == m.shape and back.tobytes() == m.tobytes()
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-_naif%", min_size=1, max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=10)
+
+
+@given(
+    fmt=st.sampled_from(["array", "coordinate"]),
+    symmetry=st.sampled_from(["general", "symmetric"]),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    nnz=st.integers(0, 6),
+    lines=_LINES,
+)
+@example(fmt="coordinate", symmetry="general", rows=2, cols=2, nnz=1, lines=["2 1 -0.5"])
+@example(fmt="array", symmetry="symmetric", rows=2, cols=2, nnz=0, lines=["1", "nan 3"])
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_entry_lines_parse_or_raise_parse_error(
+    tmp_path_factory, fmt, symmetry, rows, cols, nnz, lines
+):
+    size = f"{rows} {cols} {nnz}" if fmt == "coordinate" else f"{rows} {cols}"
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    path.write_text(
+        "\n".join([f"%%MatrixMarket matrix {fmt} real {symmetry}", size, *lines]) + "\n",
+        encoding="utf-8",
+    )
+    try:
+        m = read_matrix_market(path)
+    except ParseError:
+        return
+    assert m.shape == (rows, cols)

@@ -17,7 +17,7 @@ from matrixopt.care_admm import AdmmConfig
 from matrixopt.ccom import CcomConfig
 from matrixopt.errors import ParameterError, PreconditionError
 from matrixopt.harness.cli import build_parser, main
-from matrixopt.harness.manifest import METHODS, configure
+from matrixopt.harness.manifest import METHODS, configure, run_method
 from matrixopt.mmio import write_matrix_market
 from matrixopt.newton_admm import NewtonAdmmConfig
 from matrixopt.problems import (
@@ -184,8 +184,6 @@ class TestVocabulary:
 
     def test_lyapunov_admm_maps_keys_onto_its_solver(self):
         p = _problem(L)
-        from matrixopt.harness.manifest import run_method
-
         capped = run_method("admm", p, {"max_iterations": 3})
         assert capped.iterations == 3 and capped.termination == "max_iterations"
         loose = run_method("admm", p, {"tol": 1e-2})
@@ -231,6 +229,17 @@ def test_readme_certificate_bullet_names_the_certificate_keys():
     p = CareProblem(a=[[-1.0]], n_mat=[[1.0]], k_mat=[[1.0]])
     assert len(named) == len(set(named))
     assert set(named) == set(certify_care(p, np.zeros((1, 1)), 1.0))
+
+
+def test_readme_names_the_quasi_newton_detail_keys():
+    """The README's sentence on a dfp/bfgs report's ``detail`` names
+    exactly the keys a run returns."""
+    text = README.read_text(encoding="utf-8")
+    sentence = text.split("A dfp/bfgs report's", 1)[1].split(".", 1)[0]
+    named = set(re.findall(r"`(\w+)`", sentence)) - {"detail"}
+    p = sylvester_family("t6", 16).build()
+    for method in ("dfp", "bfgs"):
+        assert named == set(run_method(method, p).detail)
 
 
 def _usage_error(argv, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matrixopt.errors import DimensionError, UnknownSuiteError
+from matrixopt.oracle import sylvester_residual
 from matrixopt.problems import (
     CareProblem,
     LyapunovProblem,
@@ -172,3 +173,30 @@ class TestPaperSuite:
             for row in paper_suite(table):
                 if row.source.order <= 32:
                     row.source.build()
+
+
+# Transcription audit: facts the table definitions imply, pinned so that a
+# mistyped band shows here before it shows as a puzzling iteration count.
+# A and B commute in t1-t6 (which is why an m x m quasi-Newton model can
+# capture the operator); A + B is a multiple of I in t3-t5, so the
+# solution is C / (a0 + b0) exactly; the CARE A of t8-t10 is anti-stable.
+MIN_REAL_EIG_OF_A = {"t8": (3.1, 3.25), "t9": (3.1, 3.25), "t10": (1.0, 1.04)}
+
+
+@pytest.mark.parametrize("table", ["t1", "t2", "t3", "t4", "t5", "t6", "t8", "t9", "t10"])
+def test_transcribed_tables_have_the_structure_they_imply(table):
+    if table in MIN_REAL_EIG_OF_A:
+        lo, hi = MIN_REAL_EIG_OF_A[table]
+        for n in (16, 64, 256):
+            a = table_source(table, n).build().a
+            assert lo < np.linalg.eigvals(a).real.min() < hi
+        return
+    for n in (10, 16, 128):
+        p = table_source(table, n).build()
+        np.testing.assert_array_equal(p.a @ p.b, p.b @ p.a)
+        shift = p.a[0, 0] + p.b[0, 0]
+        if table in ("t3", "t4", "t5"):
+            np.testing.assert_array_equal(p.a + p.b, shift * np.eye(n))
+            assert sylvester_residual(p, p.c / shift) == 0.0
+        else:
+            assert not np.array_equal(p.a + p.b, shift * np.eye(n))

@@ -3,7 +3,13 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, peak_blocks, random_sylvester
+from conftest import (
+    assert_secant_and_symmetry,
+    central_difference_gradient,
+    peak_blocks,
+    random_sylvester,
+    recorded_updates,
+)
 from matrixopt.errors import (
     DegenerateDirectionError,
     LineSearchError,
@@ -26,6 +32,11 @@ from matrixopt.quasi_newton import (
 )
 
 SCALAR = SylvesterProblem(a=[[3.0]], b=[[6.0]], c=[[9.0]])
+
+
+def _objective(report):
+    """0.5 ||R||_F^2 of each iterate, from the recorded residual norms."""
+    return [0.5 * r * r for r in report.residual_history]
 
 
 def _commuting(n):
@@ -274,27 +285,25 @@ class TestSolver:
         cfg = QnConfig(method="bfgs", linesearch=linesearch, grad_tol=1e-9)
         report = solve_quasi_newton(_commuting(16), cfg)
         assert report.converged
-        f_hist = report.detail["f_history"]
+        f_hist = _objective(report)
         for prev, cur in zip(f_hist, f_hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, prev)
 
     def test_wolfe_guarantees_curvature(self):
         cfg = QnConfig(method="bfgs", linesearch="wolfe", grad_tol=1e-9)
-        report = solve_quasi_newton(_commuting(6), cfg)
-        assert report.converged and report.detail["updates"]
-        for audit in report.detail["updates"]:
+        report, updates = recorded_updates(lambda: solve_quasi_newton(_commuting(6), cfg))
+        assert report.converged and updates
+        for d, y, model in updates:
             # weak-Wolfe steps keep <delta, y> strictly positive, and a
             # positive curvature keeps the BFGS model positive definite
-            assert audit["curvature"] > 0
-            assert audit["min_eigenvalue"] > 0
+            assert trace_inner(d, y) > 0
+            assert np.linalg.eigvalsh(model).min() > 0
 
     def test_secant_and_symmetry_audit(self):
         cfg = QnConfig(method="bfgs", grad_tol=1e-10)
-        report = solve_quasi_newton(_commuting(32), cfg)
-        assert report.converged and report.detail["updates"]
-        for audit in report.detail["updates"]:
-            assert audit["secant_error"] <= 1e-8 * (1.0 + audit["delta_norm"])
-            assert audit["symmetry_error"] <= 1e-10 * max(1.0, audit["inv_hessian_norm"])
+        report, updates = recorded_updates(lambda: solve_quasi_newton(_commuting(32), cfg))
+        assert report.converged and updates
+        assert_secant_and_symmetry(updates)
 
     def test_t5_family_matrix_form(self):
         p = SylvesterProblem(
@@ -320,33 +329,38 @@ class TestSolver:
         except LineSearchError as exc:
             report = exc.report
             assert report is not None
-        f_hist = report.detail["f_history"]
+        f_hist = _objective(report)
         assert f_hist[-1] <= f_hist[0]
         for prev, cur in zip(f_hist, f_hist[1:]):
             assert cur <= prev + 1e-12 * max(1.0, prev)
 
     @pytest.mark.parametrize("method", ["dfp", "bfgs"])
-    def test_converging_step_forms_no_update(self, monkeypatch, method):
-        update = dfp_update if method == "dfp" else bfgs_update
-        calls = []
-
-        def counted(*operands):
-            calls.append(operands)
-            return update(*operands)
-
+    def test_converging_step_forms_no_update(self, method):
         p = sylvester_family("t6", 16).build()
-        monkeypatch.setattr(f"matrixopt.quasi_newton.{method}_update", counted)
-        report = solve_quasi_newton(p, QnConfig(method=method))
+        report, updates = recorded_updates(
+            lambda: solve_quasi_newton(p, QnConfig(method=method))
+        )
         assert report.converged and report.iterations == 2
-        assert len(calls) == 1
-        assert len(report.detail["updates"]) == report.iterations - 1
+        assert len(updates) == report.iterations - 1
 
         # A run that stops at the cap still forms its last update.
-        calls.clear()
-        report = solve_quasi_newton(p, QnConfig(method=method, max_iterations=1))
+        report, updates = recorded_updates(
+            lambda: solve_quasi_newton(p, QnConfig(method=method, max_iterations=1))
+        )
         assert report.termination == "max_iterations" and report.iterations == 1
-        assert len(calls) == 1
-        assert len(report.detail["updates"]) == report.iterations
+        assert len(updates) == report.iterations
+
+    @pytest.mark.parametrize("method", ["dfp", "bfgs"])
+    @pytest.mark.parametrize("max_iterations", [1, 500])
+    def test_detail_is_the_gradient_norm_history(self, method, max_iterations):
+        p = sylvester_family("t6", 16).build()
+        cfg = QnConfig(method=method, max_iterations=max_iterations)
+        report = solve_quasi_newton(p, cfg)
+        assert set(report.detail) == {"grad_norm_history"}
+        history = report.detail["grad_norm_history"]
+        assert len(history) == report.iterations + 1
+        assert history[-1] == frobenius_norm(f1_gradient(p, report.solution))
+        assert report.converged == (history[-1] < cfg.grad_tol)
 
     @pytest.mark.parametrize("linesearch", ["exact", "armijo", "wolfe"])
     def test_one_gradient_per_iterate(self, monkeypatch, linesearch):
@@ -368,9 +382,9 @@ class TestSolver:
         # The m x m model of this nonsymmetric problem overflows; the run
         # stops on the step that formed it and keeps its finite iterate.
         p = random_sylvester(rng, 3, 3)
-        report = solve_quasi_newton(p, QnConfig(method="bfgs"))
+        report, updates = recorded_updates(lambda: solve_quasi_newton(p, QnConfig(method="bfgs")))
         assert report.termination == "diverged"
-        assert not np.isfinite(report.detail["updates"][-1]["inv_hessian_norm"])
+        assert not np.isfinite(frobenius_norm(updates[-1][2]))
         assert np.isfinite(report.solution).all()
         assert len(report.residual_history) == report.iterations + 1
 

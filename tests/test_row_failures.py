@@ -1,6 +1,8 @@
 """A row that raises anything, not only a library error, fails alone:
 the rest of the table or sweep still runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ def test_one_bad_row_does_not_abort_the_table(monkeypatch, exc, text, workers):
     assert by_method["newton"].termination == "error"
     assert by_method["newton"].error == text
     assert summary_json(table, records)["rows_failed"] == 1
+
+
+def test_negative_cap_fails_its_row_alone():
+    table = manifest_for_suite("t8")
+    bad = table.rows[0]
+    table.rows[0] = dataclasses.replace(bad, params={**bad.params, "max_iterations": -1})
+    records = run_manifest(table, cap=16)
+    assert records[0].termination == "error"
+    assert records[0].error == "ParameterError: iteration cap must be nonnegative, got -1"
+    assert all(rec.error is None for rec in records[1:])
 
 
 def test_library_errors_name_their_class_too():
