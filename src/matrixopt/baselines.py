@@ -49,10 +49,11 @@ class BaselineConfig:
     richardson_omega: float | str = "auto"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if isinstance(self.richardson_omega, str) and self.richardson_omega != "auto":
-            raise ValueError("richardson_omega must be 'auto' or a number")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
+        omega = self.richardson_omega
+        if omega != "auto" and (isinstance(omega, str) or not math.isfinite(omega)):
+            raise ValueError("richardson_omega must be 'auto' or a finite number")
 
 
 def _symmetry_gap(m: np.ndarray) -> float:

@@ -58,10 +58,10 @@ class AdmmConfig:
     track_lagrangian: bool = False
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) <= 0:
-            raise ValueError("penalties alpha, beta, gamma must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not all(0 < v < math.inf for v in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("penalties alpha, beta, gamma must be finite and positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 @dataclass

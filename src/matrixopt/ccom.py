@@ -37,8 +37,8 @@ class CcomConfig:
     group_rows: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.group_rows < 1:
             raise ValueError("group_rows must be a positive integer")
 

@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--random", type=int, metavar="R", help="sample R random points instead of the grid")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
-    sweep.add_argument("--tol", type=float, default=1e-8)
+    sweep.add_argument("--tol", type=float)
     sweep.add_argument("--max-iterations", type=int, dest="max_iterations")
     sweep.add_argument("--out", help="CSV output path (default stdout)")
 
@@ -306,12 +306,12 @@ def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[flo
     try:
         if len(parts) == 1:
             value = float(parts[0])
-            if not value > 0:
+            if not 0 < value < np.inf:
                 raise ValueError
             return [value]
         if len(parts) == 3:
             lo, hi, k = float(parts[0]), float(parts[1]), int(parts[2])
-            if k < 1 or lo <= 0 or hi < lo:
+            if k < 1 or not 0 < lo <= hi < np.inf:
                 raise ValueError
             if k == 1:
                 return [lo]
@@ -320,12 +320,13 @@ def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[flo
             return list(np.linspace(lo, hi, k))
     except ValueError:
         pass
-    parser.error(f"--{name} must be 'value' > 0 or 'lo:hi:count' with 0 < lo <= hi")
+    parser.error(f"--{name} must be a finite 'value' > 0 or 'lo:hi:count' with 0 < lo <= hi")
 
 
 def _cmd_sweep(args, parser: _Parser) -> int:
-    if args.budget is not None and args.budget <= 0:
-        parser.error("--budget must be positive")
+    for flag, value in (("budget", args.budget), ("random", args.random)):
+        if value is not None and value <= 0:
+            parser.error(f"--{flag} must be positive")
     if args.method == "admm" and args.gamma is None:
         parser.error("--gamma is required for admm sweeps")
     axes = [
@@ -358,7 +359,9 @@ def _cmd_sweep(args, parser: _Parser) -> int:
     rows = []
     best = None
     for point in points:
-        params = {"alpha": point[0], "beta": point[1], "tol": args.tol}
+        params = {"alpha": point[0], "beta": point[1]}
+        if args.tol is not None:
+            params["tol"] = args.tol
         if args.method == "admm":
             params["gamma"] = point[2]
         if args.max_iterations is not None:

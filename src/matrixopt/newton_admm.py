@@ -54,10 +54,10 @@ class NewtonAdmmConfig:
     track_inner_lagrangian: bool = False
 
     def __post_init__(self):
-        if min(self.alpha, self.beta) <= 0:
-            raise ValueError("penalties alpha, beta must be positive")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
+        if not all(0 < v < np.inf for v in (self.alpha, self.beta)):
+            raise ValueError("penalties alpha, beta must be finite and positive")
+        if not 0 < self.outer_tol < np.inf:
+            raise ValueError("outer_tol must be finite and positive")
         if not 0 < self.inner_tol_value < 1:
             raise ValueError("forcing factor must lie in (0, 1)")
 

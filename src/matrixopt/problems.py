@@ -1,10 +1,11 @@
-"""Validated problem instances and the benchmark problem families.
+"""Validated problem instances and the paper's table catalogue.
 
 The generators cover every coefficient-matrix family used in the
 reference tables (t1..t10), including the 9x9 tubular-ammonia-reactor
-state-space model.  :func:`paper_suite` exposes those tables as
-reproducible manifests with the published iteration/error figures
-attached as read-only reference metadata.
+state-space model.  The tables live in one catalogue: a family map gives
+each table's problem, read by :func:`table_source`, and a row table gives
+each table's rows with the published iteration/error/time figures
+attached as read-only reference metadata, read by :func:`paper_suite`.
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ class ProblemSource:
             )
 
 
+DESK_SCALE_MAX_ORDER = 256
+
+
 @dataclass(frozen=True)
 class SuiteRow:
     """One table row: a problem, a method, its parameters, and the
@@ -235,48 +239,34 @@ class SuiteRow:
     source: ProblemSource
     method: str
     params: dict
-    desk_scale: bool
     paper_iterations: int | None = None
     paper_error: float | None = None
     paper_time_seconds: float | None = None
 
+    @property
+    def desk_scale(self) -> bool:
+        """Whether the row's order is within the desk-scale cap."""
+        return self.source.order <= DESK_SCALE_MAX_ORDER
 
-DESK_SCALE_MAX_ORDER = 256
 
-_SYLVESTER_FAMILIES = {
-    # table id -> (A bands, B bands)
-    "t1": ((2.0, -4.0, -4.0), (1.0, 3.0, 3.0)),
-    "t2": ((2.0, -4.0, -4.0), (1.0, 3.0, 3.0)),
-    "t3": ((2.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-    "t4": ((2.0, -1.0, -1.0), (4.0, 1.0, 1.0)),
-    "t5": ((3.0, -2.0, -2.0), (6.0, 2.0, 2.0)),
-    "t6": ((5.0, -1.0, -1.0), (6.0, 2.0, 2.0)),
+# Table id -> (generator, bands) of its problem family.  Sylvester tables
+# give the A and B bands, CARE tables the A and B^T bands (N = B B^T,
+# K = I_n).  t7 is the fixed-order ammonia reactor.
+_FAMILIES = {
+    "t1": ("sylvester_tridiagonal", {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)}),
+    "t2": ("sylvester_tridiagonal", {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)}),
+    "t3": ("sylvester_tridiagonal", {"a": (2.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0)}),
+    "t4": ("sylvester_tridiagonal", {"a": (2.0, -1.0, -1.0), "b": (4.0, 1.0, 1.0)}),
+    "t5": ("sylvester_tridiagonal", {"a": (3.0, -2.0, -2.0), "b": (6.0, 2.0, 2.0)}),
+    "t6": ("sylvester_tridiagonal", {"a": (5.0, -1.0, -1.0), "b": (6.0, 2.0, 2.0)}),
+    "t8": ("care_tridiagonal", {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)}),
+    "t9": ("care_tridiagonal", {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)}),
+    "t10": ("care_tridiagonal", {"a": (3.0, 1.0, 1.0), "bt": (6.0, 2.0, 2.0)}),
 }
 
-_CARE_FAMILIES = {
-    # table id -> (A bands, B^T bands); N = B B^T, K = I_n
-    "t8": ((6.0, 2.0, 1.0), (5.0, 2.0, 1.0)),
-    "t9": ((6.0, 2.0, 1.0), (5.0, 2.0, 1.0)),
-    "t10": ((3.0, 1.0, 1.0), (6.0, 2.0, 2.0)),
-}
 
-
-def sylvester_family(table_id: str, n: int) -> ProblemSource:
-    a_bands, b_bands = _SYLVESTER_FAMILIES[table_id]
-    return ProblemSource(
-        name="sylvester_tridiagonal",
-        order=n,
-        params={"a": a_bands, "b": b_bands},
-    )
-
-
-def care_family(table_id: str, n: int) -> ProblemSource:
-    a_bands, bt_bands = _CARE_FAMILIES[table_id]
-    return ProblemSource(
-        name="care_tridiagonal",
-        order=n,
-        params={"a": a_bands, "bt": bt_bands},
-    )
+def _unknown_suite(table_id: str) -> UnknownSuiteError:
+    return UnknownSuiteError(f"unknown suite {table_id!r}; expected one of {', '.join(SUITE_IDS)}")
 
 
 def table_source(table_id: str, n: int) -> ProblemSource:
@@ -284,136 +274,59 @@ def table_source(table_id: str, n: int) -> ProblemSource:
     ammonia reactor has the fixed order 9 and ignores ``n``."""
     if table_id == "t7":
         return ProblemSource(name="ammonia_reactor", order=9)
-    if table_id in _SYLVESTER_FAMILIES:
-        return sylvester_family(table_id, n)
-    if table_id in _CARE_FAMILIES:
-        return care_family(table_id, n)
-    raise UnknownSuiteError(f"unknown suite {table_id!r}; expected one of {', '.join(SUITE_IDS)}")
+    try:
+        name, bands = _FAMILIES[table_id]
+    except KeyError:
+        raise _unknown_suite(table_id) from None
+    return ProblemSource(name=name, order=n, params=dict(bands))
 
 
-def _rows(family, table_id, entries):
+def _expand(refs, methods, params):
+    """Rows from a compact reference map, order by order and, within an
+    order, in ``methods`` order: ``refs`` maps an order to one
+    (iterations, error, seconds) triple per method, and ``params`` maps a
+    method to its row parameters."""
     return [
-        SuiteRow(
-            source=family(table_id, n),
-            method=method,
-            params=params,
-            desk_scale=n <= DESK_SCALE_MAX_ORDER,
-            paper_iterations=iters,
-            paper_error=err,
-            paper_time_seconds=secs,
-        )
-        for method, n, params, iters, err, secs in entries
+        (method, n, params.get(method, {}), *ref)
+        for n, per_method in refs.items()
+        for method, ref in zip(methods, per_method)
     ]
 
 
-def _suite_t1():
-    entries = [
-        ("ccom", 10, {}, 1, 6.0905e-13, 0.05),
-        ("ccom", 100, {}, 1, 1.1574e-09, 22.8),
-        ("ccom", 200, {}, 2, 1.9798e-09, 2288.0),
-    ]
-    return _rows(sylvester_family, "t1", entries)
+_T5_SECONDS = {
+    # order -> dfp, bfgs, ar seconds
+    128: (0.04, 0.04, 0.09),
+    256: (0.21, 0.22, 0.18),
+    512: (0.98, 1.02, 1.03),
+    1024: (4.87, 4.87, 8.59),
+    2048: (31.0, 33.0, 73.0),
+    4096: (191.0, 196.0, 268.0),
+}
 
+_T5_REFS = {
+    # iterations and errors do not vary with the order
+    n: ((3, 9.3259e-15, dfp), (3, 1.5774e-16, bfgs), (3, 1.1102e-16, ar))
+    for n, (dfp, bfgs, ar) in _T5_SECONDS.items()
+}
 
-def _suite_t2():
-    # Same family and counts as t1; the published run differs only in the
-    # factorization shortcut, which this implementation always uses.
-    entries = [
-        ("ccom", 10, {}, 1, 6.0905e-13, 0.01),
-        ("ccom", 100, {}, 1, 1.1574e-09, 19.0),
-        ("ccom", 200, {}, 2, 1.9798e-09, 1860.0),
-    ]
-    return _rows(sylvester_family, "t2", entries)
-
-
-def _suite_t3():
-    entries = [
-        ("ccom", 10, {}, 1, 1.2560e-13, 0.002),
-        ("ccom", 100, {}, 1, 2.3124e-09, 14.0),
-        ("ccom", 200, {}, 1, 4.9651e-09, 640.0),
-    ]
-    return _rows(sylvester_family, "t3", entries)
-
-
-def _suite_t4():
-    qn = {"linesearch": "armijo"}
-    entries = [
-        ("dfp", 128, qn, 316, 9.4577e-08, 5.6),
-        ("dfp", 256, qn, 287, 4.8782e-07, 22.0),
-        ("dfp", 512, qn, 275, 9.6180e-07, 170.0),
-        ("dfp", 1024, qn, 246, 4.9609e-07, 1815.0),
-    ]
-    return _rows(sylvester_family, "t4", entries)
-
-
-def _suite_t5():
-    entries = []
-    refs = {
-        "dfp": (3, 9.3259e-15),
-        "bfgs": (3, 1.5774e-16),
-        "ar": (3, 1.1102e-16),
-    }
-    times = {
-        128: {"dfp": 0.04, "bfgs": 0.04, "ar": 0.09},
-        256: {"dfp": 0.21, "bfgs": 0.22, "ar": 0.18},
-        512: {"dfp": 0.98, "bfgs": 1.02, "ar": 1.03},
-        1024: {"dfp": 4.87, "bfgs": 4.87, "ar": 8.59},
-        2048: {"dfp": 31.0, "bfgs": 33.0, "ar": 73.0},
-        4096: {"dfp": 191.0, "bfgs": 196.0, "ar": 268.0},
-    }
-    for n in (128, 256, 512, 1024, 2048, 4096):
-        for method in ("dfp", "bfgs", "ar"):
-            iters, err = refs[method]
-            entries.append((method, n, {}, iters, err, times[n][method]))
-    return _rows(sylvester_family, "t5", entries)
-
-
-def _suite_t6():
-    refs = {
-        128: {"dfp": (3, 2.3697e-14, 0.05), "bfgs": (3, 1.2619e-16, 0.05),
-              "cg": (15, 6.2321e-15, 0.18), "ar": (3, 4.1425e-15, 0.14)},
-        256: {"dfp": (3, 2.7295e-14, 0.21), "bfgs": (3, 1.2619e-16, 0.23),
-              "cg": (15, 6.1485e-15, 0.65), "ar": (3, 5.3648e-15, 0.33)},
-        512: {"dfp": (3, 2.7295e-14, 1.03), "bfgs": (3, 1.2619e-16, 1.15),
-              "cg": (15, 6.0531e-15, 3.32), "ar": (3, 7.3523e-15, 2.03)},
-        1024: {"dfp": (3, 2.7327e-14, 6.05), "bfgs": (3, 1.2619e-16, 6.37),
-               "cg": (15, 5.9917e-15, 33.0), "ar": (3, 1.1720e-14, 20.0)},
-        2048: {"dfp": (3, 2.7295e-14, 34.0), "bfgs": (3, 1.3900e-16, 36.0),
-               "cg": (15, 5.9576e-15, 289.0), "ar": (3, 1.9263e-14, 170.0)},
-        4096: {"dfp": (3, 2.7295e-14, 178.0), "bfgs": (3, 1.2619e-16, 224.0),
-               "cg": (15, 5.9397e-15, 764.0), "ar": (3, 1.1815e-14, 1268.0)},
-    }
-    entries = []
-    for n, per_method in refs.items():
-        for method, (iters, err, secs) in per_method.items():
-            entries.append((method, n, {}, iters, err, secs))
-    return _rows(sylvester_family, "t6", entries)
-
-
-def _suite_t7():
-    rows = []
-    triples = [
-        (0.0465, 63.51, 0.0428, 6715, 9.9961e-09, 0.2292),
-        (0.2, 100.0, 0.01, 17869, 8.5193e-09, 1.0675),
-        (0.2, 100.0, 0.1, 12329, 9.9939e-09, 0.6784),
-    ]
-    source = table_source("t7", 9)
-    for alpha, beta, gamma, iters, err, secs in triples:
-        rows.append(
-            SuiteRow(
-                source=source,
-                method="admm",
-                params={"alpha": alpha, "beta": beta, "gamma": gamma},
-                desk_scale=True,
-                paper_iterations=iters,
-                paper_error=err,
-                paper_time_seconds=secs,
-            )
-        )
-    return rows
-
+_T6_REFS = {
+    # order -> dfp, bfgs, cg, ar
+    128: ((3, 2.3697e-14, 0.05), (3, 1.2619e-16, 0.05),
+          (15, 6.2321e-15, 0.18), (3, 4.1425e-15, 0.14)),
+    256: ((3, 2.7295e-14, 0.21), (3, 1.2619e-16, 0.23),
+          (15, 6.1485e-15, 0.65), (3, 5.3648e-15, 0.33)),
+    512: ((3, 2.7295e-14, 1.03), (3, 1.2619e-16, 1.15),
+          (15, 6.0531e-15, 3.32), (3, 7.3523e-15, 2.03)),
+    1024: ((3, 2.7327e-14, 6.05), (3, 1.2619e-16, 6.37),
+           (15, 5.9917e-15, 33.0), (3, 1.1720e-14, 20.0)),
+    2048: ((3, 2.7295e-14, 34.0), (3, 1.3900e-16, 36.0),
+           (15, 5.9576e-15, 289.0), (3, 1.9263e-14, 170.0)),
+    4096: ((3, 2.7295e-14, 178.0), (3, 1.2619e-16, 224.0),
+           (15, 5.9397e-15, 764.0), (3, 1.1815e-14, 1268.0)),
+}
 
 _T8_REFS = {
+    # order -> admm, newton
     16: ((563, 9.9673e-09, 0.05), (83, 6.0989e-08, 0.09)),
     32: ((602, 9.9315e-09, 0.15), (76, 6.2125e-08, 0.11)),
     64: ((627, 9.4188e-09, 0.38), (76, 6.5353e-08, 0.52)),
@@ -425,17 +338,8 @@ _T8_REFS = {
     4096: ((713, 9.7108e-09, 25223.0), (76, 8.8869e-07, 7129.0)),
 }
 
-
-def _suite_t8():
-    admm_params = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014}
-    entries = []
-    for n, (admm_ref, newton_ref) in _T8_REFS.items():
-        entries.append(("admm", n, admm_params, *admm_ref))
-        entries.append(("newton", n, {}, *newton_ref))
-    return _rows(care_family, "t8", entries)
-
-
 _T9_REFS = {
+    # order -> newton-admm, newton
     16: ((448, 2.5323e-10, 0.03), (83, 6.0989e-08, 0.09)),
     32: ((453, 3.7771e-10, 0.08), (83, 6.9049e-08, 0.18)),
     64: ((455, 4.0151e-10, 0.18), (83, 6.8379e-08, 0.89)),
@@ -448,6 +352,7 @@ _T9_REFS = {
 }
 
 _T10_REFS = {
+    # order -> newton-admm, newton
     16: ((373, 4.0583e-11, 0.02), (76, 6.0918e-08, 0.05)),
     32: ((353, 5.0978e-11, 0.06), (76, 6.2125e-08, 0.11)),
     64: ((361, 6.1431e-11, 0.17), (76, 6.5353e-08, 0.52)),
@@ -459,38 +364,60 @@ _T10_REFS = {
     4096: ((390, 6.5537e-11, 6534.0), (76, 8.8869e-07, 7129.0)),
 }
 
-
-def _suite_newton_admm(table_id, refs, alpha, beta):
-    na_params = {"alpha": alpha, "beta": beta}
-    entries = []
-    for n, (na_ref, newton_ref) in refs.items():
-        entries.append(("newton-admm", n, na_params, *na_ref))
-        entries.append(("newton", n, {}, *newton_ref))
-    return _rows(care_family, table_id, entries)
-
-
-_SUITES = {
-    "t1": _suite_t1,
-    "t2": _suite_t2,
-    "t3": _suite_t3,
-    "t4": _suite_t4,
-    "t5": _suite_t5,
-    "t6": _suite_t6,
-    "t7": _suite_t7,
-    "t8": _suite_t8,
-    "t9": lambda: _suite_newton_admm("t9", _T9_REFS, 0.8, 53.5),
-    "t10": lambda: _suite_newton_admm("t10", _T10_REFS, 0.8, 45.0),
+# Table id -> rows (method, order, params, paper iterations, paper error,
+# paper seconds), in the order the paper prints them.
+_PAPER_ROWS = {
+    "t1": [
+        ("ccom", 10, {}, 1, 6.0905e-13, 0.05),
+        ("ccom", 100, {}, 1, 1.1574e-09, 22.8),
+        ("ccom", 200, {}, 2, 1.9798e-09, 2288.0),
+    ],
+    # Same family and counts as t1; the published run differs only in the
+    # factorization shortcut, which this implementation always uses.
+    "t2": [
+        ("ccom", 10, {}, 1, 6.0905e-13, 0.01),
+        ("ccom", 100, {}, 1, 1.1574e-09, 19.0),
+        ("ccom", 200, {}, 2, 1.9798e-09, 1860.0),
+    ],
+    "t3": [
+        ("ccom", 10, {}, 1, 1.2560e-13, 0.002),
+        ("ccom", 100, {}, 1, 2.3124e-09, 14.0),
+        ("ccom", 200, {}, 1, 4.9651e-09, 640.0),
+    ],
+    "t4": [
+        ("dfp", 128, {"linesearch": "armijo"}, 316, 9.4577e-08, 5.6),
+        ("dfp", 256, {"linesearch": "armijo"}, 287, 4.8782e-07, 22.0),
+        ("dfp", 512, {"linesearch": "armijo"}, 275, 9.6180e-07, 170.0),
+        ("dfp", 1024, {"linesearch": "armijo"}, 246, 4.9609e-07, 1815.0),
+    ],
+    "t5": _expand(_T5_REFS, ("dfp", "bfgs", "ar"), {}),
+    "t6": _expand(_T6_REFS, ("dfp", "bfgs", "cg", "ar"), {}),
+    "t7": [
+        ("admm", 9, {"alpha": 0.0465, "beta": 63.51, "gamma": 0.0428}, 6715, 9.9961e-09, 0.2292),
+        ("admm", 9, {"alpha": 0.2, "beta": 100.0, "gamma": 0.01}, 17869, 8.5193e-09, 1.0675),
+        ("admm", 9, {"alpha": 0.2, "beta": 100.0, "gamma": 0.1}, 12329, 9.9939e-09, 0.6784),
+    ],
+    "t8": _expand(
+        _T8_REFS, ("admm", "newton"), {"admm": {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014}}
+    ),
+    "t9": _expand(
+        _T9_REFS, ("newton-admm", "newton"), {"newton-admm": {"alpha": 0.8, "beta": 53.5}}
+    ),
+    "t10": _expand(
+        _T10_REFS, ("newton-admm", "newton"), {"newton-admm": {"alpha": 0.8, "beta": 45.0}}
+    ),
 }
 
-SUITE_IDS = tuple(sorted(_SUITES, key=lambda s: int(s[1:])))
+SUITE_IDS = tuple(_PAPER_ROWS)
 
 
 def paper_suite(table_id: str) -> list[SuiteRow]:
     """Manifest rows for one reference table (``t1`` .. ``t10``)."""
     try:
-        factory = _SUITES[table_id]
+        entries = _PAPER_ROWS[table_id]
     except KeyError:
-        raise UnknownSuiteError(
-            f"unknown suite {table_id!r}; expected one of {', '.join(SUITE_IDS)}"
-        ) from None
-    return factory()
+        raise _unknown_suite(table_id) from None
+    return [
+        SuiteRow(table_source(table_id, n), method, dict(params), iters, err, secs)
+        for method, n, params, iters, err, secs in entries
+    ]

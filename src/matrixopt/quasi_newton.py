@@ -86,8 +86,8 @@ class QnConfig:
             raise ValueError("sigma1 must lie in (0, 0.5)")
         if not self.sigma1 < self.sigma2 < 1:
             raise ValueError("sigma2 must lie in (sigma1, 1)")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and positive")
 
 
 def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:

@@ -44,9 +44,8 @@ from matrixopt.problems import (
     LyapunovProblem,
     SylvesterProblem,
     ammonia_reactor,
-    care_family,
     gen_tridiagonal,
-    sylvester_family,
+    table_source,
 )
 from matrixopt.quasi_newton import QnConfig, f1_gradient, f1_value, solve_quasi_newton
 
@@ -90,7 +89,7 @@ def t5_runs():
     updates = []
     start = time.perf_counter()
     for n in (128, 256):
-        p = sylvester_family("t5", n).build()
+        p = table_source("t5", n).build()
         for method in ("dfp", "bfgs"):
             cfg = QnConfig(method=method, linesearch="exact", grad_tol=1e-10)
             reports[(method, n)], recorded = recorded_updates(
@@ -103,7 +102,7 @@ def t5_runs():
 @pytest.fixture(scope="module")
 def t6_runs():
     start = time.perf_counter()
-    p = sylvester_family("t6", 128).build()
+    p = table_source("t6", 128).build()
     reports = {"cg": solve_cg(p, BaselineConfig(tol=1e-12, max_iterations=100))}
     updates = []
     for method in ("dfp", "bfgs"):
@@ -116,7 +115,7 @@ def t6_runs():
 @pytest.fixture(scope="module")
 def t3_ccom_run():
     start = time.perf_counter()
-    p = sylvester_family("t3", 10).build()
+    p = table_source("t3", 10).build()
     report = solve_ccom(p, CcomConfig(epsilon=1e-8))
     return report, time.perf_counter() - start
 
@@ -127,11 +126,11 @@ def t8_admm_runs():
     start = time.perf_counter()
     runs = {}
     runs[16] = solve_care_admm(
-        care_family("t8", 16).build(),
+        table_source("t8", 16).build(),
         AdmmConfig(**params, track_lagrangian=True),
     )
     runs[32] = solve_care_admm(
-        care_family("t8", 32).build(), AdmmConfig(**params)
+        table_source("t8", 32).build(), AdmmConfig(**params)
     )
     return runs, time.perf_counter() - start
 
@@ -141,7 +140,7 @@ def newton_admm_runs():
     runs = {}
     start = time.perf_counter()
     for table, beta, n in (("t9", 53.5, 16), ("t10", 45.0, 16)):
-        p = care_family(table, n).build()
+        p = table_source(table, n).build()
         cfg = NewtonAdmmConfig(
             alpha=0.8,
             beta=beta,
@@ -238,7 +237,7 @@ def test_criterion_06_table8_scaled(t8_admm_runs):
         warnings.simplefilter("ignore")
         for n in (16, 32):
             newton = solve_newton_care(
-                care_family("t8", n).build(),
+                table_source("t8", n).build(),
                 cfg=BaselineConfig(tol=1e-8, max_iterations=50),
             )
             assert newton.converged and newton.final_residual <= 1e-7

@@ -15,7 +15,7 @@ import matrixopt.newton_admm as newton_admm
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.errors import AdmmBreakdownError, SingularMatrixError
 from matrixopt.harness.manifest import manifest_for_suite, run_manifest, run_method, summary_json
-from matrixopt.problems import care_family, sylvester_family
+from matrixopt.problems import table_source
 
 CONTROLS = linalg.find_openblas("numpy")
 SCIPY_CONTROLS = linalg.find_openblas("scipy")
@@ -25,11 +25,11 @@ needs_scipy_copy = pytest.mark.skipif(
     SCIPY_CONTROLS is None, reason="scipy's bundled OpenBLAS not found"
 )
 
-T8 = care_family("t8", 8).build
+T8 = table_source("t8", 8).build
 T8_ADMM = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "max_iterations": 30}
-T9 = care_family("t9", 8).build
+T9 = table_source("t9", 8).build
 # Two dfp steps, one model update: two pseudo-inverses.
-T6 = sylvester_family("t6", 16).build
+T6 = table_source("t6", 16).build
 
 
 def threads() -> int:

@@ -20,7 +20,7 @@ from matrixopt.care_admm import (
 from matrixopt.errors import AdmmBreakdownError, DimensionError
 from matrixopt.linalg import frobenius_norm, lu_solve
 from matrixopt.newton_admm import LyapAdmmState, NewtonAdmmConfig, solve_lyapunov_admm
-from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor, care_family
+from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor, table_source
 
 
 def scalar_problem():
@@ -325,7 +325,7 @@ def test_both_splittings_share_the_loop_record(run):
     assert tracked.residual_history == plain.residual_history
 
 
-T8_16 = care_family("t8", 16).build()
+T8_16 = table_source("t8", 16).build()
 LYAP_8 = LyapunovProblem(
     a=np.diag(np.full(7, 1.0), 1) - 4.0 * np.eye(8) + np.diag(np.full(7, 0.5), -1),
     q=np.eye(8),
@@ -460,7 +460,7 @@ ADMM_PEAK_BLOCKS = 23
 
 def test_admm_peak_memory():
     n = 128
-    p = care_family("t8", n).build()
+    p = table_source("t8", n).build()
     cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, max_iterations=40)
     report, peak = peak_blocks(lambda: solve_care_admm(p, cfg), n)
     assert report.iterations == 40

@@ -13,7 +13,7 @@ from matrixopt import baselines
 from matrixopt.baselines import certify_care
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm
-from matrixopt.problems import CareProblem, paper_suite, sylvester_family
+from matrixopt.problems import CareProblem, paper_suite, table_source
 
 CERTIFICATE_KEYS = {"residual", "relative_residual", "asymmetry", "closed_loop_max_real_eig", "root"}
 RETIRED_KEYS = {"closed_loop_max_real_eig", "symmetry_gap", "asymmetry", "outer_trace", "directions"}
@@ -62,7 +62,7 @@ def test_every_care_solver_reports_one_certificate(table, index):
 
 
 def test_cg_reports_no_directions():
-    report = run_method("cg", sylvester_family("t6", 8).build(), {})
+    report = run_method("cg", table_source("t6", 8).build(), {})
     assert report.converged and "directions" not in report.detail
 
 

@@ -212,6 +212,22 @@ class TestSweep:
                   "--gamma", "0.1", "--budget", "0"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_random_is_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1",
+                  "--gamma", "0.01:0.1:3", "--random", count])
+        assert err.value.code == 1
+        assert "--random must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1:inf:3", "nan:1:3"])
+    def test_non_finite_axis_is_usage_error(self, alpha, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--suite", "t8", "--n", "4", "--alpha", alpha, "--beta", "1",
+                  "--gamma", "0.1"])
+        assert err.value.code == 1
+        assert "--alpha must be a finite" in capsys.readouterr().err
+
     def test_single_point_grid(self, capsys):
         code, out = run_cli(
             [
@@ -259,10 +275,10 @@ class TestSweep:
         # triple must contain a point at least as fast as the default
         # penalties on the same problem
         from matrixopt.care_admm import AdmmConfig, solve_care_admm
-        from matrixopt.problems import care_family
+        from matrixopt.problems import table_source
 
         default_run = solve_care_admm(
-            care_family("t8", 16).build(),
+            table_source("t8", 16).build(),
             AdmmConfig(tol=1e-8, max_iterations=20_000),
         )
         assert default_run.converged

@@ -16,7 +16,7 @@ from matrixopt.errors import (
     SingularMatrixError,
 )
 from matrixopt.harness.manifest import run_method
-from matrixopt.problems import CareProblem, SylvesterProblem, care_family, sylvester_family
+from matrixopt.problems import CareProblem, SylvesterProblem, table_source
 from matrixopt.report import Stop, iterate
 
 
@@ -133,8 +133,8 @@ def _random3():
 
 
 SINGULAR = SylvesterProblem(a=np.eye(3), b=-np.eye(3), c=np.eye(3))
-T6 = sylvester_family("t6", 8).build
-T8 = care_family("t8", 8).build
+T6 = table_source("t6", 8).build
+T8 = table_source("t8", 8).build
 T8_ADMM = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014}
 
 # name -> (method, problem, params, expected error, injection or None)

@@ -25,9 +25,8 @@ from matrixopt.problems import (
     SUITE_IDS,
     CareProblem,
     SylvesterProblem,
-    care_family,
     paper_suite,
-    sylvester_family,
+    table_source,
 )
 
 MAX_ORDER = 16
@@ -83,16 +82,16 @@ def _family_cases():
                 for ls in ("exact", "wolfe", "armijo")]
     variants += [("cg", {}), ("ar", {}), ("ccom", {}), ("direct", {})]
     for table in ("t4", "t5", "t6"):
-        source = sylvester_family(table, MAX_ORDER)
+        source = table_source(table, MAX_ORDER)
         for method, params in variants:
             tag = "-".join(str(v) for v in params.values())
             yield f"{table}-{method}{'-' + tag if tag else ''}", (method, source.build, params)
 
 
 def _care_cases():
-    t8 = care_family("t8", MAX_ORDER).build
+    t8 = table_source("t8", MAX_ORDER).build
     t8_admm = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014}
-    t9 = care_family("t9", MAX_ORDER).build
+    t9 = table_source("t9", MAX_ORDER).build
     yield "t8-admm-cap200", ("admm", t8, {**t8_admm, "max_iterations": 200})
     yield "t9-newton-admm-tight", (
         "newton-admm", t9, {"alpha": 0.8, "beta": 53.5, "tol": 1e-11, "inner_tol_value": 1e-6},
@@ -103,10 +102,10 @@ def _care_cases():
     # n=128: large enough for numpy's OpenBLAS to split products and
     # norms across threads.
     yield "t8-admm-n128-cap40", (
-        "admm", care_family("t8", 128).build, {**t8_admm, "max_iterations": 40},
+        "admm", table_source("t8", 128).build, {**t8_admm, "max_iterations": 40},
     )
     yield "t9-newton-admm-n128", (
-        "newton-admm", care_family("t9", 128).build, {"alpha": 0.8, "beta": 53.5},
+        "newton-admm", table_source("t9", 128).build, {"alpha": 0.8, "beta": 53.5},
     )
 
 
@@ -131,7 +130,7 @@ def _edge_cases():
     yield "singular3-cg", ("cg", _singular3, {})
     yield "singular3-ar", ("ar", _singular3, {})
     yield "singular3-ccom", ("ccom", _singular3, {})
-    yield "t6-ar-omega1", ("ar", sylvester_family("t6", MAX_ORDER).build, {"omega": 1.0})
+    yield "t6-ar-omega1", ("ar", table_source("t6", MAX_ORDER).build, {"omega": 1.0})
     yield "scalar-newton-breakdown", (
         "newton", lambda: CareProblem(a=[[0.0]], n_mat=[[0.0]], k_mat=[[1.0]]), {},
     )

@@ -19,7 +19,7 @@ from matrixopt.harness.manifest import (
     write_csv,
 )
 from matrixopt.harness.plotting import emit_convergence_plot
-from matrixopt.problems import CareProblem, SuiteRow, paper_suite, sylvester_family
+from matrixopt.problems import CareProblem, SuiteRow, paper_suite, table_source
 
 
 def _factoring_rows():
@@ -42,7 +42,7 @@ class TestRegistry:
             run_method("ccom", p)
 
     def test_direct_dispatch(self):
-        p = sylvester_family("t5", 4).build()
+        p = table_source("t5", 4).build()
         report = run_method("direct", p)
         assert report.converged and report.iterations == 0
 
@@ -50,9 +50,7 @@ class TestRegistry:
 class TestManifest:
     def test_rejects_unknown_method(self):
         row = paper_suite("t3")[0]
-        bad = SuiteRow(
-            source=row.source, method="mystery", params={}, desk_scale=True
-        )
+        bad = SuiteRow(source=row.source, method="mystery", params={})
         with pytest.raises(ValueError):
             RunManifest(suite="t3", rows=[bad])
 

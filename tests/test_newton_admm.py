@@ -23,7 +23,7 @@ from matrixopt.newton_admm import (
     solve_lyapunov_admm,
     solve_newton_admm,
 )
-from matrixopt.problems import CareProblem, LyapunovProblem, care_family, gen_tridiagonal
+from matrixopt.problems import CareProblem, LyapunovProblem, gen_tridiagonal, table_source
 
 
 def scalar_lyapunov():
@@ -409,7 +409,7 @@ NEWTON_ADMM_PEAK_BLOCKS = 20
 
 def test_newton_admm_peak_memory():
     n = 128
-    p = care_family("t9", n).build()
+    p = table_source("t9", n).build()
     cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
     report, peak = peak_blocks(lambda: solve_newton_admm(p, cfg=cfg), n)
     assert report.converged and report.iterations == 80

@@ -6,7 +6,9 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,8 @@ from matrixopt.problems import (
     CareProblem,
     LyapunovProblem,
     SylvesterProblem,
-    care_family,
     paper_suite,
-    sylvester_family,
+    table_source,
 )
 from matrixopt.quasi_newton import QnConfig
 
@@ -105,9 +106,9 @@ SAMPLE = {
 
 def _problem(kind):
     if kind is S:
-        return sylvester_family("t5", 4).build()
+        return table_source("t5", 4).build()
     if kind is C:
-        return care_family("t8", 4).build()
+        return table_source("t8", 4).build()
     return LyapunovProblem(a=np.diag([-1.0, -2.0]), q=np.eye(2))
 
 
@@ -220,6 +221,46 @@ def test_readme_table_lists_each_methods_keys():
     assert _readme_keys() == {row: set(spec.keys) for row, spec in METHODS.items()}
 
 
+def test_readme_command_lines_parse():
+    """Every ``matrixopt`` line of the README's Command line example block,
+    continuations joined, is accepted by the parser (it is not run)."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("matrixopt ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
+def test_no_method_flag_has_a_parser_default():
+    """A method key's default lives only in its config dataclass, so no
+    ``solve`` or ``sweep`` flag for a method key sets one."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {key for spec in METHODS.values() for key in spec.keys}
+    for command in ("solve", "sweep"):
+        for action in sub.choices[command]._actions:
+            if action.dest in keys:
+                assert action.default is None, (command, action.option_strings)
+
+
+# Each real config field that must be finite, and positive but for
+# ``richardson_omega``; a test written ``x <= 0`` lets NaN and inf through.
+FINITE_FIELDS = [
+    (AdmmConfig, "alpha"), (AdmmConfig, "beta"), (AdmmConfig, "gamma"), (AdmmConfig, "tol"),
+    (NewtonAdmmConfig, "alpha"), (NewtonAdmmConfig, "beta"), (NewtonAdmmConfig, "outer_tol"),
+    (BaselineConfig, "tol"), (CcomConfig, "epsilon"), (QnConfig, "grad_tol"),
+    (BaselineConfig, "richardson_omega"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("config, name", FINITE_FIELDS)
+def test_config_rejects_non_finite_value(config, name, value):
+    with pytest.raises(ValueError, match=name):
+        config(**{name: value})
+
+
 def test_readme_certificate_bullet_names_the_certificate_keys():
     """The sub-bullets of the README's CARE certificate bullet, one per
     key, name exactly the keys ``certify_care`` returns."""
@@ -237,7 +278,7 @@ def test_readme_names_the_quasi_newton_detail_keys():
     text = README.read_text(encoding="utf-8")
     sentence = text.split("A dfp/bfgs report's", 1)[1].split(".", 1)[0]
     named = set(re.findall(r"`(\w+)`", sentence)) - {"detail"}
-    p = sylvester_family("t6", 16).build()
+    p = table_source("t6", 16).build()
     for method in ("dfp", "bfgs"):
         assert named == set(run_method(method, p).detail)
 
@@ -298,6 +339,19 @@ class TestUsageErrors:
         ini = tmp_path / "retired.ini"
         ini.write_text(f"[{method}]\n{key.replace('_', '-')} = {raw}\n")
         assert key in _usage_error(base + ["--config", str(ini)], capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "sylvester", "--method", "cg", "--suite", "t6", "--n", "8", "--tol", "inf"],
+            ["solve", "care", "--method", "newton-admm", "--suite", "t9", "--n", "8",
+             "--tol", "nan"],
+            ["solve", "care", "--method", "admm", "--suite", "t8", "--n", "4", "--alpha", "nan"],
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, argv, capsys):
+        err = _usage_error(argv, capsys)
+        assert "finite and positive" in err and "Traceback" not in err
 
     def test_sweep_rejects_non_positive_single_value(self, capsys):
         err = _usage_error(

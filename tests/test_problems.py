@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from matrixopt.errors import DimensionError, UnknownSuiteError
 from matrixopt.oracle import sylvester_residual
 from matrixopt.problems import (
+    SUITE_IDS,
     CareProblem,
     LyapunovProblem,
     ProblemSource,
@@ -200,3 +203,39 @@ def test_transcribed_tables_have_the_structure_they_imply(table):
             assert sylvester_residual(p, p.c / shift) == 0.0
         else:
             assert not np.array_equal(p.a + p.b, shift * np.eye(n))
+
+
+# Row count and sha256 of the repr of each row's (source, method, params,
+# paper iterations, paper error, paper seconds), per table.  perfbench and
+# the BENCH_t*.json records name rows by index (``t8[3] newton n=32``), so
+# a reordered or retyped row must show here; a deliberate catalogue edit
+# re-records its table's pin.
+CATALOGUE_PINS = {
+    "t1": (3, "1415dd175b5b06deae47eee71c45cac4c574cc672224be27c2db4f724c708c57"),
+    "t2": (3, "5118d0235b29c76146b92172c1f66a124d92e2cba45fd2814f5c02fc42ccf00d"),
+    "t3": (3, "c6883f93eafd3abddb665de617b3a32678027c3abdede81e81191a7a5d10836b"),
+    "t4": (4, "5ffce20e686f7ec07453a3f24e3f61cb20ef6309c6d3ef401dad6f7c4d7050e8"),
+    "t5": (18, "70f36b1e8b14d8f4cb61092f52128b2c7f070c1bfa6dcf3a5b812cef6f34a436"),
+    "t6": (24, "80b401b4a7539638d449a3ffcd52b09158189ab1af41f4cdeaf247eea3e118c8"),
+    "t7": (3, "34538b56f679a0e1f681fceaafe58f3961658fcb9377d09761755391dad8269f"),
+    "t8": (18, "6f2e09c31f052195689c9bcd836fd6d65e3addb2cac84fb517b06c3b00a46a26"),
+    "t9": (18, "e8e0fcbcbfc21e213c8bf2e11682d2e4e51e792bfc54d9a0f55a2b4f563ed2a5"),
+    "t10": (18, "377a40a8c690ad55888793621f359e9822cce3872c59df22a60e50bd7d8bc882"),
+}
+
+
+def test_catalogue_ids_are_pinned():
+    assert SUITE_IDS == tuple(CATALOGUE_PINS)
+
+
+@pytest.mark.parametrize("table", SUITE_IDS)
+def test_catalogue_rows_are_pinned(table):
+    rows = paper_suite(table)
+    fields = [
+        (r.source, r.method, r.params, r.paper_iterations, r.paper_error, r.paper_time_seconds)
+        for r in rows
+    ]
+    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert (len(rows), digest) == CATALOGUE_PINS[table], (
+        f"catalogue table {table} changed; re-record its pin if the edit is deliberate"
+    )

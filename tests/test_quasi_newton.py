@@ -18,7 +18,7 @@ from matrixopt.errors import (
 )
 from matrixopt.linalg import frobenius_norm, trace_inner
 from matrixopt.oracle import solve_kronecker_direct, sylvester_residual
-from matrixopt.problems import SylvesterProblem, gen_tridiagonal, sylvester_family
+from matrixopt.problems import SylvesterProblem, gen_tridiagonal, table_source
 from matrixopt.quasi_newton import (
     QnConfig,
     armijo_search,
@@ -336,7 +336,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("method", ["dfp", "bfgs"])
     def test_converging_step_forms_no_update(self, method):
-        p = sylvester_family("t6", 16).build()
+        p = table_source("t6", 16).build()
         report, updates = recorded_updates(
             lambda: solve_quasi_newton(p, QnConfig(method=method))
         )
@@ -353,7 +353,7 @@ class TestSolver:
     @pytest.mark.parametrize("method", ["dfp", "bfgs"])
     @pytest.mark.parametrize("max_iterations", [1, 500])
     def test_detail_is_the_gradient_norm_history(self, method, max_iterations):
-        p = sylvester_family("t6", 16).build()
+        p = table_source("t6", 16).build()
         cfg = QnConfig(method=method, max_iterations=max_iterations)
         report = solve_quasi_newton(p, cfg)
         assert set(report.detail) == {"grad_norm_history"}
@@ -373,7 +373,7 @@ class TestSolver:
             return f1_gradient(p, x, r)
 
         monkeypatch.setattr("matrixopt.quasi_newton.f1_gradient", counted)
-        p = sylvester_family("t6", 16).build()
+        p = table_source("t6", 16).build()
         report = solve_quasi_newton(p, QnConfig(method="bfgs", linesearch=linesearch))
         assert report.converged
         assert len(calls) == report.iterations + 1
@@ -393,7 +393,7 @@ class TestSolver:
         # The search fails on the second step: after the model blew up
         # past sqrt(m)/eps the run ends diverged with its partial report;
         # under the identity start (norm sqrt(m)) the failure still raises.
-        p = sylvester_family("t6", 16).build()
+        p = table_source("t6", 16).build()
         m = p.shape[0]
         search = f"matrixopt.quasi_newton.{linesearch}_search"
         searched = []
@@ -422,7 +422,7 @@ class TestSolver:
 
     def test_model_with_overflowing_norm_diverges(self, monkeypatch):
         # Every entry is finite, but the Frobenius norm overflows.
-        p = sylvester_family("t6", 16).build()
+        p = table_source("t6", 16).build()
         m = p.shape[0]
         monkeypatch.setattr(
             "matrixopt.quasi_newton.bfgs_update",
@@ -449,7 +449,7 @@ PEAK_ARRAYS = {"dfp": 8, "bfgs": 8}
 @pytest.mark.parametrize("method", sorted(PEAK_ARRAYS))
 def test_matrix_form_peak_memory(method):
     n = 256
-    p = sylvester_family("t6", n).build()
+    p = table_source("t6", n).build()
     report, peak = peak_blocks(lambda: solve_quasi_newton(p, QnConfig(method=method)), n)
     assert report.converged and report.iterations == 2
     assert round(peak) <= PEAK_ARRAYS[method]
