@@ -127,18 +127,19 @@ def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SweepConstants:
     """The parts of a sweep that depend only on the problem and the
-    penalties: alpha A A^T, beta I, gamma I, and the Cholesky factor of
-    the Z-update system A A^T + beta I + gamma N N^T.  The X system adds
-    the first two separately, in the order an unhoisted sweep does, so
-    iterates keep their last bit.  A Z system that Cholesky rejects
-    (possible only when beta I + gamma N N^T is negligible against a
-    singular A A^T) raises :class:`AdmmBreakdownError` here, before any
-    sweep."""
+    penalties: alpha A A^T, beta I, gamma I, and the inverse of the
+    Z-update system A A^T + beta I + gamma N N^T, solved from its
+    Cholesky factor (its eigenvalues are at least beta, so a product
+    with the inverse errs as a solve would).  The X system adds the
+    first two separately, in the order an unhoisted sweep does.  A Z
+    system that Cholesky rejects (possible only when beta I + gamma N N^T
+    is negligible against a singular A A^T) raises
+    :class:`AdmmBreakdownError` here, before any sweep."""
 
     al_aat: np.ndarray
     be_eye: np.ndarray
     ga_eye: np.ndarray
-    z_factor: np.ndarray
+    z_inverse: np.ndarray
 
     @classmethod
     def of(cls, p: CareProblem, cfg: AdmmConfig) -> "SweepConstants":
@@ -149,7 +150,7 @@ class SweepConstants:
             z_factor = spd_factor(aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T))
         except NotPositiveDefiniteError as exc:
             raise AdmmBreakdownError(f"Z-update system not positive definite: {exc}") from exc
-        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, z_factor)
+        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye))
 
 
 def admm_step(
@@ -157,14 +158,15 @@ def admm_step(
 ) -> AdmmState:
     """One sweep of the seven updates, X -> Y -> Z -> W -> multipliers.
 
-    Every explicit inverse in the closed forms is realized as a linear
-    solve; the Z and W updates multiply by an inverse from the right and
-    are handled by solving the (symmetric) system against a transposed
-    right-hand side.  ``const`` carries the sweep-invariant systems from
-    :meth:`SweepConstants.of`; without it they are formed here.
+    The X and W updates solve their SPD systems (W's from the right, by
+    a transposed right-hand side); the Z update multiplies by the
+    inverse of its constant system.  ``const`` carries the
+    sweep-invariant matrices of :meth:`SweepConstants.of`; without it
+    they are formed here.
 
-    The new state carries its Z A, the next sweep's first product, and
-    its A^T X, the residual's; without them ``s.z @ a`` is formed here.
+    The new state carries its Z A and T = Y + Z A + K, which the next
+    X update reads, and its A^T X, the residual's; without them Z A and
+    T are formed here, to the same bits.
     """
     a, n_mat, k_mat = p.a, p.n_mat, p.k_mat
     n = p.order
@@ -175,12 +177,14 @@ def admm_step(
     al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
     a_t, n_t = a.T, n_mat.T
 
-    za = s.carried(p, "za")
+    za, t = s.carried(p, "za"), s.carried(p, "t")
     s.products = None
     if za is None:
         za = s.z @ a
+        t = s.y + za + k_mat
     x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
-    x_rhs = s.w.T @ (s.y + za + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
+    x_rhs = s.w.T @ t + a @ (s.lambda_ + al * s.y) + (s.pi_ + be * s.z)
+    del t
     x = _solve_spd(x_sys, x_rhs, "X-update")
     del x_sys, x_rhs
 
@@ -188,21 +192,16 @@ def admm_step(
     atx = a_t @ x
     y = (wx + al * atx - za - k_mat - s.lambda_) / (1.0 + al)
 
-    z_rhs = (
-        (wx - y - k_mat) @ a_t
-        - s.pi_
-        + s.gamma_ @ n_t
-        + be * x
-        + ga * (s.w @ n_t)
-    )
+    z_rhs = (wx - y - k_mat) @ a_t + (s.gamma_ + ga * s.w) @ n_t + (be * x - s.pi_)
     del wx
-    z = spd_solve(const.z_factor, z_rhs.T).T
+    z = z_rhs @ const.z_inverse
     del z_rhs
 
     zn = z @ n_mat
     za = z @ a
+    t = y + za + k_mat
     w_sys = x @ x.T + const.ga_eye
-    w_rhs = (y + za + k_mat) @ x.T - s.gamma_ + ga * zn
+    w_rhs = t @ x.T - s.gamma_ + ga * zn
     w = _solve_spd(w_sys, w_rhs.T, "W-update").T
     del w_sys, w_rhs
 
@@ -210,7 +209,7 @@ def admm_step(
     pi_ = s.pi_ - be * (x - z)
     gamma_ = s.gamma_ - ga * (zn - w)
     new = AdmmState(x=x, y=y, z=z, w=w, lambda_=lambda_, pi_=pi_, gamma_=gamma_)
-    new.products = (p, {"za": za, "atx": atx})
+    new.products = (p, {"za": za, "t": t, "atx": atx})
     return new
 
 
@@ -274,9 +273,10 @@ def sweep_until(
     lagrangian=None, solution=lambda state: state.x,
 ) -> SolveReport:
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
-    ``residual(state) <= tol`` or ``max_iterations`` sweeps, with numpy's
-    BLAS at one thread.  A residual that is not finite ends the run
-    ``diverged``; callers run the loop under ``np.errstate(**QUIET_BLOW_UP)``.
+    ``residual(state) <= tol`` or ``max_iterations`` sweeps.  A residual
+    that is not finite ends the run ``diverged``; callers run the loop
+    under ``np.errstate(**QUIET_BLOW_UP)`` and, for the whole solve,
+    :func:`~matrixopt.linalg.serial_products`.
 
     The loop owns its start state: ``start`` is a one-element list that
     it pops, and a caller keeps no other reference, so the start state
@@ -304,11 +304,10 @@ def sweep_until(
             return "converged"
         return None if math.isfinite(res) else "diverged"
 
-    with serial_products():
-        report = iterate(
-            detail["state"], step, residual, stop, max_iterations,
-            solution=solution, detail=detail,
-        )
+    report = iterate(
+        detail["state"], step, residual, stop, max_iterations,
+        solution=solution, detail=detail,
+    )
     # Carried products serve the loop alone; a warm start forms its own.
     detail["state"].products = None
     return report
@@ -328,14 +327,15 @@ def solve_care_admm(
     :func:`sweep_until`; after the loop it gains the KKT residuals and
     the ``certificate`` of :func:`~matrixopt.baselines.certify_care`.
     ``init`` must have finite n x n blocks; it is read, never written,
-    and the solve keeps no reference to it.
+    and the solve keeps no reference to it.  The whole solve, set-up and
+    diagnostics included, runs with numpy's BLAS at one thread.
     """
     cfg = cfg or AdmmConfig()
-    const = SweepConstants.of(p, cfg)
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
-    start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
-    del init
-    with np.errstate(**QUIET_BLOW_UP):
+    with serial_products(), np.errstate(**QUIET_BLOW_UP):
+        const = SweepConstants.of(p, cfg)
+        start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
+        del init
         report = sweep_until(
             start,
             lambda state: admm_step(p, state, cfg, const),

@@ -281,6 +281,8 @@ def _cmd_solve(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
+    if args.workers <= 0:
+        parser.error("--workers must be positive")
     try:
         manifest = manifest_for_suite(args.suite)
     except MatrixOptError as exc:

@@ -28,7 +28,7 @@ from ..baselines import (
 from ..care_admm import AdmmConfig, solve_care_admm
 from ..ccom import CcomConfig, solve_ccom
 from ..errors import ParameterError, PreconditionError
-from ..linalg import blas_threads, serial_products
+from ..linalg import blas_environment, serial_products
 from ..newton_admm import (
     NewtonAdmmConfig,
     lyapunov_residual,
@@ -303,7 +303,7 @@ def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
     converged = sum(1 for r in records if r.termination == "converged")
     return {
         "suite": manifest.suite,
-        "environment": {"openblas_threads": blas_threads(), "cpu_count": os.cpu_count()},
+        "environment": {**blas_environment(), "cpu_count": os.cpu_count()},
         "rows_run": len(records),
         "rows_converged": converged,
         "rows_failed": sum(1 for r in records if r.error is not None),

@@ -203,33 +203,47 @@ OPENBLAS_COPIES = {
 }
 
 
-def find_openblas(copy: str):
-    """(get, set) thread-count controls of the OpenBLAS copy bundled
-    with ``copy`` (``numpy`` or ``scipy``), or None when there is none
-    to find.  Opening a copy that is already loaded returns its handle."""
+def _openblas_symbols(copy: str, *names: str):
+    """The ``scipy_openblas_<name>`` functions of the OpenBLAS copy
+    bundled with ``copy`` (``numpy`` or ``scipy``), or None when there is
+    none to find.  Opening a copy that is already loaded returns its
+    handle."""
     pattern, suffix = OPENBLAS_COPIES[copy]
     site = Path(np.__file__).resolve().parent.parent
     for path in sorted(glob.glob(str(site / pattern))):
         try:
             lib = ctypes.CDLL(path)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            return [getattr(lib, f"scipy_openblas_{name}{suffix}") for name in names]
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
     return None
 
 
-def blas_threads() -> dict:
-    """Current thread count of each bundled OpenBLAS copy (None when the
-    copy is not found)."""
-    out = {}
+def find_openblas(copy: str):
+    """(get, set) thread-count controls of the OpenBLAS copy bundled
+    with ``copy``, or None when there is none to find."""
+    found = _openblas_symbols(copy, "get_num_threads", "set_num_threads")
+    if found is None:
+        return None
+    get, set_ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_environment() -> dict:
+    """Thread count and ``openblas_get_config`` string of each bundled
+    OpenBLAS copy (None when the copy is not found)."""
+    threads, configs = {}, {}
     for copy in OPENBLAS_COPIES:
         controls = find_openblas(copy)
-        out[copy] = None if controls is None else controls[0]()
-    return out
+        threads[copy] = None if controls is None else controls[0]()
+        config = _openblas_symbols(copy, "get_config")
+        if config is not None:
+            config[0].argtypes, config[0].restype = [], ctypes.c_char_p
+            config = config[0]().decode(errors="replace").strip()
+        configs[copy] = config
+    return {"openblas_threads": threads, "openblas_config": configs}
 
 
 _UNSEEN = object()

@@ -16,10 +16,10 @@ and swept by a three-block ADMM whose block argmins are closed-form SPD
 solves, on the sweep loop CARE-ADMM runs on
 (:func:`~matrixopt.care_admm.sweep_until`).  The two system matrices
 (alpha A A^T + beta I and A A^T + beta I) are constant within one
-Lyapunov problem, so their Cholesky factors are computed once per outer
-step and reused by every inner sweep.  The inner solver reads its sweep
-cap (``inner_max``), its Lagrangian trace switch and its default
-tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
+Lyapunov problem, so each is inverted once per inner solve and every
+inner sweep applies the two inverses by products.  The inner solver
+reads its sweep cap (``inner_max``), its Lagrangian trace switch and
+its default tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
 
 The inner solves are inexact: each one runs to the tolerance
 max(inner_tol_value ||R(X_k)||_F, outer_tol / 10), proportional to the
@@ -93,7 +93,9 @@ def frechet_apply(p: CareProblem, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
-    """Cholesky factors of the two constant sweep systems."""
+    """Inverses of the two constant sweep systems, each solved from its
+    Cholesky factor; their eigenvalues are at least beta, so a product
+    with an inverse errs as a solve would."""
     aat = p.a @ p.a.T
     eye = np.eye(p.order)
     try:
@@ -101,28 +103,29 @@ def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
         fz = spd_factor(aat + cfg.beta * eye)
     except NotPositiveDefiniteError as exc:  # impossible for alpha, beta > 0
         raise AdmmBreakdownError(f"sweep system not positive definite: {exc}") from exc
-    return fx, fz
+    return spd_solve(fx, eye), spd_solve(fz, eye)
 
 
 def lyap_admm_step(
-    p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig, factors=None
+    p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig, inverses=None
 ) -> LyapAdmmState:
     """One three-block sweep X -> Y -> Z followed by the multiplier steps.
-    ``factors`` carries the Cholesky factors of :func:`_factors`; without
-    them they are formed here.  The new state carries its A^T X for the
-    residual check; the old state's, read by then, is dropped."""
+    ``inverses`` carries the system inverses of :func:`_factors`, which
+    X and Z are multiplied by; without them they are formed here.  The
+    new state carries its A^T X for the residual check; the old state's,
+    read by then, is dropped."""
     if s.x.shape != (p.order, p.order):
         raise DimensionError(
             f"state order {s.x.shape[0]} does not match problem order {p.order}"
         )
     s.products = None
-    fx, fz = factors or _factors(p, cfg)
+    fx_inv, fz_inv = inverses or _factors(p, cfg)
     a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
     a_t = a.T
-    x = spd_solve(fx, a @ s.lambda_ + s.pi_ + alpha * (a @ s.y) + beta * s.z)
+    x = fx_inv @ (a @ (s.lambda_ + alpha * s.y) + (s.pi_ + beta * s.z))
     atx = a_t @ x
     y = (alpha * atx - s.z @ a - q - s.lambda_) / (1.0 + alpha)
-    z = spd_solve(fz, ((-y - q) @ a_t - s.pi_ + beta * x).T).T
+    z = ((-y - q) @ a_t - s.pi_ + beta * x) @ fz_inv
     lambda_ = s.lambda_ - alpha * (atx - y)
     pi_ = s.pi_ - beta * (x - z)
     new = LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
@@ -151,17 +154,18 @@ def solve_lyapunov_admm(
     The reported solution is symmetrized; ``detail["state"]`` keeps the
     full final state, raw X block included (for warm starts).  ``init``
     must have finite n x n blocks; it is read, never written, and the
-    solve keeps no reference to it.
+    solve keeps no reference to it.  It runs with numpy's BLAS at one
+    thread.
     """
     cfg = cfg or NewtonAdmmConfig()
-    factors = _factors(p, cfg)
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
-    start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
-    del init
-    with np.errstate(**QUIET_BLOW_UP):
+    with serial_products(), np.errstate(**QUIET_BLOW_UP):
+        inverses = _factors(p, cfg)
+        start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
+        del init
         return sweep_until(
             start,
-            lambda state: lyap_admm_step(p, state, cfg, factors),
+            lambda state: lyap_admm_step(p, state, cfg, inverses),
             lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
             cfg.outer_tol if tol is None else tol,
             cfg.inner_max,

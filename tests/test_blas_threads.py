@@ -1,6 +1,7 @@
-"""numpy's OpenBLAS runs one thread inside the ADMM sweep loops, and
-scipy's inside the quasi-Newton loop; each copy gets its own thread
-count back afterwards, whatever way the loop ends."""
+"""numpy's OpenBLAS runs one thread through every ADMM and ccom solve,
+set-up and diagnostics included, and scipy's inside the quasi-Newton
+loop; each copy gets its own thread count back afterwards, whatever way
+the solve ends."""
 
 import os
 import sys
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 import matrixopt.care_admm as care_admm
+import matrixopt.ccom as ccom
 import matrixopt.linalg as linalg
 import matrixopt.newton_admm as newton_admm
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.errors import AdmmBreakdownError, SingularMatrixError
 from matrixopt.harness.manifest import manifest_for_suite, run_manifest, run_method, summary_json
-from matrixopt.problems import table_source
+from matrixopt.problems import LyapunovProblem, table_source
 
 CONTROLS = linalg.find_openblas("numpy")
 SCIPY_CONTROLS = linalg.find_openblas("scipy")
@@ -93,6 +95,29 @@ def test_newton_admm_sweeps_run_at_one_thread(two_threads, monkeypatch):
     report = run_method("newton-admm", T9(), {})
     assert report.converged
     assert seen and set(seen) == {1}
+    assert threads() == 2
+
+
+def test_care_admm_diagnostics_run_at_one_thread(two_threads, monkeypatch):
+    seen = record_threads(monkeypatch, care_admm, "kkt_residuals")
+    run_method("admm", T8(), T8_ADMM)
+    assert seen == [1]
+    assert threads() == 2
+
+
+def test_lyapunov_admm_set_up_runs_at_one_thread(two_threads, monkeypatch):
+    p = T9()
+    seen = record_threads(monkeypatch, newton_admm, "spd_factor")
+    report = newton_admm.solve_lyapunov_admm(LyapunovProblem(a=p.a, q=p.k_mat))
+    assert report.converged
+    assert seen == [1, 1]
+    assert threads() == 2
+
+
+def test_ccom_steps_run_at_one_thread(two_threads, monkeypatch):
+    seen = record_threads(monkeypatch, ccom, "ccom_step")
+    report = run_method("ccom", table_source("t1", 10).build(), {})
+    assert report.iterations == 1 and seen == [1]
     assert threads() == 2
 
 
@@ -208,6 +233,20 @@ def test_bench_summary_records_the_environment():
     assert env["cpu_count"] == os.cpu_count()
     assert env["openblas_threads"]["numpy"] == threads()
     assert set(env["openblas_threads"]) == {"numpy", "scipy"}
+
+
+def test_bench_summary_names_each_blas_library():
+    configs = summary_json(manifest_for_suite("t8"), [])["environment"]["openblas_config"]
+    assert set(configs) == {"numpy", "scipy"}
+    assert configs["numpy"].startswith("OpenBLAS ")
+    if SCIPY_CONTROLS is not None:
+        assert configs["scipy"].startswith("OpenBLAS ")
+
+
+def test_bench_summary_names_no_library_it_cannot_find(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_symbols", lambda copy, *names: None)
+    env = summary_json(manifest_for_suite("t8"), [])["environment"]
+    assert env["openblas_config"] == env["openblas_threads"] == {"numpy": None, "scipy": None}
 
 
 def test_frobenius_norm_does_not_depend_on_the_thread_count(two_threads):

@@ -18,7 +18,7 @@ from matrixopt.care_admm import (
     solve_care_admm,
 )
 from matrixopt.errors import AdmmBreakdownError, DimensionError
-from matrixopt.linalg import frobenius_norm, lu_solve
+from matrixopt.linalg import cholesky_solve, frobenius_norm, lu_solve, spd_factor, spd_solve
 from matrixopt.newton_admm import LyapAdmmState, NewtonAdmmConfig, solve_lyapunov_admm
 from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor, table_source
 
@@ -142,6 +142,7 @@ class TestAdmmStep:
         bare = replace(s1)
         assert s1.products is not None and bare.products is None
         assert care_residual(p1, s1.x, s1.carried(p1, "atx")) == care_residual(p1, s1.x)
+        assert np.array_equal(s1.carried(p1, "t"), s1.y + s1.z @ p1.a + p1.k_mat)
         assert s1.carried(p2, "atx") is None
         for p in (p1, p2):
             s = replace(s1)
@@ -150,6 +151,49 @@ class TestAdmmStep:
             assert s.products is None
             for f in fields(AdmmState):
                 assert np.array_equal(getattr(carried, f.name), getattr(formed, f.name)), f.name
+
+
+def reference_sweep(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> AdmmState:
+    """The sweep with every SPD system applied by a solve, the Z system's
+    by ``potrs`` on its Cholesky factor, and each right-hand side formed
+    term by term."""
+    a, n_mat, k_mat = p.a, p.n_mat, p.k_mat
+    al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
+    eye = np.eye(p.order)
+    x_sys = s.w.T @ s.w + al * (a @ a.T) + be * eye
+    x_rhs = s.w.T @ (s.y + s.z @ a + k_mat) + a @ s.lambda_ + s.pi_ + al * (a @ s.y) + be * s.z
+    x = cholesky_solve(x_sys, x_rhs)
+    y = (s.w @ x + al * (a.T @ x) - s.z @ a - k_mat - s.lambda_) / (1.0 + al)
+    z_factor = spd_factor(a @ a.T + be * eye + ga * (n_mat @ n_mat.T))
+    z_rhs = (s.w @ x - y - k_mat) @ a.T - s.pi_ + s.gamma_ @ n_mat.T + be * x + ga * (s.w @ n_mat.T)
+    z = spd_solve(z_factor, z_rhs.T).T
+    w_rhs = (y + z @ a + k_mat) @ x.T - s.gamma_ + ga * (z @ n_mat)
+    w = cholesky_solve(x @ x.T + ga * eye, w_rhs.T).T
+    return AdmmState(
+        x=x, y=y, z=z, w=w,
+        lambda_=s.lambda_ - al * (a.T @ x - y),
+        pi_=s.pi_ - be * (x - z),
+        gamma_=s.gamma_ - ga * (z @ n_mat - w),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, cfg",
+    [
+        (table_source("t8", 64).build(), AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014)),
+        (ammonia_reactor(), AdmmConfig(alpha=0.2, beta=100.0, gamma=0.01)),
+    ],
+    ids=["t8-n64", "ammonia"],
+)
+def test_sweep_matches_a_sweep_that_solves_every_system(p, cfg):
+    # The sweep applies the Z system's inverse by a product and factors
+    # common terms out of its right-hand sides: rounding-level changes.
+    rng = np.random.default_rng(64)
+    s = AdmmState(*(rng.standard_normal((p.order, p.order)) for _ in fields(AdmmState)))
+    got, want = admm_step(p, s, cfg), reference_sweep(p, s, cfg)
+    for f in fields(AdmmState):
+        block, ref = getattr(got, f.name), getattr(want, f.name)
+        assert frobenius_norm(block - ref) <= 1e-12 * frobenius_norm(ref), f.name
 
 
 class TestSolveSpd:

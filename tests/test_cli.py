@@ -190,6 +190,15 @@ class TestBench:
             main(["bench", "--suite", "t99"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_workers_is_usage_error(self, workers, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "t3", "--cap", "10", "--workers", workers])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert "--workers must be positive" in captured.err
+        assert captured.out == ""
+
     def test_t7_three_parameter_rows(self, capsys):
         code, out = run_cli(["bench", "--suite", "t7"], capsys)
         assert code == 0

@@ -156,7 +156,7 @@ ERROR_CASES = {
     "cg": ("cg", T6, {}, SingularMatrixError, (baselines, "trace_inner", 6)),
     "care-admm": ("admm", T8, T8_ADMM, AdmmBreakdownError, (care_admm, "admm_step", 4)),
     "newton-admm": (
-        "newton-admm", T8, {}, AdmmBreakdownError, (newton_admm, "spd_solve", 20),
+        "newton-admm", T8, {}, AdmmBreakdownError, (newton_admm, "spd_solve", 4),
     ),
 }
 
