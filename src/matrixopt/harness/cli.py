@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--cap", type=int, default=DESK_SCALE_MAX_ORDER, help="largest order to run (default %(default)s)")
     bench.add_argument("--out", help="CSV output path (default stdout)")
     bench.add_argument("--json", dest="json_out", help="JSON summary output path")
-    bench.add_argument("--workers", type=int, default=1)
 
     sweep = sub.add_parser("sweep", help="penalty-parameter sweep")
     sweep.add_argument("--suite", required=True)
@@ -281,13 +280,11 @@ def _cmd_solve(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
-    if args.workers <= 0:
-        parser.error("--workers must be positive")
     try:
         manifest = manifest_for_suite(args.suite)
     except MatrixOptError as exc:
         parser.error(str(exc))
-    records = run_manifest(manifest, cap=args.cap, workers=args.workers)
+    records = run_manifest(manifest, cap=args.cap)
     csv_text = write_csv(records)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -1,10 +1,8 @@
 """Benchmark manifests: suite rows bound to registered solvers, executed
-(optionally in a worker pool) into CSV/JSON records.
+one at a time in manifest order into CSV/JSON records.
 
-Each record keeps its manifest row index and results are sorted by it
-before emission, so the output is identical no matter how workers
-interleave.  Reference figures from the source tables ride along in the
-CSV for comparison but never influence execution.
+Reference figures from the source tables ride along in the CSV for
+comparison but never influence execution.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import csv
 import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +25,7 @@ from ..baselines import (
 from ..care_admm import AdmmConfig, solve_care_admm
 from ..ccom import CcomConfig, solve_ccom
 from ..errors import ParameterError, PreconditionError
-from ..linalg import blas_environment, serial_products
+from ..linalg import blas_environment
 from ..newton_admm import (
     NewtonAdmmConfig,
     lyapunov_residual,
@@ -46,8 +43,6 @@ from ..problems import (
 )
 from ..quasi_newton import QnConfig, solve_quasi_newton
 from ..report import SolveReport
-
-ENV_THREAD_CAP = "MATRIXOPT_THREADS"
 
 CSV_COLUMNS = (
     "algorithm",
@@ -207,13 +202,12 @@ class RunManifest:
             if row.method not in METHOD_NAMES:
                 raise ValueError(f"manifest row references unknown method {row.method!r}")
 
-    def capped_rows(self, cap: int) -> list[tuple[int, SuiteRow]]:
-        return [(i, row) for i, row in enumerate(self.rows) if row.source.order <= cap]
+    def capped_rows(self, cap: int) -> list[SuiteRow]:
+        return [row for row in self.rows if row.source.order <= cap]
 
 
 @dataclass
 class RunRecord:
-    index: int
     row: SuiteRow
     iterations: int | None = None
     final_residual: float | None = None
@@ -246,44 +240,19 @@ def row_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _execute(index: int, row: SuiteRow) -> RunRecord:
+def _execute(row: SuiteRow) -> RunRecord:
     try:
         problem = row.source.build()
         report = run_method(row.method, problem, row.params)
     except Exception as exc:  # noqa: BLE001 - one bad row must not abort the table
-        return RunRecord(index=index, row=row, termination="error", error=row_error(exc))
-    return RunRecord(index=index, row=row, **report.summary())
+        return RunRecord(row=row, termination="error", error=row_error(exc))
+    return RunRecord(row=row, **report.summary())
 
 
-def effective_workers(requested: int | None) -> int:
-    """Worker-pool width: the requested count capped by MATRIXOPT_THREADS."""
-    width = 1 if requested is None else max(1, requested)
-    env = os.environ.get(ENV_THREAD_CAP)
-    if env:
-        try:
-            width = min(width, max(1, int(env)))
-        except ValueError:
-            pass
-    return width
-
-
-def run_manifest(
-    manifest: RunManifest,
-    cap: int = DESK_SCALE_MAX_ORDER,
-    workers: int | None = None,
-) -> list[RunRecord]:
-    """Execute every row with order <= cap; failures are recorded per row
-    and never abort the run.  Records come back in manifest order."""
-    jobs = manifest.capped_rows(cap)
-    width = effective_workers(workers)
-    if width == 1 or len(jobs) <= 1:
-        records = [_execute(i, row) for i, row in jobs]
-    else:
-        # numpy's copy is held across the pool (each ADMM loop holds it anyway);
-        # scipy's keeps its count, so factorizations round as at width 1.
-        with serial_products("numpy"), ThreadPoolExecutor(max_workers=width) as pool:
-            records = list(pool.map(lambda job: _execute(*job), jobs))
-    return sorted(records, key=lambda rec: rec.index)
+def run_manifest(manifest: RunManifest, cap: int = DESK_SCALE_MAX_ORDER) -> list[RunRecord]:
+    """Execute every row with order <= cap, one at a time in manifest
+    order; failures are recorded per row and never abort the run."""
+    return [_execute(row) for row in manifest.capped_rows(cap)]
 
 
 def write_csv(records: list[RunRecord], fh: io.TextIOBase | None = None) -> str:

@@ -187,24 +187,6 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     assert threads() == 2
 
 
-def test_worker_pool_runs_rows_at_one_thread(two_threads, scipy_two_threads, monkeypatch):
-    # The pool holds numpy's copy only: scipy's keeps the count it has
-    # outside, so a row's factorizations round as they do at width 1.
-    seen = []
-    original = care_admm.admm_step
-
-    def wrapped(*args, **kwargs):
-        seen.append((threads(), scipy_threads()))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(care_admm, "admm_step", wrapped)
-    outside = scipy_threads()
-    records = run_manifest(manifest_for_suite("t8"), cap=16, workers=2)
-    assert all(rec.error is None for rec in records)
-    assert seen and set(seen) == {(1, outside)}
-    assert threads() == scipy_threads() == 2
-
-
 def test_a_count_of_one_is_never_raised(monkeypatch):
     saved = threads()
     CONTROLS[1](1)

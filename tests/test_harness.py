@@ -1,9 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from matrixopt.baselines import BaselineConfig, solve_newton_care
@@ -11,7 +9,6 @@ from matrixopt.errors import PreconditionError
 from matrixopt.harness.manifest import (
     CSV_COLUMNS,
     RunManifest,
-    effective_workers,
     manifest_for_suite,
     run_manifest,
     run_method,
@@ -20,15 +17,6 @@ from matrixopt.harness.manifest import (
 )
 from matrixopt.harness.plotting import emit_convergence_plot
 from matrixopt.problems import CareProblem, SuiteRow, paper_suite, table_source
-
-
-def _factoring_rows():
-    """t8 admm (50 sweeps) and t9 newton-admm at n=128, where Cholesky
-    rounding depends on the BLAS thread count of scipy's OpenBLAS."""
-    admm, newton_admm = paper_suite("t8")[6], paper_suite("t9")[6]
-    assert (admm.method, newton_admm.method, admm.source.order) == ("admm", "newton-admm", 128)
-    admm = replace(admm, params={**admm.params, "max_iterations": 50})
-    return RunManifest(suite="t8+t9", rows=[admm, newton_admm])
 
 
 class TestRegistry:
@@ -56,7 +44,7 @@ class TestManifest:
 
     def test_cap_filters_rows(self):
         manifest = manifest_for_suite("t5")
-        orders = [row.source.order for _, row in manifest.capped_rows(256)]
+        orders = [row.source.order for row in manifest.capped_rows(256)]
         assert orders and max(orders) <= 256
 
     def test_run_t3_small(self):
@@ -84,16 +72,6 @@ class TestManifest:
         # required to be bit-for-bit reproducible
         return [(r.row.method, r.iterations, r.final_residual, r.termination)
                 for r in records]
-
-    @pytest.mark.parametrize(
-        "manifest, cap, workers",
-        [(manifest_for_suite("t8"), 16, 4), (_factoring_rows(), 128, 2)],
-        ids=["t8-n16", "t8-t9-n128"],
-    )
-    def test_worker_pool_matches_serial(self, manifest, cap, workers):
-        serial = self._stable_fields(run_manifest(manifest, cap=cap, workers=1))
-        parallel = self._stable_fields(run_manifest(manifest, cap=cap, workers=workers))
-        assert serial == parallel
 
     def test_deterministic_across_runs(self):
         manifest = manifest_for_suite("t8")
@@ -129,16 +107,6 @@ class TestCsv:
         assert payload["rows_run"] == 1
         assert payload["rows_converged"] == 1
         json.dumps(payload)
-
-
-class TestWorkers:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("MATRIXOPT_THREADS", "2")
-        assert effective_workers(8) == 2
-        monkeypatch.setenv("MATRIXOPT_THREADS", "not-a-number")
-        assert effective_workers(8) == 8
-        monkeypatch.delenv("MATRIXOPT_THREADS")
-        assert effective_workers(None) == 1
 
 
 class TestPlotting:

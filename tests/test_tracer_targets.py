@@ -1,8 +1,11 @@
 """The benchmark tracer wraps library names in the namespaces of their
-calling modules.  A target that no longer exists there, or that its
-module no longer calls through that global, makes the traced run report
-0 for its layer metrics without failing.  This guard checks the target
-list quickly; the benchmark's own self-tests run the tracer end to end.
+calling modules.  A target missing from its owner makes ``Tracer.wrap``
+raise ``KeyError``, and one that already carries ``__wrapped__`` makes it
+raise ``RuntimeError``; either fails the traced run.  A target that
+exists but that its module no longer calls through that global makes
+the traced run report 0 for its layer metrics without failing.  This
+guard checks the target list quickly; the benchmark's own self-tests
+run the tracer end to end.
 """
 
 import ast
@@ -29,6 +32,12 @@ def test_every_target_is_an_attribute_of_its_owner(tracing):
     for _, target, _ in tracing.TARGETS:
         owner, attr = tracing._resolve(target)
         assert callable(vars(owner).get(attr)), target
+
+
+def test_no_target_is_already_wrapped(tracing):
+    for _, target, _ in tracing.TARGETS:
+        owner, attr = tracing._resolve(target)
+        assert not hasattr(vars(owner).get(attr), "__wrapped__"), target
 
 
 def test_every_library_caller_reads_its_target_through_the_global(tracing):
