@@ -16,8 +16,14 @@ import matrixopt.linalg as linalg
 import matrixopt.newton_admm as newton_admm
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.errors import AdmmBreakdownError, SingularMatrixError
-from matrixopt.harness.manifest import manifest_for_suite, run_manifest, run_method, summary_json
-from matrixopt.problems import LyapunovProblem, table_source
+from matrixopt.harness.manifest import (
+    RunManifest,
+    manifest_for_suite,
+    run_manifest,
+    run_method,
+    summary_json,
+)
+from matrixopt.problems import LyapunovProblem, SuiteRow, table_source
 
 CONTROLS = linalg.find_openblas("numpy")
 SCIPY_CONTROLS = linalg.find_openblas("scipy")
@@ -185,6 +191,34 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     assert errors == []
     assert len(seen) == width * (200 + 2 * 30) and set(seen) == {1}
     assert threads() == 2
+
+
+@needs_scipy_copy
+def test_manifest_rows_run_under_their_solvers_holds_only(
+    two_threads, scipy_two_threads, monkeypatch
+):
+    # A dfp row holds scipy's copy alone and an ADMM row numpy's alone,
+    # whatever row runs beside them: the manifest adds no hold of its own.
+    seen = {"dfp": [], "admm": []}
+    for method, module, name in [
+        ("dfp", quasi_newton, "pseudo_inverse"),
+        ("admm", care_admm, "admm_step"),
+    ]:
+        original = getattr(module, name)
+
+        def wrapped(*args, _seen=seen[method], _original=original, **kwargs):
+            _seen.append((threads(), scipy_threads()))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    rows = [
+        SuiteRow(source=table_source("t6", 16), method="dfp", params={}),
+        SuiteRow(source=table_source("t8", 8), method="admm", params=T8_ADMM),
+    ]
+    records = run_manifest(RunManifest(suite="t6+t8", rows=rows), cap=16)
+    assert all(rec.error is None for rec in records)
+    assert seen == {"dfp": [(2, 1)] * 2, "admm": [(1, 2)] * 30}
+    assert threads() == scipy_threads() == 2
 
 
 def test_a_count_of_one_is_never_raised(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,19 @@ from matrixopt.harness.manifest import (
 )
 from matrixopt.harness.plotting import emit_convergence_plot
 from matrixopt.problems import CareProblem, SuiteRow, paper_suite, table_source
+
+
+def _n128_rows(*tables):
+    """The n=128 row of each table's first method, a CARE-ADMM row
+    capped at 50 sweeps: Cholesky and gemm rounding at this order
+    follows the BLAS thread count a row runs at."""
+    rows = []
+    for table in tables:
+        row = next(r for r in paper_suite(table) if r.source.order == 128)
+        if row.method == "admm":
+            row = replace(row, params={**row.params, "max_iterations": 50})
+        rows.append(row)
+    return RunManifest(suite="+".join(tables), rows=rows)
 
 
 class TestRegistry:
@@ -72,6 +86,32 @@ class TestManifest:
         # required to be bit-for-bit reproducible
         return [(r.row.method, r.iterations, r.final_residual, r.termination)
                 for r in records]
+
+    @pytest.mark.parametrize(
+        "manifest, cap",
+        [(manifest_for_suite("t8"), 16), (_n128_rows("t8", "t9"), 128),
+         (_n128_rows("t6", "t8"), 128)],
+        ids=["t8-n16", "t8-t9-n128", "t6-t8-n128"],
+    )
+    def test_a_row_runs_as_it_does_alone(self, manifest, cap):
+        together = self._stable_fields(run_manifest(manifest, cap=cap))
+        alone = [
+            field
+            for row in manifest.capped_rows(cap)
+            for field in self._stable_fields(
+                run_manifest(RunManifest(suite=manifest.suite, rows=[row]), cap=cap)
+            )
+        ]
+        assert together == alone
+
+    def test_records_follow_manifest_order(self):
+        manifest = manifest_for_suite("t8")
+        manifest.rows.reverse()
+        records = run_manifest(manifest, cap=32)
+        assert [rec.row for rec in records] == manifest.capped_rows(32)
+        assert [(rec.row.method, rec.row.source.order) for rec in records] == [
+            ("newton", 32), ("admm", 32), ("newton", 16), ("admm", 16)
+        ]
 
     def test_deterministic_across_runs(self):
         manifest = manifest_for_suite("t8")

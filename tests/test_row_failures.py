@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import matrixopt.care_admm as care_admm
 import matrixopt.harness.manifest as manifest
 from matrixopt.harness.cli import main
 from matrixopt.harness.manifest import manifest_for_suite, run_manifest, summary_json
@@ -18,14 +19,18 @@ def _raise(exc):
     return solve
 
 
-@pytest.mark.parametrize(
-    "exc, text",
-    [
-        (ValueError("block x contains non-finite entries"),
-         "ValueError: block x contains non-finite entries"),
-        (np.linalg.LinAlgError("Singular matrix"), "LinAlgError: Singular matrix"),
-    ],
-)
+FAILURES = [
+    (ValueError("block x contains non-finite entries"),
+     "ValueError: block x contains non-finite entries"),
+    (np.linalg.LinAlgError("Singular matrix"), "LinAlgError: Singular matrix"),
+]
+
+
+def _stable_fields(records):
+    return [(r.row.method, r.iterations, r.final_residual, r.termination) for r in records]
+
+
+@pytest.mark.parametrize("exc, text", FAILURES)
 def test_one_bad_row_does_not_abort_the_table(monkeypatch, exc, text):
     monkeypatch.setattr(manifest, "solve_newton_care", _raise(exc))
     table = manifest_for_suite("t8")
@@ -37,6 +42,28 @@ def test_one_bad_row_does_not_abort_the_table(monkeypatch, exc, text):
     assert by_method["newton"].termination == "error"
     assert by_method["newton"].error == text
     assert summary_json(table, records)["rows_failed"] == 1
+
+
+@pytest.mark.parametrize("exc, text", FAILURES)
+def test_a_row_failing_mid_solve_leaves_the_rows_after_it(monkeypatch, exc, text):
+    # The first sweep of the first row raises inside the solver's BLAS
+    # hold; every later row must give what it gives in a clean run.
+    table = manifest_for_suite("t8")
+    clean = _stable_fields(run_manifest(table, cap=32))
+    original = care_admm.admm_step
+    calls = []
+
+    def step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(care_admm, "admm_step", step)
+    records = run_manifest(table, cap=32)
+    assert records[0].termination == "error"
+    assert records[0].error == text
+    assert _stable_fields(records[1:]) == clean[1:]
 
 
 def test_negative_cap_fails_its_row_alone():
