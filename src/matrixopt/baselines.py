@@ -1,7 +1,9 @@
 """Comparator solvers: matrix conjugate gradient, depth-1
 Anderson-accelerated Richardson, and exact Newton for the Riccati
 equation backed by a direct Lyapunov solve (Bartels-Stewart on the real
-Schur form; no n^2 x n^2 Kronecker system is formed).
+Schur form through LAPACK's ``dtrsyl``, O(n^3); a column-by-column LU
+solve takes over only on a near-singular system, and no n^2 x n^2
+Kronecker system is formed).
 
 Newton's outer loop, :func:`newton_iteration`, lives here once: exact
 Newton runs it with the direct Lyapunov solve, and Newton-ADMM
@@ -185,45 +187,64 @@ def certify_care(p: CareProblem, x: np.ndarray, residual: float) -> dict:
     }
 
 
+# LAPACK's Sylvester solver for quasi-triangular operands, resolved once.
+(_TRSYL,) = scipy.linalg.get_lapack_funcs(("trsyl",), (np.empty((1, 1)),))
+
+
 def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
     """Bartels-Stewart solve of A^T X + X A + Q = 0 on the real Schur form.
 
     With A = U T U^T (T upper quasi-triangular) the equation becomes
-    T^T Y + Y T = -U^T Q U for Y = U^T X U, solved column by column from
-    the left: a 1x1 diagonal block of T gives the n x n system
-    (T^T + t_kk I) y_k = c_k - Y[:, :k] T[:k, k], a 2x2 block S the 2n x 2n
-    system (I_2 kron T^T + S^T kron I_n) vec[y_k y_k+1] = vec of the two
-    right-hand columns.  Each column system is LU-factored densely, so a
-    solve costs O(n^4) (against O(n^6) for the n^2 x n^2 Kronecker
-    system), and LU's pivot test keeps the failure contract: when two
-    eigenvalues of A sum to zero, a column system is singular and
-    :class:`SingularMatrixError` is raised.  The result is symmetrized
-    before returning.
+    T^T Y + Y T = C with C = -U^T Q U and Y = U^T X U.  LAPACK's
+    ``dtrsyl`` back-substitutes through T's 1x1 and 2x2 diagonal blocks
+    in O(n^3) work, the same order as the Schur factorization.  When two
+    eigenvalues of A sum to zero or nearly so, ``dtrsyl`` perturbs the
+    system and reports it; the solve then falls back to
+    :func:`_solve_schur_columns`, which solves the unperturbed system by
+    dense LU and raises :class:`SingularMatrixError` when LU's pivot test
+    finds it singular.  The result is symmetrized before returning.
     """
-    n = p.order
     # The solve alternates scipy factorizations with numpy products, so
     # numpy's BLAS pool is held at one thread (see serial_products).
     with serial_products():
         t, u = scipy.linalg.schur(p.a, output="real")
         c = -(u.T @ p.q @ u)
-        tt = t.T
-        eye = np.eye(n)
-        block_tt = None  # I_2 kron T^T, built at the first 2x2 block
-        y = np.zeros((n, n))
-        k = 0
-        while k < n:
-            if k + 1 < n and t[k + 1, k] != 0.0:
-                if block_tt is None:
-                    block_tt = kron(np.eye(2), tt)
-                rhs = c[:, k : k + 2] - y[:, :k] @ t[:k, k : k + 2]
-                m_sys = block_tt + kron(t[k : k + 2, k : k + 2].T, eye)
-                y[:, k : k + 2] = unvec(lu_solve(m_sys, vec(rhs)), n, 2)
-                k += 2
-            else:
-                rhs = c[:, k] - y[:, :k] @ t[:k, k]
-                y[:, k] = lu_solve(tt + t[k, k] * eye, rhs)
-                k += 1
+        y, scale, info = _TRSYL(t, t, c, trana="T")
+        y = y / scale if info == 0 else _solve_schur_columns(t, c)
         return symmetrize(u @ y @ u.T)
+
+
+def _solve_schur_columns(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve T^T Y + Y T = C column by column from the left, for T upper
+    quasi-triangular in real Schur form.
+
+    A 1x1 diagonal block of T gives the n x n system
+    (T^T + t_kk I) y_k = c_k - Y[:, :k] T[:k, k], a 2x2 block S the 2n x 2n
+    system (I_2 kron T^T + S^T kron I_n) vec[y_k y_k+1] = vec of the two
+    right-hand columns.  Each column system is LU-factored densely, so a
+    solve costs O(n^4) (against O(n^6) for the n^2 x n^2 Kronecker
+    system), and LU's pivot test raises :class:`SingularMatrixError` when
+    a column system is singular.
+    """
+    n = t.shape[0]
+    tt = t.T
+    eye = np.eye(n)
+    block_tt = None  # I_2 kron T^T, built at the first 2x2 block
+    y = np.zeros((n, n))
+    k = 0
+    while k < n:
+        if k + 1 < n and t[k + 1, k] != 0.0:
+            if block_tt is None:
+                block_tt = kron(np.eye(2), tt)
+            rhs = c[:, k : k + 2] - y[:, :k] @ t[:k, k : k + 2]
+            m_sys = block_tt + kron(t[k : k + 2, k : k + 2].T, eye)
+            y[:, k : k + 2] = unvec(lu_solve(m_sys, vec(rhs)), n, 2)
+            k += 2
+        else:
+            rhs = c[:, k] - y[:, :k] @ t[:k, k]
+            y[:, k] = lu_solve(tt + t[k, k] * eye, rhs)
+            k += 1
+    return y
 
 
 def newton_iteration(

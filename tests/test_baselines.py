@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_sylvester
+from matrixopt import baselines
 from matrixopt.baselines import (
     BaselineConfig,
     care_residual,
@@ -17,7 +20,7 @@ from matrixopt.errors import (
     SingularMatrixError,
 )
 from matrixopt.harness.manifest import run_method
-from matrixopt.linalg import frobenius_norm, trace_inner
+from matrixopt.linalg import frobenius_norm, symmetrize, trace_inner
 from matrixopt.oracle import solve_kronecker_direct
 from matrixopt.problems import (
     CareProblem,
@@ -176,6 +179,15 @@ def non_normal_stable(n):
     return rng.standard_normal((n, n)) - (np.sqrt(n) + 1.0) * np.eye(n)
 
 
+def real_spectrum_stable(n):
+    """A seeded non-normal matrix with eigenvalues -1, ..., -n, so its real
+    Schur form is triangular."""
+    rng = np.random.default_rng([7, n])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = np.triu(rng.standard_normal((n, n)), 1) - np.diag(np.arange(1.0, n + 1.0))
+    return q @ t @ q.T
+
+
 def scipy_newton(p, steps):
     """Exact Newton from X = 0 with scipy's Lyapunov solver, ``steps`` steps."""
     x = np.zeros_like(p.a)
@@ -187,6 +199,7 @@ def scipy_newton(p, steps):
 
 class TestBartelsStewart:
     ORDERS = (2, 3, 5, 8, 17)
+    REAL_ORDER = 12
 
     def test_cases_cover_two_by_two_blocks(self):
         trailing = []
@@ -195,15 +208,39 @@ class TestBartelsStewart:
             assert np.any(np.diag(t, -1) != 0.0), n
             trailing.append(t[-1, -2] != 0.0)
         assert any(trailing)
+        t, _ = scipy.linalg.schur(real_spectrum_stable(self.REAL_ORDER), output="real")
+        assert not np.any(np.diag(t, -1))
 
-    @pytest.mark.parametrize("n", ORDERS)
+    @pytest.mark.parametrize("n", (*ORDERS, REAL_ORDER))
     def test_matches_kronecker_oracle(self, n):
-        a = non_normal_stable(n)
+        a = real_spectrum_stable(n) if n == self.REAL_ORDER else non_normal_stable(n)
         q = np.random.default_rng([6, n]).standard_normal((n, n))
         q = q + q.T
         x = solve_lyapunov_direct(LyapunovProblem(a=a, q=q))
         want = solve_kronecker_direct(SylvesterProblem(a=a.T, b=a, c=-q))
         np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-10)
+        t, u = scipy.linalg.schur(a, output="real")
+        y = baselines._solve_schur_columns(t, -(u.T @ q @ u))
+        np.testing.assert_allclose(x, symmetrize(u @ y @ u.T), rtol=0.0, atol=1e-13)
+
+    def test_column_solve_runs_only_on_near_singular_systems(self, monkeypatch):
+        calls = Counter()
+        for name in ("_solve_schur_columns", "kron", "lu_solve"):
+            def spy(*args, name=name, original=getattr(baselines, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(baselines, name, spy)
+        for n in self.ORDERS:
+            solve_lyapunov_direct(LyapunovProblem(a=non_normal_stable(n), q=np.eye(n)))
+        assert not calls
+        with pytest.raises(SingularMatrixError):
+            solve_lyapunov_direct(LyapunovProblem(a=np.diag([1.0, -1.0]), q=np.eye(2)))
+        assert calls == {"_solve_schur_columns": 1, "lu_solve": 1}
+        calls.clear()
+        with pytest.raises(SingularMatrixError):
+            solve_lyapunov_direct(LyapunovProblem(a=[[0.0, 1.0], [-1.0, 0.0]], q=np.eye(2)))
+        assert calls == {"_solve_schur_columns": 1, "kron": 2, "lu_solve": 1}
 
     def test_rotation_generator_is_singular(self):
         with pytest.raises(SingularMatrixError):

@@ -217,19 +217,19 @@ GOLDEN = {
     't7[2]-admm-n9': (13185, 'converged', 13186, 9.989729647173512e-09),  # inverted constant systems, factored sweep terms, was 9.9897611205169e-09
     't8-admm-cap200': (200, 'max_iterations', 201, 0.0004771852792345927),
     't8[0]-admm-n16': (563, 'converged', 564, 9.967274689326509e-09),  # inverted constant systems, factored sweep terms, was 9.967274830546227e-09
-    't8[1]-newton-n16': (4, 'converged', 5, 7.766680863108668e-13),  # Bartels-Stewart Lyapunov solve
+    't8[1]-newton-n16': (4, 'converged', 5, 7.773881821003907e-13),  # dtrsyl Lyapunov solve, was 7.766680863108668e-13
     # Near-exact inner solves under the forcing rule, the one inner
     # tolerance; replaced the retired fixed-tolerance case.
     't9-newton-admm-tight': (199, 'converged', 5, 4.649483825329702e-12),  # inverted constant systems, factored sweep terms, was 4.649483807668934e-12
     't9-newton-admm-stagnating': (100, 'stagnated', 3, 6.213828066375641),
     't9[0]-newton-admm-n16': (68, 'converged', 9, 3.2981275075104886e-09),  # inverted constant systems, factored sweep terms, was 3.298127376741072e-09
-    't9[1]-newton-n16': (4, 'converged', 5, 7.766680863108668e-13),  # Bartels-Stewart Lyapunov solve
+    't9[1]-newton-n16': (4, 'converged', 5, 7.773881821003907e-13),  # dtrsyl Lyapunov solve, was 7.766680863108668e-13
     # Recorded before the ADMM loops ran numpy's OpenBLAS at one thread.
     't8-admm-n128-cap40': (40, 'max_iterations', 41, 0.2757818949065826),
     't9-newton-admm-n128': (80, 'converged', 10, 9.284739452447572e-10),  # inverted constant systems, factored sweep terms, was 9.284719028069045e-10
+    't8[3]-newton-n32': (4, 'converged', 5, 1.0836164719408108e-12),  # dtrsyl Lyapunov solve, was 1.0831627426627062e-12
+    't8[5]-newton-n64': (4, 'converged', 5, 1.5140015596632074e-12),  # dtrsyl Lyapunov solve, was 1.5151954402005297e-12
     # Recorded before lu_solve called LAPACK getrf/getrs directly.
-    't8[3]-newton-n32': (4, 'converged', 5, 1.0831627426627062e-12),
-    't8[5]-newton-n64': (4, 'converged', 5, 1.5151954402005297e-12),
     't10[3]-newton-n32': (5, 'converged', 6, 1.1897206284528737e-12),
     't10[5]-newton-n64': (5, 'converged', 6, 1.6877002216147113e-12),
 }
