@@ -15,6 +15,7 @@ import argparse
 import configparser
 import itertools
 import json
+import math
 import sys
 import typing
 
@@ -49,6 +50,31 @@ EXIT_SOLVER_ERROR = 3
 
 # Config fields whose values come from a fixed vocabulary.
 _CHOICES = {"linesearch": LINESEARCHES}
+
+# Equation -> problem class and the matrix fields its --from-mm files
+# fill, in order.
+_EQUATIONS = {
+    "sylvester": (SylvesterProblem, ("a", "b", "c")),
+    "lyapunov": (LyapunovProblem, ("a", "q")),
+    "care": (CareProblem, ("a", "n_mat", "k_mat")),
+}
+
+# The penalty axes a sweep may span, in CSV column order.
+_PENALTIES = ("alpha", "beta", "gamma")
+
+# Numeric flags with a range: flag -> (test, what the flag must be).
+_RANGES = {
+    "cap": (lambda v: v > 0, "positive"),
+    "budget": (lambda v: v > 0, "positive"),
+    "random": (lambda v: v > 0, "positive"),
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "tolerance": (lambda v: 0 < v < math.inf, "finite and positive"),
+}
+
+
+def _file_names(fields) -> str:
+    """The --from-mm file names of matrix ``fields``, e.g. ``A N K``."""
+    return " ".join(name[0].upper() for name in fields)
 
 
 def _number_or_word(raw: str):
@@ -86,15 +112,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one solver on one problem")
-    solve.add_argument("equation", choices=("sylvester", "lyapunov", "care"))
+    solve.add_argument("equation", choices=tuple(_EQUATIONS))
     solve.add_argument("--method", required=True)
     solve.add_argument("--suite", "--gen", dest="suite", help="problem family t1..t10")
     solve.add_argument("--n", type=int, help="problem order for generator families")
+    inputs = "; ".join(f"{eq}: {_file_names(fields)}" for eq, (_, fields) in _EQUATIONS.items())
     solve.add_argument(
-        "--from-mm",
-        nargs="+",
-        metavar="PATH",
-        help="MatrixMarket inputs (sylvester: A B C; lyapunov: A Q; care: A N K)",
+        "--from-mm", nargs="+", metavar="PATH", help=f"MatrixMarket inputs ({inputs})"
     )
     solve.add_argument("--config", help="INI config file (sections per method)")
     solve.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -139,13 +163,14 @@ def _params_from_config(path: str | None, method: str, parser: _Parser) -> dict:
     if not path:
         return {}
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
-        parser.error(f"config file {path!r} not found")
-    if method not in cfg:
-        return {}
+    try:
+        if not cfg.read(path):
+            parser.error(f"config file {path!r} not found")
+        items = list(cfg[method].items()) if method in cfg else []
+    except configparser.Error as exc:
+        parser.error(f"config file {path!r} does not parse: {str(exc).splitlines()[0]}")
     params = {}
-    for key, raw in cfg[method].items():
+    for key, raw in items:
         key = key.replace("-", "_")
         if key not in _PARAMS:
             parser.error(f"config key {key!r} in section [{method}] is not recognized")
@@ -167,20 +192,14 @@ def _collect_params(args, parser: _Parser) -> dict:
 
 def _build_problem(args, parser: _Parser):
     eq = args.equation
+    kind, fields = _EQUATIONS[eq]
     if args.from_mm:
         try:
             mats = [read_matrix_market(path) for path in args.from_mm]
-            if eq == "sylvester":
-                if len(mats) != 3:
-                    parser.error("sylvester --from-mm needs three files: A B C")
-                return SylvesterProblem(a=mats[0], b=mats[1], c=mats[2])
-            if eq == "lyapunov":
-                if len(mats) != 2:
-                    parser.error("lyapunov --from-mm needs two files: A Q")
-                return LyapunovProblem(a=mats[0], q=mats[1])
-            if len(mats) != 3:
-                parser.error("care --from-mm needs three files: A N K")
-            return CareProblem(a=mats[0], n_mat=mats[1], k_mat=mats[2])
+            if len(mats) != len(fields):
+                count = {2: "two", 3: "three"}[len(fields)]
+                parser.error(f"{eq} --from-mm needs {count} files: {_file_names(fields)}")
+            return kind(**dict(zip(fields, mats)))
         except (ValueError, MatrixOptError) as exc:
             parser.error(f"invalid problem data: {exc}")
     if not args.suite:
@@ -188,9 +207,6 @@ def _build_problem(args, parser: _Parser):
     if eq == "lyapunov":
         parser.error("lyapunov problems come from --from-mm files")
     return _suite_problem(args.suite, args.n, eq, parser)
-
-
-_SUITE_EQUATIONS = {"sylvester": SylvesterProblem, "care": CareProblem}
 
 
 def _suite_problem(suite: str, n: int | None, eq: str, parser: _Parser):
@@ -203,7 +219,7 @@ def _suite_problem(suite: str, n: int | None, eq: str, parser: _Parser):
     except ValueError:
         parser.error("--n must be a positive order with a generator suite")
     problem = source.build()
-    if not isinstance(problem, _SUITE_EQUATIONS[eq]):
+    if not isinstance(problem, _EQUATIONS[eq][0]):
         parser.error(f"suite {suite!r} is not a {eq} problem")
     return problem
 
@@ -252,13 +268,17 @@ def _report_json(args, method, params, report, include_history: bool) -> dict:
     return payload
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _write_json(payload: dict, path: str | None) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", path)
 
 
 def _cmd_solve(args, parser: _Parser) -> int:
@@ -271,9 +291,9 @@ def _cmd_solve(args, parser: _Parser) -> int:
     except ParameterError:
         raise
     except MatrixOptError as exc:
-        _emit({"method": args.method, "error": str(exc), "termination": "error"}, args.out)
+        _write_json({"method": args.method, "error": str(exc), "termination": "error"}, args.out)
         return EXIT_SOLVER_ERROR
-    _emit(_report_json(args, args.method, params, report, args.history), args.out)
+    _write_json(_report_json(args, args.method, params, report, args.history), args.out)
     if args.to_mm:
         write_matrix_market(args.to_mm, report.solution)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -285,16 +305,9 @@ def _cmd_bench(args, parser: _Parser) -> int:
     except MatrixOptError as exc:
         parser.error(str(exc))
     records = run_manifest(manifest, cap=args.cap)
-    csv_text = write_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(write_csv(records), args.out)
     if args.json_out:
-        with open(args.json_out, "w", encoding="ascii") as fh:
-            json.dump(summary_json(manifest, records), fh, indent=2)
-            fh.write("\n")
+        _write_json(summary_json(manifest, records), args.json_out)
     if any(rec.error is not None for rec in records):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -323,17 +336,15 @@ def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[flo
 
 
 def _cmd_sweep(args, parser: _Parser) -> int:
-    for flag, value in (("budget", args.budget), ("random", args.random)):
-        if value is not None and value <= 0:
-            parser.error(f"--{flag} must be positive")
-    if args.method == "admm" and args.gamma is None:
-        parser.error("--gamma is required for admm sweeps")
-    axes = [
-        _parse_axis(args.alpha, "alpha", args.spacing, parser),
-        _parse_axis(args.beta, "beta", args.spacing, parser),
-    ]
-    if args.method == "admm":
-        axes.append(_parse_axis(args.gamma, "gamma", args.spacing, parser))
+    keys = METHODS[(args.method, CareProblem)].keys
+    penalties = [name for name in _PENALTIES if name in keys]
+    for name in _PENALTIES:
+        given = getattr(args, name) is not None
+        if name in keys and not given:
+            parser.error(f"--{name} is required for {args.method} sweeps")
+        if given and name not in keys:
+            parser.error(f"{args.method} sweeps take no --{name}")
+    axes = [_parse_axis(getattr(args, name), name, args.spacing, parser) for name in penalties]
 
     if args.random:
         rng = np.random.default_rng(args.seed)
@@ -355,23 +366,17 @@ def _cmd_sweep(args, parser: _Parser) -> int:
 
     problem = _suite_problem(args.suite, args.n, "care", parser)
 
+    # newton-admm has no max_iterations; a sweep bounds its inner cap
+    cap_key = "max_iterations" if "max_iterations" in keys else "inner_max"
+    fixed = {"tol": args.tol, cap_key: args.max_iterations}
+    fixed = {key: value for key, value in fixed.items() if value is not None}
     rows = []
     best = None
     for point in points:
-        params = {"alpha": point[0], "beta": point[1]}
-        if args.tol is not None:
-            params["tol"] = args.tol
-        if args.method == "admm":
-            params["gamma"] = point[2]
-        if args.max_iterations is not None:
-            params["max_iterations" if args.method == "admm" else "inner_max"] = args.max_iterations
-        row = {
-            "alpha": point[0],
-            "beta": point[1],
-            "gamma": point[2] if args.method == "admm" else "",
-        }
+        penalty = dict(zip(penalties, point))
+        row = {**dict.fromkeys(_PENALTIES, ""), **penalty}
         try:
-            report = run_method(args.method, problem, params)
+            report = run_method(args.method, problem, {**penalty, **fixed})
         except ParameterError:
             raise
         except Exception as exc:  # noqa: BLE001 - one bad point must not abort the sweep
@@ -386,31 +391,34 @@ def _cmd_sweep(args, parser: _Parser) -> int:
                 best = row
         rows.append(row)
 
-    lines = ["alpha,beta,gamma,iterations,final_residual,termination,best"]
+    columns = (*_PENALTIES, "iterations", "final_residual", "termination")
+    lines = [",".join((*columns, "best"))]
     for row in rows:
-        mark = "*" if best is not None and row is best else ""
-        lines.append(
-            f"{row['alpha']},{row['beta']},{row['gamma']},{row['iterations']},"
-            f"{row['final_residual']},{row['termination']},{mark}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(",".join([*(str(row[c]) for c in columns), "*" if row is best else ""]))
+    _write("\n".join(lines) + "\n", args.out)
     print(json.dumps({"best": _json_safe(best)}), file=sys.stderr)
     return EXIT_OK if best is not None else EXIT_NOT_CONVERGED
 
 
 def _cmd_plot(args, parser: _Parser) -> int:
-    with open(args.report, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    if not payload.get("residual_history"):
+    path = args.report
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            parser.error(f"report {path!r} is not JSON: {exc}")
+    if not isinstance(payload, dict):
+        parser.error(f"report {path!r} is not a JSON object")
+    history = payload.get("residual_history")
+    if not history:
         parser.error("report has no residual_history; rerun solve with --history")
     tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = (payload.get("config") or {}).get("tol")
+    if tolerance is None and isinstance(payload.get("config"), dict):
+        tolerance = payload["config"].get("tol")
+    if not isinstance(history, list) or not all(
+        isinstance(v, (int, float)) for v in [*history, tolerance or 0.0]
+    ):
+        parser.error(f"report {path!r} holds a residual or tolerance that is not a number")
     emit_convergence_plot(payload, args.out, tolerance=tolerance)
     return EXIT_OK
 
@@ -419,6 +427,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, (ok, what) in _RANGES.items():
+            value = getattr(args, flag, None)
+            if value is not None and not ok(value):
+                raise ParameterError(f"--{flag} must be {what}")
         if args.command == "solve":
             return _cmd_solve(args, parser)
         if args.command == "bench":

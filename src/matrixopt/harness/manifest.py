@@ -215,20 +215,31 @@ class RunRecord:
     termination: str | None = None
     error: str | None = None
 
+    def fields(self) -> dict:
+        """The record as its ``--json`` entry; the CSV row is a subset."""
+        return {
+            "algorithm": self.row.method,
+            "n": self.row.source.order,
+            "params": self.row.params,
+            "iterations": self.iterations,
+            "final_residual": self.final_residual,
+            "wall_time_seconds": self.wall_time_seconds,
+            "termination": self.termination,
+            "error": self.error,
+            "paper_iterations": self.row.paper_iterations,
+            "paper_error": self.row.paper_error,
+        }
+
     def csv_row(self) -> list:
-        return [
-            self.row.method,
-            self.row.source.order,
-            self.iterations if self.iterations is not None else "",
-            _fmt(self.final_residual),
-            _fmt(self.wall_time_seconds),
-            self.row.paper_iterations if self.row.paper_iterations is not None else "",
-            _fmt(self.row.paper_error),
-        ]
+        fields = self.fields()
+        return [_cell(fields[column]) for column in CSV_COLUMNS]
 
 
-def _fmt(v) -> str:
-    return "" if v is None else format(float(v), ".6e")
+def _cell(v):
+    """A CSV cell: empty for None, a real in ``.6e`` form, else as is."""
+    if v is None:
+        return ""
+    return v if isinstance(v, (int, str)) else format(float(v), ".6e")
 
 
 def manifest_for_suite(suite: str) -> RunManifest:
@@ -255,17 +266,13 @@ def run_manifest(manifest: RunManifest, cap: int = DESK_SCALE_MAX_ORDER) -> list
     return [_execute(row) for row in manifest.capped_rows(cap)]
 
 
-def write_csv(records: list[RunRecord], fh: io.TextIOBase | None = None) -> str:
+def write_csv(records: list[RunRecord]) -> str:
     """Render records as CSV with the pinned column schema."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
-    text = buffer.getvalue()
-    if fh is not None:
-        fh.write(text)
-    return text
+    writer.writerows(rec.csv_row() for rec in records)
+    return buffer.getvalue()
 
 
 def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
@@ -276,19 +283,5 @@ def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
         "rows_run": len(records),
         "rows_converged": converged,
         "rows_failed": sum(1 for r in records if r.error is not None),
-        "records": [
-            {
-                "algorithm": r.row.method,
-                "n": r.row.source.order,
-                "params": r.row.params,
-                "iterations": r.iterations,
-                "final_residual": r.final_residual,
-                "wall_time_seconds": r.wall_time_seconds,
-                "termination": r.termination,
-                "error": r.error,
-                "paper_iterations": r.row.paper_iterations,
-                "paper_error": r.row.paper_error,
-            }
-            for r in records
-        ],
+        "records": [r.fields() for r in records],
     }

@@ -25,9 +25,7 @@ def write_matrix_market(path, m: np.ndarray, comment: str | None = None) -> None
             for line in comment.splitlines():
                 fh.write(f"%{line}\n")
         fh.write(f"{rows} {cols}\n")
-        for j in range(cols):
-            for i in range(rows):
-                fh.write(f"{float(m[i, j])!r}\n")
+        fh.writelines(f"{v!r}\n" for v in m.ravel(order="F").tolist())
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -78,18 +76,12 @@ def read_matrix_market(path) -> np.ndarray:
     if fmt == "array":
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
         values = _parse_values(lines, pos, expected)
-        idx = 0
         if symmetry == "general":
-            for j in range(cols):
-                for i in range(rows):
-                    m[i, j] = values[idx]
-                    idx += 1
+            m[:] = np.reshape(values, (rows, cols), order="F")
         else:
-            for j in range(cols):
-                for i in range(j, rows):
-                    m[i, j] = values[idx]
-                    m[j, i] = values[idx]
-                    idx += 1
+            # (j, i) walks the lower triangle column by column
+            i, j = np.triu_indices(rows)
+            m[j, i] = m[i, j] = values
         return m
 
     try:

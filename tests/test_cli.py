@@ -13,6 +13,16 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def usage_error(argv, capsys) -> str:
+    """Run ``argv``, which must exit 1 with nothing on stdout; its stderr."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 class TestSolve:
     def test_direct_generator(self, capsys):
         code, out = run_cli(
@@ -110,6 +120,20 @@ class TestSolve:
         err_text = capsys.readouterr().err
         assert "invalid problem data: line 2: symmetric matrix must be square" in err_text
         assert "Traceback" not in err_text
+
+    @pytest.mark.parametrize("text", [
+        "alpha = 0.91\n",  # no section header
+        "[admm]\nalpha = 5%\n",  # a bare % is an interpolation error
+    ])
+    def test_unparsable_config_file_is_usage_error(self, text, tmp_path, capsys):
+        ini = tmp_path / "solvers.ini"
+        ini.write_text(text)
+        err = usage_error(
+            ["solve", "care", "--method", "admm", "--suite", "t8", "--n", "4",
+             "--config", str(ini)],
+            capsys,
+        )
+        assert f"config file {str(ini)!r} does not parse" in err
 
     def test_from_mm_lyapunov(self, tmp_path, capsys):
         write_matrix_market(tmp_path / "a.mtx", np.diag([-1.0, -2.0]))
@@ -236,6 +260,18 @@ class TestSweep:
         assert err.value.code == 1
         assert "--alpha must be a finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, gamma, message", [
+        ("newton-admm", ["--gamma", "0.1"], "newton-admm sweeps take no --gamma"),
+        ("admm", [], "--gamma is required for admm sweeps"),
+    ])
+    def test_penalties_are_exactly_the_methods_keys(self, method, gamma, message, capsys):
+        err = usage_error(
+            ["sweep", "--suite", "t9", "--n", "4", "--method", method,
+             "--alpha", "0.8", "--beta", "53.5", *gamma],
+            capsys,
+        )
+        assert message in err
+
     def test_single_point_grid(self, capsys):
         code, out = run_cli(
             [
@@ -334,6 +370,23 @@ class TestPlot:
         assert "<polyline" in svg and 'id="final-point"' in svg
         assert 'id="tolerance-line"' in svg
 
+    @pytest.mark.parametrize("text", [
+        "not json\n",
+        "[1.0, 0.1]\n",
+        '{"residual_history": "abc"}\n',
+        '{"residual_history": 5}\n',
+        '{"residual_history": [1.0, "0.1"]}\n',
+        '{"residual_history": [1.0, 0.1], "config": {"tol": "1e-8"}}\n',
+    ])
+    def test_malformed_report_is_usage_error(self, text, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        report_path.write_text(text)
+        err = usage_error(
+            ["plot", "--report", str(report_path), "--out", str(tmp_path / "r.svg")], capsys
+        )
+        assert f"report {str(report_path)!r}" in err
+        assert not (tmp_path / "r.svg").exists()
+
     def test_plot_without_history_is_usage_error(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"
         code, _ = run_cli(
@@ -345,3 +398,21 @@ class TestPlot:
         with pytest.raises(SystemExit) as err:
             main(["plot", "--report", str(report_path), "--out", str(tmp_path / "x.svg")])
         assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--suite", "t1", "--cap", "0"], "--cap must be positive"),
+    (["bench", "--suite", "t1", "--cap", "-3"], "--cap must be positive"),
+    (["sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1", "--gamma", "0.1",
+      "--seed", "-1", "--random", "1"], "--seed must be non-negative"),
+    (["plot", "--tolerance", "nan"], "--tolerance must be finite and positive"),
+    (["plot", "--tolerance", "-1"], "--tolerance must be finite and positive"),
+    (["plot", "--tolerance", "inf"], "--tolerance must be finite and positive"),
+])
+def test_numeric_flag_out_of_range_is_one_line_usage_error(argv, message, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    report_path.write_text('{"residual_history": [1.0, 0.1]}\n')
+    if argv[0] == "plot":
+        argv = [*argv, "--report", str(report_path), "--out", str(tmp_path / "r.svg")]
+    err = usage_error(argv, capsys)
+    assert err.splitlines() == [f"matrixopt: error: {message}"]

@@ -137,6 +137,39 @@ def test_array_round_trip_is_bit_exact(tmp_path_factory, m):
     assert back.shape == m.shape and back.tobytes() == m.tobytes()
 
 
+def _entry_loop_file(m, symmetric):
+    """The array file of ``m`` written one entry at a time, column by
+    column (the lower triangle only when ``symmetric``)."""
+    rows, cols = m.shape
+    lines = [f"%%MatrixMarket matrix array real {'symmetric' if symmetric else 'general'}",
+             f"{rows} {cols}"]
+    for j in range(cols):
+        for i in range(j if symmetric else 0, rows):
+            lines.append(repr(float(m[i, j])))
+    return "\n".join(lines) + "\n"
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=60, deadline=None)
+def test_array_layout_matches_the_entry_loop(tmp_path_factory, m):
+    """Written files equal the entry-by-entry loop's bytes, and a symmetric
+    file reads back as the loop mirrors it, bit for bit and C-ordered."""
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    write_matrix_market(path, m)
+    assert path.read_text(encoding="ascii") == _entry_loop_file(m, symmetric=False)
+    assert read_matrix_market(path).flags.c_contiguous
+
+    n = min(m.shape)
+    expected = np.empty((n, n))
+    for j in range(n):
+        for i in range(j, n):
+            expected[i, j] = expected[j, i] = m[i, j]
+    path.write_text(_entry_loop_file(m[:n, :n], symmetric=True), encoding="ascii")
+    back = read_matrix_market(path)
+    assert back.flags.c_contiguous and back.tobytes() == expected.tobytes()
+
+
 _TOKENS = st.one_of(
     st.integers(-2, 7).map(str),
     st.floats().map(repr),

@@ -232,6 +232,24 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv[1:])
 
 
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """The README's Command line example lines that read no input file run
+    from an empty directory, in order, and each exits 0; the lines that
+    name output files write them."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("matrixopt ")]
+    runnable = [argv for argv in commands if "--from-mm" not in argv]
+    assert [argv[1] for argv in runnable] == ["solve", "bench", "sweep", "solve", "plot"]
+    monkeypatch.chdir(tmp_path)
+    for argv in runnable:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "r.json", "r.svg", "t8.csv", "t8.json"
+    ]
+
+
 def test_no_method_flag_has_a_parser_default():
     """A method key's default lives only in its config dataclass, so no
     ``solve`` or ``sweep`` flag for a method key sets one."""
