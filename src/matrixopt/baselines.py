@@ -30,7 +30,6 @@ from .linalg import (
     frobenius_norm,
     kron,
     lu_solve,
-    serial_products,
     symmetrize,
     trace_inner,
     unvec,
@@ -204,14 +203,11 @@ def solve_lyapunov_direct(p: LyapunovProblem) -> np.ndarray:
     dense LU and raises :class:`SingularMatrixError` when LU's pivot test
     finds it singular.  The result is symmetrized before returning.
     """
-    # The solve alternates scipy factorizations with numpy products, so
-    # numpy's BLAS pool is held at one thread (see serial_products).
-    with serial_products():
-        t, u = scipy.linalg.schur(p.a, output="real")
-        c = -(u.T @ p.q @ u)
-        y, scale, info = _TRSYL(t, t, c, trana="T")
-        y = y / scale if info == 0 else _solve_schur_columns(t, c)
-        return symmetrize(u @ y @ u.T)
+    t, u = scipy.linalg.schur(p.a, output="real")
+    c = -(u.T @ p.q @ u)
+    y, scale, info = _TRSYL(t, t, c, trana="T")
+    y = y / scale if info == 0 else _solve_schur_columns(t, c)
+    return symmetrize(u @ y @ u.T)
 
 
 def _solve_schur_columns(t: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from .linalg import (
     cholesky_solve,
     frobenius_norm,
     lu_solve,
-    serial_products,
     spd_factor,
     spd_solve,
     trace_inner,
@@ -275,8 +274,7 @@ def sweep_until(
     """The sweep loop of both ADMM splittings: apply ``sweep`` until
     ``residual(state) <= tol`` or ``max_iterations`` sweeps.  A residual
     that is not finite ends the run ``diverged``; callers run the loop
-    under ``np.errstate(**QUIET_BLOW_UP)`` and, for the whole solve,
-    :func:`~matrixopt.linalg.serial_products`.
+    under ``np.errstate(**QUIET_BLOW_UP)``.
 
     The loop owns its start state: ``start`` is a one-element list that
     it pops, and a caller keeps no other reference, so the start state
@@ -327,12 +325,11 @@ def solve_care_admm(
     :func:`sweep_until`; after the loop it gains the KKT residuals and
     the ``certificate`` of :func:`~matrixopt.baselines.certify_care`.
     ``init`` must have finite n x n blocks; it is read, never written,
-    and the solve keeps no reference to it.  The whole solve, set-up and
-    diagnostics included, runs with numpy's BLAS at one thread.
+    and the solve keeps no reference to it.
     """
     cfg = cfg or AdmmConfig()
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
-    with serial_products(), np.errstate(**QUIET_BLOW_UP):
+    with np.errstate(**QUIET_BLOW_UP):
         const = SweepConstants.of(p, cfg)
         start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
         del init

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ParameterError
-from .linalg import cholesky_solve, lu_solve, serial_products, unvec, vec
+from .linalg import cholesky_solve, lu_solve, unvec, vec
 from .oracle import sylvester_operator_matrix, sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, iterate
@@ -97,9 +97,7 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
     The report's ``detail`` carries the per-iterate group-norm objective
     (``l21_history``) and constraint gap ``||M x - c||_2``
     (``feasibility_history``).  A rank-deficient operator raises
-    :class:`SingularMatrixError` carrying the partial report.  A step
-    alternates numpy products with a scipy factorization, so the loop
-    runs with numpy's BLAS at one thread.
+    :class:`SingularMatrixError` carrying the partial report.
     """
     cfg = cfg or CcomConfig()
     m, n = p.shape
@@ -121,17 +119,16 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
         weights = np.repeat(1.0 / (2.0 * np.maximum(norms, ROW_NORM_FLOOR)), cfg.group_rows)
         return unvec(x_flat.reshape(-1, 1), m, n), weights
 
-    with serial_products():
-        return iterate(
-            (np.zeros((m, n)), np.ones(m * n)),  # D_0 = I
-            step,
-            lambda state: sylvester_residual(p, state[0]),
-            lambda state, res: "converged" if res <= cfg.epsilon else None,
-            cfg.max_iterations,
-            solution=lambda state: state[0],
-            detail={
-                "l21_history": l21_history,
-                "feasibility_history": feas_history,
-                "rhs_norm": float(np.linalg.norm(c_vec)),
-            },
-        )
+    return iterate(
+        (np.zeros((m, n)), np.ones(m * n)),  # D_0 = I
+        step,
+        lambda state: sylvester_residual(p, state[0]),
+        lambda state, res: "converged" if res <= cfg.epsilon else None,
+        cfg.max_iterations,
+        solution=lambda state: state[0],
+        detail={
+            "l21_history": l21_history,
+            "feasibility_history": feas_history,
+            "rhs_norm": float(np.linalg.norm(c_vec)),
+        },
+    )

@@ -228,18 +228,12 @@ def _json_safe(value):
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
-        return value if np.isfinite(value) else repr(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return _json_safe(float(value))
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, (np.integer, np.floating)):
+        return _json_safe(value.item())
     if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            safe = _json_safe(v)
-            if safe is not _DROP:
-                out[str(k)] = safe
-        return out
+        safe = {str(k): _json_safe(v) for k, v in value.items()}
+        return {k: v for k, v in safe.items() if v is not _DROP}
     if isinstance(value, (list, tuple)):
         items = [_json_safe(v) for v in value]
         return [v for v in items if v is not _DROP]
@@ -259,9 +253,9 @@ def _report_json(args, method, params, report, include_history: bool) -> dict:
     payload = {
         "method": method,
         "problem": problem_desc,
-        "config": _json_safe(params),
+        "config": params,
         **report.summary(),
-        "detail": _json_safe(report.detail),
+        "detail": report.detail,
     }
     if include_history:
         payload["residual_history"] = [float(v) for v in report.residual_history]
@@ -278,7 +272,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", path)
+    """Write ``payload`` as strict JSON, a non-finite float as its repr string."""
+    _write(json.dumps(_json_safe(payload), indent=2, allow_nan=False) + "\n", path)
 
 
 def _cmd_solve(args, parser: _Parser) -> int:
@@ -416,9 +411,11 @@ def _cmd_plot(args, parser: _Parser) -> int:
     if tolerance is None and isinstance(payload.get("config"), dict):
         tolerance = payload["config"].get("tol")
     if not isinstance(history, list) or not all(
-        isinstance(v, (int, float)) for v in [*history, tolerance or 0.0]
-    ):
+        isinstance(v, (int, float)) or v in ("inf", "-inf", "nan") for v in history
+    ) or not (isinstance(tolerance or 0.0, (int, float)) and math.isfinite(tolerance or 0.0)):
         parser.error(f"report {path!r} holds a residual or tolerance that is not a number")
+    if not any(isinstance(v, (int, float)) and math.isfinite(v) for v in history):
+        parser.error(f"report {path!r} holds no finite residual to plot")
     emit_convergence_plot(payload, args.out, tolerance=tolerance)
     return EXIT_OK
 

@@ -7,6 +7,7 @@ comparison but never influence execution.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -25,7 +26,7 @@ from ..baselines import (
 from ..care_admm import AdmmConfig, solve_care_admm
 from ..ccom import CcomConfig, solve_ccom
 from ..errors import ParameterError, PreconditionError
-from ..linalg import blas_environment
+from ..linalg import blas_environment, serial_products
 from ..newton_admm import (
     NewtonAdmmConfig,
     lyapunov_residual,
@@ -62,13 +63,15 @@ class Method:
     ``solve(problem, cfg)`` calls its solver by name, so the function is
     looked up in this module at call time.  ``keys`` maps each parameter
     key the method takes to a field of ``config``; ``preset`` holds the
-    fields the method fixes before the keys apply.
+    fields the method fixes before the keys apply; :func:`run_method`
+    holds OpenBLAS copy ``hold`` (``numpy``/``scipy``/None) at one thread.
     """
 
     solve: Callable
     config: type | None = None
     keys: dict[str, str] = field(default_factory=dict)
     preset: dict = field(default_factory=dict)
+    hold: str | None = None
 
 
 def _keys(*same: str, **renamed: str) -> dict[str, str]:
@@ -100,17 +103,22 @@ _NA_KEYS = _keys("alpha", "beta", tol="outer_tol")
 
 # (method, problem class) -> Method.  Every default is the config
 # dataclass's own; a key missing from a row is rejected for that row.
+# Methods alternating numpy products with scipy factorizations hold numpy's
+# OpenBLAS copy; dfp and bfgs hold scipy's, which factors their LU inverses.
 METHODS = {
     ("ccom", SylvesterProblem): Method(
         lambda p, cfg: solve_ccom(p, cfg),
         CcomConfig,
         _keys("max_iterations", "group_rows", tol="epsilon"),
+        hold="numpy",
     ),
     ("dfp", SylvesterProblem): Method(
-        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "dfp"}
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "dfp"},
+        hold="scipy",
     ),
     ("bfgs", SylvesterProblem): Method(
-        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "bfgs"}
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "bfgs"},
+        hold="scipy",
     ),
     ("cg", SylvesterProblem): Method(
         lambda p, cfg: solve_cg(p, cfg), BaselineConfig, _keys("tol", "max_iterations")
@@ -124,28 +132,33 @@ METHODS = {
         lambda p, cfg: solve_care_admm(p, cfg),
         AdmmConfig,
         _keys("alpha", "beta", "gamma", "tol", "max_iterations"),
+        hold="numpy",
     ),
     ("admm", LyapunovProblem): Method(
         lambda p, cfg: solve_lyapunov_admm(p, cfg),
         NewtonAdmmConfig,
         {**_NA_KEYS, "max_iterations": "inner_max"},
+        hold="numpy",
     ),
     ("newton", CareProblem): Method(
         lambda p, cfg: solve_newton_care(p, cfg=cfg),
         BaselineConfig,
         _keys("tol", "max_iterations"),
         {"max_iterations": NEWTON_MAX_STEPS},
+        hold="numpy",
     ),
     ("newton-admm", CareProblem): Method(
         lambda p, cfg: solve_newton_admm(p, cfg=cfg),
         NewtonAdmmConfig,
         {**_NA_KEYS, **_keys("outer_max", "inner_tol_value", "inner_max")},
+        hold="numpy",
     ),
     ("direct", SylvesterProblem): Method(
         _direct(lambda p: solve_kronecker_direct(p), lambda p, x: sylvester_residual(p, x))
     ),
     ("direct", LyapunovProblem): Method(
-        _direct(lambda p: solve_lyapunov_direct(p), lambda p, x: lyapunov_residual(p, x))
+        _direct(lambda p: solve_lyapunov_direct(p), lambda p, x: lyapunov_residual(p, x)),
+        hold="numpy",
     ),
 }
 
@@ -153,7 +166,7 @@ METHOD_NAMES = tuple(dict.fromkeys(method for method, _ in METHODS))
 
 
 def configure(method: str, problem, params: dict | None = None):
-    """The solve function and config object for ``method`` on ``problem``.
+    """The :class:`Method` and config object for ``method`` on ``problem``.
 
     ``params`` overrides config fields through the method's key map.  A
     key the method does not take, or a value its config rejects, raises
@@ -178,18 +191,20 @@ def configure(method: str, problem, params: dict | None = None):
             f"it takes {', '.join(spec.keys) or 'no parameters'}"
         )
     if spec.config is None:
-        return spec.solve, None
+        return spec, None
     fields = {spec.keys[key]: value for key, value in params.items()}
     try:
-        return spec.solve, spec.config(**{**spec.preset, **fields})
+        return spec, spec.config(**{**spec.preset, **fields})
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{method} rejects {params}: {exc}") from exc
 
 
 def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
-    """Dispatch one solve through the method table."""
-    solve, cfg = configure(method, problem, params)
-    return solve(problem, cfg)
+    """Dispatch one solve through the method table, with the method's
+    ``hold`` copy of OpenBLAS at one thread from set-up to certificate."""
+    spec, cfg = configure(method, problem, params)
+    with serial_products(spec.hold) if spec.hold else contextlib.nullcontext():
+        return spec.solve(problem, cfg)
 
 
 @dataclass

@@ -19,18 +19,23 @@ def emit_convergence_plot(report, path, tolerance: float | None = None) -> None:
     """Write an SVG line chart of the residual history.
 
     ``report`` is anything with a ``residual_history`` attribute or key.
-    The final iterate is marked with a circle (id ``final-point``) and a
-    dashed horizontal line (id ``tolerance-line``) marks ``tolerance``
-    when given, so downstream checks can read both back from the file.
+    Only finite residuals are drawn, each at its iteration; the last one
+    is marked with a circle (id ``final-point``) and a dashed horizontal
+    line (id ``tolerance-line``) marks ``tolerance`` when given, so
+    downstream checks can read both back from the file.
     """
     if hasattr(report, "residual_history"):
         history = list(report.residual_history)
     else:
         history = list(report.get("residual_history") or [])
-    if not history:
-        raise PreconditionError("residual history is empty; nothing to plot")
+    finite = [
+        (i, _log10(v)) for i, v in enumerate(history)
+        if isinstance(v, (int, float)) and math.isfinite(v)
+    ]
+    if not finite:
+        raise PreconditionError("residual history has no finite entry; nothing to plot")
 
-    ys = [_log10(v) for v in history]
+    ys = [y for _, y in finite]
     y_vals = ys + ([_log10(tolerance)] if tolerance else [])
     y_min, y_max = min(y_vals), max(y_vals)
     if y_max - y_min < 1e-9:
@@ -50,7 +55,7 @@ def emit_convergence_plot(report, path, tolerance: float | None = None) -> None:
     def py(y: float) -> float:
         return MARGIN_T + plot_h * (y_max - y) / (y_max - y_min)
 
-    points = " ".join(f"{px(i):.2f},{py(y):.2f}" for i, y in enumerate(ys))
+    points = " ".join(f"{px(i):.2f},{py(y):.2f}" for i, y in finite)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -93,7 +98,7 @@ def emit_convergence_plot(report, path, tolerance: float | None = None) -> None:
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<circle id="final-point" cx="{px(len(ys) - 1):.2f}" cy="{py(ys[-1]):.2f}" '
+        f'<circle id="final-point" cx="{px(finite[-1][0]):.2f}" cy="{py(ys[-1]):.2f}" '
         f'r="3.5" fill="steelblue"/>'
     )
     parts.append("</svg>")

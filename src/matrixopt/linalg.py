@@ -5,10 +5,12 @@ All matrices are plain two-dimensional ``float64`` numpy arrays; the
 explicit shape) at module boundaries.  Operations are pure functions of
 their inputs, apart from :func:`serial_products`, which sets the BLAS
 thread count of numpy's or scipy's OpenBLAS copy for the duration of a
-block.  The LU and Cholesky solves call LAPACK directly, bit-identical
-to scipy's wrappers; :func:`lu_solve` and :func:`lu_inverse` share one
-factorization and pivot test.  :func:`pseudo_inverse` skips its SVD for
-a square matrix whose LU inverse certifies full rank.
+block; :func:`~matrixopt.harness.manifest.run_method` enters it once per
+solve, and no solver enters it itself.  The LU and Cholesky solves call
+LAPACK directly, bit-identical to scipy's wrappers; :func:`lu_solve` and
+:func:`lu_inverse` share one factorization and pivot test.
+:func:`pseudo_inverse` skips its SVD for a square matrix whose LU
+inverse certifies full rank.
 :func:`sylvester_apply` is the one kernel for A X + X B (- C): it reads
 a narrowly banded :class:`MatrixOperator` from its diagonals, one
 cache-sized block of rows at a time.

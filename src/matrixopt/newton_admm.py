@@ -38,7 +38,7 @@ import numpy as np
 from .baselines import care_residual, newton_iteration
 from .care_admm import QUIET_BLOW_UP, _augmented_lagrangian, _BlockState, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
-from .linalg import frobenius_norm, serial_products, spd_factor, spd_solve, symmetrize
+from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
 from .report import SolveReport, Stop
 
@@ -154,12 +154,11 @@ def solve_lyapunov_admm(
     The reported solution is symmetrized; ``detail["state"]`` keeps the
     full final state, raw X block included (for warm starts).  ``init``
     must have finite n x n blocks; it is read, never written, and the
-    solve keeps no reference to it.  It runs with numpy's BLAS at one
-    thread.
+    solve keeps no reference to it.
     """
     cfg = cfg or NewtonAdmmConfig()
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
-    with serial_products(), np.errstate(**QUIET_BLOW_UP):
+    with np.errstate(**QUIET_BLOW_UP):
         inverses = _factors(p, cfg)
         start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
         del init
@@ -237,10 +236,9 @@ def solve_newton_admm(
         return "converged" if res <= cfg.outer_tol else None
 
     try:
-        with serial_products():
-            report = newton_iteration(
-                p, x0, lyapunov_solve, residual, stop, cfg.outer_max, detail=detail
-            )
+        report = newton_iteration(
+            p, x0, lyapunov_solve, residual, stop, cfg.outer_max, detail=detail
+        )
     except MatrixOptError as exc:
         if exc.report is not None:
             exc.report.iterations = sum(detail["inner_iterations_per_outer"])

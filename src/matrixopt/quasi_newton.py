@@ -35,9 +35,7 @@ An update keeps the order of its textbook expression,
 but accumulates it in one array, and a step releases its old iterate
 before the update, so the first update of a square run holds at most
 eight n x n arrays at once.  An update whose model has a non-finite
-Frobenius norm ends the run as ``diverged``.  The loop holds scipy's
-OpenBLAS copy, which factors the LU inverses, at one thread
-(``serial_products``).
+Frobenius norm ends the run as ``diverged``.
 """
 
 from __future__ import annotations
@@ -54,12 +52,7 @@ from .errors import (
     LineSearchError,
     PreconditionError,
 )
-from .linalg import (
-    frobenius_norm,
-    pseudo_inverse,
-    serial_products,
-    trace_inner,
-)
+from .linalg import frobenius_norm, pseudo_inverse, trace_inner
 from .oracle import sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, Stop, iterate
@@ -329,13 +322,12 @@ def solve_quasi_newton(
             return "diverged"
         return None
 
-    with serial_products("scipy"):
-        return iterate(
-            state,
-            step,
-            lambda s: sylvester_residual(p, s.x, s.r),
-            stop,
-            cfg.max_iterations,
-            solution=lambda s: s.x,
-            detail=detail,
-        )
+    return iterate(
+        state,
+        step,
+        lambda s: sylvester_residual(p, s.x, s.r),
+        stop,
+        cfg.max_iterations,
+        solution=lambda s: s.x,
+        detail=detail,
+    )

@@ -1,7 +1,9 @@
-"""numpy's OpenBLAS runs one thread through every ADMM and ccom solve,
-set-up and diagnostics included, and scipy's inside the quasi-Newton
-loop; each copy gets its own thread count back afterwards, whatever way
-the solve ends."""
+"""Each method's solve runs with the OpenBLAS copy its method-table entry
+names (``hold``) at one thread, set-up and diagnostics included, and the
+other copy at its own count; ``run_method`` is the one place that holds
+a copy, so a solver called directly runs at the caller's counts.  Each
+copy gets its own thread count back afterwards, whatever way the solve
+ends."""
 
 import os
 import sys
@@ -10,20 +12,21 @@ import threading
 import numpy as np
 import pytest
 
+import matrixopt.baselines as baselines
 import matrixopt.care_admm as care_admm
 import matrixopt.ccom as ccom
 import matrixopt.linalg as linalg
 import matrixopt.newton_admm as newton_admm
+import matrixopt.oracle as oracle
 import matrixopt.quasi_newton as quasi_newton
-from matrixopt.errors import AdmmBreakdownError, SingularMatrixError
 from matrixopt.harness.manifest import (
-    RunManifest,
+    METHODS,
     manifest_for_suite,
     run_manifest,
     run_method,
     summary_json,
 )
-from matrixopt.problems import LyapunovProblem, SuiteRow, table_source
+from matrixopt.problems import CareProblem, LyapunovProblem, SylvesterProblem, table_source
 
 CONTROLS = linalg.find_openblas("numpy")
 SCIPY_CONTROLS = linalg.find_openblas("scipy")
@@ -38,6 +41,11 @@ T8_ADMM = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "max_iterations": 30}
 T9 = table_source("t9", 8).build
 # Two dfp steps, one model update: two pseudo-inverses.
 T6 = table_source("t6", 16).build
+
+
+def t9_lyapunov():
+    p = T9()
+    return LyapunovProblem(a=p.a, q=p.k_mat)
 
 
 def threads() -> int:
@@ -75,69 +83,95 @@ def scipy_two_threads():
     SCIPY_CONTROLS[1](saved)
 
 
-def record_threads(monkeypatch, module, name):
-    """Wrap ``module.name`` so each call appends the thread count it saw."""
+class Injected(Exception):
+    """An error no solver catches."""
+
+
+def record(monkeypatch, module, name, count=threads, fail=False):
+    """Wrap ``module.name`` so each call appends ``count()``, then raises
+    :class:`Injected` when ``fail``, else calls through."""
     seen = []
     original = getattr(module, name)
 
     def wrapped(*args, **kwargs):
-        seen.append(threads())
+        seen.append(count())
+        if fail:
+            raise Injected(name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
     return seen
 
 
-def test_care_admm_steps_run_at_one_thread(two_threads, monkeypatch):
-    seen = record_threads(monkeypatch, care_admm, "admm_step")
-    report = run_method("admm", T8(), T8_ADMM)
-    assert len(seen) == report.iterations == 30
-    assert set(seen) == {1}
-    assert threads() == 2
+def layout():
+    """(numpy's, scipy's) thread counts."""
+    return threads(), scipy_threads()
 
 
-def test_newton_admm_sweeps_run_at_one_thread(two_threads, monkeypatch):
-    seen = record_threads(monkeypatch, newton_admm, "spd_solve")
-    report = run_method("newton-admm", T9(), {})
+# (method, problem class) -> (problem, params, kernels the solve calls
+# through their module globals).
+CASES = {
+    ("ccom", SylvesterProblem): (table_source("t1", 10).build, {}, [(ccom, "ccom_step")]),
+    ("dfp", SylvesterProblem): (T6, {}, [(quasi_newton, "pseudo_inverse")]),
+    ("bfgs", SylvesterProblem): (T6, {}, [(quasi_newton, "pseudo_inverse")]),
+    ("cg", SylvesterProblem): (T6, {}, [(baselines, "trace_inner")]),
+    ("ar", SylvesterProblem): (T6, {}, [(baselines, "frobenius_norm")]),
+    ("admm", CareProblem): (T8, T8_ADMM, [(care_admm, "admm_step"), (care_admm, "kkt_residuals")]),
+    ("admm", LyapunovProblem): (
+        t9_lyapunov, {}, [(newton_admm, "spd_factor"), (newton_admm, "spd_solve")]
+    ),
+    ("newton", CareProblem): (T8, {}, [(baselines, "symmetrize")]),
+    ("newton-admm", CareProblem): (T9, {}, [(newton_admm, "spd_solve")]),
+    ("direct", SylvesterProblem): (T6, {}, [(oracle, "lu_solve")]),
+    ("direct", LyapunovProblem): (t9_lyapunov, {}, [(baselines, "symmetrize")]),
+}
+
+LAYOUTS = {"numpy": (1, 2), "scipy": (2, 1), None: (2, 2)}
+
+
+def test_every_method_has_a_layout_case():
+    assert CASES.keys() == METHODS.keys()
+
+
+@needs_scipy_copy
+@pytest.mark.parametrize("fail", [False, True], ids=["solve", "error"])
+@pytest.mark.parametrize("key", CASES, ids=lambda key: f"{key[0]}-{key[1].__name__}")
+def test_each_method_runs_at_its_declared_layout(
+    key, fail, two_threads, scipy_two_threads, monkeypatch
+):
+    build, params, kernels = CASES[key]
+    hold = METHODS[key].hold
+    seen = [
+        record(monkeypatch, module, name, layout, fail=fail and i == 0)
+        for i, (module, name) in enumerate(kernels)
+    ]
+    problem = build()
+    if fail:
+        with pytest.raises(Injected):
+            run_method(key[0], problem, params)
+        assert seen[0] == [LAYOUTS[hold]]
+    else:
+        run_method(key[0], problem, params)
+        for calls in seen:
+            assert calls and set(calls) == {LAYOUTS[hold]}
+    assert layout() == (2, 2)
+
+
+@needs_scipy_copy
+def test_a_direct_solver_call_runs_at_the_callers_counts(
+    two_threads, scipy_two_threads, monkeypatch
+):
+    seen = record(monkeypatch, newton_admm, "spd_factor", layout)
+    report = newton_admm.solve_lyapunov_admm(t9_lyapunov())
     assert report.converged
-    assert seen and set(seen) == {1}
-    assert threads() == 2
-
-
-def test_care_admm_diagnostics_run_at_one_thread(two_threads, monkeypatch):
-    seen = record_threads(monkeypatch, care_admm, "kkt_residuals")
-    run_method("admm", T8(), T8_ADMM)
-    assert seen == [1]
-    assert threads() == 2
+    assert seen == [(2, 2)] * 2
 
 
 def test_lyapunov_admm_set_up_runs_at_one_thread(two_threads, monkeypatch):
-    p = T9()
-    seen = record_threads(monkeypatch, newton_admm, "spd_factor")
-    report = newton_admm.solve_lyapunov_admm(LyapunovProblem(a=p.a, q=p.k_mat))
+    seen = record(monkeypatch, newton_admm, "spd_factor")
+    report = run_method("admm", t9_lyapunov(), {})
     assert report.converged
     assert seen == [1, 1]
-    assert threads() == 2
-
-
-def test_ccom_steps_run_at_one_thread(two_threads, monkeypatch):
-    seen = record_threads(monkeypatch, ccom, "ccom_step")
-    report = run_method("ccom", table_source("t1", 10).build(), {})
-    assert report.iterations == 1 and seen == [1]
-    assert threads() == 2
-
-
-def test_count_is_restored_after_a_breakdown(two_threads, monkeypatch):
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(threads())
-        raise AdmmBreakdownError("injected")
-
-    monkeypatch.setattr(care_admm, "admm_step", failing)
-    with pytest.raises(AdmmBreakdownError):
-        run_method("admm", T8(), T8_ADMM)
-    assert calls == [1]
     assert threads() == 2
 
 
@@ -161,7 +195,7 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     """More threads than cores, switching often, each entering the guard
     by itself and through solves: a lost update of the shared depth
     would let a step see two threads or leave the count wrong."""
-    seen = record_threads(monkeypatch, care_admm, "admm_step")
+    seen = record(monkeypatch, care_admm, "admm_step")
     width = 2 * (os.cpu_count() or 1) + 2
     start = threading.Barrier(width)
     errors = []
@@ -193,39 +227,11 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     assert threads() == 2
 
 
-@needs_scipy_copy
-def test_manifest_rows_run_under_their_solvers_holds_only(
-    two_threads, scipy_two_threads, monkeypatch
-):
-    # A dfp row holds scipy's copy alone and an ADMM row numpy's alone,
-    # whatever row runs beside them: the manifest adds no hold of its own.
-    seen = {"dfp": [], "admm": []}
-    for method, module, name in [
-        ("dfp", quasi_newton, "pseudo_inverse"),
-        ("admm", care_admm, "admm_step"),
-    ]:
-        original = getattr(module, name)
-
-        def wrapped(*args, _seen=seen[method], _original=original, **kwargs):
-            _seen.append((threads(), scipy_threads()))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)
-    rows = [
-        SuiteRow(source=table_source("t6", 16), method="dfp", params={}),
-        SuiteRow(source=table_source("t8", 8), method="admm", params=T8_ADMM),
-    ]
-    records = run_manifest(RunManifest(suite="t6+t8", rows=rows), cap=16)
-    assert all(rec.error is None for rec in records)
-    assert seen == {"dfp": [(2, 1)] * 2, "admm": [(1, 2)] * 30}
-    assert threads() == scipy_threads() == 2
-
-
 def test_a_count_of_one_is_never_raised(monkeypatch):
     saved = threads()
     CONTROLS[1](1)
     try:
-        seen = record_threads(monkeypatch, care_admm, "admm_step")
+        seen = record(monkeypatch, care_admm, "admm_step")
         run_method("admm", T8(), T8_ADMM)
         assert set(seen) == {1}
         assert threads() == 1
@@ -236,7 +242,7 @@ def test_a_count_of_one_is_never_raised(monkeypatch):
 def test_guard_is_a_no_op_without_the_library(two_threads, monkeypatch):
     monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
     monkeypatch.setitem(linalg._serial_state["numpy"], "controls", linalg._UNSEEN)
-    seen = record_threads(monkeypatch, care_admm, "admm_step")
+    seen = record(monkeypatch, care_admm, "admm_step")
     report = run_method("admm", T8(), T8_ADMM)
     assert report.iterations == 30
     assert set(seen) == {2}
@@ -273,51 +279,12 @@ def test_frobenius_norm_does_not_depend_on_the_thread_count(two_threads):
     assert threaded == pytest.approx(np.sqrt(np.sum(m * m)), rel=1e-14)
 
 
-def record_scipy_threads(monkeypatch):
-    """Wrap quasi_newton's ``pseudo_inverse`` so each call appends
-    scipy's thread count."""
-    seen = []
-    original = quasi_newton.pseudo_inverse
-
-    def wrapped(*args, **kwargs):
-        seen.append(scipy_threads())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(quasi_newton, "pseudo_inverse", wrapped)
-    return seen
-
-
-@needs_scipy_copy
-def test_quasi_newton_factors_at_one_scipy_thread(two_threads, scipy_two_threads, monkeypatch):
-    seen = record_scipy_threads(monkeypatch)
-    report = run_method("dfp", T6(), {})
-    assert report.converged and report.iterations == 2
-    assert seen == [1, 1]
-    # numpy's copy keeps its count: only scipy's is held.
-    assert threads() == scipy_threads() == 2
-
-
-@needs_scipy_copy
-def test_scipy_count_is_restored_after_an_exception(scipy_two_threads, monkeypatch):
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(scipy_threads())
-        raise SingularMatrixError("injected")
-
-    monkeypatch.setattr(quasi_newton, "pseudo_inverse", failing)
-    with pytest.raises(SingularMatrixError):
-        run_method("bfgs", T6(), {})
-    assert calls == [1]
-    assert scipy_threads() == 2
-
-
 @needs_scipy_copy
 def test_a_scipy_count_of_one_is_never_raised(monkeypatch):
     saved = scipy_threads()
     SCIPY_CONTROLS[1](1)
     try:
-        seen = record_scipy_threads(monkeypatch)
+        seen = record(monkeypatch, quasi_newton, "pseudo_inverse", scipy_threads)
         run_method("bfgs", T6(), {})
         assert set(seen) == {1}
         assert scipy_threads() == 1
@@ -329,7 +296,7 @@ def test_a_scipy_count_of_one_is_never_raised(monkeypatch):
 def test_scipy_guard_is_a_no_op_without_the_library(scipy_two_threads, monkeypatch):
     monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
     monkeypatch.setitem(linalg._serial_state["scipy"], "controls", linalg._UNSEEN)
-    seen = record_scipy_threads(monkeypatch)
+    seen = record(monkeypatch, quasi_newton, "pseudo_inverse", scipy_threads)
     report = run_method("dfp", T6(), {})
     assert report.iterations == 2
     assert seen == [2, 2]
@@ -338,8 +305,8 @@ def test_scipy_guard_is_a_no_op_without_the_library(scipy_two_threads, monkeypat
 
 def test_each_copy_keeps_its_own_depth(two_threads, scipy_two_threads):
     with linalg.serial_products("scipy"):
-        assert (threads(), scipy_threads()) == (2, 1)
+        assert layout() == (2, 1)
         with linalg.serial_products("numpy"):
-            assert (threads(), scipy_threads()) == (1, 1)
-        assert (threads(), scipy_threads()) == (2, 1)
-    assert (threads(), scipy_threads()) == (2, 2)
+            assert layout() == (1, 1)
+        assert layout() == (2, 1)
+    assert layout() == (2, 2)

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from matrixopt.harness.cli import main
+from matrixopt.harness.cli import _write_json, main
+from matrixopt.harness.manifest import manifest_for_suite, run_manifest, summary_json
 from matrixopt.mmio import read_matrix_market, write_matrix_market
 
 
@@ -209,6 +211,15 @@ class TestBench:
         payload = json.loads((tmp_path / "t8.json").read_text())
         assert payload["rows_run"] == 2 and payload["rows_failed"] == 0
 
+    def test_json_of_finite_rows_is_plain_json(self, tmp_path):
+        # Finite rows, error rows among them, come out byte for byte as
+        # json.dumps writes them.
+        manifest = manifest_for_suite("t1")
+        payload = summary_json(manifest, run_manifest(manifest, cap=256))
+        assert payload["rows_failed"] > 0
+        _write_json(payload, str(tmp_path / "t1.json"))
+        assert (tmp_path / "t1.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as err:
             main(["bench", "--suite", "t99"])
@@ -377,6 +388,7 @@ class TestPlot:
         '{"residual_history": 5}\n',
         '{"residual_history": [1.0, "0.1"]}\n',
         '{"residual_history": [1.0, 0.1], "config": {"tol": "1e-8"}}\n',
+        '{"residual_history": [1.0, 0.1], "config": {"tol": Infinity}}\n',
     ])
     def test_malformed_report_is_usage_error(self, text, tmp_path, capsys):
         report_path = tmp_path / "r.json"
@@ -385,6 +397,50 @@ class TestPlot:
             ["plot", "--report", str(report_path), "--out", str(tmp_path / "r.svg")], capsys
         )
         assert f"report {str(report_path)!r}" in err
+        assert not (tmp_path / "r.svg").exists()
+
+    def test_diverged_report_is_strict_json_and_plots_its_finite_points(
+        self, tmp_path, capsys
+    ):
+        report_path = tmp_path / "d.json"
+        code, _ = run_cli(
+            [
+                "solve", "sylvester", "--method", "ar", "--suite", "t6", "--n", "8",
+                "--omega", "1e300", "--history", "--out", str(report_path),
+            ],
+            capsys,
+        )
+        assert code == 2
+        text = report_path.read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)
+        assert payload["termination"] == "diverged"
+        assert payload["final_residual"] == "inf"
+        assert payload["residual_history"][-1] == "inf"
+        out_svg = tmp_path / "d.svg"
+        assert main(["plot", "--report", str(report_path), "--out", str(out_svg)]) == 0
+        svg = out_svg.read_text()
+        assert not re.search(r'[=", ]-?(nan|inf)\b', svg)
+        assert 'points="70.00,205.00"' in svg
+        assert '<circle id="final-point" cx="70.00" cy="205.00"' in svg
+
+    def test_plot_skips_a_legacy_infinity_token(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        report_path.write_text('{"residual_history": [1.0, 0.1, Infinity, "nan", 0.01, "-inf"]}')
+        out_svg = tmp_path / "r.svg"
+        assert main(["plot", "--report", str(report_path), "--out", str(out_svg)]) == 0
+        svg = out_svg.read_text()
+        points = re.search(r'points="([^"]*)"', svg).group(1).split()
+        assert [float(p.split(",")[0]) for p in points] == [70.0, 180.0, 510.0]
+        assert f'cx="{points[-1].split(",")[0]}"' in svg
+
+    @pytest.mark.parametrize("history", ['["inf", "nan"]', "[Infinity, NaN]"])
+    def test_history_without_a_finite_residual_is_usage_error(self, history, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        report_path.write_text(f'{{"residual_history": {history}}}')
+        err = usage_error(
+            ["plot", "--report", str(report_path), "--out", str(tmp_path / "r.svg")], capsys
+        )
+        assert "no finite residual" in err
         assert not (tmp_path / "r.svg").exists()
 
     def test_plot_without_history_is_usage_error(self, tmp_path, capsys):

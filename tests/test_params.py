@@ -194,31 +194,49 @@ class TestVocabulary:
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-README_QUALIFIERS = {"CARE": C, "Lyapunov": L}
+README_QUALIFIERS = {"CARE": C, "Lyapunov": L, "Sylvester": S}
+
+
+def _readme_table(heading: str, header: str) -> dict:
+    """(method, problem class) -> the second cell of its row in the README
+    table under ``heading`` whose header line is ``header``.  A qualifier
+    after a method, such as ``(CARE)``, picks one problem class of it."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    lines = section.splitlines()
+    body = lines[lines.index(header) + 2:]
+    table = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), body):
+        label, cell = (text.strip() for text in line.strip("|").split("|"))
+        rows = [
+            (name, kind)
+            for name, qualifier in re.findall(r"`([\w-]+)`(?: \((\w+)\))?", label)
+            for kind in ([README_QUALIFIERS[qualifier]] if qualifier else [S, L, C])
+            if (name, kind) in METHODS
+        ]
+        assert rows, line
+        table.update(dict.fromkeys(rows, cell))
+    return table
 
 
 def _readme_keys():
     """(method, problem class) -> keys, as the README's Solver parameters
-    table lists them; a qualifier such as ``(CARE)`` picks one problem
-    class of a method, and parenthesised notes on keys are not keys."""
-    section = README.read_text(encoding="utf-8").split("### Solver parameters", 1)[1]
-    lines = section.splitlines()
-    body = lines[lines.index("| Method | Keys |") + 2:]
-    table = {}
-    for line in itertools.takewhile(lambda text: text.startswith("|"), body):
-        label, keys = (cell.strip() for cell in line.strip("|").split("|"))
-        qualifier = re.search(r"\((\w+)\)", label)
-        kinds = [README_QUALIFIERS[qualifier.group(1)]] if qualifier else [S, L, C]
-        rows = [(name, kind) for name in re.findall(r"`([\w-]+)`", label)
-                for kind in kinds if (name, kind) in METHODS]
-        assert rows, line
-        for row in rows:
-            table[row] = set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", keys)))
-    return table
+    table lists them; parenthesised notes on keys are not keys."""
+    return {
+        row: set(re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", keys)))
+        for row, keys in _readme_table("### Solver parameters", "| Method | Keys |").items()
+    }
 
 
 def test_readme_table_lists_each_methods_keys():
     assert _readme_keys() == {row: set(spec.keys) for row, spec in METHODS.items()}
+
+
+def test_readme_threading_table_lists_each_methods_hold():
+    held = _readme_table("## Threading", "| Method | Copy held at one thread |")
+    copies = {"numpy's": "numpy", "scipy's": "scipy", "none": None}
+    assert {row: copies[cell] for row, cell in held.items()} == {
+        row: spec.hold for row, spec in METHODS.items()
+    }
 
 
 def test_readme_command_lines_parse():
