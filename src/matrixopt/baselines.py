@@ -94,8 +94,8 @@ def solve_cg(p: SylvesterProblem, cfg: BaselineConfig | None = None) -> SolveRep
         state,
         step,
         lambda s: frobenius_norm(s.r),
-        lambda s, res: "converged" if res <= cfg.tol else None,
         cfg.max_iterations,
+        tol=cfg.tol,
         solution=lambda s: s.x,
         detail={},
     )
@@ -137,17 +137,13 @@ def solve_anderson_richardson(
     state.r = p.residual_matrix(state.x)
     blow_up = 1e6 * max(frobenius_norm(state.r), 1.0)
 
-    def stop(s, res):
-        if res <= cfg.tol:
-            return "converged"
-        return "diverged" if res > blow_up else None
-
     return iterate(
         state,
         step,
         lambda s: frobenius_norm(s.r),
-        stop,
         cfg.max_iterations,
+        tol=cfg.tol,
+        stop=lambda s, res: "diverged" if res > blow_up else None,
         solution=lambda s: s.x,
         detail={"omega": omega},
     )
@@ -170,10 +166,11 @@ def certify_care(p: CareProblem, x: np.ndarray, residual: float) -> dict:
     ||x - x^T||_F, the closed-loop abscissa max Re eig(A - N x) and the
     ``root``: ``stabilizing`` when every closed-loop eigenvalue has negative
     real part, ``anti-stabilizing`` when every one has positive real part,
-    else ``mixed``.  A non-finite ``x`` gets NaN and no ``root``."""
+    else ``mixed``.  A blown-up answer, one whose ``residual`` is not
+    finite, gets NaN and no ``root``."""
     k_norm = frobenius_norm(p.k_mat)
     asymmetry, abscissa, root = math.nan, math.nan, None
-    if np.isfinite(x).all():
+    if math.isfinite(residual):
         real = np.linalg.eigvals(p.a - p.n_mat @ x).real
         asymmetry, abscissa = frobenius_norm(x - x.T), float(real.max())
         root = "stabilizing" if abscissa < 0 else "anti-stabilizing" if real.min() > 0 else "mixed"
@@ -248,8 +245,10 @@ def newton_iteration(
     x0: np.ndarray | None,
     lyapunov_solve: Callable[[LyapunovProblem], np.ndarray],
     residual: Callable[[np.ndarray], float],
-    stop: Callable[[np.ndarray, float], str | None],
     max_steps: int,
+    *,
+    tol: float,
+    stop: Callable[[np.ndarray, float], str | None] | None = None,
     detail: dict,
 ) -> SolveReport:
     """Newton's iteration for the Riccati equation (Kleinman, 1968).
@@ -259,8 +258,8 @@ def newton_iteration(
 
         (A - N X_k)^T X_{k+1} + X_{k+1} (A - N X_k) + X_k N X_k + K = 0
 
-    to ``lyapunov_solve``, which returns X_{k+1}; ``residual`` and ``stop``
-    are :func:`~matrixopt.report.iterate`'s.  The report's
+    to ``lyapunov_solve``, which returns X_{k+1}; ``residual``, ``tol``
+    and ``stop`` are :func:`~matrixopt.report.iterate`'s.  The report's
     ``detail["certificate"]`` is :func:`certify_care` of its answer; a
     root that is not stabilizing is labelled, not an error.
     """
@@ -276,7 +275,9 @@ def newton_iteration(
             LyapunovProblem(a=p.a - p.n_mat @ x, q=symmetrize(x @ p.n_mat @ x + p.k_mat))
         )
 
-    report = iterate(x, step, residual, stop, max_steps, solution=lambda x: x, detail=detail)
+    report = iterate(
+        x, step, residual, max_steps, tol=tol, stop=stop, solution=lambda x: x, detail=detail
+    )
     report.detail["certificate"] = certify_care(p, report.solution, report.final_residual)
     return report
 
@@ -302,11 +303,6 @@ def solve_newton_care(
             raise NewtonBreakdownError(f"singular Lyapunov system in a Newton step: {exc}") from exc
 
     return newton_iteration(
-        p,
-        x0,
-        lyapunov_solve,
-        lambda x: care_residual(p, x),
-        lambda x, res: "converged" if res <= cfg.tol else None,
-        cfg.max_iterations,
-        detail={},
+        p, x0, lyapunov_solve, lambda x: care_residual(p, x), cfg.max_iterations,
+        tol=cfg.tol, detail={},
     )

@@ -252,9 +252,8 @@ def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     )
 
 
-# numpy's error state for a whole ADMM solve: a blow-up already ends the
-# run ``diverged`` (see sweep_until), so its inf and NaN arithmetic, in
-# the loop and in the diagnostics after it, raises no warnings.
+# numpy's error state for the diagnostics after a CARE-ADMM loop, whose
+# blow-up has already ended the run ``diverged``: no inf/NaN warnings.
 QUIET_BLOW_UP = {"invalid": "ignore", "over": "ignore"}
 
 
@@ -271,10 +270,9 @@ def sweep_until(
     start: list, sweep, residual, tol, max_iterations, *,
     lagrangian=None, solution=lambda state: state.x,
 ) -> SolveReport:
-    """The sweep loop of both ADMM splittings: apply ``sweep`` until
-    ``residual(state) <= tol`` or ``max_iterations`` sweeps.  A residual
-    that is not finite ends the run ``diverged``; callers run the loop
-    under ``np.errstate(**QUIET_BLOW_UP)``.
+    """The sweep loop of both ADMM splittings: apply ``sweep`` for at most
+    ``max_iterations`` sweeps, ended by :func:`~matrixopt.report.iterate`'s
+    stop order at tolerance ``tol``.
 
     The loop owns its start state: ``start`` is a one-element list that
     it pops, and a caller keeps no other reference, so the start state
@@ -297,14 +295,9 @@ def sweep_until(
         detail["state"] = new_state
         return new_state
 
-    def stop(state, res):
-        if res <= tol:
-            return "converged"
-        return None if math.isfinite(res) else "diverged"
-
     report = iterate(
-        detail["state"], step, residual, stop, max_iterations,
-        solution=solution, detail=detail,
+        detail["state"], step, residual, max_iterations,
+        tol=tol, solution=solution, detail=detail,
     )
     # Carried products serve the loop alone; a warm start forms its own.
     detail["state"].products = None
@@ -329,19 +322,19 @@ def solve_care_admm(
     """
     cfg = cfg or AdmmConfig()
     lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
+    const = SweepConstants.of(p, cfg)
+    start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
+    del init
+    report = sweep_until(
+        start,
+        lambda state: admm_step(p, state, cfg, const),
+        lambda state: care_residual(p, state.x, state.carried(p, "atx")),
+        cfg.tol,
+        cfg.max_iterations,
+        lagrangian=lagrangian if cfg.track_lagrangian else None,
+    )
+    state = report.detail["state"]
     with np.errstate(**QUIET_BLOW_UP):
-        const = SweepConstants.of(p, cfg)
-        start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
-        del init
-        report = sweep_until(
-            start,
-            lambda state: admm_step(p, state, cfg, const),
-            lambda state: care_residual(p, state.x, state.carried(p, "atx")),
-            cfg.tol,
-            cfg.max_iterations,
-            lagrangian=lagrangian if cfg.track_lagrangian else None,
-        )
-        state = report.detail["state"]
         report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
         report.detail["certificate"] = certify_care(p, state.x, report.final_residual)
     return report

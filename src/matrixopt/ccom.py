@@ -123,8 +123,8 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
         (np.zeros((m, n)), np.ones(m * n)),  # D_0 = I
         step,
         lambda state: sylvester_residual(p, state[0]),
-        lambda state, res: "converged" if res <= cfg.epsilon else None,
         cfg.max_iterations,
+        tol=cfg.epsilon,
         solution=lambda state: state[0],
         detail={
             "l21_history": l21_history,

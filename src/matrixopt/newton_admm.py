@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .baselines import care_residual, newton_iteration
-from .care_admm import QUIET_BLOW_UP, _augmented_lagrangian, _BlockState, sweep_until
+from .care_admm import _augmented_lagrangian, _BlockState, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
@@ -158,19 +158,18 @@ def solve_lyapunov_admm(
     """
     cfg = cfg or NewtonAdmmConfig()
     lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
-    with np.errstate(**QUIET_BLOW_UP):
-        inverses = _factors(p, cfg)
-        start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
-        del init
-        return sweep_until(
-            start,
-            lambda state: lyap_admm_step(p, state, cfg, inverses),
-            lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
-            cfg.outer_tol if tol is None else tol,
-            cfg.inner_max,
-            lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
-            solution=lambda state: symmetrize(state.x),
-        )
+    inverses = _factors(p, cfg)
+    start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
+    del init
+    return sweep_until(
+        start,
+        lambda state: lyap_admm_step(p, state, cfg, inverses),
+        lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
+        cfg.outer_tol if tol is None else tol,
+        cfg.inner_max,
+        lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
+        solution=lambda state: symmetrize(state.x),
+    )
 
 
 def solve_newton_admm(
@@ -230,14 +229,11 @@ def solve_newton_admm(
             outer.capped_streak = 0
         return inner.solution
 
-    def stop(x, res):
-        if outer.capped_streak >= 2:
-            return "stagnated"
-        return "converged" if res <= cfg.outer_tol else None
-
     try:
         report = newton_iteration(
-            p, x0, lyapunov_solve, residual, stop, cfg.outer_max, detail=detail
+            p, x0, lyapunov_solve, residual, cfg.outer_max, tol=cfg.outer_tol,
+            stop=lambda x, res: "stagnated" if outer.capped_streak >= 2 else None,
+            detail=detail,
         )
     except MatrixOptError as exc:
         if exc.report is not None:

@@ -285,9 +285,9 @@ def _expand(refs, methods, params):
     """Rows from a compact reference map, order by order and, within an
     order, in ``methods`` order: ``refs`` maps an order to one
     (iterations, error, seconds) triple per method, and ``params`` maps a
-    method to its row parameters."""
+    method, or a (method, order) pair, to its row parameters."""
     return [
-        (method, n, params.get(method, {}), *ref)
+        (method, n, params.get((method, n), params.get(method, {})), *ref)
         for n, per_method in refs.items()
         for method, ref in zip(methods, per_method)
     ]
@@ -391,7 +391,11 @@ _PAPER_ROWS = {
         ("dfp", 1024, {"linesearch": "armijo"}, 246, 4.9609e-07, 1815.0),
     ],
     "t5": _expand(_T5_REFS, ("dfp", "bfgs", "ar"), {}),
-    "t6": _expand(_T6_REFS, ("dfp", "bfgs", "cg", "ar"), {}),
+    # cg at tol=1e-14 takes the paper's 15 steps to 4.32e-15 (n=128) and 6.13e-15
+    # (256), against 6.23e-15 and 6.15e-15; at n=1024 it takes 16 (paper: 15).
+    "t6": _expand(
+        _T6_REFS, ("dfp", "bfgs", "cg", "ar"), {("cg", n): {"tol": 1e-14} for n in (128, 256)}
+    ),
     "t7": [
         ("admm", 9, {"alpha": 0.0465, "beta": 63.51, "gamma": 0.0428}, 6715, 9.9961e-09, 0.2292),
         ("admm", 9, {"alpha": 0.2, "beta": 100.0, "gamma": 0.01}, 17869, 8.5193e-09, 1.0675),

@@ -34,8 +34,9 @@ An update keeps the order of its textbook expression,
 (G + d K d^T) - (G y) T (G y)^T for DFP and E G E^T + dk d^T for BFGS,
 but accumulates it in one array, and a step releases its old iterate
 before the update, so the first update of a square run holds at most
-eight n x n arrays at once.  An update whose model has a non-finite
-Frobenius norm ends the run as ``diverged``.
+eight n x n arrays at once.  A model or a gradient whose Frobenius norm
+is not finite ends the run as ``diverged``; a step whose gradient is
+not finite forms no update.
 """
 
 from __future__ import annotations
@@ -245,9 +246,10 @@ def solve_quasi_newton(
     """Quasi-Newton iteration X <- X + lambda (-G g), with G the m x m
     model, until ||g||_F falls below ``cfg.grad_tol``.
 
-    The model is updated after every step except the one whose gradient
-    passes the tolerance, so a converged run has ``iterations - 1``
-    updates and a run stopped by ``max_iterations`` has ``iterations``.
+    The model is updated after every step except one whose gradient
+    passes the tolerance or is not finite, so a converged run has
+    ``iterations - 1`` updates and a run stopped by ``max_iterations``
+    has ``iterations``.
     ``detail`` carries only ``grad_norm_history``, the gradient norm of
     each iterate, which the stop rule reads; the objective is half the
     square of each ``residual_history`` entry.  Line-search failures
@@ -255,9 +257,9 @@ def solve_quasi_newton(
     the model's Frobenius norm exceeds sqrt(m) / eps: a line search that
     fails after such a blow-up ends the run as diverged.
     A direction that is not a descent direction, or an exact step of
-    zero, ends the run as stagnated; a model whose Frobenius norm is not
-    finite (an entry that overflowed, or a norm that did) ends it as
-    diverged, on the step that formed the model.
+    zero, ends the run as stagnated; a model or gradient whose Frobenius
+    norm is not finite (an entry that overflowed, or a norm that did)
+    ends it as diverged, on the step that formed it.
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
@@ -303,9 +305,9 @@ def solve_quasi_newton(
         g_new = f1_gradient(p, x_new, s.r)
         g_norm = frobenius_norm(g_new)
         s.done = g_norm < cfg.grad_tol
-        # Only a next step reads the model, so the converging step forms
-        # none.  The old iterate is released before the update.
-        if s.done:
+        # Only a next step reads the model, so a step whose gradient passes
+        # or blows up forms none.  The old iterate goes before the update.
+        if s.done or not math.isfinite(g_norm):
             s.x, s.g = x_new, g_new
         else:
             delta, y = x_new - s.x, g_new - s.g
@@ -318,16 +320,16 @@ def solve_quasi_newton(
     def stop(s, res):
         if s.done:
             return "converged"
-        if not math.isfinite(s.inv_h_norm):
-            return "diverged"
-        return None
+        finite = math.isfinite(s.inv_h_norm) and math.isfinite(detail["grad_norm_history"][-1])
+        return None if finite else "diverged"
 
     return iterate(
         state,
         step,
         lambda s: sylvester_residual(p, s.x, s.r),
-        stop,
         cfg.max_iterations,
+        tol=None,
+        stop=stop,
         solution=lambda s: s.x,
         detail=detail,
     )

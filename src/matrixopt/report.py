@@ -2,16 +2,20 @@
 runs on.
 
 :func:`iterate` owns what all solvers share; a solver supplies only its
-step, its residual, its stop rule and its ``detail`` entries.
+step, its residual, its tolerance, any stop rule of its own and its
+``detail`` entries.
 
 * History: ``residual_history`` starts with the residual of the initial
   state, then records the residual after every step, so it has
   ``iterations + 1`` entries.
-* Stop order: after each recorded residual ``r`` the driver asks
-  ``stop(state, r)`` for a termination, before it checks the cap.  An
-  initial state that already passes ends the run at 0 iterations, and a
-  run that passes on its last allowed step is ``converged``.  A step may
-  also end the run, uncounted, by raising :class:`Stop`.
+* Stop order: after each recorded residual ``r``, before the cap, a
+  non-finite ``r`` ends the run ``diverged``; else the solver's own
+  ``stop(state, r)``, if given, may end it; else ``r <= tol`` ends it
+  ``converged`` (``tol`` is None when ``stop`` alone converges).  So an
+  initial state that passes takes no step, and a run that passes on its
+  last allowed step is ``converged``.  A step may also end the run,
+  uncounted, by raising :class:`Stop`.  numpy's overflow and invalid
+  warnings are off in the loop: the termination records every blow-up.
 * Caps: a negative ``max_iterations`` raises
   :class:`~matrixopt.errors.ParameterError` before the first residual.
 * Errors: a :class:`~matrixopt.errors.MatrixOptError` raised inside the
@@ -84,17 +88,16 @@ def iterate(
     state: Any,
     step: Callable[[Any], Any],
     residual: Callable[[Any], float],
-    stop: Callable[[Any, float], str | None],
     max_iterations: int,
     *,
+    tol: float | None,
+    stop: Callable[[Any, float], str | None] | None = None,
     solution: Callable[[Any], np.ndarray],
     detail: dict,
 ) -> SolveReport:
-    """Apply ``step`` to ``state`` until ``stop`` returns a termination or
-    ``max_iterations`` steps are taken, as the module docstring describes.
-    ``solution(state)`` is the iterate the report returns; the step may
-    fill ``detail`` as it goes.
-    """
+    """Apply ``step`` to ``state`` until the module's stop order ends the
+    run or ``max_iterations`` steps are taken.  ``solution(state)`` is the
+    iterate the report returns; the step may fill ``detail`` as it goes."""
     if max_iterations < 0:
         raise ParameterError(f"iteration cap must be nonnegative, got {max_iterations}")
     start = time.perf_counter()
@@ -111,20 +114,26 @@ def iterate(
             detail=detail,
         )
 
-    try:
-        history.append(residual(state))
-        termination = stop(state, history[-1])
-        while termination is None and iterations < max_iterations:
-            try:
-                state = step(state)
-            except Stop as halt:
-                (termination,) = halt.args
-                break
-            iterations += 1
+    def ends(r: float) -> str | None:
+        if not np.isfinite(r):
+            return "diverged"
+        if stop is not None and (termination := stop(state, r)):
+            return termination
+        return "converged" if tol is not None and r <= tol else None
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             history.append(residual(state))
-            termination = stop(state, history[-1])
-    except MatrixOptError as exc:
-        if history:
-            exc.report = report("error")
-        raise
-    return report(termination or "max_iterations")
+            while (termination := ends(history[-1])) is None and iterations < max_iterations:
+                try:
+                    state = step(state)
+                except Stop as halt:
+                    (termination,) = halt.args
+                    break
+                iterations += 1
+                history.append(residual(state))
+        except MatrixOptError as exc:
+            if history:
+                exc.report = report("error")
+            raise
+        return report(termination or "max_iterations")

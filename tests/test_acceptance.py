@@ -30,6 +30,7 @@ from matrixopt.care_admm import (
     solve_care_admm,
 )
 from matrixopt.ccom import CcomConfig, solve_ccom
+from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm
 from matrixopt.newton_admm import (
     LyapAdmmState,
@@ -212,10 +213,11 @@ def test_criterion_04_table3(t3_ccom_run):
 
 def test_criterion_05_table7_ammonia():
     start = time.perf_counter()
-    report = solve_care_admm(
+    report = run_method(
+        "admm",
         ammonia_reactor(),
-        AdmmConfig(alpha=0.0465, beta=63.51, gamma=0.0428, tol=1e-8,
-                   max_iterations=20145),
+        {"alpha": 0.0465, "beta": 63.51, "gamma": 0.0428, "tol": 1e-8,
+         "max_iterations": 20145},
     )
     assert report.converged
     assert report.final_residual <= 1e-8

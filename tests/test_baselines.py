@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -289,6 +290,22 @@ class TestNewtonCare:
         report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-10, max_iterations=30))
         assert report.converged
         assert report.detail["certificate"]["asymmetry"] <= 1e-10
+
+    @pytest.mark.parametrize("a, n", [(1e-300, 1.0), (1e-308, 10.0)])
+    def test_overflowing_step_ends_diverged_quietly(self, a, n):
+        # The first step solves 2 a X + 1 = 0, so X = -1 / (2 a) and X N X
+        # overflows.  The next step's Lyapunov problem would not be
+        # finite, and at a = 1e-308 neither is the closed loop A - N X.
+        p = CareProblem(a=[[a]], n_mat=[[n]], k_mat=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_method("newton", p)
+        assert (report.termination, report.iterations) == ("diverged", 1)
+        assert report.residual_history == [1.0, np.inf]
+        assert report.solution[0, 0] == pytest.approx(-0.5 / a)
+        cert = report.detail["certificate"]
+        assert cert["residual"] == np.inf and cert["root"] is None
+        assert np.isnan(cert["closed_loop_max_real_eig"])
 
     def test_breakdown_carries_partial_report(self):
         p = CareProblem(a=[[0.0]], n_mat=[[0.0]], k_mat=[[1.0]])

@@ -18,6 +18,7 @@ from matrixopt.care_admm import (
     solve_care_admm,
 )
 from matrixopt.errors import AdmmBreakdownError, DimensionError
+from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import cholesky_solve, frobenius_norm, lu_solve, spd_factor, spd_solve
 from matrixopt.newton_admm import LyapAdmmState, NewtonAdmmConfig, solve_lyapunov_admm
 from matrixopt.problems import CareProblem, LyapunovProblem, ammonia_reactor, table_source
@@ -505,8 +506,8 @@ ADMM_PEAK_BLOCKS = 23
 def test_admm_peak_memory():
     n = 128
     p = table_source("t8", n).build()
-    cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, max_iterations=40)
-    report, peak = peak_blocks(lambda: solve_care_admm(p, cfg), n)
+    params = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "max_iterations": 40}
+    report, peak = peak_blocks(lambda: run_method("admm", p, params), n)
     assert report.iterations == 40
     assert round(peak) <= ADMM_PEAK_BLOCKS
 

@@ -1,11 +1,16 @@
 """The shared iteration driver: history, stop order, uncounted
-stops, and the partial report every solver attaches to a mid-run error."""
+stops, the partial report every solver attaches to a mid-run error, and
+the ``diverged`` ending every solver gets from a blow-up."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 import matrixopt.baselines as baselines
 import matrixopt.care_admm as care_admm
+import matrixopt.ccom as ccom
 import matrixopt.newton_admm as newton_admm
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.errors import (
@@ -15,8 +20,8 @@ from matrixopt.errors import (
     ParameterError,
     SingularMatrixError,
 )
-from matrixopt.harness.manifest import run_method
-from matrixopt.problems import CareProblem, SylvesterProblem, table_source
+from matrixopt.harness.manifest import METHODS, run_method
+from matrixopt.problems import CareProblem, LyapunovProblem, SylvesterProblem, table_source
 from matrixopt.report import Stop, iterate
 
 
@@ -35,8 +40,8 @@ def _count_down(start, max_iterations, stop_at=0.0, raise_at=None):
         start,
         step,
         lambda x: x,
-        lambda x, r: "converged" if r <= stop_at else None,
         max_iterations,
+        tol=stop_at,
         solution=lambda x: np.array([[x]]),
         detail={},
     )
@@ -66,7 +71,7 @@ class TestIterate:
     def test_negative_cap_raises_before_the_first_residual(self):
         residuals = []
         with pytest.raises(ParameterError, match="nonnegative"):
-            iterate(3.0, lambda x: x - 1.0, residuals.append, lambda x, r: None, -1,
+            iterate(3.0, lambda x: x - 1.0, residuals.append, -1, tol=None,
                     solution=lambda x: np.array([[x]]), detail={})
         assert residuals == []
 
@@ -87,7 +92,7 @@ class TestIterate:
             return x - 1.0
 
         with pytest.raises(SingularMatrixError) as err:
-            iterate(4.0, step, lambda x: x, lambda x, r: None, 10,
+            iterate(4.0, step, lambda x: x, 10, tol=None,
                     solution=lambda x: np.array([[x]]), detail=detail)
         report = err.value.report
         assert (report.iterations, report.termination) == (2, "error")
@@ -100,7 +105,7 @@ class TestIterate:
             raise SingularMatrixError("no residual")
 
         with pytest.raises(SingularMatrixError) as err:
-            iterate(1.0, lambda x: x, residual, lambda x, r: None, 5,
+            iterate(1.0, lambda x: x, residual, 5, tol=None,
                     solution=lambda x: np.array([[x]]), detail={})
         assert err.value.report is None
 
@@ -109,8 +114,84 @@ class TestIterate:
             raise KeyError("not a solver error")
 
         with pytest.raises(KeyError):
-            iterate(1.0, step, lambda x: x, lambda x, r: None, 5,
+            iterate(1.0, step, lambda x: x, 5, tol=None,
                     solution=lambda x: np.array([[x]]), detail={})
+
+
+def _run(residuals, max_iterations=10, tol=0.0, stop=None):
+    """Drive a counter through the given residual sequence, recording
+    every residual ``stop`` is asked about."""
+    asked = []
+
+    def asking(x, r):
+        asked.append(r)
+        return stop(x, r)
+
+    report = iterate(
+        0,
+        lambda k: k + 1,
+        lambda k: residuals[k],
+        max_iterations,
+        tol=tol,
+        stop=asking if stop is not None else None,
+        solution=lambda k: np.array([[float(k)]]),
+        detail={},
+    )
+    return report, asked
+
+
+class TestStopOrder:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_initial_residual_diverges_before_stop_is_asked(self, bad):
+        # -inf would pass ``r <= tol``, and the solver's rule would say
+        # stagnated: the blow-up outranks both.
+        report, asked = _run([bad], stop=lambda k, r: "stagnated")
+        assert (report.iterations, report.termination) == (0, "diverged")
+        assert asked == [] and len(report.residual_history) == 1
+        assert not math.isfinite(report.final_residual)
+        assert report.solution[0, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mid_run_residual_diverges_before_stop_is_asked(self, bad):
+        report, asked = _run([3.0, 2.0, bad, 0.0], stop=lambda k, r: None)
+        assert (report.iterations, report.termination) == (2, "diverged")
+        assert asked == [3.0, 2.0]
+        assert report.residual_history[:2] == [3.0, 2.0]
+        assert not math.isfinite(report.final_residual)
+        assert report.solution[0, 0] == 2.0
+
+    def test_stop_is_asked_before_the_tolerance(self):
+        report, asked = _run([3.0, 0.0], tol=1.0, stop=lambda k, r: "stagnated" if k else None)
+        assert (report.iterations, report.termination) == (1, "stagnated")
+        assert asked == [3.0, 0.0]
+
+    def test_a_stop_that_passes_leaves_the_tolerance_to_decide(self):
+        report, asked = _run([3.0, 2.0, 0.5], tol=1.0, stop=lambda k, r: None)
+        assert (report.iterations, report.termination) == (2, "converged")
+        assert asked == [3.0, 2.0, 0.5]
+
+    def test_no_tolerance_leaves_convergence_to_stop(self):
+        residuals = [3.0, 0.0, -1.0, -2.0]
+        report, _ = _run(residuals, max_iterations=3, tol=None)
+        assert (report.iterations, report.termination) == (3, "max_iterations")
+        report, asked = _run(
+            residuals, tol=None, stop=lambda k, r: "converged" if k == 2 else None
+        )
+        assert (report.iterations, report.termination) == (2, "converged")
+        assert asked == [3.0, 0.0, -1.0]
+
+    def test_a_blow_up_in_the_loop_raises_no_warning(self):
+        def residual(x):
+            return float(np.float64(x) * np.float64(1e300))
+
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = iterate(1.0, lambda x: x * 1e300, residual, 10, tol=1e-8,
+                             solution=lambda x: np.array([[x]]), detail={})
+        assert (report.iterations, report.termination) == (1, "diverged")
+        assert report.residual_history == [1e300, math.inf]
+        assert np.geterr() == before
 
 
 def _fail_on_call(monkeypatch, module, name, call, error):
@@ -192,3 +273,59 @@ def test_ccom_on_a_singular_operator_stops_before_its_first_step():
     assert (report.iterations, report.termination) == (0, "error")
     assert report.residual_history == [pytest.approx(np.sqrt(3.0))]
     assert report.detail["l21_history"] == []
+
+
+def _spoil_on_call(monkeypatch, owner, name, call):
+    """Make ``owner.name`` return an all-NaN result of its own shape on its
+    ``call``-th use: the kernel's output, and the iterate it feeds, are no
+    longer finite."""
+    original = getattr(owner, name)
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        count[0] += 1
+        return np.full_like(out, np.nan) if count[0] == call else out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+# (method, problem class) -> (problem, params, spoiled kernel, its call)
+NON_FINITE_CASES = {
+    ("ccom", SylvesterProblem): (_random3, {}, (ccom, "ccom_step", 1)),
+    ("dfp", SylvesterProblem): (T6, {}, (quasi_newton, "exact_step", 1)),
+    ("bfgs", SylvesterProblem): (T6, {}, (quasi_newton, "exact_step", 1)),
+    ("cg", SylvesterProblem): (T6, {}, (SylvesterProblem, "apply", 3)),
+    ("ar", SylvesterProblem): (T6, {}, (SylvesterProblem, "residual_matrix", 2)),
+    ("admm", CareProblem): (T8, T8_ADMM, (care_admm, "cholesky_solve", 3)),
+    ("admm", LyapunovProblem): (
+        lambda: LyapunovProblem(a=-np.eye(3), q=np.eye(3)), {}, (newton_admm, "spd_solve", 1),
+    ),
+    ("newton", CareProblem): (T8, {}, (baselines, "solve_lyapunov_direct", 2)),
+    # the second outer step's inner answer
+    ("newton-admm", CareProblem): (T8, {}, (newton_admm, "symmetrize", 2)),
+}
+
+
+def test_every_iterative_method_has_a_non_finite_case():
+    assert set(NON_FINITE_CASES) == {key for key in METHODS if key[0] != "direct"}
+
+
+@pytest.mark.parametrize(
+    "key", list(NON_FINITE_CASES), ids=lambda key: f"{key[0]}-{key[1].__name__}"
+)
+def test_a_non_finite_iterate_ends_diverged_quietly(key, monkeypatch):
+    method, _ = key
+    build, params, (owner, name, call) = NON_FINITE_CASES[key]
+    problem = build()
+    _spoil_on_call(monkeypatch, owner, name, call)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_method(method, problem, params)
+    assert report.termination == "diverged"
+    steps = report.detail["outer_iterations"] if method == "newton-admm" else report.iterations
+    assert steps >= 1 and len(report.residual_history) == steps + 1
+    assert np.isfinite(report.residual_history[:-1]).all()
+    assert not math.isfinite(report.final_residual)
+    shape = problem.shape if isinstance(problem, SylvesterProblem) else (problem.order,) * 2
+    assert report.solution.shape == shape

@@ -33,6 +33,15 @@ def _n128_rows(*tables):
     return RunManifest(suite="+".join(tables), rows=rows)
 
 
+@pytest.mark.parametrize("n", [128, 256])
+def test_t6_cg_rows_take_the_papers_steps(n):
+    (row,) = [r for r in paper_suite("t6") if r.method == "cg" and r.source.order == n]
+    assert row.params == {"tol": 1e-14}
+    report = run_method(row.method, row.source.build(), row.params)
+    assert report.converged and report.iterations == row.paper_iterations == 15
+    assert report.final_residual <= 1e-14
+
+
 class TestRegistry:
     def test_unknown_method(self):
         with pytest.raises(PreconditionError):

@@ -33,7 +33,7 @@ from matrixopt.linalg import (
     unvec,
     vec,
 )
-from matrixopt.problems import SylvesterProblem, gen_tridiagonal, paper_suite
+from matrixopt.problems import SylvesterProblem, gen_tridiagonal, table_source
 
 finite_entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -661,8 +661,8 @@ class TestSylvesterApply:
             assert np.isfinite([got[3, 0], got[3, 1], got[5, -1], got[5, -2]]).all()
 
 
-# t6 at n=256, recorded with dense products: the band form keeps every
-# count and termination.
+# t6 at n=256 at the solver defaults, recorded with dense products: the
+# band form keeps every count and termination.
 T6_N256 = {
     "dfp": (2, "converged", 3),
     "bfgs": (2, "converged", 3),
@@ -673,6 +673,5 @@ T6_N256 = {
 
 @pytest.mark.parametrize("method", sorted(T6_N256))
 def test_t6_n256_keeps_its_counts(method):
-    (row,) = [r for r in paper_suite("t6") if r.method == method and r.source.order == 256]
-    report = run_method(method, row.source.build(), row.params)
+    report = run_method(method, table_source("t6", 256).build(), {})
     assert (report.iterations, report.termination, len(report.residual_history)) == T6_N256[method]

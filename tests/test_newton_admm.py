@@ -12,6 +12,7 @@ from matrixopt.baselines import (
     solve_newton_care,
 )
 from matrixopt.errors import AdmmBreakdownError, DimensionError, PreconditionError
+from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm, symmetrize
 from matrixopt.newton_admm import (
     LyapAdmmState,
@@ -410,8 +411,8 @@ NEWTON_ADMM_PEAK_BLOCKS = 20
 def test_newton_admm_peak_memory():
     n = 128
     p = table_source("t9", n).build()
-    cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
-    report, peak = peak_blocks(lambda: solve_newton_admm(p, cfg=cfg), n)
+    params = {"alpha": 0.8, "beta": 53.5}
+    report, peak = peak_blocks(lambda: run_method("newton-admm", p, params), n)
     assert report.converged and report.iterations == 80
     assert round(peak) <= NEWTON_ADMM_PEAK_BLOCKS
 

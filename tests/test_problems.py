@@ -216,7 +216,7 @@ CATALOGUE_PINS = {
     "t3": (3, "c6883f93eafd3abddb665de617b3a32678027c3abdede81e81191a7a5d10836b"),
     "t4": (4, "5ffce20e686f7ec07453a3f24e3f61cb20ef6309c6d3ef401dad6f7c4d7050e8"),
     "t5": (18, "70f36b1e8b14d8f4cb61092f52128b2c7f070c1bfa6dcf3a5b812cef6f34a436"),
-    "t6": (24, "80b401b4a7539638d449a3ffcd52b09158189ab1af41f4cdeaf247eea3e118c8"),
+    "t6": (24, "f05068559587f827295f4a220ab93ce896bf7ba31bd0646d79130e5046f2cfe7"),
     "t7": (3, "34538b56f679a0e1f681fceaafe58f3961658fcb9377d09761755391dad8269f"),
     "t8": (18, "6f2e09c31f052195689c9bcd836fd6d65e3addb2cac84fb517b06c3b00a46a26"),
     "t9": (18, "e8e0fcbcbfc21e213c8bf2e11682d2e4e51e792bfc54d9a0f55a2b4f563ed2a5"),
