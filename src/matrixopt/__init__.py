@@ -17,7 +17,7 @@ from .care_admm import (
     lagrangian_value,
     solve_care_admm,
 )
-from .ccom import CcomConfig, ccom_step, l21_norm, reweight_diagonal, solve_ccom
+from .ccom import CcomConfig, ccom_step, solve_ccom
 from .mmio import read_matrix_market, write_matrix_market
 from .newton_admm import (
     LyapAdmmState,
@@ -81,13 +81,11 @@ __all__ = [
     "frechet_apply",
     "gen_tridiagonal",
     "kkt_residuals",
-    "l21_norm",
     "lagrangian_value",
     "lyap_admm_step",
     "lyapunov_residual",
     "paper_suite",
     "read_matrix_market",
-    "reweight_diagonal",
     "solve_anderson_richardson",
     "solve_care_admm",
     "solve_ccom",

@@ -15,11 +15,10 @@ the tests assert is specific to it.
 
 The sweep loop, :func:`sweep_until`, is the one both ADMM splittings of
 the package run on: this four-block one and the three-block Lyapunov
-splitting of :mod:`~matrixopt.newton_admm`.  It owns the ``detail`` keys
-the two share: the final ``state`` and, on request, the
-augmented-Lagrangian trace and per-sweep block changes.  It also owns
-its start state, so a running solve holds two generations of blocks:
-the state a sweep reads and the one it builds.
+splitting of :mod:`~matrixopt.newton_admm`.  It owns the ``detail`` key
+the two share, the final ``state``.  It also owns its start state, so a
+running solve holds two generations of blocks: the state a sweep reads
+and the one it builds.
 
 X is not kept symmetric during the iteration (the updates do not
 preserve symmetry); the report's ``certificate``
@@ -54,7 +53,6 @@ class AdmmConfig:
     gamma: float = 0.05
     tol: float = 1e-8
     max_iterations: int = 50_000
-    track_lagrangian: bool = False
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.alpha, self.beta, self.gamma)):
@@ -123,6 +121,14 @@ def _solve_spd(system: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise AdmmBreakdownError(f"{what} system is singular: {exc}") from exc
 
 
+def _finite(system: np.ndarray, what: str) -> np.ndarray:
+    """``system``, checked to be finite: a sweep system that overflowed
+    at set-up would leave every sweep stuck at its start."""
+    if not np.isfinite(system).all():
+        raise AdmmBreakdownError(f"{what} system is not finite")
+    return system
+
+
 @dataclass(frozen=True)
 class SweepConstants:
     """The parts of a sweep that depend only on the problem and the
@@ -130,9 +136,10 @@ class SweepConstants:
     Z-update system A A^T + beta I + gamma N N^T, solved from its
     Cholesky factor (its eigenvalues are at least beta, so a product
     with the inverse errs as a solve would).  The X system adds the
-    first two separately, in the order an unhoisted sweep does.  A Z
-    system that Cholesky rejects (possible only when beta I + gamma N N^T
-    is negligible against a singular A A^T) raises
+    first two separately, in the order an unhoisted sweep does.  A
+    constant system that is not finite (A A^T or N N^T overflowed), or a
+    Z system that Cholesky rejects (possible only when
+    beta I + gamma N N^T is negligible against a singular A A^T), raises
     :class:`AdmmBreakdownError` here, before any sweep."""
 
     al_aat: np.ndarray
@@ -145,11 +152,13 @@ class SweepConstants:
         a, n_mat = p.a, p.n_mat
         eye = np.eye(p.order)
         aat = a @ a.T
+        al_aat = _finite(cfg.alpha * aat, "X-update")
+        z_system = _finite(aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T), "Z-update")
         try:
-            z_factor = spd_factor(aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T))
+            z_factor = spd_factor(z_system)
         except NotPositiveDefiniteError as exc:
             raise AdmmBreakdownError(f"Z-update system not positive definite: {exc}") from exc
-        return cls(cfg.alpha * aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye))
+        return cls(al_aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye))
 
 
 def admm_step(
@@ -252,23 +261,8 @@ def lagrangian_value(p: CareProblem, s: AdmmState, cfg: AdmmConfig) -> float:
     )
 
 
-# numpy's error state for the diagnostics after a CARE-ADMM loop, whose
-# blow-up has already ended the run ``diverged``: no inf/NaN warnings.
-QUIET_BLOW_UP = {"invalid": "ignore", "over": "ignore"}
-
-
-def _block_deltas(s: _BlockState, s_new: _BlockState) -> dict:
-    """Squared change of each block, keyed ``d<block>2``."""
-    sq = lambda m: float(np.vdot(m, m))  # noqa: E731
-    return {
-        f"d{f.name.rstrip('_')}2": sq(getattr(s_new, f.name) - getattr(s, f.name))
-        for f in fields(s)
-    }
-
-
 def sweep_until(
-    start: list, sweep, residual, tol, max_iterations, *,
-    lagrangian=None, solution=lambda state: state.x,
+    start: list, sweep, residual, tol, max_iterations, *, solution=lambda state: state.x,
 ) -> SolveReport:
     """The sweep loop of both ADMM splittings: apply ``sweep`` for at most
     ``max_iterations`` sweeps, ended by :func:`~matrixopt.report.iterate`'s
@@ -277,23 +271,13 @@ def sweep_until(
     The loop owns its start state: ``start`` is a one-element list that
     it pops, and a caller keeps no other reference, so the start state
     dies with the first sweep.  ``detail`` keeps the last full ``state``
-    (for warm starts).  Given a ``lagrangian`` (state -> float) it also
-    carries that function's trace ``lagrangian_history`` and the squared
-    block changes ``block_deltas`` of every sweep, which the invariant
-    tests turn into the per-sweep decrease inequality.
+    (for warm starts).
     """
     detail: dict = {"state": start.pop()}
-    if lagrangian is not None:
-        detail["lagrangian_history"] = [lagrangian(detail["state"])]
-        detail["block_deltas"] = []
 
     def step(state):
-        new_state = sweep(state)
-        if lagrangian is not None:
-            detail["lagrangian_history"].append(lagrangian(new_state))
-            detail["block_deltas"].append(_block_deltas(state, new_state))
-        detail["state"] = new_state
-        return new_state
+        detail["state"] = sweep(state)
+        return detail["state"]
 
     report = iterate(
         detail["state"], step, residual, max_iterations,
@@ -313,15 +297,15 @@ def solve_care_admm(
     the Riccati residual of the X block drops below ``cfg.tol``.
 
     The history records the residual after every sweep, starting with the
-    initial residual.  With ``track_lagrangian`` the detail map carries
-    the augmented-Lagrangian trace and block changes of
-    :func:`sweep_until`; after the loop it gains the KKT residuals and
-    the ``certificate`` of :func:`~matrixopt.baselines.certify_care`.
+    initial residual.  After the loop the detail map gains the KKT
+    residuals, the augmented Lagrangian of the final state and the
+    ``certificate`` of :func:`~matrixopt.baselines.certify_care`, formed
+    with numpy's inf/NaN warnings off: a blow-up has already ended the
+    run ``diverged``.
     ``init`` must have finite n x n blocks; it is read, never written,
     and the solve keeps no reference to it.
     """
     cfg = cfg or AdmmConfig()
-    lagrangian = lambda state: lagrangian_value(p, state, cfg)  # noqa: E731
     const = SweepConstants.of(p, cfg)
     start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
     del init
@@ -331,10 +315,10 @@ def solve_care_admm(
         lambda state: care_residual(p, state.x, state.carried(p, "atx")),
         cfg.tol,
         cfg.max_iterations,
-        lagrangian=lagrangian if cfg.track_lagrangian else None,
     )
     state = report.detail["state"]
-    with np.errstate(**QUIET_BLOW_UP):
+    with np.errstate(invalid="ignore", over="ignore"):
         report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
+        report.detail["final_lagrangian"] = lagrangian_value(p, state, cfg)
         report.detail["certificate"] = certify_care(p, state.x, report.final_residual)
     return report

@@ -26,7 +26,8 @@ from .problems import SylvesterProblem
 from .report import SolveReport, iterate
 
 
-# Smallest group norm a reweighting divides by.
+# Smallest group norm a reweighting divides by, so that a zero group
+# gets a large finite weight, not an infinite one.
 ROW_NORM_FLOOR = 1e-12
 
 
@@ -43,37 +44,17 @@ class CcomConfig:
             raise ValueError("group_rows must be a positive integer")
 
 
-def l21_norm(m: np.ndarray) -> float:
-    """Sum over rows of the row's Euclidean norm."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    return float(np.sqrt((m * m).sum(axis=1)).sum())
-
-
-def reweight_diagonal(x: np.ndarray, floor: float) -> np.ndarray:
-    """Diagonal D with d_ii = 1 / (2 * max(||row i of x||_2, floor)).
-
-    The floor keeps zero rows from making the weighted step divide by
-    zero; it is the standard reweighted-least-squares safeguard.
-    """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    norms = np.maximum(np.sqrt((x * x).sum(axis=1)), floor)
-    return np.diag(1.0 / (2.0 * norms))
-
-
 def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Weighted least-norm feasible point x = D^{-1} M^T (M D^{-1} M^T)^{-1} c.
 
-    ``d`` is the positive diagonal weight matrix.  The inner system is
-    symmetric positive definite whenever M has full row rank, so it is
-    Cholesky-solved with an LU fallback; rank deficiency surfaces as a
-    singular-matrix error.
+    ``d`` is the positive diagonal of D, a 1-D array.  The inner system
+    is symmetric positive definite whenever M has full row rank, so it
+    is Cholesky-solved with an LU fallback; rank deficiency surfaces as
+    a singular-matrix error.
     """
-    d_diag = np.diag(d) if d.ndim == 2 else np.asarray(d, dtype=np.float64)
-    if np.any(d_diag <= 0):
+    if np.any(d <= 0):
         raise ValueError("weight diagonal must be positive")
-    d_inv = 1.0 / d_diag
+    d_inv = 1.0 / d
     # M D^{-1} M^T built by scaling columns of M.
     md_inv = m_sys * d_inv[np.newaxis, :]
     gram = md_inv @ m_sys.T

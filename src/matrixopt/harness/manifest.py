@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from ..problems import (
     paper_suite,
 )
 from ..quasi_newton import QnConfig, solve_quasi_newton
-from ..report import SolveReport
+from ..report import SolveReport, iterate
 
 CSV_COLUMNS = (
     "algorithm",
@@ -80,20 +81,18 @@ def _keys(*same: str, **renamed: str) -> dict[str, str]:
 
 
 def _direct(solve, residual):
-    """An exact solve reported as a converged zero-iteration run."""
+    """An exact solve reported as a zero-iteration run of the driver at an
+    infinite tolerance: ``converged`` when its residual is finite,
+    ``diverged`` when it is not.  The wall time covers the solve."""
 
     def run(problem, _cfg) -> SolveReport:
         start = time.perf_counter()
-        x = solve(problem)
-        r = residual(problem, x)
-        return SolveReport(
-            solution=x,
-            iterations=0,
-            residual_history=[r],
-            wall_time_seconds=time.perf_counter() - start,
-            termination="converged",
-            detail={"direct": True},
+        report = iterate(
+            solve(problem), None, lambda x: residual(problem, x), 0,
+            tol=math.inf, solution=lambda x: x, detail={"direct": True},
         )
+        report.wall_time_seconds = time.perf_counter() - start
+        return report
 
     return run
 

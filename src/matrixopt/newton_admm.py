@@ -18,8 +18,8 @@ solves, on the sweep loop CARE-ADMM runs on
 (alpha A A^T + beta I and A A^T + beta I) are constant within one
 Lyapunov problem, so each is inverted once per inner solve and every
 inner sweep applies the two inverses by products.  The inner solver
-reads its sweep cap (``inner_max``), its Lagrangian trace switch and
-its default tolerance (``outer_tol``) from :class:`NewtonAdmmConfig` alone.
+reads its sweep cap (``inner_max``) and its default tolerance
+(``outer_tol``) from :class:`NewtonAdmmConfig` alone.
 
 The inner solves are inexact: each one runs to the tolerance
 max(inner_tol_value ||R(X_k)||_F, outer_tol / 10), proportional to the
@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .baselines import care_residual, newton_iteration
-from .care_admm import _augmented_lagrangian, _BlockState, sweep_until
+from .care_admm import _augmented_lagrangian, _BlockState, _finite, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
@@ -51,7 +51,6 @@ class NewtonAdmmConfig:
     outer_max: int = 50
     inner_tol_value: float = 0.1
     inner_max: int = 5000
-    track_inner_lagrangian: bool = False
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.alpha, self.beta)):
@@ -95,12 +94,13 @@ def frechet_apply(p: CareProblem, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
     """Inverses of the two constant sweep systems, each solved from its
     Cholesky factor; their eigenvalues are at least beta, so a product
-    with an inverse errs as a solve would."""
+    with an inverse errs as a solve would.  A system that is not finite
+    (A A^T overflowed) raises :class:`AdmmBreakdownError`."""
     aat = p.a @ p.a.T
     eye = np.eye(p.order)
     try:
-        fx = spd_factor(cfg.alpha * aat + cfg.beta * eye)
-        fz = spd_factor(aat + cfg.beta * eye)
+        fx = spd_factor(_finite(cfg.alpha * aat + cfg.beta * eye, "X-update"))
+        fz = spd_factor(_finite(aat + cfg.beta * eye, "Z-update"))
     except NotPositiveDefiniteError as exc:  # impossible for alpha, beta > 0
         raise AdmmBreakdownError(f"sweep system not positive definite: {exc}") from exc
     return spd_solve(fx, eye), spd_solve(fz, eye)
@@ -149,7 +149,7 @@ def solve_lyapunov_admm(
 ) -> SolveReport:
     """Sweep the three-block ADMM until ||A^T X + X A + Q||_F <= tol
     (``cfg.outer_tol`` when not given), for at most ``cfg.inner_max``
-    sweeps; ``cfg.track_inner_lagrangian`` turns on the Lagrangian trace.
+    sweeps.
 
     The reported solution is symmetrized; ``detail["state"]`` keeps the
     full final state, raw X block included (for warm starts).  ``init``
@@ -157,7 +157,6 @@ def solve_lyapunov_admm(
     solve keeps no reference to it.
     """
     cfg = cfg or NewtonAdmmConfig()
-    lagrangian = lambda state: lyap_lagrangian_value(p, state, cfg)  # noqa: E731
     inverses = _factors(p, cfg)
     start = [init.checked(p.order) if init is not None else LyapAdmmState.zero(p.order)]
     del init
@@ -167,7 +166,6 @@ def solve_lyapunov_admm(
         lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
         cfg.outer_tol if tol is None else tol,
         cfg.inner_max,
-        lagrangian=lagrangian if cfg.track_inner_lagrangian else None,
         solution=lambda state: symmetrize(state.x),
     )
 
@@ -200,8 +198,6 @@ def solve_newton_admm(
         "inner_tolerances": [],
         "inner_final_residuals": [],
     }
-    if cfg.track_inner_lagrangian:
-        detail["inner_lagrangian_traces"] = []
 
     def residual(x):
         outer.residual = care_residual(p, x)
@@ -218,10 +214,6 @@ def solve_newton_admm(
         detail["inner_iterations_per_outer"].append(inner.iterations)
         detail["inner_tolerances"].append(inner_tol)
         detail["inner_final_residuals"].append(inner.final_residual)
-        if cfg.track_inner_lagrangian:
-            detail["inner_lagrangian_traces"].append(
-                {key: inner.detail[key] for key in ("lagrangian_history", "block_deltas")}
-            )
         outer.inner.append(inner.detail["state"])
         if inner.termination == "max_iterations":
             outer.capped_streak += 1

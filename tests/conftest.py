@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import matrixopt.care_admm as care_admm
+import matrixopt.newton_admm as newton_admm
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.linalg import frobenius_norm
 from matrixopt.problems import SylvesterProblem
@@ -83,6 +87,58 @@ def assert_secant_and_symmetry(updates):
     for d, y, model in updates:
         assert frobenius_norm(model @ y - d) <= 1e-8 * (1.0 + frobenius_norm(d))
         assert frobenius_norm(model - model.T) <= 1e-10 * max(1.0, frobenius_norm(model))
+
+
+@contextlib.contextmanager
+def recorded_sweeps():
+    """Inside the block, ``care_admm.admm_step`` and
+    ``newton_admm.lyap_admm_step`` are wrapped; the yielded list gains
+    one ``(problem, state in, state out)`` per sweep, in order.  The
+    solvers read the sweep through its module global, so the wrapper
+    sees every sweep.  It keeps references: a sweep writes no block of
+    the state it reads."""
+    records = []
+
+    def recording(sweep):
+        def recorded(p, s, *args):
+            new = sweep(p, s, *args)
+            records.append((p, s, new))
+            return new
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((care_admm, "admm_step"), (newton_admm, "lyap_admm_step")):
+            patch.setattr(module, name, recording(getattr(module, name)))
+        yield records
+
+
+@pytest.fixture
+def sweep_records():
+    """The sweeps the test runs, as :func:`recorded_sweeps` records them."""
+    with recorded_sweeps() as records:
+        yield records
+
+
+def by_problem(records):
+    """Recorded sweeps split into runs of consecutive sweeps on one
+    problem object: one run per inner Lyapunov solve of Newton-ADMM."""
+    runs = []
+    for record in records:
+        if runs and runs[-1][-1][0] is record[0]:
+            runs[-1].append(record)
+        else:
+            runs.append([record])
+    return runs
+
+
+def block_deltas(s, s_new) -> dict:
+    """Squared change of each block over one sweep, keyed ``d<block>2``."""
+    deltas = {}
+    for f in dataclasses.fields(s):
+        change = getattr(s_new, f.name) - getattr(s, f.name)
+        deltas[f"d{f.name.rstrip('_')}2"] = float(np.vdot(change, change))
+    return deltas
 
 
 @pytest.fixture

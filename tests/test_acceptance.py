@@ -13,8 +13,11 @@ import pytest
 
 from conftest import (
     assert_secant_and_symmetry,
+    block_deltas,
+    by_problem,
     central_difference_gradient,
     random_sylvester,
+    recorded_sweeps,
     recorded_updates,
 )
 from matrixopt.baselines import (
@@ -27,6 +30,7 @@ from matrixopt.care_admm import (
     AdmmConfig,
     AdmmState,
     admm_step,
+    lagrangian_value,
     solve_care_admm,
 )
 from matrixopt.ccom import CcomConfig, solve_ccom
@@ -37,6 +41,7 @@ from matrixopt.newton_admm import (
     NewtonAdmmConfig,
     frechet_apply,
     lyap_admm_step,
+    lyap_lagrangian_value,
     solve_newton_admm,
 )
 from matrixopt.oracle import solve_kronecker_direct
@@ -126,14 +131,12 @@ def t8_admm_runs():
     params = dict(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-8)
     start = time.perf_counter()
     runs = {}
-    runs[16] = solve_care_admm(
-        table_source("t8", 16).build(),
-        AdmmConfig(**params, track_lagrangian=True),
-    )
+    with recorded_sweeps() as sweeps:
+        runs[16] = solve_care_admm(table_source("t8", 16).build(), AdmmConfig(**params))
     runs[32] = solve_care_admm(
         table_source("t8", 32).build(), AdmmConfig(**params)
     )
-    return runs, time.perf_counter() - start
+    return runs, time.perf_counter() - start, sweeps
 
 
 @pytest.fixture(scope="module")
@@ -142,15 +145,10 @@ def newton_admm_runs():
     start = time.perf_counter()
     for table, beta, n in (("t9", 53.5, 16), ("t10", 45.0, 16)):
         p = table_source(table, n).build()
-        cfg = NewtonAdmmConfig(
-            alpha=0.8,
-            beta=beta,
-            outer_tol=1e-9,
-            track_inner_lagrangian=True,
-        )
-        with warnings.catch_warnings():
+        cfg = NewtonAdmmConfig(alpha=0.8, beta=beta, outer_tol=1e-9)
+        with warnings.catch_warnings(), recorded_sweeps() as sweeps:
             warnings.simplefilter("ignore")  # t8/t9 plants are open-loop unstable
-            runs[table] = (solve_newton_admm(p, cfg=cfg), cfg)
+            runs[table] = (solve_newton_admm(p, cfg=cfg), cfg, sweeps)
     return runs, time.perf_counter() - start
 
 
@@ -228,7 +226,7 @@ def test_criterion_05_table7_ammonia():
 
 
 def test_criterion_06_table8_scaled(t8_admm_runs):
-    t8_admm_runs, elapsed = t8_admm_runs
+    t8_admm_runs, elapsed, _ = t8_admm_runs
     budgets = {16: 3 * 563, 32: 3 * 602}
     for n, report in t8_admm_runs.items():
         assert report.converged
@@ -252,7 +250,7 @@ def test_criterion_07_tables9_10_scaled(newton_admm_runs):
     newton_admm_runs, elapsed = newton_admm_runs
     assert elapsed < 60.0
     budgets = {"t9": 3 * 448, "t10": 3 * 373}
-    for table, (report, _cfg) in newton_admm_runs.items():
+    for table, (report, _cfg, _sweeps) in newton_admm_runs.items():
         assert report.converged, table
         assert report.final_residual <= 1e-8, table
         assert report.final_residual <= 1e-9, (table, report.final_residual)
@@ -272,14 +270,14 @@ def test_criterion_08_group_norm_monotone(random_problem_runs, t3_ccom_run):
     # square nonsingular systems finish in one sweep (a single history
     # entry); an underdetermined instance is added so the monotone
     # decrease is audited across a genuinely multi-sweep trajectory
-    from matrixopt.ccom import ccom_step, reweight_diagonal
+    from matrixopt.ccom import ROW_NORM_FLOOR, ccom_step
 
     m_sys = np.array([[1.0, 2.0, -1.0]])
     c_vec = np.array([[2.0]])
-    x = ccom_step(m_sys, c_vec, np.eye(3))
+    x = ccom_step(m_sys, c_vec, np.ones(3))
     multi = [float(np.abs(x).sum())]
     for _ in range(40):
-        x = ccom_step(m_sys, c_vec, np.diag(reweight_diagonal(x, 1e-12)))
+        x = ccom_step(m_sys, c_vec, 1.0 / (2.0 * np.maximum(np.abs(x.ravel()), ROW_NORM_FLOOR)))
         multi.append(float(np.abs(x).sum()))
     histories.append(multi)
     for history in histories:
@@ -294,35 +292,36 @@ def test_criterion_08_group_norm_monotone(random_problem_runs, t3_ccom_run):
 
 
 def test_criterion_09_decrease_inequality(t8_admm_runs, newton_admm_runs):
-    t8_admm_runs = t8_admm_runs[0]
+    sweeps = t8_admm_runs[2]
     newton_admm_runs = newton_admm_runs[0]
-    report = t8_admm_runs[16]
     cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014)
-    lag = report.detail["lagrangian_history"]
-    deltas = report.detail["block_deltas"]
     checked = 0
-    for k in range(min(500, len(deltas))):
-        d = deltas[k]
+    for k, (p, s, s_new) in enumerate(sweeps[:500]):
+        d = block_deltas(s, s_new)
         rhs = (
             cfg.beta / 2 * d["dx2"] + cfg.alpha / 2 * d["dy2"]
             + cfg.beta / 2 * d["dz2"] + cfg.gamma / 2 * d["dw2"]
             - d["dlambda2"] / cfg.alpha - d["dpi2"] / cfg.beta
             - d["dgamma2"] / cfg.gamma
         )
-        assert lag[k] - lag[k + 1] >= rhs - 1e-8, k
+        assert lagrangian_value(p, s, cfg) - lagrangian_value(p, s_new, cfg) >= rhs - 1e-8, k
         checked += 1
 
     inner_checked = 0
-    for table, (na_report, na_cfg) in newton_admm_runs.items():
-        for trace in na_report.detail["inner_lagrangian_traces"]:
-            ilag = trace["lagrangian_history"]
-            for k, d in enumerate(trace["block_deltas"]):
+    for table, (_, na_cfg, na_sweeps) in newton_admm_runs.items():
+        # one run of sweeps per inner Lyapunov solve
+        for inner in by_problem(na_sweeps):
+            for k, (lp, s, s_new) in enumerate(inner):
+                d = block_deltas(s, s_new)
                 rhs = (
                     na_cfg.beta / 2 * d["dx2"] + na_cfg.alpha / 2 * d["dy2"]
                     + na_cfg.beta / 2 * d["dz2"]
                     - d["dlambda2"] / na_cfg.alpha - d["dpi2"] / na_cfg.beta
                 )
-                assert ilag[k] - ilag[k + 1] >= rhs - 1e-8, (table, k)
+                drop = (
+                    lyap_lagrangian_value(lp, s, na_cfg) - lyap_lagrangian_value(lp, s_new, na_cfg)
+                )
+                assert drop >= rhs - 1e-8, (table, k)
                 inner_checked += 1
     _pass(9, f"sweep decrease inequality held for {checked} four-block steps "
              f"and {inner_checked} three-block inner steps (0 violations)")

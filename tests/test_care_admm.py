@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -5,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import peak_blocks
+from conftest import block_deltas, peak_blocks, recorded_sweeps
 from matrixopt import care_admm, newton_admm
 from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.care_admm import (
@@ -217,6 +218,34 @@ class TestSolveSpd:
         assert err.value.report is None
 
 
+@pytest.mark.parametrize(
+    "method, problem, params",
+    [
+        ("admm", CareProblem(a=[[1e200]], n_mat=[[1.0]], k_mat=[[1.0]]),
+         {"alpha": 1, "beta": 1, "gamma": 1, "max_iterations": 5}),
+        ("admm", LyapunovProblem(a=[[1e200]], q=[[1.0]]), {"max_iterations": 5}),
+        ("newton-admm", CareProblem(a=[[1e200]], n_mat=[[1.0]], k_mat=[[1.0]]), {}),
+    ],
+    ids=["care-admm", "lyapunov-admm", "newton-admm"],
+)
+def test_overflowing_set_up_is_a_breakdown(method, problem, params):
+    # A A^T overflows, so the sweep systems are infinite: the set-up
+    # raises before any sweep, where sweeps would leave X stuck at 0.
+    # numpy warns of the overflow once, unless the set-up runs inside a
+    # driver loop: newton-admm's, which also attaches its partial report.
+    in_loop = method == "newton-admm"
+    with contextlib.nullcontext() if in_loop else pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(AdmmBreakdownError, match="X-update system is not finite") as err:
+            run_method(method, problem, params)
+    if in_loop:
+        report = err.value.report
+        assert (report.termination, report.iterations, report.residual_history) == (
+            "error", 0, [1.0]
+        )
+    else:
+        assert err.value.report is None
+
+
 def _replace(s: AdmmState, block: str, value: np.ndarray) -> AdmmState:
     blocks = {
         "x": s.x, "y": s.y, "z": s.z, "w": s.w,
@@ -290,20 +319,20 @@ class TestSolveCareAdmm:
         assert report.converged
         assert report.solution[0, 0] == pytest.approx(0.1354066, abs=1e-6)
 
-    def test_decrease_inequality(self, rng):
+    def test_decrease_inequality(self, rng, sweep_records):
         p = random_care(rng)
-        cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1, tol=1e-8,
-                         max_iterations=300, track_lagrangian=True)
+        cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1, tol=1e-8, max_iterations=300)
         report = solve_care_admm(p, cfg)
-        lag = report.detail["lagrangian_history"]
-        for k, d in enumerate(report.detail["block_deltas"]):
+        assert len(sweep_records) == report.iterations > 0
+        for k, (_, s, s_new) in enumerate(sweep_records):
+            d = block_deltas(s, s_new)
             rhs = (
                 cfg.beta / 2 * d["dx2"] + cfg.alpha / 2 * d["dy2"]
                 + cfg.beta / 2 * d["dz2"] + cfg.gamma / 2 * d["dw2"]
                 - d["dlambda2"] / cfg.alpha - d["dpi2"] / cfg.beta
                 - d["dgamma2"] / cfg.gamma
             )
-            assert lag[k] - lag[k + 1] >= rhs - 1e-8
+            assert lagrangian_value(p, s, cfg) - lagrangian_value(p, s_new, cfg) >= rhs - 1e-8, k
 
     def test_feasibility_gaps_at_convergence(self):
         p = scalar_problem()
@@ -335,39 +364,44 @@ class TestSolveCareAdmm:
 
     def test_diagnostics_present(self):
         p = scalar_problem()
-        report = solve_care_admm(p, AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01))
-        assert "final_kkt_residuals" in report.detail
+        cfg = AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01)
+        report = solve_care_admm(p, cfg)
+        assert set(report.detail) == {
+            "state", "final_kkt_residuals", "final_lagrangian", "certificate"
+        }
+        state = report.detail["state"]
+        assert report.detail["final_lagrangian"] == lagrangian_value(p, state, cfg)
         cert = report.detail["certificate"]
         assert cert["asymmetry"] == 0.0  # a 1 x 1 X is symmetric
         # scalar stabilizing solution: a - n x < 0
         assert cert["closed_loop_max_real_eig"] < 0 and cert["root"] == "stabilizing"
 
 
-def _care_run(track):
+def _care_run():
     return solve_care_admm(
-        scalar_problem(),
-        AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01, max_iterations=40, track_lagrangian=track),
+        scalar_problem(), AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01, max_iterations=40)
     )
 
 
-def _lyapunov_run(track):
+def _lyapunov_run():
     p = LyapunovProblem(a=[[-2.0, 1.0], [0.0, -3.0]], q=np.eye(2))
-    return solve_lyapunov_admm(
-        p, NewtonAdmmConfig(alpha=1.0, beta=2.0, inner_max=40, track_inner_lagrangian=track)
-    )
+    return solve_lyapunov_admm(p, NewtonAdmmConfig(alpha=1.0, beta=2.0, inner_max=40))
 
 
 @pytest.mark.parametrize("run", [_care_run, _lyapunov_run], ids=["care", "lyapunov"])
 def test_both_splittings_share_the_loop_record(run):
-    plain, tracked = run(False), run(True)
-    for report in (plain, tracked):
+    plain = run()
+    with recorded_sweeps() as records:
+        recorded = run()
+    for report in (plain, recorded):
         assert report.iterations > 0
         assert "state" in report.detail and "asymmetry" not in report.detail
-    assert "lagrangian_history" not in plain.detail and "block_deltas" not in plain.detail
-    assert len(tracked.detail["lagrangian_history"]) == tracked.iterations + 1
-    assert len(tracked.detail["block_deltas"]) == tracked.iterations
-    # the trace only observes: the run itself is the same
-    assert tracked.residual_history == plain.residual_history
+    # one record per sweep, each sweep reading the state the last one made
+    assert len(records) == recorded.iterations
+    assert all(before[2] is after[1] for before, after in zip(records, records[1:]))
+    assert records[-1][2] is recorded.detail["state"]
+    # recording only observes: the run itself is the same
+    assert recorded.residual_history == plain.residual_history
 
 
 T8_16 = table_source("t8", 16).build()
@@ -382,13 +416,12 @@ BLOCK_NAMES = {
 }
 
 
-def _sweeps(splitting, sweeps, init=None, track=False):
+def _sweeps(splitting, sweeps, init=None):
     """``sweeps`` sweeps of one splitting, none of them stopped by the tolerance."""
     if splitting == "care":
-        cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300, max_iterations=sweeps,
-                         track_lagrangian=track)
+        cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300, max_iterations=sweeps)
         return solve_care_admm(T8_16, cfg, init=init)
-    cfg = NewtonAdmmConfig(inner_max=sweeps, track_inner_lagrangian=track)
+    cfg = NewtonAdmmConfig(inner_max=sweeps)
     return solve_lyapunov_admm(LYAP_8, cfg, init=init, tol=1e-300)
 
 
@@ -423,10 +456,10 @@ class TestSweepLoop:
                 getattr(rest.detail["state"], f.name), getattr(whole.detail["state"], f.name)
             ), f.name
 
-    def test_block_deltas_name_the_blocks_only(self, splitting):
-        report = _sweeps(splitting, 5, track=True)
+    def test_block_deltas_name_the_blocks_only(self, splitting, sweep_records):
+        report = _sweeps(splitting, 5)
         names = {f"d{name.rstrip('_')}2" for name in BLOCK_NAMES[splitting]}
-        assert [set(d) for d in report.detail["block_deltas"]] == [names] * 5
+        assert [set(block_deltas(s, new)) for _, s, new in sweep_records] == [names] * 5
         assert {f.name for f in fields(report.detail["state"])} == BLOCK_NAMES[splitting]
 
     def test_blow_up_ends_diverged(self, splitting, monkeypatch):
@@ -448,6 +481,7 @@ class TestSweepLoop:
         assert (report.termination, report.iterations) == ("diverged", 5)
         if splitting == "care":
             assert not np.isfinite(report.detail["final_kkt_residuals"]).any()
+            assert not np.isfinite(report.detail["final_lagrangian"])
             cert = report.detail["certificate"]
             assert np.isnan(cert["closed_loop_max_real_eig"]) and cert["root"] is None
 

@@ -4,71 +4,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sylvester
-from matrixopt.ccom import (
-    CcomConfig,
-    ccom_step,
-    l21_norm,
-    reweight_diagonal,
-    solve_ccom,
-)
+import matrixopt.ccom as ccom
+from matrixopt.ccom import ROW_NORM_FLOOR, CcomConfig, ccom_step, solve_ccom
 from matrixopt.errors import SingularMatrixError
 from matrixopt.linalg import frobenius_norm
 from matrixopt.oracle import solve_kronecker_direct
-from matrixopt.problems import SylvesterProblem, gen_tridiagonal
-
-
-class TestL21Norm:
-    def test_identity(self):
-        assert l21_norm(np.eye(2)) == pytest.approx(2.0)
-
-    def test_pythagorean_row(self):
-        assert l21_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
-
-    def test_column_vector_is_l1(self):
-        assert l21_norm(np.array([[1.0], [-2.0], [2.0]])) == pytest.approx(5.0)
-
-
-class TestReweightDiagonal:
-    def test_unit_rows(self):
-        d = reweight_diagonal(np.eye(2), floor=1e-12)
-        np.testing.assert_allclose(d, np.diag([0.5, 0.5]))
-
-    def test_zero_row_hits_floor(self):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])
-        d = reweight_diagonal(x, floor=1e-12)
-        assert d[1, 1] == pytest.approx(1.0 / (2.0 * 1e-12))
-
-    def test_scaled_row(self):
-        d = reweight_diagonal(np.array([[2.0, 0.0], [0.0, 0.0]]), floor=1e-12)
-        assert d[0, 0] == pytest.approx(0.25)
-
-    def test_floor_positive(self):
-        with pytest.raises(ValueError):
-            reweight_diagonal(np.eye(2), floor=0.0)
+from matrixopt.problems import SylvesterProblem, gen_tridiagonal, table_source
 
 
 class TestCcomStep:
     def test_square_identity_system(self):
         c = np.array([[3.0], [4.0]])
-        x = ccom_step(np.eye(2), c, np.diag([2.0, 3.0]))
+        x = ccom_step(np.eye(2), c, np.array([2.0, 3.0]))
         np.testing.assert_allclose(x, c, atol=1e-12)
 
     def test_minimum_norm_solution(self):
         # x = M^T (M M^T)^{-1} c for unit weights: (0.4, 0.8)
         m = np.array([[1.0, 2.0]])
-        x = ccom_step(m, np.array([[2.0]]), np.eye(2))
+        x = ccom_step(m, np.array([[2.0]]), np.ones(2))
         np.testing.assert_allclose(x.ravel(), [0.4, 0.8], atol=1e-12)
+
+    def test_weighted_step_is_the_closed_form(self, rng):
+        m = rng.standard_normal((2, 5))
+        c = rng.standard_normal((2, 1))
+        d = rng.uniform(0.5, 2.0, 5)
+        d_inv = np.diag(1.0 / d)
+        expected = d_inv @ m.T @ np.linalg.solve(m @ d_inv @ m.T, c)
+        np.testing.assert_allclose(ccom_step(m, c, d), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_weight_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            ccom_step(np.eye(2), np.ones((2, 1)), np.array([1.0, bad]))
 
     def test_duplicate_rows_singular(self):
         m = np.array([[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(SingularMatrixError):
-            ccom_step(m, np.array([[2.0], [2.0]]), np.eye(2))
+            ccom_step(m, np.array([[2.0], [2.0]]), np.ones(2))
 
     def test_feasibility(self, rng):
         for _ in range(5):
             m = rng.standard_normal((3, 6))
             c = rng.standard_normal((3, 1))
-            d = np.diag(rng.uniform(0.5, 2.0, 6))
+            d = rng.uniform(0.5, 2.0, 6)
             x = ccom_step(m, c, d)
             assert np.linalg.norm(m @ x - c) <= 1e-8 * (1.0 + np.linalg.norm(c))
 
@@ -110,6 +88,29 @@ class TestSolveCcom:
         assert report.termination == "max_iterations"
         assert report.iterations == 2
 
+    def test_zero_entries_get_floored_finite_weights(self, monkeypatch):
+        # t3's A and B are diagonal, so X is diagonal and 90 of its 100
+        # entries are zero.  This right-hand side leaves a rounding-level
+        # residual, so steps past the first run on the floored weights.
+        t3 = table_source("t3", 10).build()
+        p = SylvesterProblem(a=t3.a, b=t3.b, c=np.diag(np.arange(1.0, 11.0) / 7.0))
+        weights, step = [], ccom.ccom_step
+
+        def recording(m, c, d):
+            weights.append(d)
+            return step(m, c, d)
+
+        monkeypatch.setattr(ccom, "ccom_step", recording)
+        report = solve_ccom(p, CcomConfig(epsilon=1e-300, max_iterations=5))
+        assert report.iterations == len(weights) == 5
+        assert np.count_nonzero(report.solution) == 10
+        for d in weights[1:]:
+            assert np.isfinite(d).all()
+            assert np.count_nonzero(d == 1.0 / (2.0 * ROW_NORM_FLOOR)) == 90
+        l21 = report.detail["l21_history"]
+        for prev, cur in zip(l21, l21[1:]):
+            assert cur <= prev + 1e-10
+
     def test_history_invariant(self, rng):
         p = random_sylvester(rng, 3, 4)
         report = solve_ccom(p)
@@ -123,11 +124,10 @@ class TestL1Analog:
         # (0, 1); the reweighted iteration drives the iterates there.
         m = np.array([[1.0, 2.0]])
         c = np.array([[2.0]])
-        x = ccom_step(m, c, np.eye(2))
+        x = ccom_step(m, c, np.ones(2))
         objective = [float(np.abs(x).sum())]
         for _ in range(60):
-            weights = np.diag(reweight_diagonal(x, floor=1e-12))
-            x = ccom_step(m, c, weights)
+            x = ccom_step(m, c, 1.0 / (2.0 * np.maximum(np.abs(x.ravel()), ROW_NORM_FLOOR)))
             objective.append(float(np.abs(x).sum()))
         np.testing.assert_allclose(x.ravel(), [0.0, 1.0], atol=1e-4)
         for prev, cur in zip(objective, objective[1:]):

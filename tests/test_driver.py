@@ -290,7 +290,8 @@ def _spoil_on_call(monkeypatch, owner, name, call):
     monkeypatch.setattr(owner, name, wrapped)
 
 
-# (method, problem class) -> (problem, params, spoiled kernel, its call)
+# (method, problem class) -> (problem, params, spoiled kernel and its
+# call, or None where the problem itself overflows)
 NON_FINITE_CASES = {
     ("ccom", SylvesterProblem): (_random3, {}, (ccom, "ccom_step", 1)),
     ("dfp", SylvesterProblem): (T6, {}, (quasi_newton, "exact_step", 1)),
@@ -304,11 +305,18 @@ NON_FINITE_CASES = {
     ("newton", CareProblem): (T8, {}, (baselines, "solve_lyapunov_direct", 2)),
     # the second outer step's inner answer
     ("newton-admm", CareProblem): (T8, {}, (newton_admm, "symmetrize", 2)),
+    # exact answers of about 1e600
+    ("direct", SylvesterProblem): (
+        lambda: SylvesterProblem(a=[[1e-300]], b=[[1e-300]], c=[[1e300]]), {}, None,
+    ),
+    ("direct", LyapunovProblem): (
+        lambda: LyapunovProblem(a=[[-1e-300]], q=[[1e300]]), {}, None,
+    ),
 }
 
 
-def test_every_iterative_method_has_a_non_finite_case():
-    assert set(NON_FINITE_CASES) == {key for key in METHODS if key[0] != "direct"}
+def test_every_method_has_a_non_finite_case():
+    assert set(NON_FINITE_CASES) == set(METHODS)
 
 
 @pytest.mark.parametrize(
@@ -316,15 +324,17 @@ def test_every_iterative_method_has_a_non_finite_case():
 )
 def test_a_non_finite_iterate_ends_diverged_quietly(key, monkeypatch):
     method, _ = key
-    build, params, (owner, name, call) = NON_FINITE_CASES[key]
+    build, params, spoil = NON_FINITE_CASES[key]
     problem = build()
-    _spoil_on_call(monkeypatch, owner, name, call)
+    if spoil is not None:
+        _spoil_on_call(monkeypatch, *spoil)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_method(method, problem, params)
     assert report.termination == "diverged"
     steps = report.detail["outer_iterations"] if method == "newton-admm" else report.iterations
-    assert steps >= 1 and len(report.residual_history) == steps + 1
+    assert (steps == 0) if method == "direct" else (steps >= 1)
+    assert len(report.residual_history) == steps + 1
     assert np.isfinite(report.residual_history[:-1]).all()
     assert not math.isfinite(report.final_residual)
     shape = problem.shape if isinstance(problem, SylvesterProblem) else (problem.order,) * 2

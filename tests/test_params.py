@@ -3,6 +3,7 @@ keys derived from it, and usage errors for keys or values a method
 does not take."""
 
 import argparse
+import ast
 import dataclasses
 import itertools
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matrixopt
 from matrixopt.baselines import BaselineConfig, certify_care
 from matrixopt.care_admm import AdmmConfig
 from matrixopt.ccom import CcomConfig
@@ -191,6 +193,38 @@ class TestVocabulary:
         tight = run_method("admm", p, {"tol": 1e-10})
         assert loose.final_residual <= 1e-2 and tight.final_residual <= 1e-10
         assert loose.iterations < tight.iterations
+
+
+# Config-dataclass fields of the method table, CLI arguments of every
+# subcommand, and environment variables read under ``src/``: each one is
+# a value a user can set.  A new knob changes this count, so it shows in
+# review.
+SETTABLE_VALUES = (23, 42, 0)
+
+
+def _settable_values() -> tuple[int, int, int]:
+    configs = {spec.config for spec in METHODS.values() if spec.config is not None}
+    fields = sum(len(dataclasses.fields(config)) for config in configs)
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    arguments = sum(
+        not isinstance(action, argparse._HelpAction)
+        for command in sub.choices.values()
+        for action in command._actions
+    )
+    src = Path(matrixopt.__file__).resolve().parent
+    environment = sum(
+        (node.attr if isinstance(node, ast.Attribute) else node.id) in ("environ", "getenv")
+        for path in src.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    )
+    return fields, arguments, environment
+
+
+def test_settable_values_are_counted():
+    assert _settable_values() == SETTABLE_VALUES
+    assert sum(SETTABLE_VALUES) == 65
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
