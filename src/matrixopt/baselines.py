@@ -242,7 +242,6 @@ def _solve_schur_columns(t: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def newton_iteration(
     p: CareProblem,
-    x0: np.ndarray | None,
     lyapunov_solve: Callable[[LyapunovProblem], np.ndarray],
     residual: Callable[[np.ndarray], float],
     max_steps: int,
@@ -253,8 +252,7 @@ def newton_iteration(
 ) -> SolveReport:
     """Newton's iteration for the Riccati equation (Kleinman, 1968).
 
-    From X_0 = ``x0`` (zero when None; must be symmetric n x n), each step
-    hands the linearized equation
+    From X_0 = 0, each step hands the linearized equation
 
         (A - N X_k)^T X_{k+1} + X_{k+1} (A - N X_k) + X_k N X_k + K = 0
 
@@ -263,30 +261,20 @@ def newton_iteration(
     ``detail["certificate"]`` is :func:`certify_care` of its answer; a
     root that is not stabilizing is labelled, not an error.
     """
-    n = p.order
-    x = np.zeros((n, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    if x.shape != (n, n):
-        raise DimensionError(f"x0 must be {n}x{n}, got {x.shape}")
-    if _symmetry_gap(x) > 1e-10 * max(1.0, float(np.abs(x).max())):
-        raise PreconditionError("x0 must be symmetric")
-
     def step(x):
         return lyapunov_solve(
             LyapunovProblem(a=p.a - p.n_mat @ x, q=symmetrize(x @ p.n_mat @ x + p.k_mat))
         )
 
     report = iterate(
-        x, step, residual, max_steps, tol=tol, stop=stop, solution=lambda x: x, detail=detail
+        np.zeros((p.order, p.order)), step, residual, max_steps,
+        tol=tol, stop=stop, solution=lambda x: x, detail=detail,
     )
     report.detail["certificate"] = certify_care(p, report.solution, report.final_residual)
     return report
 
 
-def solve_newton_care(
-    p: CareProblem,
-    x0: np.ndarray | None = None,
-    cfg: BaselineConfig | None = None,
-) -> SolveReport:
+def solve_newton_care(p: CareProblem, cfg: BaselineConfig | None = None) -> SolveReport:
     """Exact Newton iteration for the Riccati equation.
 
     Each step of :func:`newton_iteration` solves its Lyapunov equation
@@ -303,6 +291,6 @@ def solve_newton_care(
             raise NewtonBreakdownError(f"singular Lyapunov system in a Newton step: {exc}") from exc
 
     return newton_iteration(
-        p, x0, lyapunov_solve, lambda x: care_residual(p, x), cfg.max_iterations,
+        p, lyapunov_solve, lambda x: care_residual(p, x), cfg.max_iterations,
         tol=cfg.tol, detail={},
     )

@@ -161,16 +161,13 @@ class SweepConstants:
         return cls(al_aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye))
 
 
-def admm_step(
-    p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstants | None = None
-) -> AdmmState:
+def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstants) -> AdmmState:
     """One sweep of the seven updates, X -> Y -> Z -> W -> multipliers.
 
     The X and W updates solve their SPD systems (W's from the right, by
     a transposed right-hand side); the Z update multiplies by the
     inverse of its constant system.  ``const`` carries the
-    sweep-invariant matrices of :meth:`SweepConstants.of`; without it
-    they are formed here.
+    sweep-invariant matrices of :meth:`SweepConstants.of`.
 
     The new state carries its Z A and T = Y + Z A + K, which the next
     X update reads, and its A^T X, the residual's; without them Z A and
@@ -180,8 +177,6 @@ def admm_step(
     n = p.order
     if s.x.shape != (n, n):
         raise DimensionError(f"state order {s.x.shape[0]} does not match problem order {n}")
-    if const is None:
-        const = SweepConstants.of(p, cfg)
     al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
     a_t, n_t = a.T, n_mat.T
 

@@ -1,16 +1,15 @@
-"""Row-sparsity-reweighted solver for the Sylvester equation.
+"""Reweighted least-norm solver for the Sylvester equation.
 
 The equation A X + X B = C is flattened to M x = c and attacked as the
-constrained problem  min ||x||_{2,1}  s.t.  M x = c.  Each sweep solves
-the weighted least-norm step
+constrained problem  min ||x||_1  s.t.  M x = c, the l_{2,1} objective
+on the scalar rows of x = vec(X).  Each sweep solves the weighted
+least-norm step
 
     x = D^{-1} M^T (M D^{-1} M^T)^{-1} c,
 
-then refreshes the diagonal weights D from the current row norms, which
-monotonically decreases the group-norm objective.  On a vectorized
-equation the rows of x are scalars, so the objective degenerates to the
-l1 norm; ``group_rows`` restores genuine row groups (``group_rows = m``
-groups the entries of each stacked column together).
+then refreshes the diagonal weights D from |x|.  M = I (x) A + B^T (x) I
+is square, so a nonsingular M makes the step M^{-1} c for every
+positive D: the weights change no iterate beyond rounding.
 """
 
 from __future__ import annotations
@@ -19,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError
 from .linalg import cholesky_solve, lu_solve, unvec, vec
 from .oracle import sylvester_operator_matrix, sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, iterate
 
 
-# Smallest group norm a reweighting divides by, so that a zero group
-# gets a large finite weight, not an infinite one.
+# Smallest |x_i| a reweighting divides by, so that a zero entry gets a
+# large finite weight, not an infinite one.
 ROW_NORM_FLOOR = 1e-12
 
 
@@ -35,13 +34,10 @@ ROW_NORM_FLOOR = 1e-12
 class CcomConfig:
     epsilon: float = 1e-8
     max_iterations: int = 100
-    group_rows: int = 1
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.group_rows < 1:
-            raise ValueError("group_rows must be a positive integer")
 
 
 def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -65,27 +61,17 @@ def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray
     return d_inv[:, np.newaxis] * (m_sys.T @ z)
 
 
-def _group_norms(x_flat: np.ndarray, group_rows: int) -> np.ndarray:
-    """Euclidean norm of each contiguous block of ``group_rows`` entries."""
-    groups = x_flat.reshape(-1, group_rows)
-    return np.sqrt((groups * groups).sum(axis=1))
-
-
 def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveReport:
     """Iterate weighted least-norm steps until the equation residual
     drops below ``cfg.epsilon`` or the iteration cap is hit.
 
-    The report's ``detail`` carries the per-iterate group-norm objective
+    The report's ``detail`` carries the per-iterate objective ||vec(X)||_1
     (``l21_history``) and constraint gap ``||M x - c||_2``
     (``feasibility_history``).  A rank-deficient operator raises
     :class:`SingularMatrixError` carrying the partial report.
     """
     cfg = cfg or CcomConfig()
     m, n = p.shape
-    if (m * n) % cfg.group_rows != 0:
-        raise ParameterError(
-            f"group_rows={cfg.group_rows} does not divide the {m * n} unknowns"
-        )
     m_sys = sylvester_operator_matrix(p)
     c_vec = vec(p.c)
     l21_history: list[float] = []
@@ -94,10 +80,10 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
     def step(state):
         _, weights = state
         x_flat = ccom_step(m_sys, c_vec, weights).ravel()
-        norms = _group_norms(x_flat, cfg.group_rows)
+        norms = np.abs(x_flat)
         l21_history.append(float(norms.sum()))
         feas_history.append(float(np.linalg.norm(m_sys @ x_flat[:, np.newaxis] - c_vec)))
-        weights = np.repeat(1.0 / (2.0 * np.maximum(norms, ROW_NORM_FLOOR)), cfg.group_rows)
+        weights = 1.0 / (2.0 * np.maximum(norms, ROW_NORM_FLOOR))
         return unvec(x_flat.reshape(-1, 1), m, n), weights
 
     return iterate(

@@ -286,11 +286,15 @@ def _cmd_solve(args, parser: _Parser) -> int:
     except ParameterError:
         raise
     except MatrixOptError as exc:
-        _write_json({"method": args.method, "error": str(exc), "termination": "error"}, args.out)
+        failure = {"method": args.method, "error": row_error(exc), "termination": "error"}
+        _write_json(failure, args.out)
         return EXIT_SOLVER_ERROR
     _write_json(_report_json(args, args.method, params, report, args.history), args.out)
     if args.to_mm:
-        write_matrix_market(args.to_mm, report.solution)
+        try:
+            write_matrix_market(args.to_mm, report.solution)
+        except ValueError as exc:  # a non-finite answer has no MatrixMarket form
+            print(f"matrixopt: {args.to_mm} not written: solution {exc}", file=sys.stderr)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 

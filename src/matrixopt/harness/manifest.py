@@ -108,7 +108,7 @@ METHODS = {
     ("ccom", SylvesterProblem): Method(
         lambda p, cfg: solve_ccom(p, cfg),
         CcomConfig,
-        _keys("max_iterations", "group_rows", tol="epsilon"),
+        _keys("max_iterations", tol="epsilon"),
         hold="numpy",
     ),
     ("dfp", SylvesterProblem): Method(

@@ -15,15 +15,12 @@ from .linalg import as_matrix
 MAX_READ_ENTRIES = 50_000_000
 
 
-def write_matrix_market(path, m: np.ndarray, comment: str | None = None) -> None:
+def write_matrix_market(path, m: np.ndarray) -> None:
     """Write a dense matrix in array/real/general format."""
     m = as_matrix(m, "matrix")
     rows, cols = m.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"%{line}\n")
         fh.write(f"{rows} {cols}\n")
         fh.writelines(f"{v!r}\n" for v in m.ravel(order="F").tolist())
 

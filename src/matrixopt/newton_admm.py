@@ -107,19 +107,18 @@ def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
 
 
 def lyap_admm_step(
-    p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig, inverses=None
+    p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig, inverses
 ) -> LyapAdmmState:
     """One three-block sweep X -> Y -> Z followed by the multiplier steps.
     ``inverses`` carries the system inverses of :func:`_factors`, which
-    X and Z are multiplied by; without them they are formed here.  The
-    new state carries its A^T X for the residual check; the old state's,
-    read by then, is dropped."""
+    X and Z are multiplied by.  The new state carries its A^T X for the
+    residual check; the old state's, read by then, is dropped."""
     if s.x.shape != (p.order, p.order):
         raise DimensionError(
             f"state order {s.x.shape[0]} does not match problem order {p.order}"
         )
     s.products = None
-    fx_inv, fz_inv = inverses or _factors(p, cfg)
+    fx_inv, fz_inv = inverses
     a, q, alpha, beta = p.a, p.q, cfg.alpha, cfg.beta
     a_t = a.T
     x = fx_inv @ (a @ (s.lambda_ + alpha * s.y) + (s.pi_ + beta * s.z))
@@ -170,11 +169,7 @@ def solve_lyapunov_admm(
     )
 
 
-def solve_newton_admm(
-    p: CareProblem,
-    x0: np.ndarray | None = None,
-    cfg: NewtonAdmmConfig | None = None,
-) -> SolveReport:
+def solve_newton_admm(p: CareProblem, cfg: NewtonAdmmConfig | None = None) -> SolveReport:
     """Exact Newton's loop (:func:`~matrixopt.baselines.newton_iteration`)
     with each Lyapunov step solved inexactly by warm-started ADMM.
 
@@ -223,7 +218,7 @@ def solve_newton_admm(
 
     try:
         report = newton_iteration(
-            p, x0, lyapunov_solve, residual, cfg.outer_max, tol=cfg.outer_tol,
+            p, lyapunov_solve, residual, cfg.outer_max, tol=cfg.outer_tol,
             stop=lambda x, res: "stagnated" if outer.capped_streak >= 2 else None,
             detail=detail,
         )

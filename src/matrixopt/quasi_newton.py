@@ -238,13 +238,9 @@ def bfgs_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarra
     return _symmetrized(out)
 
 
-def solve_quasi_newton(
-    p: SylvesterProblem,
-    cfg: QnConfig | None = None,
-    x0: np.ndarray | None = None,
-) -> SolveReport:
-    """Quasi-Newton iteration X <- X + lambda (-G g), with G the m x m
-    model, until ||g||_F falls below ``cfg.grad_tol``.
+def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> SolveReport:
+    """Quasi-Newton iteration X <- X + lambda (-G g) from X_0 = 0, with
+    G the m x m model, until ||g||_F falls below ``cfg.grad_tol``.
 
     The model is updated after every step except one whose gradient
     passes the tolerance or is not finite, so a converged run has
@@ -263,11 +259,7 @@ def solve_quasi_newton(
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
-    state = SimpleNamespace(
-        x=np.zeros((m, n)) if x0 is None else np.array(x0, dtype=np.float64)
-    )
-    if state.x.shape != (m, n):
-        raise DimensionError(f"x0 must be {m}x{n}, got {state.x.shape}")
+    state = SimpleNamespace(x=np.zeros((m, n)))
     # The identity start model is never formed: None stands for it.
     state.inv_h = None
     state.inv_h_norm = math.sqrt(m)

@@ -29,6 +29,7 @@ from matrixopt.baselines import (
 from matrixopt.care_admm import (
     AdmmConfig,
     AdmmState,
+    SweepConstants,
     admm_step,
     lagrangian_value,
     solve_care_admm,
@@ -39,6 +40,7 @@ from matrixopt.linalg import frobenius_norm
 from matrixopt.newton_admm import (
     LyapAdmmState,
     NewtonAdmmConfig,
+    _factors,
     frechet_apply,
     lyap_admm_step,
     lyap_lagrangian_value,
@@ -399,7 +401,8 @@ def test_criterion_13_fixed_point_certificates():
         w=np.array([[n * x]]), lambda_=np.zeros((1, 1)),
         pi_=np.zeros((1, 1)), gamma_=np.zeros((1, 1)),
     )
-    stepped = admm_step(p, care_state, AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01))
+    cfg = AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01)
+    stepped = admm_step(p, care_state, cfg, SweepConstants.of(p, cfg))
     care_drift = max(
         float(np.abs(getattr(stepped, name) - getattr(care_state, name)).max())
         for name in ("x", "y", "z", "w", "lambda_", "pi_", "gamma_")
@@ -411,7 +414,8 @@ def test_criterion_13_fixed_point_certificates():
         x=np.array([[0.75]]), y=np.array([[-1.5]]), z=np.array([[0.75]]),
         lambda_=np.zeros((1, 1)), pi_=np.zeros((1, 1)),
     )
-    lyap_stepped = lyap_admm_step(lyap, lyap_state, NewtonAdmmConfig(alpha=1.0, beta=1.0))
+    lyap_cfg = NewtonAdmmConfig(alpha=1.0, beta=1.0)
+    lyap_stepped = lyap_admm_step(lyap, lyap_state, lyap_cfg, _factors(lyap, lyap_cfg))
     lyap_drift = max(
         float(np.abs(getattr(lyap_stepped, name) - getattr(lyap_state, name)).max())
         for name in ("x", "y", "z", "lambda_", "pi_")

@@ -314,12 +314,6 @@ class TestNewtonCare:
         assert err.value.report is not None
         assert err.value.report.termination == "error"
 
-    def test_nonsymmetric_x0_rejected(self, rng):
-        p, _ = scalar_care()
-        big = CareProblem(a=np.eye(2), n_mat=np.eye(2), k_mat=np.eye(2))
-        with pytest.raises(PreconditionError):
-            solve_newton_care(big, x0=np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_t8_family(self):
         bt = gen_tridiagonal(16, 5, 2, 1)
         p = CareProblem(

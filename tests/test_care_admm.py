@@ -12,6 +12,7 @@ from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.care_admm import (
     AdmmConfig,
     AdmmState,
+    SweepConstants,
     _solve_spd,
     admm_step,
     kkt_residuals,
@@ -61,7 +62,7 @@ class TestAdmmStep:
     def test_one_step_from_zero(self, rng):
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
-        s1 = admm_step(p, AdmmState.zero(3), cfg)
+        s1 = admm_step(p, AdmmState.zero(3), cfg, SweepConstants.of(p, cfg))
         np.testing.assert_allclose(s1.x, np.zeros((3, 3)), atol=1e-14)
         np.testing.assert_allclose(s1.y, -p.k_mat / (1.0 + cfg.alpha), atol=1e-14)
         # Z from zeros: [(-Y1 - K) A^T] [A A^T + beta I + gamma N N^T]^{-1}
@@ -72,7 +73,8 @@ class TestAdmmStep:
     def test_fixed_point_invariance(self):
         p = scalar_problem()
         s = scalar_fixed_state()
-        s2 = admm_step(p, s, AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01))
+        cfg = AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01)
+        s2 = admm_step(p, s, cfg, SweepConstants.of(p, cfg))
         for name in ("x", "y", "z", "w", "lambda_", "pi_", "gamma_"):
             np.testing.assert_allclose(
                 getattr(s2, name), getattr(s, name), atol=1e-9
@@ -81,9 +83,10 @@ class TestAdmmStep:
     def test_multiplier_update_identities(self, rng):
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
+        const = SweepConstants.of(p, cfg)
         s = AdmmState.zero(3)
         for _ in range(5):
-            s_new = admm_step(p, s, cfg)
+            s_new = admm_step(p, s, cfg, const)
             scale = 1e-14 * (1.0 + state_norm(s_new))
             np.testing.assert_allclose(
                 s_new.lambda_ - s.lambda_,
@@ -106,10 +109,11 @@ class TestAdmmStep:
         # vanish against the pre-update remaining blocks
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
+        const = SweepConstants.of(p, cfg)
         s = AdmmState.zero(3)
         for _ in range(3):
-            s = admm_step(p, s, cfg)
-        s_new = admm_step(p, s, cfg)
+            s = admm_step(p, s, cfg, const)
+        s_new = admm_step(p, s, cfg, const)
         mixed_per_block = {
             "x": AdmmState(s_new.x, s.y, s.z, s.w, s.lambda_, s.pi_, s.gamma_),
             "y": AdmmState(s_new.x, s_new.y, s.z, s.w, s.lambda_, s.pi_, s.gamma_),
@@ -131,8 +135,9 @@ class TestAdmmStep:
 
     def test_shape_mismatch(self, rng):
         p = random_care(rng)
+        cfg = AdmmConfig()
         with pytest.raises(Exception):
-            admm_step(p, AdmmState.zero(4), AdmmConfig())
+            admm_step(p, AdmmState.zero(4), cfg, SweepConstants.of(p, cfg))
 
     def test_carried_products_serve_only_their_own_problem(self, rng):
         # A state made by a sweep on p1 carries p1's products; a sweep on
@@ -140,7 +145,8 @@ class TestAdmmStep:
         # Either sweep drops them once read.
         p1, p2 = random_care(rng), random_care(rng)
         cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1)
-        s1 = admm_step(p1, admm_step(p1, AdmmState.zero(3), cfg), cfg)
+        const1 = SweepConstants.of(p1, cfg)
+        s1 = admm_step(p1, admm_step(p1, AdmmState.zero(3), cfg, const1), cfg, const1)
         bare = replace(s1)
         assert s1.products is not None and bare.products is None
         assert care_residual(p1, s1.x, s1.carried(p1, "atx")) == care_residual(p1, s1.x)
@@ -149,7 +155,8 @@ class TestAdmmStep:
         for p in (p1, p2):
             s = replace(s1)
             s.products = s1.products
-            carried, formed = admm_step(p, s, cfg), admm_step(p, bare, cfg)
+            const = SweepConstants.of(p, cfg)
+            carried, formed = admm_step(p, s, cfg, const), admm_step(p, bare, cfg, const)
             assert s.products is None
             for f in fields(AdmmState):
                 assert np.array_equal(getattr(carried, f.name), getattr(formed, f.name)), f.name
@@ -192,7 +199,7 @@ def test_sweep_matches_a_sweep_that_solves_every_system(p, cfg):
     # common terms out of its right-hand sides: rounding-level changes.
     rng = np.random.default_rng(64)
     s = AdmmState(*(rng.standard_normal((p.order, p.order)) for _ in fields(AdmmState)))
-    got, want = admm_step(p, s, cfg), reference_sweep(p, s, cfg)
+    got, want = admm_step(p, s, cfg, SweepConstants.of(p, cfg)), reference_sweep(p, s, cfg)
     for f in fields(AdmmState):
         block, ref = getattr(got, f.name), getattr(want, f.name)
         assert frobenius_norm(block - ref) <= 1e-12 * frobenius_norm(ref), f.name
@@ -513,13 +520,14 @@ def test_start_state_dies_with_the_first_sweep():
     # The loop pops its start from the list it is handed, so once the
     # first sweep is done no reference to the start state is left.
     cfg = NewtonAdmmConfig()
+    inverses = newton_admm._factors(LYAP_8, cfg)
     start = [LyapAdmmState.zero(LYAP_8.order)]
     start_block = weakref.ref(start[0].x)
     alive = []
 
     def sweep(state):
         alive.append(start_block() is not None)
-        return newton_admm.lyap_admm_step(LYAP_8, state, cfg)
+        return newton_admm.lyap_admm_step(LYAP_8, state, cfg, inverses)
 
     report = care_admm.sweep_until(
         start, sweep, lambda state: newton_admm.lyapunov_residual(LYAP_8, state.x), 1e-300, 3

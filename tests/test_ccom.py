@@ -7,8 +7,8 @@ from conftest import random_sylvester
 import matrixopt.ccom as ccom
 from matrixopt.ccom import ROW_NORM_FLOOR, CcomConfig, ccom_step, solve_ccom
 from matrixopt.errors import SingularMatrixError
-from matrixopt.linalg import frobenius_norm
-from matrixopt.oracle import solve_kronecker_direct
+from matrixopt.linalg import frobenius_norm, lu_solve, vec
+from matrixopt.oracle import solve_kronecker_direct, sylvester_operator_matrix
 from matrixopt.problems import SylvesterProblem, gen_tridiagonal, table_source
 
 
@@ -41,6 +41,18 @@ class TestCcomStep:
         m = np.array([[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(SingularMatrixError):
             ccom_step(m, np.array([[2.0], [2.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 4), (5, 7), (8, 8)])
+    def test_square_operator_step_ignores_the_weights(self, rng, m, n):
+        # M = I (x) A + B^T (x) I is square, so D^{-1} M^T (M D^{-1} M^T)^{-1} c
+        # is M^{-1} c for every positive D: the reweighting moves no iterate.
+        for _ in range(5):
+            p = random_sylvester(rng, m, n)
+            m_sys, c_vec = sylvester_operator_matrix(p), vec(p.c)
+            want = lu_solve(m_sys, c_vec)
+            d = 10.0 ** rng.uniform(-1.0, 1.0, m * n)
+            got = ccom_step(m_sys, c_vec, d)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_feasibility(self, rng):
         for _ in range(5):
@@ -132,11 +144,6 @@ class TestL1Analog:
         np.testing.assert_allclose(x.ravel(), [0.0, 1.0], atol=1e-4)
         for prev, cur in zip(objective, objective[1:]):
             assert cur <= prev + 1e-10
-
-    def test_group_rows_variant_runs(self, rng):
-        p = random_sylvester(rng, 3, 4)
-        report = solve_ccom(p, CcomConfig(group_rows=3))
-        assert report.converged
 
 
 @given(

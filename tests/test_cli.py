@@ -113,6 +113,38 @@ class TestSolve:
         assert code == 3
         assert json.loads(out)["termination"] == "error"
 
+    def test_solver_error_names_its_class(self, capsys):
+        # The failure JSON leads its error with the exception class, as
+        # bench JSON and sweep CSV do.
+        code, out = run_cli(
+            ["solve", "sylvester", "--method", "direct", "--suite", "t1", "--n", "100"], capsys
+        )
+        assert code == 3
+        assert json.loads(out) == {
+            "method": "direct",
+            "error": "CapacityError: kron output 10000x10000 exceeds cap of 16777216 entries",
+            "termination": "error",
+        }
+
+    def test_non_finite_answer_is_not_written(self, tmp_path, capsys):
+        # A = B = [[1e-300]], C = [[1e300]]: direct's answer overflows.
+        for name, value in (("a", 1e-300), ("b", 1e-300), ("c", 1e300)):
+            write_matrix_market(tmp_path / f"{name}.mtx", np.array([[value]]))
+        files = [str(tmp_path / f"{name}.mtx") for name in "abc"]
+        code = main(
+            ["solve", "sylvester", "--method", "direct", "--from-mm", *files,
+             "--to-mm", str(tmp_path / "x.mtx"), "--out", str(tmp_path / "r.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not (tmp_path / "x.mtx").exists()
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["termination"], report["final_residual"]) == ("diverged", "inf")
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("matrixopt: ")
+        assert "x.mtx not written" in lines[0] and "non-finite" in lines[0]
+
     def test_malformed_input_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n")

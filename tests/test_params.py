@@ -40,7 +40,7 @@ S, L, C = SylvesterProblem, LyapunovProblem, CareProblem
 # replaced them.  cg is the one deliberate change: its adapter read
 # ``omega`` through a helper shared with ar, but solve_cg never used it.
 ADAPTER_KEYS = {
-    ("ccom", S): {"tol", "max_iterations", "group_rows"},
+    ("ccom", S): {"tol", "max_iterations"},
     ("dfp", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
     ("bfgs", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
     ("cg", S): {"tol", "max_iterations"},
@@ -55,7 +55,7 @@ ADAPTER_KEYS = {
 
 # The configs the adapters built from an empty parameter dict.
 ADAPTER_DEFAULTS = {
-    ("ccom", S): CcomConfig(epsilon=1e-8, max_iterations=100, group_rows=1),
+    ("ccom", S): CcomConfig(epsilon=1e-8, max_iterations=100),
     ("dfp", S): QnConfig(
         method="dfp", linesearch="exact", sigma1=1e-4, sigma2=0.9,
         grad_tol=1e-8, max_iterations=500,
@@ -91,7 +91,6 @@ SOLVE_FLAGS = {
     "inner_max": (["--inner-max"], int, None),
     "outer_max": (["--outer-max"], int, None),
     "omega": (["--omega"], None, None),  # a number or "auto"
-    "group_rows": (["--group-rows"], int, None),
 }
 NON_PARAM_DESTS = {
     "help", "equation", "method", "suite", "n", "from_mm", "config", "out", "to_mm", "history",
@@ -102,7 +101,7 @@ SAMPLE = {
     "tol": "1e-6", "max_iterations": "7", "alpha": "0.7", "beta": "3", "gamma": "0.2",
     "linesearch": "wolfe", "sigma1": "0.01", "sigma2": "0.5",
     "inner_tol_value": "0.001", "inner_max": "9",
-    "outer_max": "4", "omega": "0.05", "group_rows": "2",
+    "outer_max": "4", "omega": "0.05",
 }
 
 
@@ -199,7 +198,7 @@ class TestVocabulary:
 # subcommand, and environment variables read under ``src/``: each one is
 # a value a user can set.  A new knob changes this count, so it shows in
 # review.
-SETTABLE_VALUES = (23, 42, 0)
+SETTABLE_VALUES = (22, 41, 0)
 
 
 def _settable_values() -> tuple[int, int, int]:
@@ -224,7 +223,7 @@ def _settable_values() -> tuple[int, int, int]:
 
 def test_settable_values_are_counted():
     assert _settable_values() == SETTABLE_VALUES
-    assert sum(SETTABLE_VALUES) == 65
+    assert sum(SETTABLE_VALUES) == 63
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -400,10 +399,16 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "method, key, raw", [("admm", "check_every", "3"), ("newton-admm", "inner_tol_mode", "fixed")]
+        "method, key, raw",
+        [
+            ("admm", "check_every", "3"),
+            ("newton-admm", "inner_tol_mode", "fixed"),
+            ("ccom", "group_rows", "2"),
+        ],
     )
     def test_retired_key_is_rejected(self, method, key, raw, tmp_path, capsys):
-        base = ["solve", "care", "--method", method, "--suite", "t8", "--n", "4"]
+        equation, suite = ("sylvester", "t1") if method == "ccom" else ("care", "t8")
+        base = ["solve", equation, "--method", method, "--suite", suite, "--n", "4"]
         flag = "--" + key.replace("_", "-")
         assert flag in _usage_error(base + [flag, raw], capsys)
         ini = tmp_path / "retired.ini"
@@ -469,12 +474,3 @@ def test_lyapunov_admm_from_cli(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2 and payload["iterations"] == 2
 
-
-def test_ccom_group_rows_that_do_not_divide_the_unknowns(capsys):
-    err = _usage_error(
-        ["solve", "sylvester", "--method", "ccom", "--suite", "t1", "--n", "3",
-         "--group-rows", "2"],
-        capsys,
-    )
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err and "group_rows" in err
