@@ -65,12 +65,12 @@ class AdmmConfig:
 class _BlockState:
     """Square blocks of one ADMM splitting, every field an n x n array.
 
-    Building a state checks nothing: a solver checks its ``init`` once
-    (:meth:`checked`), and a blow-up in the loop shows as a non-finite
-    residual.  ``products``, no field and so no block, holds products the
-    sweep that made the state formed, with their problem; so blocks are
-    not changed in place.  The next sweep drops them once it has read
-    them: by then the residual check has read its own."""
+    Building a state checks nothing: the Lyapunov solver checks its
+    ``init`` once (:meth:`checked`), and a blow-up in the loop shows as
+    a non-finite residual.  ``products``, no field and so no block, holds
+    products the sweep that made the state formed, with their problem;
+    so blocks are not changed in place.  The next sweep drops them once
+    it has read them: by then the residual check has read its own."""
 
     products = None
 
@@ -283,13 +283,9 @@ def sweep_until(
     return report
 
 
-def solve_care_admm(
-    p: CareProblem,
-    cfg: AdmmConfig | None = None,
-    init: AdmmState | None = None,
-) -> SolveReport:
-    """Iterate :func:`admm_step` from the zero state (or ``init``) until
-    the Riccati residual of the X block drops below ``cfg.tol``.
+def solve_care_admm(p: CareProblem, cfg: AdmmConfig | None = None) -> SolveReport:
+    """Iterate :func:`admm_step` from the zero state until the Riccati
+    residual of the X block drops below ``cfg.tol``.
 
     The history records the residual after every sweep, starting with the
     initial residual.  After the loop the detail map gains the KKT
@@ -297,15 +293,11 @@ def solve_care_admm(
     ``certificate`` of :func:`~matrixopt.baselines.certify_care`, formed
     with numpy's inf/NaN warnings off: a blow-up has already ended the
     run ``diverged``.
-    ``init`` must have finite n x n blocks; it is read, never written,
-    and the solve keeps no reference to it.
     """
     cfg = cfg or AdmmConfig()
     const = SweepConstants.of(p, cfg)
-    start = [init.checked(p.order) if init is not None else AdmmState.zero(p.order)]
-    del init
     report = sweep_until(
-        start,
+        [AdmmState.zero(p.order)],
         lambda state: admm_step(p, state, cfg, const),
         lambda state: care_residual(p, state.x, state.carried(p, "atx")),
         cfg.tol,

@@ -2,9 +2,7 @@
 
 from .manifest import (
     METHOD_NAMES,
-    RunManifest,
     RunRecord,
-    manifest_for_suite,
     run_manifest,
     run_method,
     write_csv,
@@ -13,10 +11,8 @@ from .plotting import emit_convergence_plot
 
 __all__ = [
     "METHOD_NAMES",
-    "RunManifest",
     "RunRecord",
     "emit_convergence_plot",
-    "manifest_for_suite",
     "run_manifest",
     "run_method",
     "write_csv",

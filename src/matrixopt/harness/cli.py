@@ -28,13 +28,13 @@ from ..problems import (
     CareProblem,
     LyapunovProblem,
     SylvesterProblem,
+    paper_suite,
     table_source,
 )
 from ..quasi_newton import LINESEARCHES
 from .manifest import (
     METHOD_NAMES,
     METHODS,
-    manifest_for_suite,
     row_error,
     run_manifest,
     run_method,
@@ -243,21 +243,21 @@ def _json_safe(value):
 _DROP = object()
 
 
-def _report_json(args, method, params, report, include_history: bool) -> dict:
+def _report_json(args, problem, params, report) -> dict:
     problem_desc = {
         "equation": args.equation,
         "suite": args.suite,
-        "n": args.n,
+        "n": None if args.from_mm else problem.a.shape[0],
         "files": list(args.from_mm) if args.from_mm else None,
     }
     payload = {
-        "method": method,
+        "method": args.method,
         "problem": problem_desc,
         "config": params,
         **report.summary(),
         "detail": report.detail,
     }
-    if include_history:
+    if args.history:
         payload["residual_history"] = [float(v) for v in report.residual_history]
     return payload
 
@@ -289,7 +289,7 @@ def _cmd_solve(args, parser: _Parser) -> int:
         failure = {"method": args.method, "error": row_error(exc), "termination": "error"}
         _write_json(failure, args.out)
         return EXIT_SOLVER_ERROR
-    _write_json(_report_json(args, args.method, params, report, args.history), args.out)
+    _write_json(_report_json(args, problem, params, report), args.out)
     if args.to_mm:
         try:
             write_matrix_market(args.to_mm, report.solution)
@@ -300,16 +300,16 @@ def _cmd_solve(args, parser: _Parser) -> int:
 
 def _cmd_bench(args, parser: _Parser) -> int:
     try:
-        manifest = manifest_for_suite(args.suite)
+        rows = paper_suite(args.suite)
     except MatrixOptError as exc:
         parser.error(str(exc))
-    records = run_manifest(manifest, cap=args.cap)
+    records = run_manifest(rows, cap=args.cap)
     _write(write_csv(records), args.out)
     if args.json_out:
-        _write_json(summary_json(manifest, records), args.json_out)
-    if any(rec.error is not None for rec in records):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+        _write_json(summary_json(args.suite, records), args.json_out)
+    if all(rec.termination == "converged" for rec in records):
+        return EXIT_OK
+    return EXIT_NOT_CONVERGED
 
 
 def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[float]:

@@ -1,5 +1,5 @@
 """Benchmark manifests: suite rows bound to registered solvers, executed
-one at a time in manifest order into CSV/JSON records.
+one at a time in list order into CSV/JSON records.
 
 Reference figures from the source tables ride along in the CSV for
 comparison but never influence execution.
@@ -41,7 +41,6 @@ from ..problems import (
     LyapunovProblem,
     SuiteRow,
     SylvesterProblem,
-    paper_suite,
 )
 from ..quasi_newton import QnConfig, solve_quasi_newton
 from ..report import SolveReport, iterate
@@ -207,20 +206,6 @@ def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
 
 
 @dataclass
-class RunManifest:
-    suite: str
-    rows: list[SuiteRow]
-
-    def __post_init__(self):
-        for row in self.rows:
-            if row.method not in METHOD_NAMES:
-                raise ValueError(f"manifest row references unknown method {row.method!r}")
-
-    def capped_rows(self, cap: int) -> list[SuiteRow]:
-        return [row for row in self.rows if row.source.order <= cap]
-
-
-@dataclass
 class RunRecord:
     row: SuiteRow
     iterations: int | None = None
@@ -256,10 +241,6 @@ def _cell(v):
     return v if isinstance(v, (int, str)) else format(float(v), ".6e")
 
 
-def manifest_for_suite(suite: str) -> RunManifest:
-    return RunManifest(suite=suite, rows=paper_suite(suite))
-
-
 def row_error(exc: Exception) -> str:
     """A failed row's error text, led by the exception's class name."""
     return f"{type(exc).__name__}: {exc}"
@@ -274,10 +255,11 @@ def _execute(row: SuiteRow) -> RunRecord:
     return RunRecord(row=row, **report.summary())
 
 
-def run_manifest(manifest: RunManifest, cap: int = DESK_SCALE_MAX_ORDER) -> list[RunRecord]:
-    """Execute every row with order <= cap, one at a time in manifest
-    order; failures are recorded per row and never abort the run."""
-    return [_execute(row) for row in manifest.capped_rows(cap)]
+def run_manifest(rows: list[SuiteRow], cap: int = DESK_SCALE_MAX_ORDER) -> list[RunRecord]:
+    """Execute every row with order <= cap, one at a time in list order;
+    failures, an unknown method among them, are recorded per row and
+    never abort the run."""
+    return [_execute(row) for row in rows if row.source.order <= cap]
 
 
 def write_csv(records: list[RunRecord]) -> str:
@@ -289,10 +271,10 @@ def write_csv(records: list[RunRecord]) -> str:
     return buffer.getvalue()
 
 
-def summary_json(manifest: RunManifest, records: list[RunRecord]) -> dict:
+def summary_json(suite: str, records: list[RunRecord]) -> dict:
     converged = sum(1 for r in records if r.termination == "converged")
     return {
-        "suite": manifest.suite,
+        "suite": suite,
         "environment": {**blas_environment(), "cpu_count": os.cpu_count()},
         "rows_run": len(records),
         "rows_converged": converged,

@@ -105,9 +105,8 @@ class LyapunovProblem:
 class CareProblem:
     """Continuous algebraic Riccati equation A^T X + X A - X N X + K = 0.
 
-    ``n_mat`` and ``k_mat`` must be symmetric; positive semi-definiteness
-    is only verified by the explicit :meth:`check_semidefinite` eigenvalue
-    scan, since it is an O(n^3) spectral question.
+    ``n_mat`` and ``k_mat`` must be symmetric; positive semi-definiteness,
+    an O(n^3) spectral question, is not checked.
     """
 
     a: np.ndarray
@@ -132,13 +131,6 @@ class CareProblem:
     @property
     def order(self) -> int:
         return self.a.shape[0]
-
-    def check_semidefinite(self, tol: float = 1e-10) -> None:
-        """Eigenvalue scan; raises ValueError if N or K is not PSD."""
-        for name, m in (("n_mat", self.n_mat), ("k_mat", self.k_mat)):
-            lo = float(np.linalg.eigvalsh(m).min())
-            if lo < -tol * max(1.0, float(np.abs(m).max())):
-                raise ValueError(f"{name} is not positive semi-definite (min eig {lo:g})")
 
 
 def gen_tridiagonal(n: int, diag: float, sub: float, super_: float) -> np.ndarray:
@@ -242,11 +234,6 @@ class SuiteRow:
     paper_iterations: int | None = None
     paper_error: float | None = None
     paper_time_seconds: float | None = None
-
-    @property
-    def desk_scale(self) -> bool:
-        """Whether the row's order is within the desk-scale cap."""
-        return self.source.order <= DESK_SCALE_MAX_ORDER
 
 
 # Table id -> (generator, bands) of its problem family.  Sylvester tables

@@ -21,12 +21,17 @@ import matrixopt.oracle as oracle
 import matrixopt.quasi_newton as quasi_newton
 from matrixopt.harness.manifest import (
     METHODS,
-    manifest_for_suite,
     run_manifest,
     run_method,
     summary_json,
 )
-from matrixopt.problems import CareProblem, LyapunovProblem, SylvesterProblem, table_source
+from matrixopt.problems import (
+    CareProblem,
+    LyapunovProblem,
+    SylvesterProblem,
+    paper_suite,
+    table_source,
+)
 
 CONTROLS = linalg.find_openblas("numpy")
 SCIPY_CONTROLS = linalg.find_openblas("scipy")
@@ -250,15 +255,14 @@ def test_guard_is_a_no_op_without_the_library(two_threads, monkeypatch):
 
 
 def test_bench_summary_records_the_environment():
-    manifest = manifest_for_suite("t8")
-    env = summary_json(manifest, run_manifest(manifest, cap=16))["environment"]
+    env = summary_json("t8", run_manifest(paper_suite("t8"), cap=16))["environment"]
     assert env["cpu_count"] == os.cpu_count()
     assert env["openblas_threads"]["numpy"] == threads()
     assert set(env["openblas_threads"]) == {"numpy", "scipy"}
 
 
 def test_bench_summary_names_each_blas_library():
-    configs = summary_json(manifest_for_suite("t8"), [])["environment"]["openblas_config"]
+    configs = summary_json("t8", [])["environment"]["openblas_config"]
     assert set(configs) == {"numpy", "scipy"}
     assert configs["numpy"].startswith("OpenBLAS ")
     if SCIPY_CONTROLS is not None:
@@ -267,7 +271,7 @@ def test_bench_summary_names_each_blas_library():
 
 def test_bench_summary_names_no_library_it_cannot_find(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas_symbols", lambda copy, *names: None)
-    env = summary_json(manifest_for_suite("t8"), [])["environment"]
+    env = summary_json("t8", [])["environment"]
     assert env["openblas_config"] == env["openblas_threads"] == {"numpy": None, "scipy": None}
 
 

@@ -423,13 +423,19 @@ BLOCK_NAMES = {
 }
 
 
-def _sweeps(splitting, sweeps, init=None):
+T8_16_CFG = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300)
+
+
+def _sweeps(splitting, sweeps):
     """``sweeps`` sweeps of one splitting, none of them stopped by the tolerance."""
     if splitting == "care":
-        cfg = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300, max_iterations=sweeps)
-        return solve_care_admm(T8_16, cfg, init=init)
-    cfg = NewtonAdmmConfig(inner_max=sweeps)
-    return solve_lyapunov_admm(LYAP_8, cfg, init=init, tol=1e-300)
+        return solve_care_admm(T8_16, replace(T8_16_CFG, max_iterations=sweeps))
+    return _lyap_sweeps(sweeps)
+
+
+def _lyap_sweeps(sweeps, init=None):
+    """``sweeps`` Lyapunov ADMM sweeps from ``init``, none stopped by the tolerance."""
+    return solve_lyapunov_admm(LYAP_8, NewtonAdmmConfig(inner_max=sweeps), init=init, tol=1e-300)
 
 
 def _blow_up_from(monkeypatch, splitting, call):
@@ -447,14 +453,13 @@ def _blow_up_from(monkeypatch, splitting, call):
     monkeypatch.setattr(module, name, blown)
 
 
-@pytest.mark.parametrize("splitting", ["care", "lyapunov"])
 class TestSweepLoop:
-    def test_warm_start_continues_the_run_to_the_bit(self, splitting):
+    def test_warm_start_continues_the_run_to_the_bit(self):
         # The warm start forms every product afresh, the long run carries
         # them from sweep to sweep: a stale product would split the two.
-        whole = _sweeps(splitting, 70)
-        first = _sweeps(splitting, 40)
-        rest = _sweeps(splitting, 30, init=first.detail["state"])
+        whole = _lyap_sweeps(70)
+        first = _lyap_sweeps(40)
+        rest = _lyap_sweeps(30, init=first.detail["state"])
         assert (whole.iterations, first.iterations, rest.iterations) == (70, 40, 30)
         assert rest.residual_history == whole.residual_history[40:]
         assert np.array_equal(rest.solution, whole.solution)
@@ -463,12 +468,14 @@ class TestSweepLoop:
                 getattr(rest.detail["state"], f.name), getattr(whole.detail["state"], f.name)
             ), f.name
 
+    @pytest.mark.parametrize("splitting", ["care", "lyapunov"])
     def test_block_deltas_name_the_blocks_only(self, splitting, sweep_records):
         report = _sweeps(splitting, 5)
         names = {f"d{name.rstrip('_')}2" for name in BLOCK_NAMES[splitting]}
         assert [set(block_deltas(s, new)) for _, s, new in sweep_records] == [names] * 5
         assert {f.name for f in fields(report.detail["state"])} == BLOCK_NAMES[splitting]
 
+    @pytest.mark.parametrize("splitting", ["care", "lyapunov"])
     def test_blow_up_ends_diverged(self, splitting, monkeypatch):
         _blow_up_from(monkeypatch, splitting, 5)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -478,6 +485,7 @@ class TestSweepLoop:
         assert np.isfinite(report.residual_history[:-1]).all()
         assert not np.isfinite(report.final_residual)
 
+    @pytest.mark.parametrize("splitting", ["care", "lyapunov"])
     def test_blow_up_raises_no_warning(self, splitting, monkeypatch):
         # The solve quiets numpy's inf/NaN warnings itself: the
         # ``diverged`` label already records the blow-up.
@@ -492,28 +500,44 @@ class TestSweepLoop:
             cert = report.detail["certificate"]
             assert np.isnan(cert["closed_loop_max_real_eig"]) and cert["root"] is None
 
-    def test_init_is_read_not_written(self, splitting):
-        init = _sweeps(splitting, 3).detail["state"]
+    def test_init_is_read_not_written(self):
+        init = _lyap_sweeps(3).detail["state"]
         blocks = {f.name: getattr(init, f.name) for f in fields(init)}
         before = {name: block.copy() for name, block in blocks.items()}
-        _sweeps(splitting, 5, init=init)
+        _lyap_sweeps(5, init=init)
         for name, block in blocks.items():
             assert getattr(init, name) is block
             assert np.array_equal(block, before[name]), name
 
-    def test_non_finite_init_is_rejected(self, splitting):
-        init = _sweeps(splitting, 3).detail["state"]
+    def test_non_finite_init_is_rejected(self):
+        init = _lyap_sweeps(3).detail["state"]
         init.y[0, 0] = np.inf
         with pytest.raises(ValueError, match="block y"):
-            _sweeps(splitting, 3, init=init)
+            _lyap_sweeps(3, init=init)
 
-    def test_wrongly_shaped_init_is_rejected(self, splitting):
-        n = T8_16.order if splitting == "care" else LYAP_8.order
-        zero = AdmmState.zero if splitting == "care" else LyapAdmmState.zero
+    def test_wrongly_shaped_init_is_rejected(self):
+        n = LYAP_8.order
         with pytest.raises(DimensionError):
-            _sweeps(splitting, 3, init=zero(n + 1))
+            _lyap_sweeps(3, init=LyapAdmmState.zero(n + 1))
         with pytest.raises(DimensionError, match="block z"):
-            _sweeps(splitting, 3, init=replace(zero(n), z=np.zeros((n, n + 1))))
+            _lyap_sweeps(3, init=replace(LyapAdmmState.zero(n), z=np.zeros((n, n + 1))))
+
+
+def test_carried_products_equal_products_formed_afresh():
+    # A sweep reads the Z A and T its state carries; the same blocks
+    # without them must give the same sweep, to the bit.
+    const = SweepConstants.of(T8_16, T8_16_CFG)
+    state = AdmmState.zero(T8_16.order)
+    for _ in range(40):
+        state = admm_step(T8_16, state, T8_16_CFG, const)
+    bare = AdmmState(*(getattr(state, f.name) for f in fields(state)))
+    assert state.products is not None and bare.products is None
+    carried = admm_step(T8_16, state, T8_16_CFG, const)
+    fresh = admm_step(T8_16, bare, T8_16_CFG, const)
+    for f in fields(carried):
+        assert np.array_equal(getattr(carried, f.name), getattr(fresh, f.name)), f.name
+    for name in ("za", "t", "atx"):
+        assert np.array_equal(carried.carried(T8_16, name), fresh.carried(T8_16, name)), name
 
 
 def test_start_state_dies_with_the_first_sweep():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from matrixopt.harness.cli import _write_json, main
-from matrixopt.harness.manifest import manifest_for_suite, run_manifest, summary_json
+from matrixopt.harness.manifest import run_manifest, summary_json
 from matrixopt.mmio import read_matrix_market, write_matrix_market
+from matrixopt import problems
+from matrixopt.problems import paper_suite
 
 
 def run_cli(argv, capsys):
@@ -35,6 +37,16 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["termination"] == "converged"
         assert payload["final_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("argv, n", [
+        (["--suite", "t7", "--n", "5"], 9),
+        (["--suite", "t7"], 9),
+        (["--suite", "t8", "--n", "4"], 4),
+    ], ids=["t7-n5", "t7", "t8-n4"])
+    def test_problem_order_is_the_order_built(self, capsys, argv, n):
+        code, out = run_cli(["solve", "care", "--method", "newton", *argv], capsys)
+        assert code == 0
+        assert json.loads(out)["problem"]["n"] == n
 
     def test_unknown_method_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -175,12 +187,13 @@ class TestSolve:
         code, out = run_cli(
             [
                 "solve", "lyapunov", "--method", "direct", "--from-mm",
-                str(tmp_path / "a.mtx"), str(tmp_path / "q.mtx"),
+                str(tmp_path / "a.mtx"), str(tmp_path / "q.mtx"), "--n", "7",
                 "--to-mm", str(tmp_path / "x.mtx"),
             ],
             capsys,
         )
         assert code == 0
+        assert json.loads(out)["problem"]["n"] is None  # files set the order, not --n
         x = read_matrix_market(tmp_path / "x.mtx")
         np.testing.assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-10)
 
@@ -243,11 +256,26 @@ class TestBench:
         payload = json.loads((tmp_path / "t8.json").read_text())
         assert payload["rows_run"] == 2 and payload["rows_failed"] == 0
 
+    def test_a_row_stopped_short_exits_2(self, tmp_path, capsys, monkeypatch):
+        # t8's admm row capped at 5 sweeps ends max_iterations, not an error.
+        rows = [
+            (method, n, {**params, "max_iterations": 5} if method == "admm" else params, *rest)
+            for method, n, params, *rest in problems._PAPER_ROWS["t8"]
+        ]
+        monkeypatch.setitem(problems._PAPER_ROWS, "t8", rows)
+        path = tmp_path / "t8.json"
+        code, _ = run_cli(["bench", "--suite", "t8", "--cap", "16", "--json", str(path)], capsys)
+        assert code == 2
+        payload = json.loads(path.read_text())
+        assert payload["rows_failed"] == 0
+        assert [(r["algorithm"], r["termination"]) for r in payload["records"]] == [
+            ("admm", "max_iterations"), ("newton", "converged")
+        ]
+
     def test_json_of_finite_rows_is_plain_json(self, tmp_path):
         # Finite rows, error rows among them, come out byte for byte as
         # json.dumps writes them.
-        manifest = manifest_for_suite("t1")
-        payload = summary_json(manifest, run_manifest(manifest, cap=256))
+        payload = summary_json("t1", run_manifest(paper_suite("t1"), cap=256))
         assert payload["rows_failed"] > 0
         _write_json(payload, str(tmp_path / "t1.json"))
         assert (tmp_path / "t1.json").read_text() == json.dumps(payload, indent=2) + "\n"

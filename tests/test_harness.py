@@ -9,8 +9,6 @@ from matrixopt.baselines import BaselineConfig, solve_newton_care
 from matrixopt.errors import PreconditionError
 from matrixopt.harness.manifest import (
     CSV_COLUMNS,
-    RunManifest,
-    manifest_for_suite,
     run_manifest,
     run_method,
     summary_json,
@@ -30,7 +28,7 @@ def _n128_rows(*tables):
         if row.method == "admm":
             row = replace(row, params={**row.params, "max_iterations": 50})
         rows.append(row)
-    return RunManifest(suite="+".join(tables), rows=rows)
+    return rows
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -59,20 +57,16 @@ class TestRegistry:
 
 
 class TestManifest:
-    def test_rejects_unknown_method(self):
+    def test_unknown_method_fails_its_row_alone(self):
         row = paper_suite("t3")[0]
         bad = SuiteRow(source=row.source, method="mystery", params={})
-        with pytest.raises(ValueError):
-            RunManifest(suite="t3", rows=[bad])
-
-    def test_cap_filters_rows(self):
-        manifest = manifest_for_suite("t5")
-        orders = [row.source.order for row in manifest.capped_rows(256)]
-        assert orders and max(orders) <= 256
+        records = run_manifest([bad, row], cap=10)
+        assert records[0].termination == "error"
+        assert records[0].error.startswith("PreconditionError: unknown method 'mystery'")
+        assert records[1].termination == "converged"
 
     def test_run_t3_small(self):
-        manifest = manifest_for_suite("t3")
-        records = run_manifest(manifest, cap=10)
+        records = run_manifest(paper_suite("t3"), cap=10)
         assert len(records) == 1
         rec = records[0]
         assert rec.termination == "converged"
@@ -82,8 +76,7 @@ class TestManifest:
     def test_errors_recorded_not_raised(self):
         # the n=100 row needs a 10^8-entry flattened system, which trips
         # the capacity guard; the run must record the failure and continue
-        manifest = manifest_for_suite("t1")
-        records = run_manifest(manifest, cap=100)
+        records = run_manifest(paper_suite("t1"), cap=100)
         assert len(records) == 2
         assert records[0].termination == "converged"
         assert records[1].termination == "error"
@@ -97,35 +90,29 @@ class TestManifest:
                 for r in records]
 
     @pytest.mark.parametrize(
-        "manifest, cap",
-        [(manifest_for_suite("t8"), 16), (_n128_rows("t8", "t9"), 128),
+        "rows, cap",
+        [(paper_suite("t8"), 16), (_n128_rows("t8", "t9"), 128),
          (_n128_rows("t6", "t8"), 128)],
         ids=["t8-n16", "t8-t9-n128", "t6-t8-n128"],
     )
-    def test_a_row_runs_as_it_does_alone(self, manifest, cap):
-        together = self._stable_fields(run_manifest(manifest, cap=cap))
+    def test_a_row_runs_as_it_does_alone(self, rows, cap):
+        together = self._stable_fields(run_manifest(rows, cap=cap))
         alone = [
-            field
-            for row in manifest.capped_rows(cap)
-            for field in self._stable_fields(
-                run_manifest(RunManifest(suite=manifest.suite, rows=[row]), cap=cap)
-            )
+            field for row in rows for field in self._stable_fields(run_manifest([row], cap=cap))
         ]
         assert together == alone
 
     def test_records_follow_manifest_order(self):
-        manifest = manifest_for_suite("t8")
-        manifest.rows.reverse()
-        records = run_manifest(manifest, cap=32)
-        assert [rec.row for rec in records] == manifest.capped_rows(32)
+        rows = paper_suite("t8")[::-1]
+        records = run_manifest(rows, cap=32)
+        assert [rec.row for rec in records] == [row for row in rows if row.source.order <= 32]
         assert [(rec.row.method, rec.row.source.order) for rec in records] == [
             ("newton", 32), ("admm", 32), ("newton", 16), ("admm", 16)
         ]
 
     def test_deterministic_across_runs(self):
-        manifest = manifest_for_suite("t8")
-        first = self._stable_fields(run_manifest(manifest, cap=16))
-        second = self._stable_fields(run_manifest(manifest, cap=16))
+        first = self._stable_fields(run_manifest(paper_suite("t8"), cap=16))
+        second = self._stable_fields(run_manifest(paper_suite("t8"), cap=16))
         assert first == second
 
 
@@ -139,8 +126,7 @@ class TestCsv:
         )
 
     def test_row_format(self):
-        manifest = manifest_for_suite("t3")
-        records = run_manifest(manifest, cap=10)
+        records = run_manifest(paper_suite("t3"), cap=10)
         lines = write_csv(records).splitlines()
         assert len(lines) == 2
         fields = lines[1].split(",")
@@ -149,9 +135,8 @@ class TestCsv:
         float(fields[3])
 
     def test_summary_json(self):
-        manifest = manifest_for_suite("t3")
-        records = run_manifest(manifest, cap=10)
-        payload = summary_json(manifest, records)
+        records = run_manifest(paper_suite("t3"), cap=10)
+        payload = summary_json("t3", records)
         assert payload["suite"] == "t3"
         assert payload["rows_run"] == 1
         assert payload["rows_converged"] == 1

@@ -77,14 +77,6 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             LyapunovProblem(a=np.eye(2), q=q)
 
-    def test_care_semidefinite_scan(self):
-        bad = np.diag([1.0, -1.0])
-        p = CareProblem(a=np.eye(2), n_mat=np.eye(2), k_mat=bad)
-        with pytest.raises(ValueError):
-            p.check_semidefinite()
-        p_ok = CareProblem(a=np.eye(2), n_mat=np.eye(2), k_mat=np.eye(2))
-        p_ok.check_semidefinite()
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SylvesterProblem(a=[[np.inf]], b=[[1.0]], c=[[1.0]])
@@ -152,13 +144,6 @@ class TestPaperSuite:
         assert len(rows) == 3
         assert rows[0].params["alpha"] == 0.0465
         assert rows[0].paper_iterations == 6715
-
-    def test_desk_scale_marking(self):
-        rows = paper_suite("t5")
-        large = [r for r in rows if r.source.order > 256]
-        assert large and all(not r.desk_scale for r in large)
-        small = [r for r in rows if r.source.order <= 256]
-        assert small and all(r.desk_scale for r in small)
 
     def test_table_source_finds_every_table(self):
         kinds = {"t1": SylvesterProblem, "t6": SylvesterProblem, "t7": CareProblem,

@@ -9,7 +9,8 @@ import pytest
 import matrixopt.care_admm as care_admm
 import matrixopt.harness.manifest as manifest
 from matrixopt.harness.cli import main
-from matrixopt.harness.manifest import manifest_for_suite, run_manifest, summary_json
+from matrixopt.harness.manifest import run_manifest, summary_json
+from matrixopt.problems import paper_suite
 
 
 def _raise(exc):
@@ -33,22 +34,21 @@ def _stable_fields(records):
 @pytest.mark.parametrize("exc, text", FAILURES)
 def test_one_bad_row_does_not_abort_the_table(monkeypatch, exc, text):
     monkeypatch.setattr(manifest, "solve_newton_care", _raise(exc))
-    table = manifest_for_suite("t8")
-    records = run_manifest(table, cap=16)
+    records = run_manifest(paper_suite("t8"), cap=16)
     by_method = {rec.row.method: rec for rec in records}
     assert set(by_method) == {"admm", "newton"}
     assert by_method["admm"].termination == "converged"
     assert by_method["admm"].error is None
     assert by_method["newton"].termination == "error"
     assert by_method["newton"].error == text
-    assert summary_json(table, records)["rows_failed"] == 1
+    assert summary_json("t8", records)["rows_failed"] == 1
 
 
 @pytest.mark.parametrize("exc, text", FAILURES)
 def test_a_row_failing_mid_solve_leaves_the_rows_after_it(monkeypatch, exc, text):
     # The first sweep of the first row raises inside the solver's BLAS
     # hold; every later row must give what it gives in a clean run.
-    table = manifest_for_suite("t8")
+    table = paper_suite("t8")
     clean = _stable_fields(run_manifest(table, cap=32))
     original = care_admm.admm_step
     calls = []
@@ -67,9 +67,8 @@ def test_a_row_failing_mid_solve_leaves_the_rows_after_it(monkeypatch, exc, text
 
 
 def test_negative_cap_fails_its_row_alone():
-    table = manifest_for_suite("t8")
-    bad = table.rows[0]
-    table.rows[0] = dataclasses.replace(bad, params={**bad.params, "max_iterations": -1})
+    table = paper_suite("t8")
+    table[0] = dataclasses.replace(table[0], params={**table[0].params, "max_iterations": -1})
     records = run_manifest(table, cap=16)
     assert records[0].termination == "error"
     assert records[0].error == "ParameterError: iteration cap must be nonnegative, got -1"
@@ -77,7 +76,7 @@ def test_negative_cap_fails_its_row_alone():
 
 
 def test_library_errors_name_their_class_too():
-    records = run_manifest(manifest_for_suite("t1"), cap=100)
+    records = run_manifest(paper_suite("t1"), cap=100)
     failed = [rec for rec in records if rec.error is not None]
     assert failed and all(rec.error.startswith("CapacityError: ") for rec in failed)
 
