@@ -47,14 +47,10 @@ NEWTON_MAX_STEPS = 100
 class BaselineConfig:
     tol: float = 1e-8
     max_iterations: int = 1000
-    richardson_omega: float | str = "auto"
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        omega = self.richardson_omega
-        if omega != "auto" and (isinstance(omega, str) or not math.isfinite(omega)):
-            raise ValueError("richardson_omega must be 'auto' or a finite number")
 
 
 def _symmetry_gap(m: np.ndarray) -> float:
@@ -107,18 +103,14 @@ def solve_anderson_richardson(
     """Damped Richardson iteration X <- X - omega R with depth-1 Anderson
     mixing over the last two iterate/residual pairs.
 
-    ``omega="auto"`` uses 1 / (||A||_1 + ||B||_1), a cheap upper proxy
-    for the operator's spectral radius.  This is a best-effort
-    comparator: convergence is not guaranteed, and blow-up beyond 1e6
-    times the initial residual terminates the run as diverged.
+    omega is 1 / (||A||_1 + ||B||_1), a cheap upper proxy for the
+    operator's spectral radius, reported as ``detail["omega"]``.  This
+    is a best-effort comparator: convergence is not guaranteed, and
+    blow-up beyond 1e6 times the initial residual terminates the run as
+    diverged.
     """
     cfg = cfg or BaselineConfig()
-    if cfg.richardson_omega == "auto":
-        omega = 1.0 / (
-            float(np.abs(p.a).sum(axis=0).max()) + float(np.abs(p.b).sum(axis=0).max())
-        )
-    else:
-        omega = float(cfg.richardson_omega)
+    omega = 1.0 / (float(np.abs(p.a).sum(axis=0).max()) + float(np.abs(p.b).sum(axis=0).max()))
 
     def step(s):
         gx = s.x - omega * s.r

@@ -32,12 +32,12 @@ ROW_NORM_FLOOR = 1e-12
 
 @dataclass
 class CcomConfig:
-    epsilon: float = 1e-8
+    tol: float = 1e-8
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -63,7 +63,7 @@ def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray
 
 def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveReport:
     """Iterate weighted least-norm steps until the equation residual
-    drops below ``cfg.epsilon`` or the iteration cap is hit.
+    drops below ``cfg.tol`` or the iteration cap is hit.
 
     The report's ``detail`` carries the per-iterate objective ||vec(X)||_1
     (``l21_history``) and constraint gap ``||M x - c||_2``
@@ -91,7 +91,7 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
         step,
         lambda state: sylvester_residual(p, state[0]),
         cfg.max_iterations,
-        tol=cfg.epsilon,
+        tol=cfg.tol,
         solution=lambda state: state[0],
         detail={
             "l21_history": l21_history,

@@ -77,23 +77,13 @@ def _file_names(fields) -> str:
     return " ".join(name[0].upper() for name in fields)
 
 
-def _number_or_word(raw: str):
-    """A ``float | str`` field: a number, or a word such as ``auto``."""
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 def _param_table() -> dict[str, tuple]:
     """Parameter key -> (type, choices, methods taking it), sorted by key."""
     table: dict[str, tuple] = {}
     for (method, _), spec in METHODS.items():
         hints = typing.get_type_hints(spec.config) if spec.config else {}
         for key, name in spec.keys.items():
-            hint = hints[name]
-            kind = hint if hint in (int, float, str) else _number_or_word
-            _, _, methods = table.setdefault(key, (kind, _CHOICES.get(name), {}))
+            _, _, methods = table.setdefault(key, (hints[name], _CHOICES.get(name), {}))
             methods[method] = None
     return {key: table[key] for key in sorted(table)}
 
@@ -194,6 +184,8 @@ def _build_problem(args, parser: _Parser):
     eq = args.equation
     kind, fields = _EQUATIONS[eq]
     if args.from_mm:
+        if args.suite:
+            parser.error("--suite and --from-mm each name the problem; give one of them")
         try:
             mats = [read_matrix_market(path) for path in args.from_mm]
             if len(mats) != len(fields):

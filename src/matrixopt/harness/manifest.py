@@ -96,8 +96,7 @@ def _direct(solve, residual):
     return run
 
 
-_QN_KEYS = _keys("max_iterations", "linesearch", "sigma1", "sigma2", tol="grad_tol")
-_NA_KEYS = _keys("alpha", "beta", tol="outer_tol")
+_QN_KEYS = _keys("max_iterations", "linesearch", "tol")
 
 # (method, problem class) -> Method.  Every default is the config
 # dataclass's own; a key missing from a row is rejected for that row.
@@ -107,7 +106,7 @@ METHODS = {
     ("ccom", SylvesterProblem): Method(
         lambda p, cfg: solve_ccom(p, cfg),
         CcomConfig,
-        _keys("max_iterations", tol="epsilon"),
+        _keys("max_iterations", "tol"),
         hold="numpy",
     ),
     ("dfp", SylvesterProblem): Method(
@@ -124,7 +123,7 @@ METHODS = {
     ("ar", SylvesterProblem): Method(
         lambda p, cfg: solve_anderson_richardson(p, cfg),
         BaselineConfig,
-        _keys("tol", "max_iterations", omega="richardson_omega"),
+        _keys("tol", "max_iterations"),
     ),
     ("admm", CareProblem): Method(
         lambda p, cfg: solve_care_admm(p, cfg),
@@ -135,7 +134,7 @@ METHODS = {
     ("admm", LyapunovProblem): Method(
         lambda p, cfg: solve_lyapunov_admm(p, cfg),
         NewtonAdmmConfig,
-        {**_NA_KEYS, "max_iterations": "inner_max"},
+        _keys("alpha", "beta", "tol", max_iterations="inner_max"),
         hold="numpy",
     ),
     ("newton", CareProblem): Method(
@@ -148,7 +147,7 @@ METHODS = {
     ("newton-admm", CareProblem): Method(
         lambda p, cfg: solve_newton_admm(p, cfg=cfg),
         NewtonAdmmConfig,
-        {**_NA_KEYS, **_keys("outer_max", "inner_tol_value", "inner_max")},
+        _keys("alpha", "beta", "tol", "outer_max", "inner_tol_value", "inner_max"),
         hold="numpy",
     ),
     ("direct", SylvesterProblem): Method(

@@ -18,11 +18,11 @@ solves, on the sweep loop CARE-ADMM runs on
 (alpha A A^T + beta I and A A^T + beta I) are constant within one
 Lyapunov problem, so each is inverted once per inner solve and every
 inner sweep applies the two inverses by products.  The inner solver
-reads its sweep cap (``inner_max``) and its default tolerance
-(``outer_tol``) from :class:`NewtonAdmmConfig` alone.
+reads its sweep cap (``inner_max``) and its tolerance (``tol``) from
+:class:`NewtonAdmmConfig` alone.
 
 The inner solves are inexact: each one runs to the tolerance
-max(inner_tol_value ||R(X_k)||_F, outer_tol / 10), proportional to the
+max(inner_tol_value ||R(X_k)||_F, tol / 10), proportional to the
 current outer residual (a forcing rule), warm-started from the previous
 inner state.  The report carries the same ``certificate`` as exact
 Newton's (:func:`~matrixopt.baselines.certify_care`).
@@ -30,7 +30,7 @@ Newton's (:func:`~matrixopt.baselines.certify_care`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +47,7 @@ from .report import SolveReport, Stop
 class NewtonAdmmConfig:
     alpha: float = 0.8
     beta: float = 50.0
-    outer_tol: float = 1e-8
+    tol: float = 1e-8
     outer_max: int = 50
     inner_tol_value: float = 0.1
     inner_max: int = 5000
@@ -55,8 +55,8 @@ class NewtonAdmmConfig:
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.alpha, self.beta)):
             raise ValueError("penalties alpha, beta must be finite and positive")
-        if not 0 < self.outer_tol < np.inf:
-            raise ValueError("outer_tol must be finite and positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if not 0 < self.inner_tol_value < 1:
             raise ValueError("forcing factor must lie in (0, 1)")
 
@@ -144,11 +144,9 @@ def solve_lyapunov_admm(
     p: LyapunovProblem,
     cfg: NewtonAdmmConfig | None = None,
     init: LyapAdmmState | None = None,
-    tol: float | None = None,
 ) -> SolveReport:
-    """Sweep the three-block ADMM until ||A^T X + X A + Q||_F <= tol
-    (``cfg.outer_tol`` when not given), for at most ``cfg.inner_max``
-    sweeps.
+    """Sweep the three-block ADMM until ||A^T X + X A + Q||_F <= ``cfg.tol``,
+    for at most ``cfg.inner_max`` sweeps.
 
     The reported solution is symmetrized; ``detail["state"]`` keeps the
     full final state, raw X block included (for warm starts).  ``init``
@@ -163,7 +161,7 @@ def solve_lyapunov_admm(
         start,
         lambda state: lyap_admm_step(p, state, cfg, inverses),
         lambda state: lyapunov_residual(p, state.x, state.carried(p, "atx")),
-        cfg.outer_tol if tol is None else tol,
+        cfg.tol,
         cfg.inner_max,
         solution=lambda state: symmetrize(state.x),
     )
@@ -199,9 +197,9 @@ def solve_newton_admm(p: CareProblem, cfg: NewtonAdmmConfig | None = None) -> So
         return outer.residual
 
     def lyapunov_solve(lp):
-        inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.outer_tol / 10.0)
+        inner_tol = max(cfg.inner_tol_value * outer.residual, cfg.tol / 10.0)
         inner = solve_lyapunov_admm(
-            lp, cfg, init=outer.inner.pop() if outer.inner else None, tol=inner_tol
+            lp, replace(cfg, tol=inner_tol), init=outer.inner.pop() if outer.inner else None
         )
         if inner.termination == "diverged":
             raise Stop("diverged")
@@ -218,7 +216,7 @@ def solve_newton_admm(p: CareProblem, cfg: NewtonAdmmConfig | None = None) -> So
 
     try:
         report = newton_iteration(
-            p, lyapunov_solve, residual, cfg.outer_max, tol=cfg.outer_tol,
+            p, lyapunov_solve, residual, cfg.outer_max, tol=cfg.tol,
             stop=lambda x, res: "stagnated" if outer.capped_streak >= 2 else None,
             detail=detail,
         )

@@ -28,7 +28,7 @@ line search read it.
 The start model is the identity and is never formed (``None`` stands
 for it): the first direction is -g, and the first update reads G y = y
 and forms E E^T in place of E I E^T.  The model is updated only when
-another step will read it: the step whose gradient passes ``grad_tol``
+another step will read it: the step whose gradient passes ``tol``
 forms no update (each update costs one or two n x n pseudo-inverses).
 An update keeps the order of its textbook expression,
 (G + d K d^T) - (G y) T (G y)^T for DFP and E G E^T + dk d^T for BFGS,
@@ -61,14 +61,20 @@ from .report import SolveReport, Stop, iterate
 METHODS = ("dfp", "bfgs")
 LINESEARCHES = ("exact", "armijo", "wolfe")
 
+# Slope fractions of the sufficient-decrease (SIGMA1) and curvature
+# (SIGMA2) conditions: the textbook Wolfe pair (Nocedal & Wright,
+# Numerical Optimization, 2006, section 3.1).
+SIGMA1 = 1e-4
+SIGMA2 = 0.9
+
 
 @dataclass
 class QnConfig:
+    """``tol`` bounds the gradient norm ||g||_F, not the residual."""
+
     method: str = "bfgs"
     linesearch: str = "exact"
-    sigma1: float = 1e-4
-    sigma2: float = 0.9
-    grad_tol: float = 1e-8
+    tol: float = 1e-8
     max_iterations: int = 500
 
     def __post_init__(self):
@@ -76,12 +82,8 @@ class QnConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.linesearch not in LINESEARCHES:
             raise ValueError(f"linesearch must be one of {LINESEARCHES}")
-        if not 0 < self.sigma1 < 0.5:
-            raise ValueError("sigma1 must lie in (0, 0.5)")
-        if not self.sigma1 < self.sigma2 < 1:
-            raise ValueError("sigma2 must lie in (sigma1, 1)")
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be finite and positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:
@@ -138,7 +140,7 @@ def armijo_search(
     p: SylvesterProblem,
     x: np.ndarray,
     direction: np.ndarray,
-    sigma1: float = QnConfig.sigma1,
+    sigma1: float = SIGMA1,
     max_trials: int = 60,
     r: np.ndarray | None = None,
 ) -> float:
@@ -159,8 +161,8 @@ def wolfe_search(
     p: SylvesterProblem,
     x: np.ndarray,
     direction: np.ndarray,
-    sigma1: float = QnConfig.sigma1,
-    sigma2: float = QnConfig.sigma2,
+    sigma1: float = SIGMA1,
+    sigma2: float = SIGMA2,
     max_trials: int = 60,
     r: np.ndarray | None = None,
 ) -> float:
@@ -240,7 +242,7 @@ def bfgs_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> SolveReport:
     """Quasi-Newton iteration X <- X + lambda (-G g) from X_0 = 0, with
-    G the m x m model, until ||g||_F falls below ``cfg.grad_tol``.
+    G the m x m model, until ||g||_F falls below ``cfg.tol``.
 
     The model is updated after every step except one whose gradient
     passes the tolerance or is not finite, so a converged run has
@@ -266,7 +268,7 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
     state.r = p.residual_matrix(state.x)
     state.g = f1_gradient(p, state.x, state.r)
     g_norm = frobenius_norm(state.g)
-    state.done = g_norm < cfg.grad_tol
+    state.done = g_norm < cfg.tol
     detail: dict = {"grad_norm_history": [g_norm]}
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
     blown_up_norm = math.sqrt(m) / np.finfo(np.float64).eps
@@ -279,9 +281,9 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
             if cfg.linesearch == "exact":
                 lam = exact_step(p, s.x, direction, r=s.r)
             elif cfg.linesearch == "armijo":
-                lam = armijo_search(p, s.x, direction, cfg.sigma1, r=s.r)
+                lam = armijo_search(p, s.x, direction, r=s.r)
             else:
-                lam = wolfe_search(p, s.x, direction, cfg.sigma1, cfg.sigma2, r=s.r)
+                lam = wolfe_search(p, s.x, direction, r=s.r)
         except LineSearchError:
             if s.inv_h_norm > blown_up_norm:
                 raise Stop("diverged") from None
@@ -296,7 +298,7 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
         s.r = p.residual_matrix(x_new)
         g_new = f1_gradient(p, x_new, s.r)
         g_norm = frobenius_norm(g_new)
-        s.done = g_norm < cfg.grad_tol
+        s.done = g_norm < cfg.tol
         # Only a next step reads the model, so a step whose gradient passes
         # or blows up forms none.  The old iterate goes before the update.
         if s.done or not math.isfinite(g_norm):

@@ -83,7 +83,7 @@ def random_problem_runs():
         p = random_sylvester(rng, m, n, spd=spd)
         x_star = solve_kronecker_direct(p)
         reports = {"direct": None}
-        reports["ccom"] = solve_ccom(p, CcomConfig(epsilon=1e-10))
+        reports["ccom"] = solve_ccom(p, CcomConfig(tol=1e-10))
         if spd:
             reports["cg"] = solve_cg(p, BaselineConfig(tol=1e-10))
         runs.append((p, x_star, reports))
@@ -99,7 +99,7 @@ def t5_runs():
     for n in (128, 256):
         p = table_source("t5", n).build()
         for method in ("dfp", "bfgs"):
-            cfg = QnConfig(method=method, linesearch="exact", grad_tol=1e-10)
+            cfg = QnConfig(method=method, linesearch="exact", tol=1e-10)
             reports[(method, n)], recorded = recorded_updates(
                 lambda: solve_quasi_newton(p, cfg)
             )
@@ -114,7 +114,7 @@ def t6_runs():
     reports = {"cg": solve_cg(p, BaselineConfig(tol=1e-12, max_iterations=100))}
     updates = []
     for method in ("dfp", "bfgs"):
-        cfg = QnConfig(method=method, linesearch="exact", grad_tol=1e-10)
+        cfg = QnConfig(method=method, linesearch="exact", tol=1e-10)
         reports[method], recorded = recorded_updates(lambda: solve_quasi_newton(p, cfg))
         updates += recorded
     return reports, time.perf_counter() - start, updates
@@ -124,7 +124,7 @@ def t6_runs():
 def t3_ccom_run():
     start = time.perf_counter()
     p = table_source("t3", 10).build()
-    report = solve_ccom(p, CcomConfig(epsilon=1e-8))
+    report = solve_ccom(p, CcomConfig(tol=1e-8))
     return report, time.perf_counter() - start
 
 
@@ -147,7 +147,7 @@ def newton_admm_runs():
     start = time.perf_counter()
     for table, beta, n in (("t9", 53.5, 16), ("t10", 45.0, 16)):
         p = table_source(table, n).build()
-        cfg = NewtonAdmmConfig(alpha=0.8, beta=beta, outer_tol=1e-9)
+        cfg = NewtonAdmmConfig(alpha=0.8, beta=beta, tol=1e-9)
         with warnings.catch_warnings(), recorded_sweeps() as sweeps:
             warnings.simplefilter("ignore")  # t8/t9 plants are open-loop unstable
             runs[table] = (solve_newton_admm(p, cfg=cfg), cfg, sweeps)

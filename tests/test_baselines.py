@@ -95,10 +95,8 @@ class TestConjugateGradient:
 class TestAndersonRichardson:
     def test_scalar_contraction(self):
         p = SylvesterProblem(a=[[1.0]], b=[[1.0]], c=[[2.0]])
-        report = solve_anderson_richardson(
-            p, BaselineConfig(tol=1e-12, richardson_omega=0.25)
-        )
-        assert report.converged
+        report = solve_anderson_richardson(p, BaselineConfig(tol=1e-12))
+        assert report.converged and report.detail["omega"] == 0.5
         assert report.solution[0, 0] == pytest.approx(1.0)
 
     def test_fixed_point_input(self):

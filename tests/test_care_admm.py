@@ -435,7 +435,7 @@ def _sweeps(splitting, sweeps):
 
 def _lyap_sweeps(sweeps, init=None):
     """``sweeps`` Lyapunov ADMM sweeps from ``init``, none stopped by the tolerance."""
-    return solve_lyapunov_admm(LYAP_8, NewtonAdmmConfig(inner_max=sweeps), init=init, tol=1e-300)
+    return solve_lyapunov_admm(LYAP_8, NewtonAdmmConfig(tol=1e-300, inner_max=sweeps), init=init)
 
 
 def _blow_up_from(monkeypatch, splitting, call):

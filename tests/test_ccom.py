@@ -81,7 +81,7 @@ class TestSolveCcom:
 
     def test_first_iterate_matches_oracle_when_square(self, rng):
         p = random_sylvester(rng, 4, 5)
-        report = solve_ccom(p, CcomConfig(max_iterations=1, epsilon=1e-30))
+        report = solve_ccom(p, CcomConfig(max_iterations=1, tol=1e-30))
         x_direct = solve_kronecker_direct(p)
         assert frobenius_norm(report.solution - x_direct) <= 1e-8
 
@@ -96,7 +96,7 @@ class TestSolveCcom:
 
     def test_iteration_cap_is_not_an_error(self, rng):
         p = random_sylvester(rng, 3, 3)
-        report = solve_ccom(p, CcomConfig(epsilon=1e-300, max_iterations=2))
+        report = solve_ccom(p, CcomConfig(tol=1e-300, max_iterations=2))
         assert report.termination == "max_iterations"
         assert report.iterations == 2
 
@@ -113,7 +113,7 @@ class TestSolveCcom:
             return step(m, c, d)
 
         monkeypatch.setattr(ccom, "ccom_step", recording)
-        report = solve_ccom(p, CcomConfig(epsilon=1e-300, max_iterations=5))
+        report = solve_ccom(p, CcomConfig(tol=1e-300, max_iterations=5))
         assert report.iterations == len(weights) == 5
         assert np.count_nonzero(report.solution) == 10
         for d in weights[1:]:

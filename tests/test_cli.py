@@ -197,6 +197,17 @@ class TestSolve:
         x = read_matrix_market(tmp_path / "x.mtx")
         np.testing.assert_allclose(x, np.diag([0.5, 0.25]), atol=1e-10)
 
+    def test_suite_with_from_mm_is_usage_error(self, tmp_path, capsys):
+        write_matrix_market(tmp_path / "a.mtx", np.diag([-1.0, -2.0]))
+        write_matrix_market(tmp_path / "q.mtx", np.eye(2))
+        err = usage_error(
+            ["solve", "lyapunov", "--method", "direct", "--suite", "t8", "--n", "16",
+             "--from-mm", str(tmp_path / "a.mtx"), str(tmp_path / "q.mtx")],
+            capsys,
+        )
+        named = [line for line in err.splitlines() if "--suite" in line and "--from-mm" in line]
+        assert len(named) == 1 and "Traceback" not in err
+
     def test_history_flag(self, tmp_path, capsys):
         code, out = run_cli(
             [
@@ -462,26 +473,38 @@ class TestPlot:
     def test_diverged_report_is_strict_json_and_plots_its_finite_points(
         self, tmp_path, capsys
     ):
+        # ar's omega = 1/5.1 on a rotation: the residual grows from
+        # 1.41e150 until its norm overflows at step 57.
+        files = []
+        for name, value in (("a", [[0.0, -5.0], [5.0, 0.0]]), ("b", [[0.1]]),
+                            ("c", [[1e150], [1e150]])):
+            write_matrix_market(tmp_path / f"{name}.mtx", np.array(value))
+            files.append(str(tmp_path / f"{name}.mtx"))
         report_path = tmp_path / "d.json"
         code, _ = run_cli(
             [
-                "solve", "sylvester", "--method", "ar", "--suite", "t6", "--n", "8",
-                "--omega", "1e300", "--history", "--out", str(report_path),
+                "solve", "sylvester", "--method", "ar", "--from-mm", *files,
+                "--history", "--out", str(report_path),
             ],
             capsys,
         )
         assert code == 2
         text = report_path.read_text()
         payload = json.loads(text, parse_constant=pytest.fail)
-        assert payload["termination"] == "diverged"
+        assert (payload["termination"], payload["iterations"]) == ("diverged", 57)
         assert payload["final_residual"] == "inf"
-        assert payload["residual_history"][-1] == "inf"
+        history = payload["residual_history"]
+        assert history[0] == pytest.approx(2**0.5 * 1e150)
+        assert history[-2] == pytest.approx(1.32e154, rel=1e-2)
+        assert history[-1] == "inf" and "inf" not in history[:-1]
         out_svg = tmp_path / "d.svg"
         assert main(["plot", "--report", str(report_path), "--out", str(out_svg)]) == 0
         svg = out_svg.read_text()
         assert not re.search(r'[=", ]-?(nan|inf)\b', svg)
-        assert 'points="70.00,205.00"' in svg
-        assert '<circle id="final-point" cx="70.00" cy="205.00"' in svg
+        points = re.search(r'points="([^"]*)"', svg).group(1).split()
+        assert len(points) == 57 and points[0] == "70.00,373.18"
+        cx, cy = points[-1].split(",")
+        assert f'<circle id="final-point" cx="{cx}" cy="{cy}"' in svg
 
     def test_plot_skips_a_legacy_infinity_token(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"

@@ -37,14 +37,15 @@ from matrixopt.quasi_newton import QnConfig
 S, L, C = SylvesterProblem, LyapunovProblem, CareProblem
 
 # The keys each method's hand-written adapter read before the table
-# replaced them.  cg is the one deliberate change: its adapter read
-# ``omega`` through a helper shared with ar, but solve_cg never used it.
+# replaced them, less three that became constants: ar's ``omega`` and
+# dfp/bfgs's ``sigma1`` and ``sigma2``.  cg's adapter also read ``omega``,
+# through a helper shared with ar, but solve_cg never used it.
 ADAPTER_KEYS = {
     ("ccom", S): {"tol", "max_iterations"},
-    ("dfp", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
-    ("bfgs", S): {"linesearch", "sigma1", "sigma2", "tol", "max_iterations"},
+    ("dfp", S): {"linesearch", "tol", "max_iterations"},
+    ("bfgs", S): {"linesearch", "tol", "max_iterations"},
     ("cg", S): {"tol", "max_iterations"},
-    ("ar", S): {"tol", "max_iterations", "omega"},
+    ("ar", S): {"tol", "max_iterations"},
     ("admm", C): {"alpha", "beta", "gamma", "tol", "max_iterations"},
     ("admm", L): {"alpha", "beta", "tol", "max_iterations"},
     ("newton", C): {"tol", "max_iterations"},
@@ -55,23 +56,17 @@ ADAPTER_KEYS = {
 
 # The configs the adapters built from an empty parameter dict.
 ADAPTER_DEFAULTS = {
-    ("ccom", S): CcomConfig(epsilon=1e-8, max_iterations=100),
-    ("dfp", S): QnConfig(
-        method="dfp", linesearch="exact", sigma1=1e-4, sigma2=0.9,
-        grad_tol=1e-8, max_iterations=500,
-    ),
-    ("bfgs", S): QnConfig(
-        method="bfgs", linesearch="exact", sigma1=1e-4, sigma2=0.9,
-        grad_tol=1e-8, max_iterations=500,
-    ),
-    ("cg", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
-    ("ar", S): BaselineConfig(tol=1e-8, max_iterations=1000, richardson_omega="auto"),
+    ("ccom", S): CcomConfig(tol=1e-8, max_iterations=100),
+    ("dfp", S): QnConfig(method="dfp", linesearch="exact", tol=1e-8, max_iterations=500),
+    ("bfgs", S): QnConfig(method="bfgs", linesearch="exact", tol=1e-8, max_iterations=500),
+    ("cg", S): BaselineConfig(tol=1e-8, max_iterations=1000),
+    ("ar", S): BaselineConfig(tol=1e-8, max_iterations=1000),
     ("admm", C): AdmmConfig(alpha=0.5, beta=10.0, gamma=0.05, tol=1e-8, max_iterations=50_000),
     # the Lyapunov adapter passed tol=1e-8 and max_iter=5000 to the solver
-    ("admm", L): NewtonAdmmConfig(alpha=0.8, beta=50.0, outer_tol=1e-8, inner_max=5000),
+    ("admm", L): NewtonAdmmConfig(alpha=0.8, beta=50.0, tol=1e-8, inner_max=5000),
     ("newton", C): BaselineConfig(tol=1e-8, max_iterations=100),
     ("newton-admm", C): NewtonAdmmConfig(
-        alpha=0.8, beta=50.0, outer_tol=1e-8, outer_max=50, inner_tol_value=0.1, inner_max=5000,
+        alpha=0.8, beta=50.0, tol=1e-8, outer_max=50, inner_tol_value=0.1, inner_max=5000,
     ),
     ("direct", S): None,
     ("direct", L): None,
@@ -85,12 +80,9 @@ SOLVE_FLAGS = {
     "beta": (["--beta"], float, None),
     "gamma": (["--gamma"], float, None),
     "linesearch": (["--linesearch"], str, ("exact", "armijo", "wolfe")),
-    "sigma1": (["--sigma1"], float, None),
-    "sigma2": (["--sigma2"], float, None),
     "inner_tol_value": (["--inner-tol-value"], float, None),
     "inner_max": (["--inner-max"], int, None),
     "outer_max": (["--outer-max"], int, None),
-    "omega": (["--omega"], None, None),  # a number or "auto"
 }
 NON_PARAM_DESTS = {
     "help", "equation", "method", "suite", "n", "from_mm", "config", "out", "to_mm", "history",
@@ -99,9 +91,7 @@ NON_PARAM_DESTS = {
 # A value each key accepts, as it is written on a command line.
 SAMPLE = {
     "tol": "1e-6", "max_iterations": "7", "alpha": "0.7", "beta": "3", "gamma": "0.2",
-    "linesearch": "wolfe", "sigma1": "0.01", "sigma2": "0.5",
-    "inner_tol_value": "0.001", "inner_max": "9",
-    "outer_max": "4", "omega": "0.05",
+    "linesearch": "wolfe", "inner_tol_value": "0.001", "inner_max": "9", "outer_max": "4",
 }
 
 
@@ -137,13 +127,7 @@ class TestVocabulary:
             action = params[dest]
             assert action.option_strings == flags
             assert (tuple(action.choices) if action.choices else None) == choices
-            if kind is not None:
-                assert action.type is kind
-
-    def test_omega_flag_takes_number_or_auto(self):
-        base = ["solve", "sylvester", "--method", "ar"]
-        assert build_parser().parse_args(base + ["--omega", "0.25"]).omega == 0.25
-        assert build_parser().parse_args(base + ["--omega", "auto"]).omega == "auto"
+            assert action.type is kind
 
     def test_ini_keys_match_flags(self, tmp_path):
         from matrixopt.harness.cli import _Parser, _params_from_config
@@ -173,6 +157,22 @@ class TestVocabulary:
             _, cfg = configure(method, _problem(kind), {})
             assert cfg == expected, (method, kind)
 
+    def test_no_dead_or_renamed_knobs(self):
+        """Every config field is some method's key or preset, and every key
+        is its field's name but the Lyapunov admm's cap."""
+        reached = {}
+        for spec in METHODS.values():
+            if spec.config is not None:
+                reached.setdefault(spec.config, set()).update(spec.keys.values(), spec.preset)
+        for config, names in reached.items():
+            dead = {f.name for f in dataclasses.fields(config)} - names
+            assert not dead, (config.__name__, dead)
+        renamed = {
+            (row, key, name) for row, spec in METHODS.items()
+            for key, name in spec.keys.items() if key != name
+        }
+        assert renamed == {(("admm", L), "max_iterations", "inner_max")}
+
     def test_every_paper_row_is_accepted(self):
         for table in SUITE_IDS:
             for row in paper_suite(table):
@@ -198,7 +198,7 @@ class TestVocabulary:
 # subcommand, and environment variables read under ``src/``: each one is
 # a value a user can set.  A new knob changes this count, so it shows in
 # review.
-SETTABLE_VALUES = (22, 41, 0)
+SETTABLE_VALUES = (19, 38, 0)
 
 
 def _settable_values() -> tuple[int, int, int]:
@@ -223,7 +223,7 @@ def _settable_values() -> tuple[int, int, int]:
 
 def test_settable_values_are_counted():
     assert _settable_values() == SETTABLE_VALUES
-    assert sum(SETTABLE_VALUES) == 63
+    assert sum(SETTABLE_VALUES) == 57
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -313,13 +313,12 @@ def test_no_method_flag_has_a_parser_default():
                 assert action.default is None, (command, action.option_strings)
 
 
-# Each real config field that must be finite, and positive but for
-# ``richardson_omega``; a test written ``x <= 0`` lets NaN and inf through.
+# Each real config field that must be finite and positive; a test
+# written ``x <= 0`` lets NaN and inf through.
 FINITE_FIELDS = [
     (AdmmConfig, "alpha"), (AdmmConfig, "beta"), (AdmmConfig, "gamma"), (AdmmConfig, "tol"),
-    (NewtonAdmmConfig, "alpha"), (NewtonAdmmConfig, "beta"), (NewtonAdmmConfig, "outer_tol"),
-    (BaselineConfig, "tol"), (CcomConfig, "epsilon"), (QnConfig, "grad_tol"),
-    (BaselineConfig, "richardson_omega"),
+    (NewtonAdmmConfig, "alpha"), (NewtonAdmmConfig, "beta"), (NewtonAdmmConfig, "tol"),
+    (BaselineConfig, "tol"), (CcomConfig, "tol"), (QnConfig, "tol"),
 ]
 
 
@@ -390,7 +389,9 @@ class TestUsageErrors:
         [
             ["solve", "care", "--method", "admm", "--suite", "t8", "--n", "4", "--alpha", "-1"],
             ["solve", "sylvester", "--method", "bfgs", "--suite", "t5", "--n", "4",
-             "--sigma1", "0.7"],
+             "--tol", "0"],
+            ["solve", "care", "--method", "newton-admm", "--suite", "t9", "--n", "4",
+             "--inner-tol-value", "2"],
         ],
     )
     def test_rejected_value_is_one_line(self, argv, capsys):
@@ -404,10 +405,14 @@ class TestUsageErrors:
             ("admm", "check_every", "3"),
             ("newton-admm", "inner_tol_mode", "fixed"),
             ("ccom", "group_rows", "2"),
+            ("ar", "omega", "0.05"),
+            ("bfgs", "sigma1", "0.01"),
+            ("dfp", "sigma2", "0.5"),
         ],
     )
     def test_retired_key_is_rejected(self, method, key, raw, tmp_path, capsys):
-        equation, suite = ("sylvester", "t1") if method == "ccom" else ("care", "t8")
+        sylvester = method in ("ccom", "ar", "bfgs", "dfp")
+        equation, suite = ("sylvester", "t1") if sylvester else ("care", "t8")
         base = ["solve", equation, "--method", method, "--suite", suite, "--n", "4"]
         flag = "--" + key.replace("_", "-")
         assert flag in _usage_error(base + [flag, raw], capsys)
@@ -442,28 +447,6 @@ class TestUsageErrors:
              "--gamma", "0.1", "--tol", "-1"],
             capsys,
         )
-
-
-class TestIniOmega:
-    @pytest.mark.parametrize("raw, expected", [("auto", "auto"), ("0.05", 0.05)])
-    def test_omega_from_ini(self, raw, expected, tmp_path, capsys):
-        ini = tmp_path / "ar.ini"
-        ini.write_text(f"[ar]\nomega = {raw}\n")
-        code = main(["solve", "sylvester", "--method", "ar", "--suite", "t5", "--n", "4",
-                     "--config", str(ini)])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["config"]["omega"] == expected
-
-    def test_omega_word_other_than_auto_is_rejected(self, tmp_path, capsys):
-        ini = tmp_path / "ar.ini"
-        ini.write_text("[ar]\nomega = fast\n")
-        err = _usage_error(
-            ["solve", "sylvester", "--method", "ar", "--suite", "t5", "--n", "4",
-             "--config", str(ini)],
-            capsys,
-        )
-        assert "omega" in err
 
 
 def test_lyapunov_admm_from_cli(tmp_path, capsys):

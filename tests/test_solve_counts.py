@@ -41,8 +41,8 @@ def test_care_admm_sweep_makes_two_cholesky_solves(sweeps, monkeypatch):
 def test_lyapunov_inner_solve_makes_two_spd_solves(inner_max, monkeypatch):
     p = table_source("t9", 16).build()
     counts = count_calls(monkeypatch, newton_admm, "spd_factor", "spd_solve")
-    cfg = newton_admm.NewtonAdmmConfig(inner_max=inner_max)
-    report = newton_admm.solve_lyapunov_admm(LyapunovProblem(a=p.a, q=p.k_mat), cfg, tol=1e-6)
+    cfg = newton_admm.NewtonAdmmConfig(tol=1e-6, inner_max=inner_max)
+    report = newton_admm.solve_lyapunov_admm(LyapunovProblem(a=p.a, q=p.k_mat), cfg)
     assert report.iterations > 1
     assert counts == {"spd_factor": 2, "spd_solve": 2}
 

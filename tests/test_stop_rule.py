@@ -15,10 +15,11 @@ import matrixopt
 SRC = Path(matrixopt.__file__).resolve().parent
 DRIVER = "report.py"
 
-# The run tolerances ``iterate`` applies (``tol`` of cg, ar, newton and
-# admm, ``epsilon`` of ccom, ``outer_tol`` of newton-admm).  dfp/bfgs's
-# ``grad_tol`` bounds a gradient norm, which their own stop rule reads.
-TOLERANCES = {"tol", "epsilon", "outer_tol"}
+# The run tolerance ``iterate`` applies: ``tol`` of every config.
+# dfp/bfgs's ``tol`` bounds the gradient norm ``g_norm`` instead, which
+# their own stop rule reads, so a comparison with ``g_norm`` is theirs.
+TOLERANCES = {"tol"}
+GRADIENT_NORM = "g_norm"
 
 
 def modules() -> list[str]:
@@ -46,8 +47,9 @@ def is_bound(node: ast.AST) -> bool:
 
 
 def tolerance_tests(tree: ast.AST) -> list[int]:
-    """Lines comparing a run tolerance with anything but literal bounds:
-    ``res <= cfg.tol`` counts, ``0 < self.tol < math.inf`` does not."""
+    """Lines comparing a run tolerance with anything but literal bounds or
+    a gradient norm: ``res <= cfg.tol`` counts, ``0 < self.tol < math.inf``
+    and ``g_norm < cfg.tol`` do not."""
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -55,6 +57,7 @@ def tolerance_tests(tree: ast.AST) -> list[int]:
         for operands in [[node.left, *node.comparators]]
         if any(name_of(o) in TOLERANCES for o in operands)
         and not all(name_of(o) in TOLERANCES or is_bound(o) for o in operands)
+        and GRADIENT_NORM not in map(name_of, operands)
     ]
 
 
