@@ -22,7 +22,6 @@ from .mmio import read_matrix_market, write_matrix_market
 from .newton_admm import (
     LyapAdmmState,
     NewtonAdmmConfig,
-    frechet_apply,
     lyap_admm_step,
     lyapunov_residual,
     solve_lyapunov_admm,
@@ -78,7 +77,6 @@ __all__ = [
     "exact_step",
     "f1_gradient",
     "f1_value",
-    "frechet_apply",
     "gen_tridiagonal",
     "kkt_residuals",
     "lagrangian_value",

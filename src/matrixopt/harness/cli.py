@@ -65,7 +65,6 @@ _PENALTIES = ("alpha", "beta", "gamma")
 # Numeric flags with a range: flag -> (test, what the flag must be).
 _RANGES = {
     "cap": (lambda v: v > 0, "positive"),
-    "budget": (lambda v: v > 0, "positive"),
     "random": (lambda v: v > 0, "positive"),
     "seed": (lambda v: v >= 0, "non-negative"),
     "tolerance": (lambda v: 0 < v < math.inf, "finite and positive"),
@@ -133,7 +132,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--alpha", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--beta", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--gamma", metavar="LO:HI:K or V")
-    sweep.add_argument("--budget", type=int, help="max points to evaluate")
     sweep.add_argument("--random", type=int, metavar="R", help="sample R random points instead of the grid")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
@@ -350,10 +348,6 @@ def _cmd_sweep(args, parser: _Parser) -> int:
         ]
     else:
         points = [tuple(p) for p in itertools.product(*axes)]
-    if args.budget is not None:
-        points = points[: args.budget]
-    if not points:
-        parser.error("sweep grid is empty")
 
     problem = _suite_problem(args.suite, args.n, "care", parser)
 

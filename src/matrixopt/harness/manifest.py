@@ -35,13 +35,7 @@ from ..newton_admm import (
     solve_newton_admm,
 )
 from ..oracle import solve_kronecker_direct, sylvester_residual
-from ..problems import (
-    DESK_SCALE_MAX_ORDER,
-    CareProblem,
-    LyapunovProblem,
-    SuiteRow,
-    SylvesterProblem,
-)
+from ..problems import CareProblem, LyapunovProblem, SuiteRow, SylvesterProblem
 from ..quasi_newton import QnConfig, solve_quasi_newton
 from ..report import SolveReport, iterate
 
@@ -254,7 +248,7 @@ def _execute(row: SuiteRow) -> RunRecord:
     return RunRecord(row=row, **report.summary())
 
 
-def run_manifest(rows: list[SuiteRow], cap: int = DESK_SCALE_MAX_ORDER) -> list[RunRecord]:
+def run_manifest(rows: list[SuiteRow], cap: int) -> list[RunRecord]:
     """Execute every row with order <= cap, one at a time in list order;
     failures, an unknown method among them, are recorded per row and
     never abort the run."""

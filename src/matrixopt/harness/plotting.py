@@ -18,16 +18,14 @@ def _log10(v: float) -> float:
 def emit_convergence_plot(report, path, tolerance: float | None = None) -> None:
     """Write an SVG line chart of the residual history.
 
-    ``report`` is anything with a ``residual_history`` attribute or key.
-    Only finite residuals are drawn, each at its iteration; the last one
-    is marked with a circle (id ``final-point``) and a dashed horizontal
-    line (id ``tolerance-line``) marks ``tolerance`` when given, so
-    downstream checks can read both back from the file.
+    ``report`` is a mapping with a ``residual_history`` list, as in the
+    JSON report of ``solve --history``.  Only finite residuals are drawn,
+    each at its iteration; the last one is marked with a circle (id
+    ``final-point``) and a dashed horizontal line (id ``tolerance-line``)
+    marks ``tolerance`` when given, so downstream checks can read both
+    back from the file.
     """
-    if hasattr(report, "residual_history"):
-        history = list(report.residual_history)
-    else:
-        history = list(report.get("residual_history") or [])
+    history = list(report.get("residual_history") or [])
     finite = [
         (i, _log10(v)) for i, v in enumerate(history)
         if isinstance(v, (int, float)) and math.isfinite(v)

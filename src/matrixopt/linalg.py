@@ -41,8 +41,8 @@ DEFAULT_KRON_CAP = 4096 * 4096
 # Relative pivot threshold below which LU declares the matrix singular.
 LU_PIVOT_RTOL = 1e-14
 
-# Default relative singular-value cutoff for the pseudo-inverse.
-DEFAULT_RANK_TOL = 1e-12
+# Relative singular-value cutoff of the pseudo-inverse.
+RANK_TOL = 1e-12
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -292,10 +292,10 @@ def serial_products(copy: str = "numpy"):
                     controls[1](state["saved"])
 
 
-def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse.
 
-    Singular values at or below ``rank_tol * sigma_max`` are truncated.
+    Singular values at or below ``RANK_TOL * sigma_max`` are truncated.
     The zero matrix maps to the zero matrix of transposed shape.
 
     A non-empty square ``a`` whose LU inverse (:func:`lu_inverse`:
@@ -303,12 +303,10 @@ def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
     rank skips the SVD.  ||a||_F ||a^-1||_F bounds sigma_max / sigma_min
     from above; the SVD's singular values carry rounding errors of about
     n eps sigma_max, so when the bound stays below
-    ``1 / (rank_tol + n eps)`` the SVD would keep every singular value,
+    ``1 / (RANK_TOL + n eps)`` the SVD would keep every singular value,
     and the inverse is the answer.  A singular pivot, a larger or
     non-finite bound leaves the matrix to the SVD.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0] if a.ndim == 2 else 0
     if n > 0 and a.shape[1] == n:
@@ -318,13 +316,13 @@ def pseudo_inverse(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
             pass
         else:
             # Python floats: an overflowing product is inf, never a warning.
-            tol = rank_tol + n * _EPS
+            tol = RANK_TOL + n * _EPS
             if frobenius_norm(a) * frobenius_norm(inv) * tol < 1.0:
                 return inv
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = s > RANK_TOL * s[0]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     # Scaled in place, one array fewer: vt.T then has the layout of a scaled
     # copy of it, so the product is the same to the bit.

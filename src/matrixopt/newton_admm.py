@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .baselines import care_residual, newton_iteration
-from .care_admm import _augmented_lagrangian, _BlockState, _finite, sweep_until
+from .care_admm import _BlockState, _finite, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
 from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
@@ -80,17 +80,6 @@ def lyapunov_residual(p: LyapunovProblem, x: np.ndarray, atx: np.ndarray | None 
     return frobenius_norm(atx + x @ p.a + p.q)
 
 
-def frechet_apply(p: CareProblem, x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Derivative of the Riccati residual map at ``x`` applied to ``e``:
-    (A - N x)^T e + e (A - N x)."""
-    n = p.order
-    for name, m in (("x", x), ("e", e)):
-        if m.shape != (n, n):
-            raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
-    closed_loop = p.a - p.n_mat @ x
-    return closed_loop.T @ e + e @ closed_loop
-
-
 def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
     """Inverses of the two constant sweep systems, each solved from its
     Cholesky factor; their eigenvalues are at least beta, so a product
@@ -130,14 +119,6 @@ def lyap_admm_step(
     new = LyapAdmmState(x=x, y=y, z=z, lambda_=lambda_, pi_=pi_)
     new.products = (p, {"atx": atx})
     return new
-
-
-def lyap_lagrangian_value(p: LyapunovProblem, s: LyapAdmmState, cfg: NewtonAdmmConfig) -> float:
-    """Augmented Lagrangian of the three-block splitting at the state."""
-    return _augmented_lagrangian(
-        s.y + s.z @ p.a + p.q,
-        ((s.lambda_, p.a.T @ s.x - s.y, cfg.alpha), (s.pi_, s.x - s.z, cfg.beta)),
-    )
 
 
 def solve_lyapunov_admm(

@@ -67,6 +67,9 @@ LINESEARCHES = ("exact", "armijo", "wolfe")
 SIGMA1 = 1e-4
 SIGMA2 = 0.9
 
+# Trial points either line search tries before it gives up.
+LINE_SEARCH_TRIALS = 60
+
 
 @dataclass
 class QnConfig:
@@ -137,42 +140,32 @@ def exact_step(
 
 
 def armijo_search(
-    p: SylvesterProblem,
-    x: np.ndarray,
-    direction: np.ndarray,
-    sigma1: float = SIGMA1,
-    max_trials: int = 60,
-    r: np.ndarray | None = None,
+    p: SylvesterProblem, x: np.ndarray, direction: np.ndarray, r: np.ndarray | None = None
 ) -> float:
     """Backtracking search halving from 1.0 until sufficient decrease
-    holds, read off the quadratic profile."""
+    with slope fraction ``SIGMA1`` holds, read off the quadratic profile;
+    fails after ``LINE_SEARCH_TRIALS`` halvings."""
     phi0, dphi0, ss = _profile(p, x, direction, r)
     if dphi0 >= 0:
         raise PreconditionError("armijo_search requires a descent direction")
     alpha = 1.0
-    for _ in range(max_trials):
-        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss <= phi0 + sigma1 * alpha * dphi0:
+    for _ in range(LINE_SEARCH_TRIALS):
+        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss <= phi0 + SIGMA1 * alpha * dphi0:
             return alpha
         alpha *= 0.5
-    raise LineSearchError(f"no sufficient-decrease step in {max_trials} halvings")
+    raise LineSearchError(f"no sufficient-decrease step in {LINE_SEARCH_TRIALS} halvings")
 
 
 def wolfe_search(
-    p: SylvesterProblem,
-    x: np.ndarray,
-    direction: np.ndarray,
-    sigma1: float = SIGMA1,
-    sigma2: float = SIGMA2,
-    max_trials: int = 60,
-    r: np.ndarray | None = None,
+    p: SylvesterProblem, x: np.ndarray, direction: np.ndarray, r: np.ndarray | None = None
 ) -> float:
     """Bracket-and-zoom search for a step meeting both Wolfe-Powell
-    conditions: sufficient decrease with slope fraction ``sigma1`` and the
-    curvature bound with fraction ``sigma2`` (which rules out vanishing
+    conditions: sufficient decrease with slope fraction ``SIGMA1`` and the
+    curvature bound with fraction ``SIGMA2`` (which rules out vanishing
     steps), both read off the quadratic profile.
 
     Starts at 1.0, doubles while the step is too short, bisects once a
-    bracket exists; fails after ``max_trials`` trial points.
+    bracket exists; fails after ``LINE_SEARCH_TRIALS`` trial points.
     """
     phi0, dphi0, ss = _profile(p, x, direction, r)
     if dphi0 >= 0:
@@ -181,15 +174,15 @@ def wolfe_search(
     lo = 0.0
     hi = None
     alpha = 1.0
-    for _ in range(max_trials):
-        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss > phi0 + sigma1 * alpha * dphi0:
+    for _ in range(LINE_SEARCH_TRIALS):
+        if phi0 + alpha * dphi0 + 0.5 * alpha * alpha * ss > phi0 + SIGMA1 * alpha * dphi0:
             hi = alpha
-        elif dphi0 + alpha * ss < sigma2 * dphi0:
+        elif dphi0 + alpha * ss < SIGMA2 * dphi0:
             lo = alpha
         else:
             return alpha
         alpha = 0.5 * (lo + hi) if hi is not None else 2.0 * alpha
-    raise LineSearchError(f"no Wolfe-Powell step after {max_trials} trials")
+    raise LineSearchError(f"no Wolfe-Powell step after {LINE_SEARCH_TRIALS} trials")
 
 
 def _plus_identity(m: np.ndarray) -> np.ndarray:

@@ -132,6 +132,22 @@ def by_problem(records):
     return runs
 
 
+def lyap_lagrangian_value(p, s, cfg) -> float:
+    """Augmented Lagrangian of Newton-ADMM's three-block Lyapunov
+    splitting at the state ``s``, for the penalties of ``cfg``."""
+    return care_admm._augmented_lagrangian(
+        s.y + s.z @ p.a + p.q,
+        ((s.lambda_, p.a.T @ s.x - s.y, cfg.alpha), (s.pi_, s.x - s.z, cfg.beta)),
+    )
+
+
+def frechet_apply(p, x, e):
+    """Derivative of the Riccati residual map at ``x`` applied to ``e``:
+    (A - N x)^T e + e (A - N x)."""
+    closed_loop = p.a - p.n_mat @ x
+    return closed_loop.T @ e + e @ closed_loop
+
+
 def block_deltas(s, s_new) -> dict:
     """Squared change of each block over one sweep, keyed ``d<block>2``."""
     deltas = {}

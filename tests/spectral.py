@@ -8,6 +8,15 @@ S_n B S_n = diag(mu), A X + X B = C becomes an entrywise division:
 
     X* = S_m ((S_m C S_n) ./ (lambda_i + mu_j)) S_n.
 
+A CARE A^T X + X A - X N X + I = 0 whose A and N the same S diagonalizes
+(table t10, with N = B^2) splits into one scalar quadratic per mode,
+2 a_i x - n_i x^2 + 1 = 0, with the two roots
+
+    X+- = S diag((a_i +- sqrt(a_i^2 + n_i)) / n_i) S.
+
+X+ is the stabilizing root (A - N X+ has eigenvalues -sqrt(a_i^2 + n_i)),
+X- the anti-stabilizing one (eigenvalues +sqrt(a_i^2 + n_i)).
+
 Test code only: no solver reads it.
 """
 
@@ -40,3 +49,16 @@ def sylvester_solution(p) -> tuple[np.ndarray, float]:
     s_m, s_n = dst1(p.a.shape[0]), dst1(p.b.shape[0])
     sums = dst1_eigenvalues(p.a, s_m)[:, np.newaxis] + dst1_eigenvalues(p.b, s_n)
     return s_m @ ((s_m @ p.c @ s_n) / sums) @ s_n, float(np.abs(sums).min())
+
+
+def care_roots(p) -> tuple[np.ndarray, np.ndarray, float]:
+    """X+ and X- of the CARE ``p``, whose K must be the identity, and
+    min sqrt(a_i^2 + n_i), the smallest closed-loop eigenvalue magnitude
+    at either root."""
+    if not np.array_equal(p.k_mat, np.eye(p.order)):
+        raise ValueError("care_roots needs K = I")
+    s = dst1(p.order)
+    a, n = dst1_eigenvalues(p.a, s), dst1_eigenvalues(p.n_mat, s)
+    root = np.sqrt(a * a + n)
+    plus, minus = (s @ np.diag(v / n) @ s for v in (a + root, a - root))
+    return plus, minus, float(root.min())

@@ -16,6 +16,8 @@ from conftest import (
     block_deltas,
     by_problem,
     central_difference_gradient,
+    frechet_apply,
+    lyap_lagrangian_value,
     random_sylvester,
     recorded_sweeps,
     recorded_updates,
@@ -41,9 +43,7 @@ from matrixopt.newton_admm import (
     LyapAdmmState,
     NewtonAdmmConfig,
     _factors,
-    frechet_apply,
     lyap_admm_step,
-    lyap_lagrangian_value,
     solve_newton_admm,
 )
 from matrixopt.oracle import solve_kronecker_direct

@@ -320,11 +320,13 @@ class TestBench:
 
 
 class TestSweep:
-    def test_zero_budget_usage_error(self):
+    def test_retired_budget_is_usage_error(self, capsys):
+        # The grid's K per axis, or --random R, sets the number of points.
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1",
-                  "--gamma", "0.1", "--budget", "0"])
+                  "--gamma", "0.01:0.1:3", "--budget", "2"])
         assert err.value.code == 1
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_non_positive_random_is_usage_error(self, count, capsys):

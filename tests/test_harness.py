@@ -152,7 +152,9 @@ class TestPlotting:
         p = CareProblem(a=[[-2.0]], n_mat=[[25.0]], k_mat=[[1.0]])
         report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8))
         path = tmp_path / "newton.svg"
-        emit_convergence_plot(report, path, tolerance=1e-8)
+        emit_convergence_plot(
+            {"residual_history": report.residual_history}, path, tolerance=1e-8
+        )
         svg = path.read_text()
         cy = float(re.search(r'id="final-point"[^/]*cy="([0-9.]+)"', svg).group(1))
         ty = float(re.search(r'id="tolerance-line"[^/]*y1="([0-9.]+)"', svg).group(1))

@@ -17,8 +17,8 @@ from matrixopt.errors import (
 )
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import (
-    DEFAULT_RANK_TOL,
     LU_PIVOT_RTOL,
+    RANK_TOL,
     MatrixOperator,
     as_matrix,
     cholesky_solve,
@@ -266,10 +266,6 @@ class TestPseudoInverse:
     def test_zero_matrix(self):
         assert pseudo_inverse(np.zeros((2, 3))).shape == (3, 2)
 
-    def test_rank_tol_positive(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(2), rank_tol=0.0)
-
     def test_penrose_identities_rank_deficient(self, rng):
         for _ in range(8):
             m, n, r = 6, 4, 2
@@ -286,7 +282,7 @@ class TestPseudoInverse:
         """vt scaled in place gives the product of a scaled copy of vt.T."""
         a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-        keep = s > DEFAULT_RANK_TOL * s[0]
+        keep = s > RANK_TOL * s[0]
         s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
         assert np.array_equal(pseudo_inverse(a), (vt.T * s_inv) @ u.T)
 
@@ -329,21 +325,21 @@ class TestPseudoInverse:
             "non-square": rng.standard_normal((4, 6)),
             "zero": np.zeros((3, 3)),
         }[kind]
-        expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+        expected = np.linalg.pinv(a, rcond=RANK_TOL)
         calls = self._counted_svd(monkeypatch)
         ap = pseudo_inverse(a)
         assert calls == [a.shape]
         assert frobenius_norm(ap - expected) <= 1e-12 * max(1.0, frobenius_norm(expected))
 
     def test_cutoff_matrices_take_the_svd(self, monkeypatch):
-        # sigma_min = rank_tol * sigma_max exactly: the SVD's keep-or-drop
+        # sigma_min = RANK_TOL * sigma_max exactly: the SVD's keep-or-drop
         # decision is set by rounding, so the certificate must leave every
         # such matrix to it.  These spectra put ||a||_F ||a^-1||_F within
         # rounding of the condition number itself.
         rng = np.random.default_rng(7)
-        spectra = ([1.0, DEFAULT_RANK_TOL], [1.0, math.sqrt(DEFAULT_RANK_TOL), DEFAULT_RANK_TOL])
+        spectra = ([1.0, RANK_TOL], [1.0, math.sqrt(RANK_TOL), RANK_TOL])
         cases = [self._with_singular_values(rng, s) for s in spectra for _ in range(100)]
-        expected = [np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL) for a in cases]
+        expected = [np.linalg.pinv(a, rcond=RANK_TOL) for a in cases]
         calls = self._counted_svd(monkeypatch)
         for a, e in zip(cases, expected):
             assert frobenius_norm(pseudo_inverse(a) - e) <= 1e-10 * frobenius_norm(e)
@@ -373,7 +369,7 @@ class TestPseudoInverse:
     def test_overflowing_bound_warns_nothing(self, monkeypatch, scale):
         # ||a||_F or ||a^-1||_F is not finite: the matrix goes to the SVD.
         a = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
-        expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+        expected = np.linalg.pinv(a, rcond=RANK_TOL)
         calls = self._counted_svd(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -392,22 +388,22 @@ class TestPseudoInverse:
     @settings(max_examples=150, deadline=None)
     def test_certificate_admits_no_matrix_the_svd_truncates(self, n, seed, log_ratio, log_scale):
         # M = U diag(s) V^T with sigma_min / sigma_max = 10^log_ratio, across
-        # rank_tol; the other singular values lie between, spread in log.
+        # RANK_TOL; the other singular values lie between, spread in log.
         rng = np.random.default_rng(seed)
         ratio = 10.0 ** log_ratio
         s = np.sort(np.r_[1.0, ratio ** rng.uniform(0.0, 1.0, n - 2), ratio])[::-1]
         s *= 10.0 ** log_scale
         a = self._with_singular_values(rng, s)
         ap = pseudo_inverse(a)
-        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
-            expected = np.linalg.pinv(a, rcond=DEFAULT_RANK_TOL)
+        if s[-1] <= RANK_TOL * s[0]:
+            expected = np.linalg.pinv(a, rcond=RANK_TOL)
             assert frobenius_norm(ap - expected) <= 1e-10 * frobenius_norm(expected)
         # The four Penrose identities, to rounding scaled by the effective
         # condition number ||a||_2 ||a^+||_2 of either path's answer; the
-        # first also carries the truncated part, below rank_tol sigma_max.
+        # first also carries the truncated part, below RANK_TOL sigma_max.
         unit = 1e3 * n * np.finfo(float).eps * np.linalg.norm(a, 2) * np.linalg.norm(ap, 2)
         na, nap = frobenius_norm(a), frobenius_norm(ap)
-        assert frobenius_norm(a @ ap @ a - a) <= (unit + math.sqrt(n) * DEFAULT_RANK_TOL) * na
+        assert frobenius_norm(a @ ap @ a - a) <= (unit + math.sqrt(n) * RANK_TOL) * na
         assert frobenius_norm(ap @ a @ ap - ap) <= unit * nap
         assert frobenius_norm((a @ ap).T - a @ ap) <= unit
         assert frobenius_norm((ap @ a).T - ap @ a) <= unit
