@@ -169,6 +169,26 @@ class TestArmijoSearch:
             armijo_search(p, x, f1_gradient(p, x))
 
 
+@pytest.mark.parametrize("search", [armijo_search, wolfe_search])
+def test_line_search_defaults_are_the_configs(search, monkeypatch):
+    """Each search reads SIGMA1 (and wolfe_search SIGMA2) from the module
+    when called, so the module constant is the one statement of each."""
+    # phi(t) = 0.5 (t - 1)^2 along d = 1: sufficient decrease with slope
+    # fraction sigma1 admits t <= 2 (1 - sigma1), so 0.75 halves the unit step.
+    p = SylvesterProblem(a=[[1.0]], b=[[0.0]], c=[[1.0]])
+    x, d = np.zeros((1, 1)), np.ones((1, 1))
+    assert search(p, x, d) == 1.0
+    monkeypatch.setattr(quasi_newton, "SIGMA1", 0.75)
+    assert search(p, x, d) == 0.5
+    monkeypatch.undo()
+    if search is wolfe_search:
+        # Along d = 1/4 the curvature bound with fraction sigma2 asks for
+        # t >= 4 (1 - sigma2): 0.5 rejects the unit step and doubles it.
+        assert search(p, x, 0.25 * d) == 1.0
+        monkeypatch.setattr(quasi_newton, "SIGMA2", 0.5)
+        assert search(p, x, 0.25 * d) == 2.0
+
+
 class TestUpdates:
     def _state(self, rng, m, n):
         p = random_sylvester(rng, m, n)
