@@ -30,6 +30,7 @@ from .linalg import (
     frobenius_norm,
     kron,
     lu_solve,
+    require_positive,
     symmetrize,
     trace_inner,
     unvec,
@@ -49,8 +50,7 @@ class BaselineConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        require_positive(self, "tol")
 
 
 def _symmetry_gap(m: np.ndarray) -> float:

@@ -27,7 +27,6 @@ preserve symmetry); the report's ``certificate``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,6 +36,7 @@ from .linalg import (
     cholesky_solve,
     frobenius_norm,
     lu_solve,
+    require_positive,
     spd_factor,
     spd_solve,
     trace_inner,
@@ -55,10 +55,7 @@ class AdmmConfig:
     max_iterations: int = 50_000
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("penalties alpha, beta, gamma must be finite and positive")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        require_positive(self, "alpha", "beta", "gamma", "tol")
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .linalg import cholesky_solve, lu_solve, unvec, vec
+from .linalg import cholesky_solve, lu_solve, require_positive, unvec, vec
 from .oracle import sylvester_operator_matrix, sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, iterate
@@ -36,8 +36,7 @@ class CcomConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
+        require_positive(self, "tol")
 
 
 def ccom_step(m_sys: np.ndarray, c_vec: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import typing
 
 import numpy as np
 
-from ..errors import MatrixOptError, ParameterError, UnknownSuiteError
+from ..errors import MatrixOptError, ParameterError, PreconditionError, UnknownSuiteError
 from ..mmio import read_matrix_market, write_matrix_market
 from ..problems import (
     DESK_SCALE_MAX_ORDER,
@@ -33,8 +33,8 @@ from ..problems import (
 )
 from ..quasi_newton import LINESEARCHES
 from .manifest import (
-    METHOD_NAMES,
     METHODS,
+    configure,
     row_error,
     run_manifest,
     run_method,
@@ -128,7 +128,8 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="penalty-parameter sweep")
     sweep.add_argument("--suite", required=True)
     sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--method", default="admm", choices=("admm", "newton-admm"))
+    swept = [m for (m, kind), s in METHODS.items() if kind is CareProblem and "alpha" in s.keys]
+    sweep.add_argument("--method", default="admm", choices=swept)
     sweep.add_argument("--alpha", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--beta", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--gamma", metavar="LO:HI:K or V")
@@ -267,13 +268,12 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _cmd_solve(args, parser: _Parser) -> int:
-    if args.method not in METHOD_NAMES:
-        parser.error(f"unknown method {args.method!r}; expected one of {', '.join(METHOD_NAMES)}")
     params = _collect_params(args, parser)
     problem = _build_problem(args, parser)
+    configure(args.method, problem, params)
     try:
         report = run_method(args.method, problem, params)
-    except ParameterError:
+    except ParameterError:  # a negative iteration cap, which the driver rejects
         raise
     except MatrixOptError as exc:
         failure = {"method": args.method, "error": row_error(exc), "termination": "error"}
@@ -293,6 +293,8 @@ def _cmd_bench(args, parser: _Parser) -> int:
         rows = paper_suite(args.suite)
     except MatrixOptError as exc:
         parser.error(str(exc))
+    if all(row.source.order > args.cap for row in rows):
+        raise ParameterError(f"--cap {args.cap} is below every order of suite {args.suite}")
     records = run_manifest(rows, cap=args.cap)
     _write(write_csv(records), args.out)
     if args.json_out:
@@ -425,7 +427,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         return _cmd_plot(args, parser)
-    except ParameterError as exc:
+    except PreconditionError as exc:  # raised before any solver ran
         parser.exit(EXIT_USAGE, f"matrixopt: error: {exc}\n")
     except MatrixOptError as exc:
         print(f"matrixopt: solver error: {exc}", file=sys.stderr)

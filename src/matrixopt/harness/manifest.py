@@ -159,21 +159,20 @@ METHOD_NAMES = tuple(dict.fromkeys(method for method, _ in METHODS))
 def configure(method: str, problem, params: dict | None = None):
     """The :class:`Method` and config object for ``method`` on ``problem``.
 
-    ``params`` overrides config fields through the method's key map.  A
-    key the method does not take, or a value its config rejects, raises
-    :class:`ParameterError`.
+    ``params`` overrides config fields through the method's key map.  An
+    unknown method, or one that does not solve ``problem``, raises
+    :class:`PreconditionError`; a key the method does not take, or a
+    value its config rejects, raises :class:`ParameterError`.
     """
-    if method not in METHOD_NAMES:
+    kinds = [kind for name, kind in METHODS if name == method]
+    if not kinds:
         raise PreconditionError(
             f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
-    spec = next(
-        (m for (name, kind), m in METHODS.items() if name == method and isinstance(problem, kind)),
-        None,
-    )
+    spec = next((METHODS[method, kind] for kind in kinds if isinstance(problem, kind)), None)
     if spec is None:
-        kinds = " or ".join(kind.__name__ for name, kind in METHODS if name == method)
-        raise PreconditionError(f"{method} solves {kinds}, not {type(problem).__name__}")
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise PreconditionError(f"{method} solves {names}, not {type(problem).__name__}")
     params = params or {}
     unknown = [key for key in params if key not in spec.keys]
     if unknown:

@@ -59,6 +59,14 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_positive(config, *names: str) -> None:
+    """Raise ValueError naming the first field of ``names`` on ``config``
+    whose value is not finite and positive; NaN fails too."""
+    for name in names:
+        if not 0 < getattr(config, name) < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def frobenius_norm(m: np.ndarray) -> float:
     """Frobenius norm sqrt(sum of squared entries).
 
@@ -177,10 +185,7 @@ def spd_factor(a: np.ndarray) -> np.ndarray:
     Returns an opaque factor object accepted by :func:`spd_solve`.  Only
     the upper triangle of ``a`` is read.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"spd_factor needs a square matrix, got {a.shape}")
-    c, info = _POTRF(a, lower=False, overwrite_a=False, clean=False)
+    c, info = _POTRF(_square(a, "spd_factor"), lower=False, overwrite_a=False, clean=False)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"{info}-th leading minor of the array is not positive definite"

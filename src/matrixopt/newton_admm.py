@@ -38,7 +38,7 @@ import numpy as np
 from .baselines import care_residual, newton_iteration
 from .care_admm import _BlockState, _finite, sweep_until
 from .errors import AdmmBreakdownError, DimensionError, MatrixOptError, NotPositiveDefiniteError
-from .linalg import frobenius_norm, spd_factor, spd_solve, symmetrize
+from .linalg import frobenius_norm, require_positive, spd_factor, spd_solve, symmetrize
 from .problems import CareProblem, LyapunovProblem
 from .report import SolveReport, Stop
 
@@ -53,12 +53,9 @@ class NewtonAdmmConfig:
     inner_max: int = 5000
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.alpha, self.beta)):
-            raise ValueError("penalties alpha, beta must be finite and positive")
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
+        require_positive(self, "alpha", "beta", "tol")
         if not 0 < self.inner_tol_value < 1:
-            raise ValueError("forcing factor must lie in (0, 1)")
+            raise ValueError("forcing factor inner_tol_value must lie in (0, 1)")
 
 
 @dataclass

@@ -21,6 +21,30 @@ from .linalg import MatrixOperator, as_matrix, sylvester_apply
 SYMMETRY_ATOL = 1e-12
 
 
+def _store_matrices(problem, *names: str) -> list[np.ndarray]:
+    """Each named field of the frozen ``problem``, checked by
+    :func:`as_matrix` in order and stored back as that array."""
+    matrices = [as_matrix(getattr(problem, name), name) for name in names]
+    for name, m in zip(names, matrices):
+        object.__setattr__(problem, name, m)
+    return matrices
+
+
+def _store_square(problem, names: tuple[str, ...], symmetric: tuple[str, ...]) -> None:
+    """Store the named fields as :func:`_store_matrices` does, then check
+    that each is n x n, n the order of the first, and that each of
+    ``symmetric`` is symmetric within SYMMETRY_ATOL."""
+    matrices = _store_matrices(problem, *names)
+    n = matrices[0].shape[0]
+    for name, m in zip(names, matrices):
+        if m.shape != (n, n):
+            raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
+    for name in symmetric:
+        m = getattr(problem, name)
+        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
+            raise ValueError(f"{name} must be symmetric within {SYMMETRY_ATOL:g}")
+
+
 @dataclass(frozen=True)
 class SylvesterProblem:
     """Linear matrix equation A X + X B = C with A (m x m), B (n x n), C (m x n).
@@ -37,9 +61,7 @@ class SylvesterProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
-        b = as_matrix(self.b, "b")
-        c = as_matrix(self.c, "c")
+        a, b, c = _store_matrices(self, "a", "b", "c")
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"a must be square, got {a.shape}")
         if b.shape[0] != b.shape[1]:
@@ -48,9 +70,6 @@ class SylvesterProblem:
             raise DimensionError(
                 f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,15 +105,7 @@ class LyapunovProblem:
     q: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
-        q = as_matrix(self.q, "q")
-        n = a.shape[0]
-        if a.shape != (n, n) or q.shape != (n, n):
-            raise DimensionError(f"a and q must be square of equal order, got {a.shape}, {q.shape}")
-        if np.max(np.abs(q - q.T)) > SYMMETRY_ATOL:
-            raise ValueError("q must be symmetric within 1e-12")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", q)
+        _store_square(self, ("a", "q"), symmetric=("q",))
 
     @property
     def order(self) -> int:
@@ -114,19 +125,7 @@ class CareProblem:
     k_mat: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
-        n_mat = as_matrix(self.n_mat, "n_mat")
-        k_mat = as_matrix(self.k_mat, "k_mat")
-        n = a.shape[0]
-        for name, m in (("a", a), ("n_mat", n_mat), ("k_mat", k_mat)):
-            if m.shape != (n, n):
-                raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
-        for name, m in (("n_mat", n_mat), ("k_mat", k_mat)):
-            if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
-                raise ValueError(f"{name} must be symmetric within 1e-12")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n_mat", n_mat)
-        object.__setattr__(self, "k_mat", k_mat)
+        _store_square(self, ("a", "n_mat", "k_mat"), symmetric=("n_mat", "k_mat"))
 
     @property
     def order(self) -> int:

@@ -53,7 +53,7 @@ from .errors import (
     LineSearchError,
     PreconditionError,
 )
-from .linalg import frobenius_norm, pseudo_inverse, trace_inner
+from .linalg import frobenius_norm, pseudo_inverse, require_positive, trace_inner
 from .oracle import sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, Stop, iterate
@@ -85,8 +85,7 @@ class QnConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.linesearch not in LINESEARCHES:
             raise ValueError(f"linesearch must be one of {LINESEARCHES}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
+        require_positive(self, "tol")
 
 
 def f1_value(p: SylvesterProblem, x: np.ndarray, r: np.ndarray | None = None) -> float:

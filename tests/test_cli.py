@@ -48,10 +48,22 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["problem"]["n"] == n
 
-    def test_unknown_method_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "care", "--method", "nosuch"])
-        assert err.value.code == 1
+    def test_unknown_method_is_usage_error(self, capsys):
+        argv = ["solve", "care", "--method", "nosuch", "--suite", "t8", "--n", "4"]
+        err = usage_error(argv, capsys)
+        assert err.splitlines() == [
+            "matrixopt: error: unknown method 'nosuch'; expected one of "
+            "ccom, dfp, bfgs, cg, ar, admm, newton, newton-admm, direct"
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "sylvester", "--method", "admm", "--suite", "t1", "--n", "4"],
+         "admm solves CareProblem or LyapunovProblem, not SylvesterProblem"),
+        (["solve", "care", "--method", "cg", "--suite", "t8", "--n", "4"],
+         "cg solves SylvesterProblem, not CareProblem"),
+    ], ids=["admm-sylvester", "cg-care"])
+    def test_method_that_does_not_solve_the_equation_is_usage_error(self, argv, message, capsys):
+        assert usage_error(argv, capsys).splitlines() == [f"matrixopt: error: {message}"]
 
     def test_missing_source_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -295,6 +307,13 @@ class TestBench:
         with pytest.raises(SystemExit) as err:
             main(["bench", "--suite", "t99"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("suite, cap", [("t7", 5), ("t1", 9)])
+    def test_cap_below_every_row_is_usage_error(self, suite, cap, capsys):
+        err = usage_error(["bench", "--suite", suite, "--cap", str(cap)], capsys)
+        assert err.splitlines() == [
+            f"matrixopt: error: --cap {cap} is below every order of suite {suite}"
+        ]
 
     def test_workers_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as err:

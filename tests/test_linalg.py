@@ -27,6 +27,7 @@ from matrixopt.linalg import (
     lu_inverse,
     lu_solve,
     pseudo_inverse,
+    spd_factor,
     sylvester_apply,
     symmetrize,
     trace_inner,
@@ -237,6 +238,11 @@ class TestCholeskySolve:
     def test_empty_system_is_a_dimension_error(self):
         with pytest.raises(DimensionError):
             cholesky_solve(np.zeros((0, 0)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+    def test_spd_factor_takes_a_non_empty_square_matrix(self, shape):
+        with pytest.raises(DimensionError, match="spd_factor needs a non-empty square matrix"):
+            spd_factor(np.ones(shape))
 
     def test_scaled_identity(self):
         x = cholesky_solve(4.0 * np.eye(2), np.array([[8.0], [4.0]]))

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import shlex
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -330,20 +331,56 @@ def test_no_method_flag_has_a_parser_default():
                 assert action.default is None, (command, action.option_strings)
 
 
-# Each real config field that must be finite and positive; a test
-# written ``x <= 0`` lets NaN and inf through.
-FINITE_FIELDS = [
-    (AdmmConfig, "alpha"), (AdmmConfig, "beta"), (AdmmConfig, "gamma"), (AdmmConfig, "tol"),
-    (NewtonAdmmConfig, "alpha"), (NewtonAdmmConfig, "beta"), (NewtonAdmmConfig, "tol"),
-    (BaselineConfig, "tol"), (CcomConfig, "tol"), (QnConfig, "tol"),
-]
+# Every real field of each config the method table names; each must be
+# finite and positive (the forcing factor also below 1).  A test written
+# ``x <= 0`` lets NaN and inf through.
+FINITE_FIELDS = list(dict.fromkeys(
+    (spec.config, name)
+    for spec in METHODS.values() if spec.config is not None
+    for name, kind in typing.get_type_hints(spec.config).items() if kind is float
+))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_finite_fields_cover_every_real_config_field():
+    assert len(FINITE_FIELDS) == 11
+    assert (NewtonAdmmConfig, "inner_tol_value") in FINITE_FIELDS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("config, name", FINITE_FIELDS)
-def test_config_rejects_non_finite_value(config, name, value):
-    with pytest.raises(ValueError, match=name):
+def test_config_rejects_out_of_range_value(config, name, value):
+    """The message leads with the field it names."""
+    with pytest.raises(ValueError, match=rf"^(forcing factor )?{name} must"):
         config(**{name: value})
+
+
+def _restates_positive_range(node) -> bool:
+    """Whether ``node`` is the chained comparison ``0 < x < math.inf``
+    (or ``np.inf``)."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 2):
+        return False
+    bound = node.comparators[1]
+    return (
+        isinstance(node.left, ast.Constant) and node.left.value == 0
+        and all(isinstance(op, ast.Lt) for op in node.ops)
+        and isinstance(bound, ast.Attribute) and bound.attr == "inf"
+        and isinstance(bound.value, ast.Name) and bound.value.id in ("math", "np")
+    )
+
+
+def test_no_post_init_restates_the_positive_check():
+    """Every config reads ``linalg.require_positive``: no ``__post_init__``
+    under ``src/matrixopt/`` writes ``0 < x < inf`` itself."""
+    src = Path(matrixopt.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        for node in ast.walk(fn)
+        if _restates_positive_range(node)
+    ]
+    assert found == []
 
 
 def test_readme_certificate_bullet_names_the_certificate_keys():

@@ -81,6 +81,33 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             SylvesterProblem(a=[[np.inf]], b=[[1.0]], c=[[1.0]])
 
+    @pytest.mark.parametrize("kind, fields, error, name", [
+        # every field is converted and checked for finite entries before
+        # any shape is compared
+        (SylvesterProblem, {"a": np.ones((2, 3)), "c": [[np.nan]]}, ValueError, "c"),
+        (SylvesterProblem, {"a": np.ones((2, 3))}, DimensionError, "a"),
+        (SylvesterProblem, {"b": np.ones((3, 2))}, DimensionError, "b"),
+        (SylvesterProblem, {"c": np.ones((2, 3))}, DimensionError, "c"),
+        (LyapunovProblem, {"a": [1.0, 2.0]}, DimensionError, "a"),
+        (LyapunovProblem, {"a": np.ones((2, 3))}, DimensionError, "a"),
+        (LyapunovProblem, {"q": np.eye(3)}, DimensionError, "q"),
+        (LyapunovProblem, {"q": np.triu(np.ones((2, 2)))}, ValueError, "q"),
+        # shapes are checked before symmetry, n_mat before k_mat
+        (CareProblem, {"n_mat": np.triu(np.ones((2, 2))), "k_mat": np.eye(3)},
+         DimensionError, "k_mat"),
+        (CareProblem, {"n_mat": np.triu(np.ones((2, 2))), "k_mat": np.triu(np.ones((2, 2)))},
+         ValueError, "n_mat"),
+        (CareProblem, {"k_mat": np.triu(np.ones((2, 2)))}, ValueError, "k_mat"),
+    ])
+    def test_first_failing_check_names_its_field(self, kind, fields, error, name):
+        valid = {"a": np.eye(2), "b": np.eye(2), "c": np.eye(2), "q": np.eye(2),
+                 "n_mat": np.eye(2), "k_mat": np.eye(2)}
+        given = {f: fields.get(f, valid[f]) for f in kind.__dataclass_fields__}
+        with pytest.raises(ValueError) as err:
+            kind(**given)
+        assert type(err.value) is error
+        assert str(err.value).startswith(f"{name} ")
+
 
 class TestProblemSource:
     def test_generator_names_validated(self):
