@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import AdmmBreakdownError, DimensionError, NotPositiveDefiniteError, SingularMatrixError
 from .linalg import (
+    as_matrix,
     cholesky_solve,
     frobenius_norm,
     lu_solve,
@@ -73,13 +74,11 @@ class _BlockState:
 
     def checked(self, n: int):
         """This state's blocks in a new state without ``products``, after
-        checking that each is a finite n x n array."""
-        blocks = [np.asarray(getattr(self, f.name), dtype=np.float64) for f in fields(self)]
+        checking that each is a finite matrix, then that each is n x n."""
+        blocks = [as_matrix(getattr(self, f.name), f"block {f.name}") for f in fields(self)]
         for f, block in zip(fields(self), blocks):
             if block.shape != (n, n):
                 raise DimensionError(f"block {f.name} must be {n}x{n}, got {block.shape}")
-            if not np.isfinite(block).all():
-                raise ValueError(f"block {f.name} contains non-finite entries")
         return type(self)(*blocks)
 
     def carried(self, p, name: str):

@@ -92,9 +92,5 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
         cfg.max_iterations,
         tol=cfg.tol,
         solution=lambda state: state[0],
-        detail={
-            "l21_history": l21_history,
-            "feasibility_history": feas_history,
-            "rhs_norm": float(np.linalg.norm(c_vec)),
-        },
+        detail={"l21_history": l21_history, "feasibility_history": feas_history},
     )

@@ -64,7 +64,6 @@ _PENALTIES = ("alpha", "beta", "gamma")
 
 # Numeric flags with a range: flag -> (test, what the flag must be).
 _RANGES = {
-    "cap": (lambda v: v > 0, "positive"),
     "random": (lambda v: v > 0, "positive"),
     "seed": (lambda v: v >= 0, "non-negative"),
     "tolerance": (lambda v: 0 < v < math.inf, "finite and positive"),
@@ -133,9 +132,8 @@ def build_parser() -> _Parser:
     sweep.add_argument("--alpha", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--beta", required=True, metavar="LO:HI:K or V")
     sweep.add_argument("--gamma", metavar="LO:HI:K or V")
-    sweep.add_argument("--random", type=int, metavar="R", help="sample R random points instead of the grid")
+    sweep.add_argument("--random", type=int, metavar="R", help="sample R log-uniform points instead of the grid")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--spacing", choices=("log", "linear"), default="log")
     sweep.add_argument("--tol", type=float)
     sweep.add_argument("--max-iterations", type=int, dest="max_iterations")
     sweep.add_argument("--out", help="CSV output path (default stdout)")
@@ -304,23 +302,14 @@ def _cmd_bench(args, parser: _Parser) -> int:
     return EXIT_NOT_CONVERGED
 
 
-def _parse_axis(spec: str, name: str, spacing: str, parser: _Parser) -> list[float]:
+def _parse_axis(spec: str, name: str, parser: _Parser) -> tuple[float, float, int]:
+    """``LO:HI:K`` as ``(lo, hi, k)``, and a fixed ``V`` as ``(V, V, 1)``."""
     parts = spec.split(":")
     try:
-        if len(parts) == 1:
-            value = float(parts[0])
-            if not 0 < value < np.inf:
-                raise ValueError
-            return [value]
-        if len(parts) == 3:
-            lo, hi, k = float(parts[0]), float(parts[1]), int(parts[2])
-            if k < 1 or not 0 < lo <= hi < np.inf:
-                raise ValueError
-            if k == 1:
-                return [lo]
-            if spacing == "log":
-                return list(np.geomspace(lo, hi, k))
-            return list(np.linspace(lo, hi, k))
+        lo, hi, k = [spec, spec, "1"] if len(parts) == 1 else parts
+        lo, hi, k = float(lo), float(hi), int(k)
+        if k >= 1 and 0 < lo <= hi < np.inf:
+            return lo, hi, k
     except ValueError:
         pass
     parser.error(f"--{name} must be a finite 'value' > 0 or 'lo:hi:count' with 0 < lo <= hi")
@@ -335,21 +324,18 @@ def _cmd_sweep(args, parser: _Parser) -> int:
             parser.error(f"--{name} is required for {args.method} sweeps")
         if given and name not in keys:
             parser.error(f"{args.method} sweeps take no --{name}")
-    axes = [_parse_axis(getattr(args, name), name, args.spacing, parser) for name in penalties]
+    axes = [_parse_axis(getattr(args, name), name, parser) for name in penalties]
 
     if args.random:
+        # log-uniform draws on each ranged axis; a fixed axis takes none
         rng = np.random.default_rng(args.seed)
-        bounds = [(min(axis), max(axis)) for axis in axes]
         points = [
-            tuple(
-                float(np.exp(rng.uniform(np.log(lo), np.log(hi)))) if args.spacing == "log"
-                else float(rng.uniform(lo, hi))
-                for lo, hi in bounds
-            )
+            tuple(lo if lo == hi else float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                  for lo, hi, _ in axes)
             for _ in range(args.random)
         ]
     else:
-        points = [tuple(p) for p in itertools.product(*axes)]
+        points = list(itertools.product(*(np.geomspace(lo, hi, k).tolist() for lo, hi, k in axes)))
 
     problem = _suite_problem(args.suite, args.n, "care", parser)
 

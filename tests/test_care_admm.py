@@ -522,6 +522,16 @@ class TestSweepLoop:
         with pytest.raises(DimensionError, match="block z"):
             _lyap_sweeps(3, init=replace(LyapAdmmState.zero(n), z=np.zeros((n, n + 1))))
 
+    def test_init_is_checked_finite_first_then_shape(self):
+        # as the problem matrices are: a block that is both wrongly
+        # shaped and not finite fails the finite check
+        n = LYAP_8.order
+        z = np.zeros((n, n + 1))
+        z[0, 0] = np.nan
+        with pytest.raises(ValueError, match="^block z contains non-finite entries$") as err:
+            _lyap_sweeps(3, init=replace(LyapAdmmState.zero(n), z=z))
+        assert not isinstance(err.value, DimensionError)
+
 
 def test_carried_products_equal_products_formed_afresh():
     # A sweep reads the Z A and T its state carries; the same blocks

@@ -91,7 +91,7 @@ class TestSolveCcom:
         l21 = report.detail["l21_history"]
         for prev, cur in zip(l21, l21[1:]):
             assert cur <= prev + 1e-10
-        rhs = 1e-8 * (1.0 + report.detail["rhs_norm"])
+        rhs = 1e-8 * (1.0 + report.residual_history[0])  # ||C||_F, the residual at X = 0
         assert all(gap <= rhs for gap in report.detail["feasibility_history"])
 
     def test_iteration_cap_is_not_an_error(self, rng):

@@ -347,6 +347,13 @@ class TestSweep:
         assert err.value.code == 1
         assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
+    def test_retired_spacing_is_usage_error(self, capsys):
+        # A grid is log-spaced and random draws are log-uniform.
+        err = usage_error([
+            "sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1",
+            "--gamma", "0.01:0.1:3", "--spacing", "log"], capsys)
+        assert "unrecognized arguments: --spacing log" in err
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_non_positive_random_is_usage_error(self, count, capsys):
         with pytest.raises(SystemExit) as err:
@@ -455,6 +462,98 @@ class TestSweep:
         assert out1 == out2
 
 
+# Four sweeps and their CSV and stderr, byte for byte: the grid, the
+# same axes drawn at random, a newton-admm grid with a fixed axis, and a
+# single point.  They were recorded on the earlier point builder, which
+# also offered linear spacing, so they pin that the log path kept its
+# points, its draws and its output.
+T8 = ["--suite", "t8", "--n", "4", "--method", "admm"]
+T8_AXES = ["--alpha", "0.5:1.5:3", "--beta", "1:5:3", "--gamma", "0.001:0.01:2"]
+SWEEP_HEADER = "alpha,beta,gamma,iterations,final_residual,termination,best\n"
+RECORDED_SWEEPS = {
+    "grid": (
+        [*T8, *T8_AXES],
+        SWEEP_HEADER
+        + "0.5,1.0,0.001,5456,9.4709348178964e-09,converged,\n"
+        "0.5,1.0,0.01,1313,4.6471709294189035e-09,converged,\n"
+        "0.5,2.23606797749979,0.001,3562,9.806452398363098e-09,converged,\n"
+        "0.5,2.23606797749979,0.01,669,8.493523803733085e-09,converged,\n"
+        "0.5,5.0,0.001,496,8.617118948431097e-09,converged,\n"
+        "0.5,5.0,0.01,309,4.650583949568021e-09,converged,*\n"
+        "0.8660254037844386,1.0,0.001,1207,9.061840388128176e-09,converged,\n"
+        "0.8660254037844386,1.0,0.01,1379,9.83307405275106e-09,converged,\n"
+        "0.8660254037844386,2.23606797749979,0.001,610,7.084604319953633e-09,converged,\n"
+        "0.8660254037844386,2.23606797749979,0.01,707,8.595909349422153e-09,converged,\n"
+        "0.8660254037844386,5.0,0.001,442,9.696058861043828e-09,converged,\n"
+        "0.8660254037844386,5.0,0.01,320,7.71222150747753e-09,converged,\n"
+        "1.5,1.0,0.001,1450,3.6142758128013627e-09,converged,\n"
+        "1.5,1.0,0.01,1567,8.214691886524304e-09,converged,\n"
+        "1.5,2.23606797749979,0.001,671,6.410008717044171e-09,converged,\n"
+        "1.5,2.23606797749979,0.01,661,6.1477484865149765e-09,converged,\n"
+        "1.5,5.0,0.001,460,8.005361646105015e-09,converged,\n"
+        "1.5,5.0,0.01,337,8.93888909646016e-09,converged,\n",
+        '{"best": {"alpha": 0.5, "beta": 5.0, "gamma": 0.01, "iterations": 309, '
+        '"final_residual": 4.650583949568021e-09, "termination": "converged"}}\n',
+    ),
+    "random": (
+        [*T8, *T8_AXES, "--random", "3", "--seed", "7"],
+        SWEEP_HEADER
+        + "0.9936108784350896,4.237654392451018,0.00596603353566529,342,"
+        "5.350661640902433e-09,converged,*\n"
+        "0.6403554961285469,1.621090383347585,0.007474006055734187,830,"
+        "2.3153630450114945e-09,converged,\n"
+        "0.5029006454944874,3.7498511704454343,0.006267140466873406,358,"
+        "4.788469979908632e-09,converged,\n",
+        '{"best": {"alpha": 0.9936108784350896, "beta": 4.237654392451018, '
+        '"gamma": 0.00596603353566529, "iterations": 342, '
+        '"final_residual": 5.350661640902433e-09, "termination": "converged"}}\n',
+    ),
+    "t9-grid": (
+        ["--suite", "t9", "--n", "4", "--method", "newton-admm",
+         "--alpha", "0.8", "--beta", "20:60:3", "--tol", "1e-8"],
+        SWEEP_HEADER
+        + "0.8,20.0,,106,8.736751534201069e-09,converged,\n"
+        "0.8,34.641016151377556,,77,1.0186702238562448e-09,converged,\n"
+        "0.8,60.0,,57,6.156869959388884e-09,converged,*\n",
+        '{"best": {"alpha": 0.8, "beta": 60.0, "gamma": "", "iterations": 57, '
+        '"final_residual": 6.156869959388884e-09, "termination": "converged"}}\n',
+    ),
+    "single": (
+        [*T8, "--alpha", "0.91", "--beta", "2.8", "--gamma", "0.0014"],
+        SWEEP_HEADER + "0.91,2.8,0.0014,451,3.817108552755578e-09,converged,*\n",
+        '{"best": {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "iterations": 451, '
+        '"final_residual": 3.817108552755578e-09, "termination": "converged"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, csv, err", RECORDED_SWEEPS.values(), ids=RECORDED_SWEEPS)
+def test_sweep_output_is_the_recorded_output(argv, csv, err, capsys):
+    assert main(["sweep", *argv]) == 0
+    assert capsys.readouterr() == (csv, err)
+
+
+@pytest.mark.parametrize("axes, fixed", [
+    (["--alpha", "0.5:1.5:3", "--beta", "100", "--gamma", "0.001:0.01:2"], {1: "100.0"}),
+    (["--alpha", "0.5:1.5:3", "--beta", "3:3:4", "--gamma", "0.001:0.01:2"], {1: "3.0"}),
+], ids=["fixed-beta", "collapsed-beta"])
+def test_random_sweep_keeps_a_fixed_axis_exact(axes, fixed, capsys):
+    assert main(["sweep", *T8, *axes, "--random", "3"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert {column: row[column] for column in fixed} == fixed
+
+
+def test_all_fixed_random_sweep_repeats_the_single_point(capsys):
+    # every axis fixed: no draw perturbs a penalty, so each row is the
+    # single point's own run, to the last digit of its residual
+    single = RECORDED_SWEEPS["single"]
+    assert main(["sweep", *single[0], "--random", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [single[1].splitlines()[1], single[1].splitlines()[1].rstrip("*")]
+
+
 class TestPlot:
     def test_plot_from_report(self, tmp_path, capsys):
         report_path = tmp_path / "r.json"
@@ -561,8 +660,8 @@ class TestPlot:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["bench", "--suite", "t1", "--cap", "0"], "--cap must be positive"),
-    (["bench", "--suite", "t1", "--cap", "-3"], "--cap must be positive"),
+    (["bench", "--suite", "t1", "--cap", "0"], "--cap 0 is below every order of suite t1"),
+    (["bench", "--suite", "t1", "--cap", "-3"], "--cap -3 is below every order of suite t1"),
     (["sweep", "--suite", "t8", "--n", "4", "--alpha", "1", "--beta", "1", "--gamma", "0.1",
       "--seed", "-1", "--random", "1"], "--seed must be non-negative"),
     (["plot", "--tolerance", "nan"], "--tolerance must be finite and positive"),
