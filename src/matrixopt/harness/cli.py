@@ -346,14 +346,13 @@ def _cmd_sweep(args, parser: _Parser) -> int:
     rows = []
     best = None
     for point in points:
-        penalty = dict(zip(penalties, point))
-        row = {**dict.fromkeys(_PENALTIES, ""), **penalty}
+        row = dict(zip(penalties, point))
         try:
-            report = run_method(args.method, problem, {**penalty, **fixed})
+            report = run_method(args.method, problem, {**row, **fixed})
         except ParameterError:
             raise
         except Exception as exc:  # noqa: BLE001 - one bad point must not abort the sweep
-            row.update(iterations="", final_residual="", termination=f"error: {row_error(exc)}")
+            row["termination"] = f"error: {row_error(exc)}"
         else:
             row.update(
                 iterations=report.iterations,
@@ -367,7 +366,7 @@ def _cmd_sweep(args, parser: _Parser) -> int:
     columns = (*_PENALTIES, "iterations", "final_residual", "termination")
     lines = [",".join((*columns, "best"))]
     for row in rows:
-        lines.append(",".join([*(str(row[c]) for c in columns), "*" if row is best else ""]))
+        lines.append(",".join([*(str(row.get(c, "")) for c in columns), "*" if row is best else ""]))
     _write("\n".join(lines) + "\n", args.out)
     print(json.dumps({"best": _json_safe(best)}), file=sys.stderr)
     return EXIT_OK if best is not None else EXIT_NOT_CONVERGED

@@ -28,9 +28,12 @@ def write_matrix_market(path, m: np.ndarray) -> None:
 def read_matrix_market(path) -> np.ndarray:
     """Read a MatrixMarket file into a dense matrix.
 
-    Symmetric files hold the lower triangle (an entry above it is a
-    :class:`ParseError`) and are expanded to full dense storage.
-    Coordinate indices are 1-based; duplicate entries accumulate.
+    After the header, blank lines and lines whose first non-blank
+    character is ``%`` are skipped; the first line left is the size line
+    and every later one is an entry.  Symmetric files hold the lower
+    triangle (an entry above it is a :class:`ParseError`) and are expanded
+    to full dense storage.  Coordinate indices are 1-based; duplicate
+    entries accumulate.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -50,29 +53,33 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
 
-    # Skip comments and blank lines up to the size line.
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos >= len(lines):
-        raise ParseError("missing size line", line=len(lines))
-
-    size_tokens = lines[pos].split()
-    size_line = pos + 1
-    pos += 1
-
-    if fmt == "array" and len(size_tokens) != 2:
-        raise ParseError("array size line must be 'rows cols'", line=size_line)
-    if fmt == "coordinate" and len(size_tokens) != 3:
-        raise ParseError("coordinate size line must be 'rows cols nnz'", line=size_line)
-    rows, cols = _parse_dims(size_tokens[:2], size_line)
+    # (line number, tokens) of each line that is not blank or a comment;
+    # the header starts with '%' too, so it is skipped with them
+    body = ((n, tokens) for n, tokens in enumerate(map(str.split, lines), start=1)
+            if tokens and not tokens[0].startswith("%"))
+    size_line, size = next(body, (len(lines), None))
+    if size is None:
+        raise ParseError("missing size line", line=size_line)
+    shape = "rows cols" if fmt == "array" else "rows cols nnz"
+    if len(size) != len(shape.split()):
+        raise ParseError(f"{fmt} size line must be '{shape}'", line=size_line)
+    try:
+        rows, cols, *nnz = map(int, size)
+    except ValueError:
+        raise ParseError("size line values are not integers", line=size_line) from None
+    if rows < 1 or cols < 1:
+        raise ParseError("dimensions must be positive", line=size_line)
+    if rows * cols > MAX_READ_ENTRIES:
+        raise ParseError(f"matrix of {rows}x{cols} entries exceeds read cap", line=size_line)
     if symmetry == "symmetric" and rows != cols:
         raise ParseError("symmetric matrix must be square", line=size_line)
     m = np.zeros((rows, cols))
 
     if fmt == "array":
+        values = [_real(token, n) for n, tokens in body for token in tokens]
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-        values = _parse_values(lines, pos, expected)
+        if len(values) != expected:
+            raise ParseError(f"expected {expected} values, found {len(values)}", line=len(lines))
         if symmetry == "general":
             m[:] = np.reshape(values, (rows, cols), order="F")
         else:
@@ -81,61 +88,30 @@ def read_matrix_market(path) -> np.ndarray:
             m[j, i] = m[i, j] = values
         return m
 
-    try:
-        nnz = int(size_tokens[2])
-    except ValueError:
-        raise ParseError("entry count is not an integer", line=size_line) from None
     seen = 0
-    for offset, raw in enumerate(lines[pos:], start=pos + 1):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        tokens = text.split()
+    for n, tokens in body:
         if len(tokens) != 3:
-            raise ParseError("coordinate entry must be 'i j value'", line=offset)
+            raise ParseError("coordinate entry must be 'i j value'", line=n)
         try:
             i, j = int(tokens[0]), int(tokens[1])
-            v = float(tokens[2])
         except ValueError:
-            raise ParseError(f"cannot parse entry {text!r}", line=offset) from None
+            raise ParseError("entry indices are not integers", line=n) from None
+        v = _real(tokens[2], n)
         if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParseError(f"index ({i}, {j}) out of bounds", line=offset)
+            raise ParseError(f"index ({i}, {j}) out of bounds", line=n)
         if symmetry == "symmetric" and i < j:
-            raise ParseError(f"symmetric entry ({i}, {j}) above the diagonal", line=offset)
+            raise ParseError(f"symmetric entry ({i}, {j}) above the diagonal", line=n)
         m[i - 1, j - 1] += v
         if symmetry == "symmetric" and i != j:
             m[j - 1, i - 1] += v
         seen += 1
-    if seen != nnz:
-        raise ParseError(f"expected {nnz} entries, found {seen}", line=len(lines))
+    if seen != nnz[0]:
+        raise ParseError(f"expected {nnz[0]} entries, found {seen}", line=len(lines))
     return m
 
 
-def _parse_dims(tokens, line):
+def _real(token, line):
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
+        return float(token)
     except ValueError:
-        raise ParseError("dimensions are not integers", line=line) from None
-    if rows < 1 or cols < 1:
-        raise ParseError("dimensions must be positive", line=line)
-    if rows * cols > MAX_READ_ENTRIES:
-        raise ParseError(f"matrix of {rows}x{cols} entries exceeds read cap", line=line)
-    return rows, cols
-
-
-def _parse_values(lines, pos, expected):
-    values = []
-    for offset, raw in enumerate(lines[pos:], start=pos + 1):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        for token in text.split():
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ParseError(f"cannot parse value {token!r}", line=offset) from None
-    if len(values) != expected:
-        raise ParseError(
-            f"expected {expected} values, found {len(values)}", line=len(lines)
-        )
-    return values
+        raise ParseError(f"cannot parse value {token!r}", line=line) from None

@@ -515,7 +515,7 @@ RECORDED_SWEEPS = {
         + "0.8,20.0,,106,8.736751534201069e-09,converged,\n"
         "0.8,34.641016151377556,,77,1.0186702238562448e-09,converged,\n"
         "0.8,60.0,,57,6.156869959388884e-09,converged,*\n",
-        '{"best": {"alpha": 0.8, "beta": 60.0, "gamma": "", "iterations": 57, '
+        '{"best": {"alpha": 0.8, "beta": 60.0, "iterations": 57, '
         '"final_residual": 6.156869959388884e-09, "termination": "converged"}}\n',
     ),
     "single": (

@@ -112,18 +112,32 @@ def test_out_of_bounds_index(tmp_path):
     assert err.value.line == 3
 
 
-def test_comments_and_blank_lines(tmp_path):
+@pytest.mark.parametrize("comment", ["% a comment", "  % a comment"])
+def test_comments_and_blank_lines(tmp_path, comment):
+    """A line whose first non-blank character is '%' is a comment, before
+    the size line as after it."""
     path = tmp_path / "comments.mtx"
     path.write_text(
         "%%MatrixMarket matrix array real general\n"
-        "% a comment\n"
+        f"{comment}\n"
         "\n"
         "2 1\n"
         "1.5\n"
-        "% mid comment\n"
+        f"{comment}\n"
         "2.5\n"
     )
     np.testing.assert_allclose(read_matrix_market(path), [[1.5], [2.5]])
+
+
+@pytest.mark.parametrize("fmt, size", [
+    ("array", "0 3"), ("array", "2 0"), ("array", "0 0"), ("coordinate", "0 0 0"),
+])
+def test_dimensions_below_one_are_rejected_at_the_size_line(tmp_path, fmt, size):
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+    with pytest.raises(ParseError, match="dimensions must be positive") as err:
+        read_matrix_market(path)
+    assert err.value.line == 2
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
