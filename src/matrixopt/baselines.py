@@ -249,21 +249,17 @@ def newton_iteration(
         (A - N X_k)^T X_{k+1} + X_{k+1} (A - N X_k) + X_k N X_k + K = 0
 
     to ``lyapunov_solve``, which returns X_{k+1}; ``residual``, ``tol``
-    and ``stop`` are :func:`~matrixopt.report.iterate`'s.  The report's
-    ``detail["certificate"]`` is :func:`certify_care` of its answer; a
-    root that is not stabilizing is labelled, not an error.
+    and ``stop`` are :func:`~matrixopt.report.iterate`'s.
     """
     def step(x):
         return lyapunov_solve(
             LyapunovProblem(a=p.a - p.n_mat @ x, q=symmetrize(x @ p.n_mat @ x + p.k_mat))
         )
 
-    report = iterate(
+    return iterate(
         np.zeros((p.order, p.order)), step, residual, max_steps,
         tol=tol, stop=stop, solution=lambda x: x, detail=detail,
     )
-    report.detail["certificate"] = certify_care(p, report.solution, report.final_residual)
-    return report
 
 
 def solve_newton_care(p: CareProblem, cfg: BaselineConfig | None = None) -> SolveReport:

@@ -21,8 +21,7 @@ running solve holds two generations of blocks: the state a sweep reads
 and the one it builds.
 
 X is not kept symmetric during the iteration (the updates do not
-preserve symmetry); the report's ``certificate``
-(:func:`~matrixopt.baselines.certify_care`) records ``||X - X^T||_F``.
+preserve symmetry).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .linalg import (
     spd_solve,
     trace_inner,
 )
-from .baselines import care_residual, certify_care
+from .baselines import care_residual
 from .problems import CareProblem
 from .report import SolveReport, iterate
 
@@ -285,8 +284,7 @@ def solve_care_admm(p: CareProblem, cfg: AdmmConfig | None = None) -> SolveRepor
 
     The history records the residual after every sweep, starting with the
     initial residual.  After the loop the detail map gains the KKT
-    residuals, the augmented Lagrangian of the final state and the
-    ``certificate`` of :func:`~matrixopt.baselines.certify_care`, formed
+    residuals and the augmented Lagrangian of the final state, formed
     with numpy's inf/NaN warnings off: a blow-up has already ended the
     run ``diverged``.
     """
@@ -303,5 +301,4 @@ def solve_care_admm(p: CareProblem, cfg: AdmmConfig | None = None) -> SolveRepor
     with np.errstate(invalid="ignore", over="ignore"):
         report.detail["final_kkt_residuals"] = kkt_residuals(p, state)
         report.detail["final_lagrangian"] = lagrangian_value(p, state, cfg)
-        report.detail["certificate"] = certify_care(p, state.x, report.final_residual)
     return report

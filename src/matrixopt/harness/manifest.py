@@ -19,6 +19,7 @@ from typing import Callable
 from ..baselines import (
     NEWTON_MAX_STEPS,
     BaselineConfig,
+    certify_care,
     solve_anderson_richardson,
     solve_cg,
     solve_lyapunov_direct,
@@ -191,10 +192,15 @@ def configure(method: str, problem, params: dict | None = None):
 
 def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
     """Dispatch one solve through the method table, with the method's
-    ``hold`` copy of OpenBLAS at one thread from set-up to certificate."""
+    ``hold`` copy of OpenBLAS at one thread from set-up to certificate.
+    A CARE answer gets ``detail["certificate"]``, :func:`certify_care` of
+    its solution; this is the one place any answer is certified."""
     spec, cfg = configure(method, problem, params)
     with serial_products(spec.hold) if spec.hold else contextlib.nullcontext():
-        return spec.solve(problem, cfg)
+        report = spec.solve(problem, cfg)
+        if isinstance(problem, CareProblem):
+            report.detail["certificate"] = certify_care(problem, report.solution, report.final_residual)
+    return report
 
 
 @dataclass

@@ -32,8 +32,8 @@ def read_matrix_market(path) -> np.ndarray:
     character is ``%`` are skipped; the first line left is the size line
     and every later one is an entry.  Symmetric files hold the lower
     triangle (an entry above it is a :class:`ParseError`) and are expanded
-    to full dense storage.  Coordinate indices are 1-based; duplicate
-    entries accumulate.
+    to full dense storage.  Coordinate indices are 1-based; duplicates add
+    onto the first entry read, so a lone ``-0.0`` stays ``-0.0``.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -88,7 +88,7 @@ def read_matrix_market(path) -> np.ndarray:
             m[j, i] = m[i, j] = values
         return m
 
-    seen = 0
+    seen, entries = 0, {}
     for n, tokens in body:
         if len(tokens) != 3:
             raise ParseError("coordinate entry must be 'i j value'", line=n)
@@ -101,12 +101,13 @@ def read_matrix_market(path) -> np.ndarray:
             raise ParseError(f"index ({i}, {j}) out of bounds", line=n)
         if symmetry == "symmetric" and i < j:
             raise ParseError(f"symmetric entry ({i}, {j}) above the diagonal", line=n)
-        m[i - 1, j - 1] += v
-        if symmetry == "symmetric" and i != j:
-            m[j - 1, i - 1] += v
+        for at in {(i - 1, j - 1), (j - 1, i - 1)} if symmetry == "symmetric" else [(i - 1, j - 1)]:
+            entries[at] = entries.get(at, -0.0) + v  # -0.0 + v is v, also for v = -0.0
         seen += 1
     if seen != nnz[0]:
         raise ParseError(f"expected {nnz[0]} entries, found {seen}", line=len(lines))
+    for at, v in entries.items():
+        m[at] = v
     return m
 
 

@@ -24,8 +24,7 @@ reads its sweep cap (``inner_max``) and its tolerance (``tol``) from
 The inner solves are inexact: each one runs to the tolerance
 max(inner_tol_value ||R(X_k)||_F, tol / 10), proportional to the
 current outer residual (a forcing rule), warm-started from the previous
-inner state.  The report carries the same ``certificate`` as exact
-Newton's (:func:`~matrixopt.baselines.certify_care`).
+inner state.
 """
 
 from __future__ import annotations

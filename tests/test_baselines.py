@@ -285,7 +285,7 @@ class TestNewtonCare:
             n_mat=b @ b.T,
             k_mat=np.eye(4),
         )
-        report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-10, max_iterations=30))
+        report = run_method("newton", p, {"tol": 1e-10, "max_iterations": 30})
         assert report.converged
         assert report.detail["certificate"]["asymmetry"] <= 1e-10
 
@@ -325,7 +325,7 @@ class TestNewtonCare:
 
     def test_closed_loop_certificate_of_the_stabilizing_root(self):
         p, _ = scalar_care()
-        report = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=20))
+        report = run_method("newton", p, {"tol": 1e-8, "max_iterations": 20})
         cert = report.detail["certificate"]
         assert cert["closed_loop_max_real_eig"] < 0 and cert["root"] == "stabilizing"
 

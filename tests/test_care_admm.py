@@ -371,13 +371,13 @@ class TestSolveCareAdmm:
 
     def test_diagnostics_present(self):
         p = scalar_problem()
-        cfg = AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01)
-        report = solve_care_admm(p, cfg)
+        params = {"alpha": 1.0, "beta": 1.0, "gamma": 0.01}
+        report = run_method("admm", p, params)
         assert set(report.detail) == {
             "state", "final_kkt_residuals", "final_lagrangian", "certificate"
         }
         state = report.detail["state"]
-        assert report.detail["final_lagrangian"] == lagrangian_value(p, state, cfg)
+        assert report.detail["final_lagrangian"] == lagrangian_value(p, state, AdmmConfig(**params))
         cert = report.detail["certificate"]
         assert cert["asymmetry"] == 0.0  # a 1 x 1 X is symmetric
         # scalar stabilizing solution: a - n x < 0
@@ -423,7 +423,8 @@ BLOCK_NAMES = {
 }
 
 
-T8_16_CFG = AdmmConfig(alpha=0.91, beta=2.8, gamma=0.0014, tol=1e-300)
+T8_16_PARAMS = {"alpha": 0.91, "beta": 2.8, "gamma": 0.0014, "tol": 1e-300}
+T8_16_CFG = AdmmConfig(**T8_16_PARAMS)
 
 
 def _sweeps(splitting, sweeps):
@@ -488,11 +489,15 @@ class TestSweepLoop:
     @pytest.mark.parametrize("splitting", ["care", "lyapunov"])
     def test_blow_up_raises_no_warning(self, splitting, monkeypatch):
         # The solve quiets numpy's inf/NaN warnings itself: the
-        # ``diverged`` label already records the blow-up.
+        # ``diverged`` label already records the blow-up.  The CARE run
+        # goes through ``run_method``, which adds the certificate.
         _blow_up_from(monkeypatch, splitting, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = _sweeps(splitting, 50)
+            if splitting == "care":
+                report = run_method("admm", T8_16, {**T8_16_PARAMS, "max_iterations": 50})
+            else:
+                report = _sweeps(splitting, 50)
         assert (report.termination, report.iterations) == ("diverged", 5)
         if splitting == "care":
             assert not np.isfinite(report.detail["final_kkt_residuals"]).any()

@@ -1,19 +1,23 @@
-"""The one CARE certificate: every CARE solver's report carries
-``detail["certificate"]`` from :func:`matrixopt.baselines.certify_care`,
-and its ``root`` label names the root scipy's Schur solver finds."""
+"""The one CARE certificate: ``run_method`` attaches
+``detail["certificate"]``, made by :func:`matrixopt.baselines.certify_care`,
+to every CARE report and to no other, and no solver attaches it itself.
+Its ``root`` label names the root scipy's Schur solver finds."""
 
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import matrixopt
 from matrixopt import baselines
 from matrixopt.baselines import certify_care
-from matrixopt.harness.manifest import run_method
+from matrixopt.harness.manifest import METHODS, run_method
 from matrixopt.linalg import frobenius_norm
-from matrixopt.problems import CareProblem, paper_suite, table_source
+from matrixopt.problems import CareProblem, LyapunovProblem, paper_suite, table_source
 
 CERTIFICATE_KEYS = {"residual", "relative_residual", "asymmetry", "closed_loop_max_real_eig", "root"}
 RETIRED_KEYS = {"closed_loop_max_real_eig", "symmetry_gap", "asymmetry", "outer_trace", "directions"}
@@ -47,9 +51,12 @@ def _scipy_root(p, root):
     return -scipy.linalg.solve_continuous_are(-p.a, b, p.k_mat, eye)
 
 
-@pytest.mark.parametrize("table, index", [("t8", 0), ("t8", 1), ("t9", 0)],
-                         ids=["admm", "newton", "newton-admm"])
-def test_every_care_solver_reports_one_certificate(table, index):
+@pytest.mark.parametrize("method", [method for method, kind in METHODS if kind is CareProblem])
+def test_every_care_solver_reports_one_certificate(method):
+    table, index = next(
+        (table, index) for table in ("t8", "t9", "t10")
+        for index, row in enumerate(paper_suite(table)) if row.method == method
+    )
     p, report = _row(table, index)
     cert = report.detail["certificate"]
     assert set(cert) == CERTIFICATE_KEYS
@@ -59,6 +66,33 @@ def test_every_care_solver_reports_one_certificate(table, index):
     x = report.solution
     assert cert["asymmetry"] == frobenius_norm(x - x.T)
     assert cert["closed_loop_max_real_eig"] == max(np.linalg.eigvals(p.a - p.n_mat @ x).real)
+
+
+@pytest.mark.parametrize("method, kind", [key for key in METHODS if key[1] is not CareProblem])
+def test_no_other_report_carries_a_certificate(method, kind):
+    p = LyapunovProblem(a=[[-2.0]], q=[[3.0]]) if kind is LyapunovProblem else table_source("t6", 8).build()
+    assert "certificate" not in run_method(method, p).detail
+
+
+def test_run_method_alone_certifies():
+    src = Path(matrixopt.__file__).resolve().parent
+
+    def certify_calls(tree):
+        # a plain ``certify_care(...)`` or a ``baselines.certify_care(...)``
+        return sum(
+            isinstance(node, ast.Call)
+            and "certify_care" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+        )
+
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.rglob("*.py")}
+    assert {module: n for module, tree in trees.items() if (n := certify_calls(tree))} == {
+        "harness/manifest.py": 1
+    }
+    run = next(node for node in ast.walk(trees["harness/manifest.py"])
+               if isinstance(node, ast.FunctionDef) and node.name == "run_method")
+    assert certify_calls(run) == 1
 
 
 def test_cg_reports_no_directions():

@@ -33,6 +33,26 @@ def test_symmetric_coordinate_expansion(tmp_path):
     assert m[1, 0] == 5.0 and m[0, 1] == 5.0 and m[0, 0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "symmetry, entries, want",
+    [
+        ("general", "1 1 1\n1 1 -0.0\n", [[-0.0]]),
+        ("symmetric", "2 2 1\n2 1 -0.0\n", [[0.0, -0.0], [-0.0, 0.0]]),
+        ("general", "1 1 2\n1 1 -0.0\n1 1 -0.0\n", [[-0.0]]),
+        ("general", "1 1 2\n1 1 1.0\n1 1 -1.0\n", [[0.0]]),
+    ],
+    ids=["general", "symmetric-mirrored", "duplicates", "cancelling"],
+)
+def test_coordinate_entries_keep_the_sign_of_zero(tmp_path, symmetry, entries, want):
+    # The first entry at a position is stored and later ones are added to
+    # it; an absent entry is +0.0.
+    path = tmp_path / "zero.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n{entries}")
+    m = read_matrix_market(path)
+    assert m.tolist() == want
+    assert np.signbit(m).tolist() == np.signbit(want).tolist()
+
+
 def test_symmetric_coordinate_entry_above_the_diagonal_is_rejected(tmp_path):
     # Mirrored and summed, both (2,1) and (1,2) would read 10.0.
     path = tmp_path / "upper.mtx"

@@ -5,12 +5,7 @@ import pytest
 
 from conftest import block_deltas, frechet_apply, lyap_lagrangian_value, peak_blocks
 from matrixopt import newton_admm
-from matrixopt.baselines import (
-    BaselineConfig,
-    care_residual,
-    solve_lyapunov_direct,
-    solve_newton_care,
-)
+from matrixopt.baselines import solve_lyapunov_direct
 from matrixopt.errors import AdmmBreakdownError
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm, symmetrize
@@ -228,7 +223,7 @@ class TestSolveNewtonAdmm:
 
     def test_records_a_non_stabilizing_root(self):
         p = t9_problem(4)
-        report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=0.8, beta=53.5))
+        report = run_method("newton-admm", p, {"alpha": 0.8, "beta": 53.5})
         assert report.converged
         cert = report.detail["certificate"]
         assert cert["closed_loop_max_real_eig"] > 0 and cert["root"] == "anti-stabilizing"
@@ -245,9 +240,9 @@ class TestSolveNewtonAdmm:
 
     def test_inner_blow_up_ends_the_run_diverged(self, monkeypatch):
         p = t9_problem(16)
-        cfg = NewtonAdmmConfig(alpha=0.8, beta=53.5)
+        params = {"alpha": 0.8, "beta": 53.5}
         trace = outer_iterates(monkeypatch)
-        clean = solve_newton_admm(p, cfg=cfg)
+        clean = run_method("newton-admm", p, params)
         first_step = trace[1]
         first, second = clean.detail["inner_iterations_per_outer"][:2]
         assert second > 3
@@ -268,7 +263,7 @@ class TestSolveNewtonAdmm:
         monkeypatch.setattr(newton_admm, "solve_lyapunov_admm", recorded)
         monkeypatch.setattr(newton_admm, "lyap_admm_step", blown)
         with np.errstate(invalid="ignore", over="ignore"):
-            report = solve_newton_admm(p, cfg=cfg)
+            report = run_method("newton-admm", p, params)
         # the second inner solve, handed the first one's final state, blew
         # up; the diverged outer step is not counted, the report is the
         # first step's
@@ -346,11 +341,11 @@ class TestSolveNewtonAdmm:
         p = stable_random_care(rng, n=4)
         # a forcing factor of 1e-6 and a tight outer tolerance keep every
         # inner solve near exact
-        cfg = NewtonAdmmConfig(alpha=1.0, beta=8.0, tol=1e-11, inner_tol_value=1e-6,
-                               inner_max=50_000)
+        params = {"alpha": 1.0, "beta": 8.0, "tol": 1e-11, "inner_tol_value": 1e-6,
+                  "inner_max": 50_000}
         trace = outer_iterates(monkeypatch)
-        inexact = solve_newton_admm(p, cfg=cfg)
-        exact = solve_newton_care(p, cfg=BaselineConfig(tol=1e-8, max_iterations=30))
+        inexact = run_method("newton-admm", p, params)
+        exact = run_method("newton", p, {"tol": 1e-8, "max_iterations": 30})
         assert inexact.converged and exact.converged
         # the same root, certified by the same record
         na_cert, cert = inexact.detail["certificate"], exact.detail["certificate"]

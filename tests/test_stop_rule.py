@@ -98,4 +98,4 @@ def test_care_admm_quiets_numpy_only_after_its_loop():
     (block,) = blocks
     loop = next(node for node in solve.body if "sweep_until" in calls(node))
     assert block.lineno > loop.end_lineno
-    assert calls(block) - {"errstate"} == {"kkt_residuals", "lagrangian_value", "certify_care"}
+    assert calls(block) - {"errstate"} == {"kkt_residuals", "lagrangian_value"}
