@@ -101,7 +101,9 @@ def solve_anderson_richardson(
     p: SylvesterProblem, cfg: BaselineConfig | None = None
 ) -> SolveReport:
     """Damped Richardson iteration X <- X - omega R with depth-1 Anderson
-    mixing over the last two iterate/residual pairs.
+    mixing over the last two iterate/residual pairs.  A step whose mixing
+    coefficient is not finite (an inner product overflowed) takes the
+    plain Richardson step.
 
     omega is 1 / (||A||_1 + ||B||_1), a cheap upper proxy for the
     operator's spectral radius, reported as ``detail["omega"]``.  This
@@ -118,8 +120,8 @@ def solve_anderson_richardson(
         if s.r_prev is not None:
             dr = s.r - s.r_prev
             denom = float(np.vdot(dr, dr))
-            if denom > 0:
-                theta = float(np.vdot(s.r, dr)) / denom
+            theta = float(np.vdot(s.r, dr)) / denom if 0 < denom < math.inf else math.nan
+            if math.isfinite(theta):
                 x_next = gx - theta * (gx - s.gx_prev)
         s.gx_prev, s.r_prev, s.x = gx, s.r, x_next
         s.r = p.residual_matrix(x_next)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .linalg import cholesky_solve, lu_solve, require_positive, unvec, vec
+from .linalg import cholesky_solve, frobenius_norm, lu_solve, require_positive, unvec, vec
 from .oracle import sylvester_operator_matrix, sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, iterate
@@ -81,7 +81,7 @@ def solve_ccom(p: SylvesterProblem, cfg: CcomConfig | None = None) -> SolveRepor
         x_flat = ccom_step(m_sys, c_vec, weights).ravel()
         norms = np.abs(x_flat)
         l21_history.append(float(norms.sum()))
-        feas_history.append(float(np.linalg.norm(m_sys @ x_flat[:, np.newaxis] - c_vec)))
+        feas_history.append(frobenius_norm(m_sys @ x_flat[:, np.newaxis] - c_vec))
         weights = 1.0 / (2.0 * np.maximum(norms, ROW_NORM_FLOOR))
         return unvec(x_flat.reshape(-1, 1), m, n), weights
 

@@ -391,8 +391,6 @@ def _cmd_plot(args, parser: _Parser) -> int:
         isinstance(v, (int, float)) or v in ("inf", "-inf", "nan") for v in history
     ) or not (isinstance(tolerance or 0.0, (int, float)) and math.isfinite(tolerance or 0.0)):
         parser.error(f"report {path!r} holds a residual or tolerance that is not a number")
-    if not any(isinstance(v, (int, float)) and math.isfinite(v) for v in history):
-        parser.error(f"report {path!r} holds no finite residual to plot")
     emit_convergence_plot(payload, args.out, tolerance=tolerance)
     return EXIT_OK
 

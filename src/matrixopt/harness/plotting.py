@@ -31,7 +31,7 @@ def emit_convergence_plot(report, path, tolerance: float | None = None) -> None:
         if isinstance(v, (int, float)) and math.isfinite(v)
     ]
     if not finite:
-        raise PreconditionError("residual history has no finite entry; nothing to plot")
+        raise PreconditionError("residual history holds no finite residual to plot")
 
     ys = [y for _, y in finite]
     y_vals = ys + ([_log10(tolerance)] if tolerance else [])

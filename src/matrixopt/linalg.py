@@ -68,12 +68,15 @@ def require_positive(config, *names: str) -> None:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """Frobenius norm sqrt(sum of squared entries).
+    """Frobenius norm sqrt(sum of squared entries), as one BLAS ``nrm2``
+    call.  nrm2 scales as it sums, so the norm is finite whenever it is
+    representable; squaring each entry first overflows once an entry
+    passes about 1e154.
 
-    Summed by numpy's own loop, not a BLAS dot product, so the result
-    does not depend on the BLAS thread count.
+    Raveled in memory order, so a Fortran-ordered matrix is not copied.
+    An empty matrix, which nrm2 rejects, has norm 0.
     """
-    return math.sqrt(np.einsum("ij,ij->", m, m))
+    return _NRM2(np.ravel(m, order="K")) if np.size(m) else 0.0
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -83,14 +86,16 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
-# The LAPACK routines behind scipy's LU and Cholesky solvers, resolved once:
-# called directly they skip the per-call batching, validation and warnings.
+# The LAPACK routines behind scipy's LU and Cholesky solvers, and BLAS
+# ``nrm2``, resolved once: called directly they skip the per-call
+# batching, validation and warnings.
 _GETRF, _GETRS, _GETRI, _GETRI_LWORK, _POTRF, _POTRS, _POSV = (
     scipy.linalg.get_lapack_funcs(
         ("getrf", "getrs", "getri", "getri_lwork", "potrf", "potrs", "posv"),
         (np.empty((1, 1)),),
     )
 )
+(_NRM2,) = scipy.linalg.get_blas_funcs(("nrm2",), (np.empty((1, 1)),))
 
 
 def _square(a, who: str) -> np.ndarray:

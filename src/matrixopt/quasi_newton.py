@@ -10,9 +10,9 @@ denominators are nonsingular.  An m x m model captures the whole
 operator only on favourable problems, such as commuting A and B; on
 general problems a run may stop short of the solution, as ``stagnated``
 or ``diverged`` or with a line-search error carrying the partial report.
-A line search that fails after the model has blown up ends the run
-``diverged``: its Frobenius norm then exceeds sqrt(m) / eps, sqrt(m)
-being the norm of the identity start and eps machine epsilon.
+The one blow-up bound is sqrt(m) / eps, sqrt(m) being the Frobenius
+norm of the identity start and eps machine epsilon: a model whose norm
+exceeds it ends the run ``diverged`` before a line search reads it.
 
 The default line search is the closed-form exact minimizer: the
 objective is quadratic along any line, which is also why well-behaved
@@ -34,9 +34,9 @@ An update keeps the order of its textbook expression,
 (G + d K d^T) - (G y) T (G y)^T for DFP and E G E^T + dk d^T for BFGS,
 but accumulates it in one array, and a step releases its old iterate
 before the update, so the first update of a square run holds at most
-eight n x n arrays at once.  A model or a gradient whose Frobenius norm
-is not finite ends the run as ``diverged``; a step whose gradient is
-not finite forms no update.
+eight n x n arrays at once.  A model past the blow-up bound, or a
+gradient whose Frobenius norm is not finite, ends the run as
+``diverged``; a step whose gradient is not finite forms no update.
 """
 
 from __future__ import annotations
@@ -243,13 +243,11 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
     ``detail`` carries only ``grad_norm_history``, the gradient norm of
     each iterate, which the stop rule reads; the objective is half the
     square of each ``residual_history`` entry.  Line-search failures
-    re-raise with the partial report attached to the exception, unless
-    the model's Frobenius norm exceeds sqrt(m) / eps: a line search that
-    fails after such a blow-up ends the run as diverged.
+    re-raise with the partial report attached to the exception.
     A direction that is not a descent direction, or an exact step of
-    zero, ends the run as stagnated; a model or gradient whose Frobenius
-    norm is not finite (an entry that overflowed, or a norm that did)
-    ends it as diverged, on the step that formed it.
+    zero, ends the run as stagnated; a model whose Frobenius norm
+    exceeds sqrt(m) / eps or is NaN, or a gradient whose norm is not
+    finite, ends it as diverged, on the step that formed it.
     """
     cfg = cfg or QnConfig()
     m, n = p.shape
@@ -269,17 +267,12 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
         direction = -s.g if s.inv_h is None else -(s.inv_h @ s.g)
         if trace_inner(s.g, direction) >= 0:
             raise Stop("stagnated")
-        try:
-            if cfg.linesearch == "exact":
-                lam = exact_step(p, s.x, direction, r=s.r)
-            elif cfg.linesearch == "armijo":
-                lam = armijo_search(p, s.x, direction, r=s.r)
-            else:
-                lam = wolfe_search(p, s.x, direction, r=s.r)
-        except LineSearchError:
-            if s.inv_h_norm > blown_up_norm:
-                raise Stop("diverged") from None
-            raise
+        if cfg.linesearch == "exact":
+            lam = exact_step(p, s.x, direction, r=s.r)
+        elif cfg.linesearch == "armijo":
+            lam = armijo_search(p, s.x, direction, r=s.r)
+        else:
+            lam = wolfe_search(p, s.x, direction, r=s.r)
         if lam == 0.0:
             raise Stop("stagnated")
 
@@ -306,8 +299,8 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
     def stop(s, res):
         if s.done:
             return "converged"
-        finite = math.isfinite(s.inv_h_norm) and math.isfinite(detail["grad_norm_history"][-1])
-        return None if finite else "diverged"
+        bounded = s.inv_h_norm <= blown_up_norm and math.isfinite(detail["grad_norm_history"][-1])
+        return None if bounded else "diverged"
 
     return iterate(
         state,

@@ -118,6 +118,18 @@ class TestAndersonRichardson:
         report = solve_anderson_richardson(p, BaselineConfig(max_iterations=500))
         assert report.termination == "diverged"
 
+    def test_huge_divergence_ends_on_its_bound_with_finite_numbers(self):
+        # The same rotation from C = 1e150: the mixing's inner products
+        # overflow once the residual passes about 1.3e154, below ar's
+        # bound of 1e6 times the first residual.  Those steps go unmixed,
+        # and the run passes the bound with finite numbers.
+        p = SylvesterProblem(a=[[0.0, -5.0], [5.0, 0.0]], b=[[0.1]], c=[[1e150], [1e150]])
+        report = solve_anderson_richardson(p)
+        history = report.residual_history
+        assert (report.termination, report.iterations) == ("diverged", 72)
+        assert history[-2] <= 1e6 * history[0] < history[-1] < np.inf
+        assert np.isfinite(report.solution).all()
+
 
 class TestCareResidual:
     def test_scalar_stabilizing_root(self):

@@ -162,14 +162,14 @@ def outcome(method, build, params):
 # Recorded before the solvers were ported onto ``report.iterate``.
 GOLDEN = {
     'negdef3-cg': (0, 'stagnated', 1, 1.7320508075688772),
-    # A failed line search after the model blew up past sqrt(m)/eps ends
-    # the run diverged, was 'LineSearchError'.
+    # The model passes sqrt(m)/eps at step 3 and the run ends diverged
+    # before a line search reads it, was 'LineSearchError'.
     'random3-bfgs-armijo': (3, 'diverged', 4, 1.613021848019834),
-    # The m x m model's norm is no longer finite after step 38.
-    # certified LU pseudo-inverse, was (34, 'diverged', 35, 1.5508742471325827)
-    'random3-bfgs-exact': (38, 'diverged', 39, 1.5508742464386618),
-    # A failed line search after the model blew up past sqrt(m)/eps ends
-    # the run diverged, was 'LineSearchError'.
+    # The model passes sqrt(m)/eps at step 4; the run went on until its
+    # norm overflowed, was (38, 'diverged', 39, 1.5508742464386618), and
+    # before the certified LU pseudo-inverse (34, 'diverged', 35, 1.5508742471325827).
+    'random3-bfgs-exact': (4, 'diverged', 5, 1.5723871502546067),
+    # As armijo: diverged at step 3, was 'LineSearchError'.
     'random3-bfgs-wolfe': (3, 'diverged', 4, 1.613021848019834),
     'random3-dfp-armijo': (9, 'stagnated', 10, 1.5173721140619076),
     'random3-dfp-exact': (2, 'stagnated', 3, 1.6829697521897256),

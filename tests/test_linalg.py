@@ -1,5 +1,8 @@
+import ast
+import contextlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from matrixopt.errors import (
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
-from matrixopt.harness.manifest import run_method
+from matrixopt.harness.manifest import METHODS, run_method
 from matrixopt.linalg import (
     LU_PIVOT_RTOL,
     RANK_TOL,
@@ -57,6 +60,9 @@ class TestFrobeniusAndInner:
     def test_zero_matrix(self):
         assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
+    def test_empty_matrix(self):
+        assert frobenius_norm(np.zeros((0, 3))) == 0.0
+
     def test_identity(self):
         assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
 
@@ -90,6 +96,65 @@ class TestFrobeniusAndInner:
         for _ in range(5):
             m = rng.standard_normal((64, 64))
             assert frobenius_norm(m) ** 2 == pytest.approx(trace_inner(m, m), rel=1e-12)
+
+    def test_norm_scales_past_the_square_range(self):
+        # Squares of these entries overflow or underflow; the norm does not.
+        assert frobenius_norm(np.full((3, 3), 1e200)) == 3e200
+        assert frobenius_norm(np.full((3, 3), 1e-200)) == 3e-200
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [9, 256, 1024])
+    def test_norm_bits_do_not_depend_on_the_thread_count(self, n, order):
+        # Both OpenBLAS copies at one and at two threads, under each hold
+        # that the method table names: one norm, to the bit.
+        controls = [linalg.find_openblas(copy) for copy in linalg.OPENBLAS_COPIES]
+        if None in controls:
+            pytest.skip("an OpenBLAS copy's thread count cannot be set")
+        holds = {method.hold for method in METHODS.values()}
+        assert holds == {"numpy", "scipy", None}
+        m = np.asarray(np.random.default_rng(n).standard_normal((n, n)), order=order)
+        saved = [get() for get, _ in controls]
+        norms = set()
+        try:
+            for threads in (1, 2):
+                for _, set_ in controls:
+                    set_(threads)
+                for hold in holds:
+                    with linalg.serial_products(hold) if hold else contextlib.nullcontext():
+                        norms.add(frobenius_norm(m).hex())
+        finally:
+            for (_, set_), count in zip(controls, saved):
+                set_(count)
+        assert len(norms) == 1
+
+
+# Calls that compute a norm: numpy's and scipy's ``norm``, ``einsum`` (a
+# sum of squares overflows above about 1e154) and the BLAS kernel itself.
+NORM_KERNELS = {"norm", "einsum", "nrm2", "_NRM2"}
+
+
+def _norm_kernel_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and NORM_KERNELS & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
+
+
+def test_frobenius_norm_is_the_one_norm_kernel():
+    src = Path(linalg.__file__).resolve().parent
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.rglob("*.py")}
+    kernel = next(node for node in ast.walk(trees["linalg.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "frobenius_norm")
+    inside = _norm_kernel_calls(kernel)
+    outside = {
+        module: [node.lineno for node in calls if node not in inside]
+        for module, tree in trees.items()
+        if (calls := _norm_kernel_calls(tree))
+    }
+    assert len(inside) == 1
+    assert {module: lines for module, lines in outside.items() if lines} == {}
 
 
 class TestLuSolve:
@@ -373,8 +438,11 @@ class TestPseudoInverse:
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_overflowing_bound_warns_nothing(self, monkeypatch, scale):
-        # ||a||_F or ||a^-1||_F is not finite: the matrix goes to the SVD.
-        a = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        # The pivots pass the LU test, but ||a||_F ||a^-1||_F is about
+        # 1.25e13, above 1 / (RANK_TOL + n eps); at 1e-300 the entries of
+        # a^-1 overflow, so the bound is not finite.  Either way the
+        # matrix goes to the SVD, and nothing warns.
+        a = scale * np.array([[1.0, 0.5], [0.0, 1e-13]])
         expected = np.linalg.pinv(a, rcond=RANK_TOL)
         calls = self._counted_svd(monkeypatch)
         with warnings.catch_warnings():
@@ -382,6 +450,11 @@ class TestPseudoInverse:
             ap = pseudo_inverse(a)
         assert calls == [a.shape]
         assert frobenius_norm(ap - expected) <= 1e-12 * frobenius_norm(expected)
+
+    def test_tiny_matrix_keeps_its_truncation(self):
+        # ||a||_F ||a^-1||_F = 1e13 is representable at this scale, and
+        # the SVD drops the singular value at 1e-13 of the largest.
+        assert pseudo_inverse(1e-170 * np.diag([1.0, 1e-13]))[1, 1] == 0.0
 
     @given(
         n=st.integers(2, 8),

@@ -388,20 +388,23 @@ class TestSolver:
         assert len(calls) == report.iterations + 1
 
     def test_exploding_model_diverges(self, rng):
-        # The m x m model of this nonsymmetric problem overflows; the run
-        # stops on the step that formed it and keeps its finite iterate.
+        # The m x m model of this nonsymmetric problem grows past
+        # sqrt(m)/eps while its norm is still finite; the run stops on the
+        # step that formed it and keeps its finite iterate.
         p = random_sylvester(rng, 3, 3)
         report, updates = recorded_updates(lambda: solve_quasi_newton(p, QnConfig(method="bfgs")))
-        assert report.termination == "diverged"
-        assert not np.isfinite(frobenius_norm(updates[-1][2]))
+        bound = np.sqrt(3) / np.finfo(np.float64).eps
+        norms = [frobenius_norm(model) for _, _, model in updates]
+        assert report.termination == "diverged" and len(norms) == report.iterations
+        assert max(norms[:-1]) <= bound < norms[-1] < np.inf
         assert np.isfinite(report.solution).all()
         assert len(report.residual_history) == report.iterations + 1
 
     @pytest.mark.parametrize("linesearch", ["armijo", "wolfe"])
     def test_failed_search_after_blow_up_diverges(self, monkeypatch, linesearch):
-        # The search fails on the second step: after the model blew up
-        # past sqrt(m)/eps the run ends diverged with its partial report;
-        # under the identity start (norm sqrt(m)) the failure still raises.
+        # The search would fail on the second step: a model past
+        # sqrt(m)/eps ends the run diverged before that search runs; under
+        # a model of norm sqrt(m) the failure raises with the partial report.
         p = table_source("t6", 16).build()
         m = p.shape[0]
         search = f"matrixopt.quasi_newton.{linesearch}_search"
@@ -421,7 +424,7 @@ class TestSolver:
         cfg = QnConfig(method="bfgs", linesearch=linesearch)
         report = solve_quasi_newton(p, cfg)
         assert (report.termination, report.iterations) == ("diverged", 1)
-        assert len(report.residual_history) == 2
+        assert len(report.residual_history) == 2 and len(searched) == 1
 
         searched.clear()
         monkeypatch.setattr("matrixopt.quasi_newton.bfgs_update", lambda *operands: np.eye(m))
@@ -430,7 +433,8 @@ class TestSolver:
         assert exc.value.report.iterations == 1
 
     def test_model_with_overflowing_norm_diverges(self, monkeypatch):
-        # Every entry is finite, but the Frobenius norm overflows.
+        # Every entry is finite, and so is the norm, 1.6e201, though its
+        # squares overflow: the model is far past sqrt(m)/eps.
         p = table_source("t6", 16).build()
         m = p.shape[0]
         monkeypatch.setattr(
