@@ -106,13 +106,21 @@ def solve_anderson_richardson(
     plain Richardson step.
 
     omega is 1 / (||A||_1 + ||B||_1), a cheap upper proxy for the
-    operator's spectral radius, reported as ``detail["omega"]``.  This
-    is a best-effort comparator: convergence is not guaranteed, and
-    blow-up beyond 1e6 times the initial residual terminates the run as
+    operator's spectral radius, reported as ``detail["omega"]``; an
+    omega that is not finite and positive (A = B = 0, or a norm sum
+    that overflows) is a :class:`PreconditionError`.  This is a
+    best-effort comparator: convergence is not guaranteed, and blow-up
+    beyond 1e6 times the initial residual terminates the run as
     diverged.
     """
     cfg = cfg or BaselineConfig()
-    omega = 1.0 / (float(np.abs(p.a).sum(axis=0).max()) + float(np.abs(p.b).sum(axis=0).max()))
+    norm_sum = float(np.abs(p.a).sum(axis=0).max()) + float(np.abs(p.b).sum(axis=0).max())
+    omega = 1.0 / norm_sum if norm_sum > 0 else math.inf
+    if not 0 < omega < math.inf:
+        raise PreconditionError(
+            f"solve_anderson_richardson requires a finite positive step 1 / (||A||_1 + ||B||_1), "
+            f"got 1 / {norm_sum:g}"
+        )
 
     def step(s):
         gx = s.x - omega * s.r

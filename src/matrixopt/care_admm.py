@@ -124,45 +124,35 @@ def _finite(system: np.ndarray, what: str) -> np.ndarray:
     return system
 
 
-@dataclass(frozen=True)
-class SweepConstants:
+def sweep_constants(p: CareProblem, cfg: AdmmConfig):
     """The parts of a sweep that depend only on the problem and the
-    penalties: alpha A A^T, beta I, gamma I, and the inverse of the
-    Z-update system A A^T + beta I + gamma N N^T, solved from its
-    Cholesky factor (its eigenvalues are at least beta, so a product
-    with the inverse errs as a solve would).  The X system adds the
-    first two separately, in the order an unhoisted sweep does.  A
-    constant system that is not finite (A A^T or N N^T overflowed), or a
-    Z system that Cholesky rejects (possible only when
-    beta I + gamma N N^T is negligible against a singular A A^T), raises
+    penalties: (alpha A A^T, beta I, gamma I, Z^-1), Z being the Z-update
+    system A A^T + beta I + gamma N N^T, inverted from its Cholesky
+    factor (its eigenvalues are at least beta, so a product with the
+    inverse errs as a solve would).  The X system adds the first two
+    separately, in the order an unhoisted sweep does.  A constant system
+    that is not finite (A A^T or N N^T overflowed), or a Z system that
+    Cholesky rejects (possible only when beta I + gamma N N^T is
+    negligible against a singular A A^T), raises
     :class:`AdmmBreakdownError` here, before any sweep."""
-
-    al_aat: np.ndarray
-    be_eye: np.ndarray
-    ga_eye: np.ndarray
-    z_inverse: np.ndarray
-
-    @classmethod
-    def of(cls, p: CareProblem, cfg: AdmmConfig) -> "SweepConstants":
-        a, n_mat = p.a, p.n_mat
-        eye = np.eye(p.order)
-        aat = a @ a.T
-        al_aat = _finite(cfg.alpha * aat, "X-update")
-        z_system = _finite(aat + cfg.beta * eye + cfg.gamma * (n_mat @ n_mat.T), "Z-update")
-        try:
-            z_factor = spd_factor(z_system)
-        except NotPositiveDefiniteError as exc:
-            raise AdmmBreakdownError(f"Z-update system not positive definite: {exc}") from exc
-        return cls(al_aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye))
+    eye = np.eye(p.order)
+    aat = p.a @ p.a.T
+    al_aat = _finite(cfg.alpha * aat, "X-update")
+    z_system = _finite(aat + cfg.beta * eye + cfg.gamma * (p.n_mat @ p.n_mat.T), "Z-update")
+    try:
+        z_factor = spd_factor(z_system)
+    except NotPositiveDefiniteError as exc:
+        raise AdmmBreakdownError(f"Z-update system not positive definite: {exc}") from exc
+    return al_aat, cfg.beta * eye, cfg.gamma * eye, spd_solve(z_factor, eye)
 
 
-def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstants) -> AdmmState:
+def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const) -> AdmmState:
     """One sweep of the seven updates, X -> Y -> Z -> W -> multipliers.
 
     The X and W updates solve their SPD systems (W's from the right, by
     a transposed right-hand side); the Z update multiplies by the
     inverse of its constant system.  ``const`` carries the
-    sweep-invariant matrices of :meth:`SweepConstants.of`.
+    sweep-invariant matrices of :func:`sweep_constants`.
 
     The new state carries its Z A and T = Y + Z A + K, which the next
     X update reads, and its A^T X, the residual's; without them Z A and
@@ -173,6 +163,7 @@ def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstan
     if s.x.shape != (n, n):
         raise DimensionError(f"state order {s.x.shape[0]} does not match problem order {n}")
     al, be, ga = cfg.alpha, cfg.beta, cfg.gamma
+    al_aat, be_eye, ga_eye, z_inverse = const
     a_t, n_t = a.T, n_mat.T
 
     za, t = s.carried(p, "za"), s.carried(p, "t")
@@ -180,7 +171,7 @@ def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstan
     if za is None:
         za = s.z @ a
         t = s.y + za + k_mat
-    x_sys = s.w.T @ s.w + const.al_aat + const.be_eye
+    x_sys = s.w.T @ s.w + al_aat + be_eye
     x_rhs = s.w.T @ t + a @ (s.lambda_ + al * s.y) + (s.pi_ + be * s.z)
     del t
     x = _solve_spd(x_sys, x_rhs, "X-update")
@@ -192,13 +183,13 @@ def admm_step(p: CareProblem, s: AdmmState, cfg: AdmmConfig, const: SweepConstan
 
     z_rhs = (wx - y - k_mat) @ a_t + (s.gamma_ + ga * s.w) @ n_t + (be * x - s.pi_)
     del wx
-    z = z_rhs @ const.z_inverse
+    z = z_rhs @ z_inverse
     del z_rhs
 
     zn = z @ n_mat
     za = z @ a
     t = y + za + k_mat
-    w_sys = x @ x.T + const.ga_eye
+    w_sys = x @ x.T + ga_eye
     w_rhs = t @ x.T - s.gamma_ + ga * zn
     w = _solve_spd(w_sys, w_rhs.T, "W-update").T
     del w_sys, w_rhs
@@ -289,7 +280,7 @@ def solve_care_admm(p: CareProblem, cfg: AdmmConfig | None = None) -> SolveRepor
     run ``diverged``.
     """
     cfg = cfg or AdmmConfig()
-    const = SweepConstants.of(p, cfg)
+    const = sweep_constants(p, cfg)
     report = sweep_until(
         [AdmmState.zero(p.order)],
         lambda state: admm_step(p, state, cfg, const),

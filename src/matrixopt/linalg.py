@@ -511,5 +511,9 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average away floating-point asymmetry: (m + m^T) / 2."""
-    return 0.5 * (m + m.T)
+    """Average away floating-point asymmetry: (m + m^T) / 2, formed in
+    one new array; the one place the package adds a matrix to its
+    transpose."""
+    out = m + m.T
+    out *= 0.5
+    return out

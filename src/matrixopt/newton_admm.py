@@ -80,13 +80,14 @@ def _factors(p: LyapunovProblem, cfg: NewtonAdmmConfig):
     """Inverses of the two constant sweep systems, each solved from its
     Cholesky factor; their eigenvalues are at least beta, so a product
     with an inverse errs as a solve would.  A system that is not finite
-    (A A^T overflowed) raises :class:`AdmmBreakdownError`."""
+    (A A^T overflowed), or one that Cholesky rejects, raises
+    :class:`AdmmBreakdownError`."""
     aat = p.a @ p.a.T
     eye = np.eye(p.order)
     try:
         fx = spd_factor(_finite(cfg.alpha * aat + cfg.beta * eye, "X-update"))
         fz = spd_factor(_finite(aat + cfg.beta * eye, "Z-update"))
-    except NotPositiveDefiniteError as exc:  # impossible for alpha, beta > 0
+    except NotPositiveDefiniteError as exc:  # beta I rounds away against a huge singular A A^T
         raise AdmmBreakdownError(f"sweep system not positive definite: {exc}") from exc
     return spd_solve(fx, eye), spd_solve(fz, eye)
 

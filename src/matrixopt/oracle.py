@@ -1,10 +1,8 @@
-"""Ground-truth Sylvester solver and residuals.
+"""Direct Sylvester solver and residuals.
 
-Every iterative solver in the package is validated against
-:func:`solve_kronecker_direct` on small instances: the equation is
-flattened through the identity (I_n kron A + B^T kron I_m) vec(X) = vec(C)
-and LU-solved.  Desk-scale orders keep that tractable, and it exercises
-exactly one trusted code path.
+:func:`solve_kronecker_direct`, the Sylvester ``direct`` method, flattens
+the equation through the identity (I_n kron A + B^T kron I_m) vec(X) =
+vec(C) and LU-solves it.  Desk-scale orders keep that tractable.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, UnknownSuiteError
-from .linalg import MatrixOperator, as_matrix, sylvester_apply
+from .linalg import MatrixOperator, as_matrix, sylvester_apply, symmetrize
 
 SYMMETRY_ATOL = 1e-12
 
@@ -169,8 +169,7 @@ _AMMONIA_BT = np.array([
 def ammonia_reactor() -> CareProblem:
     """CARE instance for the 9-state ammonia reactor: N = B B^T, K = I_9."""
     b = _AMMONIA_BT.T.copy()
-    n_mat = b @ b.T
-    return CareProblem(a=_AMMONIA_A.copy(), n_mat=(n_mat + n_mat.T) / 2.0, k_mat=np.eye(9))
+    return CareProblem(a=_AMMONIA_A.copy(), n_mat=symmetrize(b @ b.T), k_mat=np.eye(9))
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +212,7 @@ class ProblemSource:
             a = gen_tridiagonal(n, *self.params["a"])
             bt = gen_tridiagonal(n, *self.params["bt"])
             b = bt.T
-            n_mat = b @ b.T
-            return CareProblem(
-                a=a, n_mat=(n_mat + n_mat.T) / 2.0, k_mat=np.eye(n)
-            )
+            return CareProblem(a=a, n_mat=symmetrize(b @ b.T), k_mat=np.eye(n))
 
 
 DESK_SCALE_MAX_ORDER = 256

@@ -53,7 +53,7 @@ from .errors import (
     LineSearchError,
     PreconditionError,
 )
-from .linalg import frobenius_norm, pseudo_inverse, require_positive, trace_inner
+from .linalg import frobenius_norm, pseudo_inverse, require_positive, symmetrize, trace_inner
 from .oracle import sylvester_residual
 from .problems import SylvesterProblem
 from .report import SolveReport, Stop, iterate
@@ -190,13 +190,6 @@ def _plus_identity(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2, formed in m's storage."""
-    m += m.T
-    m *= 0.5
-    return m
-
-
 def dfp_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rank-2 DFP update of the m x m inverse-curvature approximation
     ``g`` (None for the identity, the start model) for the m x n step
@@ -214,7 +207,7 @@ def dfp_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarray
         out += g
     out -= correction
     del correction
-    return _symmetrized(out)
+    return symmetrize(out)
 
 
 def bfgs_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -229,7 +222,7 @@ def bfgs_update(g: np.ndarray | None, d: np.ndarray, y: np.ndarray) -> np.ndarra
     out = e @ e.T if g is None else e @ g @ e.T
     del e
     out += dk @ d.T
-    return _symmetrized(out)
+    return symmetrize(out)
 
 
 def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> SolveReport:
@@ -257,9 +250,7 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
     state.inv_h_norm = math.sqrt(m)
     state.r = p.residual_matrix(state.x)
     state.g = f1_gradient(p, state.x, state.r)
-    g_norm = frobenius_norm(state.g)
-    state.done = g_norm < cfg.tol
-    detail: dict = {"grad_norm_history": [g_norm]}
+    detail: dict = {"grad_norm_history": [frobenius_norm(state.g)]}
     update_fn = dfp_update if cfg.method == "dfp" else bfgs_update
     blown_up_norm = math.sqrt(m) / np.finfo(np.float64).eps
 
@@ -283,10 +274,9 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
         s.r = p.residual_matrix(x_new)
         g_new = f1_gradient(p, x_new, s.r)
         g_norm = frobenius_norm(g_new)
-        s.done = g_norm < cfg.tol
         # Only a next step reads the model, so a step whose gradient passes
         # or blows up forms none.  The old iterate goes before the update.
-        if s.done or not math.isfinite(g_norm):
+        if g_norm < cfg.tol or not math.isfinite(g_norm):
             s.x, s.g = x_new, g_new
         else:
             delta, y = x_new - s.x, g_new - s.g
@@ -297,10 +287,10 @@ def solve_quasi_newton(p: SylvesterProblem, cfg: QnConfig | None = None) -> Solv
         return s
 
     def stop(s, res):
-        if s.done:
+        g_norm = detail["grad_norm_history"][-1]
+        if g_norm < cfg.tol:
             return "converged"
-        bounded = s.inv_h_norm <= blown_up_norm and math.isfinite(detail["grad_norm_history"][-1])
-        return None if bounded else "diverged"
+        return None if s.inv_h_norm <= blown_up_norm and math.isfinite(g_norm) else "diverged"
 
     return iterate(
         state,

@@ -22,7 +22,6 @@ from matrixopt.errors import (
 )
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm, symmetrize, trace_inner
-from matrixopt.oracle import solve_kronecker_direct
 from matrixopt.problems import (
     CareProblem,
     LyapunovProblem,
@@ -68,7 +67,7 @@ class TestConjugateGradient:
     def test_matches_oracle(self, rng):
         p = random_sylvester(rng, 4, 4, spd=True)
         report = solve_cg(p, BaselineConfig(tol=1e-12))
-        x_star = solve_kronecker_direct(p)
+        x_star = scipy.linalg.solve_sylvester(p.a, p.b, p.c)
         assert frobenius_norm(report.solution - x_star) <= 1e-6 * (
             1.0 + frobenius_norm(x_star)
         )
@@ -117,6 +116,19 @@ class TestAndersonRichardson:
         p = SylvesterProblem(a=[[0.0, -5.0], [5.0, 0.0]], b=[[0.1]], c=[[1.0], [1.0]])
         report = solve_anderson_richardson(p, BaselineConfig(max_iterations=500))
         assert report.termination == "diverged"
+
+    @pytest.mark.parametrize("a, c", [
+        (np.zeros((2, 2)), np.ones((2, 2))),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.array([[1e308]]), np.array([[1.0]])),
+    ], ids=["zero", "zero-rhs", "norm-sum-overflows"])
+    def test_step_must_be_finite_and_positive(self, a, c):
+        # omega = 1 / (||A||_1 + ||B||_1): A = B = 0 has no step, and
+        # 1e308 + 1e308 overflows to a step of 0 that never moves X.
+        p = SylvesterProblem(a=a, b=a, c=c)
+        with pytest.raises(PreconditionError, match="^solve_anderson_richardson requires") as err:
+            solve_anderson_richardson(p)
+        assert err.value.report is None
 
     def test_huge_divergence_ends_on_its_bound_with_finite_numbers(self):
         # The same rotation from C = 1e150: the mixing's inner products
@@ -223,12 +235,12 @@ class TestBartelsStewart:
         assert not np.any(np.diag(t, -1))
 
     @pytest.mark.parametrize("n", (*ORDERS, REAL_ORDER))
-    def test_matches_kronecker_oracle(self, n):
+    def test_matches_scipy_sylvester(self, n):
         a = real_spectrum_stable(n) if n == self.REAL_ORDER else non_normal_stable(n)
         q = np.random.default_rng([6, n]).standard_normal((n, n))
         q = q + q.T
         x = solve_lyapunov_direct(LyapunovProblem(a=a, q=q))
-        want = solve_kronecker_direct(SylvesterProblem(a=a.T, b=a, c=-q))
+        want = scipy.linalg.solve_sylvester(a.T, a, -q)
         np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-10)
         t, u = scipy.linalg.schur(a, output="real")
         y = baselines._solve_schur_columns(t, -(u.T @ q @ u))

@@ -12,12 +12,12 @@ from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.care_admm import (
     AdmmConfig,
     AdmmState,
-    SweepConstants,
     _solve_spd,
     admm_step,
     kkt_residuals,
     lagrangian_value,
     solve_care_admm,
+    sweep_constants,
 )
 from matrixopt.errors import AdmmBreakdownError, DimensionError
 from matrixopt.harness.manifest import run_method
@@ -62,7 +62,7 @@ class TestAdmmStep:
     def test_one_step_from_zero(self, rng):
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
-        s1 = admm_step(p, AdmmState.zero(3), cfg, SweepConstants.of(p, cfg))
+        s1 = admm_step(p, AdmmState.zero(3), cfg, sweep_constants(p, cfg))
         np.testing.assert_allclose(s1.x, np.zeros((3, 3)), atol=1e-14)
         np.testing.assert_allclose(s1.y, -p.k_mat / (1.0 + cfg.alpha), atol=1e-14)
         # Z from zeros: [(-Y1 - K) A^T] [A A^T + beta I + gamma N N^T]^{-1}
@@ -74,7 +74,7 @@ class TestAdmmStep:
         p = scalar_problem()
         s = scalar_fixed_state()
         cfg = AdmmConfig(alpha=1.0, beta=1.0, gamma=0.01)
-        s2 = admm_step(p, s, cfg, SweepConstants.of(p, cfg))
+        s2 = admm_step(p, s, cfg, sweep_constants(p, cfg))
         for name in ("x", "y", "z", "w", "lambda_", "pi_", "gamma_"):
             np.testing.assert_allclose(
                 getattr(s2, name), getattr(s, name), atol=1e-9
@@ -83,7 +83,7 @@ class TestAdmmStep:
     def test_multiplier_update_identities(self, rng):
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
-        const = SweepConstants.of(p, cfg)
+        const = sweep_constants(p, cfg)
         s = AdmmState.zero(3)
         for _ in range(5):
             s_new = admm_step(p, s, cfg, const)
@@ -109,7 +109,7 @@ class TestAdmmStep:
         # vanish against the pre-update remaining blocks
         p = random_care(rng)
         cfg = AdmmConfig(alpha=0.7, beta=3.0, gamma=0.2)
-        const = SweepConstants.of(p, cfg)
+        const = sweep_constants(p, cfg)
         s = AdmmState.zero(3)
         for _ in range(3):
             s = admm_step(p, s, cfg, const)
@@ -137,7 +137,7 @@ class TestAdmmStep:
         p = random_care(rng)
         cfg = AdmmConfig()
         with pytest.raises(Exception):
-            admm_step(p, AdmmState.zero(4), cfg, SweepConstants.of(p, cfg))
+            admm_step(p, AdmmState.zero(4), cfg, sweep_constants(p, cfg))
 
     def test_carried_products_serve_only_their_own_problem(self, rng):
         # A state made by a sweep on p1 carries p1's products; a sweep on
@@ -145,7 +145,7 @@ class TestAdmmStep:
         # Either sweep drops them once read.
         p1, p2 = random_care(rng), random_care(rng)
         cfg = AdmmConfig(alpha=0.9, beta=3.0, gamma=0.1)
-        const1 = SweepConstants.of(p1, cfg)
+        const1 = sweep_constants(p1, cfg)
         s1 = admm_step(p1, admm_step(p1, AdmmState.zero(3), cfg, const1), cfg, const1)
         bare = replace(s1)
         assert s1.products is not None and bare.products is None
@@ -155,7 +155,7 @@ class TestAdmmStep:
         for p in (p1, p2):
             s = replace(s1)
             s.products = s1.products
-            const = SweepConstants.of(p, cfg)
+            const = sweep_constants(p, cfg)
             carried, formed = admm_step(p, s, cfg, const), admm_step(p, bare, cfg, const)
             assert s.products is None
             for f in fields(AdmmState):
@@ -199,7 +199,7 @@ def test_sweep_matches_a_sweep_that_solves_every_system(p, cfg):
     # common terms out of its right-hand sides: rounding-level changes.
     rng = np.random.default_rng(64)
     s = AdmmState(*(rng.standard_normal((p.order, p.order)) for _ in fields(AdmmState)))
-    got, want = admm_step(p, s, cfg, SweepConstants.of(p, cfg)), reference_sweep(p, s, cfg)
+    got, want = admm_step(p, s, cfg, sweep_constants(p, cfg)), reference_sweep(p, s, cfg)
     for f in fields(AdmmState):
         block, ref = getattr(got, f.name), getattr(want, f.name)
         assert frobenius_norm(block - ref) <= 1e-12 * frobenius_norm(ref), f.name
@@ -541,7 +541,7 @@ class TestSweepLoop:
 def test_carried_products_equal_products_formed_afresh():
     # A sweep reads the Z A and T its state carries; the same blocks
     # without them must give the same sweep, to the bit.
-    const = SweepConstants.of(T8_16, T8_16_CFG)
+    const = sweep_constants(T8_16, T8_16_CFG)
     state = AdmmState.zero(T8_16.order)
     for _ in range(40):
         state = admm_step(T8_16, state, T8_16_CFG, const)

@@ -150,6 +150,17 @@ class TestSolve:
             "termination": "error",
         }
 
+    def test_ar_without_a_step_is_a_solver_error(self, tmp_path, capsys):
+        # A = B = 0 leaves ar no step 1 / (||A||_1 + ||B||_1), even at C = 0.
+        for name in "abc":
+            write_matrix_market(tmp_path / f"{name}.mtx", np.zeros((2, 2)))
+        files = [str(tmp_path / f"{name}.mtx") for name in "abc"]
+        code, out = run_cli(["solve", "sylvester", "--method", "ar", "--from-mm", *files], capsys)
+        assert code == 3
+        failure = json.loads(out)
+        assert failure["termination"] == "error"
+        assert failure["error"].startswith("PreconditionError: ")
+
     def test_non_finite_answer_is_not_written(self, tmp_path, capsys):
         # A = B = [[1e-300]], C = [[1e300]]: direct's answer overflows.
         for name, value in (("a", 1e-300), ("b", 1e-300), ("c", 1e300)):

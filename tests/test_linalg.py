@@ -141,20 +141,52 @@ def _norm_kernel_calls(tree: ast.AST) -> list[ast.Call]:
     ]
 
 
-def test_frobenius_norm_is_the_one_norm_kernel():
+def _inside_and_outside(kernel_name: str, find) -> tuple[list, dict]:
+    """The nodes ``find`` returns inside ``linalg.<kernel_name>``, and the
+    lines of every other one in ``src/``, by module."""
     src = Path(linalg.__file__).resolve().parent
     trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
              for path in src.rglob("*.py")}
     kernel = next(node for node in ast.walk(trees["linalg.py"])
-                  if isinstance(node, ast.FunctionDef) and node.name == "frobenius_norm")
-    inside = _norm_kernel_calls(kernel)
+                  if isinstance(node, ast.FunctionDef) and node.name == kernel_name)
+    inside = find(kernel)
     outside = {
-        module: [node.lineno for node in calls if node not in inside]
+        module: lines
         for module, tree in trees.items()
-        if (calls := _norm_kernel_calls(tree))
+        if (lines := [node.lineno for node in find(tree) if node not in inside])
     }
+    return inside, outside
+
+
+def test_frobenius_norm_is_the_one_norm_kernel():
+    inside, outside = _inside_and_outside("frobenius_norm", _norm_kernel_calls)
     assert len(inside) == 1
-    assert {module: lines for module, lines in outside.items() if lines} == {}
+    assert outside == {}
+
+
+def _transpose_sums(tree: ast.AST) -> list[ast.AST]:
+    """``X + X.T`` and ``X.T + X`` sums in ``tree``, ``X += X.T`` included."""
+    def transposed(t, x):
+        return (isinstance(t, ast.Attribute) and t.attr == "T"
+                and ast.unparse(t.value) == ast.unparse(x))
+
+    sums = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            left, right = node.left, node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            left, right = node.target, node.value
+        else:
+            continue
+        if transposed(left, right) or transposed(right, left):
+            sums.append(node)
+    return sums
+
+
+def test_symmetrize_is_the_one_symmetrization():
+    inside, outside = _inside_and_outside("symmetrize", _transpose_sums)
+    assert len(inside) == 1
+    assert outside == {}
 
 
 class TestLuSolve:

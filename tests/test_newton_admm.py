@@ -5,7 +5,7 @@ import pytest
 
 from conftest import block_deltas, frechet_apply, lyap_lagrangian_value, peak_blocks
 from matrixopt import newton_admm
-from matrixopt.baselines import solve_lyapunov_direct
+from matrixopt.baselines import care_residual, solve_lyapunov_direct
 from matrixopt.errors import AdmmBreakdownError
 from matrixopt.harness.manifest import run_method
 from matrixopt.linalg import frobenius_norm, symmetrize
@@ -373,6 +373,28 @@ class TestSolveNewtonAdmm:
         p = CareProblem(a=[[-1.0]], n_mat=[[0.0]], k_mat=[[0.0]])
         report = solve_newton_admm(p, cfg=NewtonAdmmConfig(alpha=1.0, beta=1.0))
         assert report.converged and report.iterations == 0
+
+
+# A A^T has entries of 1e300 and is singular, so beta I rounds away in
+# both constant sweep systems and Cholesky rejects each.
+HUGE_SINGULAR_A = np.array([[1e150, 0.0], [1e150, 0.0]])
+SINGULAR_SWEEP = "^sweep system not positive definite: 2-th leading minor"
+
+
+def test_lyapunov_admm_breaks_down_on_a_sweep_system_rounded_singular():
+    with pytest.raises(AdmmBreakdownError, match=SINGULAR_SWEEP) as err:
+        run_method("admm", LyapunovProblem(a=HUGE_SINGULAR_A, q=np.eye(2)))
+    assert err.value.report is None
+
+
+def test_newton_admm_breakdown_carries_its_partial_report():
+    p = CareProblem(a=HUGE_SINGULAR_A, n_mat=np.eye(2), k_mat=np.eye(2))
+    with pytest.raises(AdmmBreakdownError, match=SINGULAR_SWEEP) as err:
+        run_method("newton-admm", p)
+    report = err.value.report
+    assert (report.termination, report.iterations) == ("error", 0)
+    assert report.residual_history == [care_residual(p, np.zeros((2, 2)))]
+    assert report.detail["outer_iterations"] == 0
 
 
 # Peak traced allocation of t9 newton-admm at n=128, in n x n blocks
