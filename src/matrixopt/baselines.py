@@ -114,7 +114,13 @@ def solve_anderson_richardson(
     diverged.
     """
     cfg = cfg or BaselineConfig()
-    norm_sum = float(np.abs(p.a).sum(axis=0).max()) + float(np.abs(p.b).sum(axis=0).max())
+    # The column sums run on A and B divided by the power of two at or
+    # below their largest entry: they cannot overflow, and they round
+    # exactly as unscaled sums.  The Python-float product reads inf, not
+    # a warning, when the norm sum overflows.
+    largest = max(max(m.max(), -m.min()) for m in (p.a, p.b))
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    norm_sum = scale * sum(float((np.abs(m) / scale).sum(axis=0).max()) for m in (p.a, p.b))
     omega = 1.0 / norm_sum if norm_sum > 0 else math.inf
     if not 0 < omega < math.inf:
         raise PreconditionError(

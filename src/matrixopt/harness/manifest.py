@@ -7,7 +7,6 @@ comparison but never influence execution.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -58,15 +57,13 @@ class Method:
     ``solve(problem, cfg)`` calls its solver by name, so the function is
     looked up in this module at call time.  ``keys`` maps each parameter
     key the method takes to a field of ``config``; ``preset`` holds the
-    fields the method fixes before the keys apply; :func:`run_method`
-    holds OpenBLAS copy ``hold`` (``numpy``/``scipy``/None) at one thread.
+    fields the method fixes before the keys apply.
     """
 
     solve: Callable
     config: type | None = None
     keys: dict[str, str] = field(default_factory=dict)
     preset: dict = field(default_factory=dict)
-    hold: str | None = None
 
 
 def _keys(*same: str, **renamed: str) -> dict[str, str]:
@@ -95,22 +92,17 @@ _QN_KEYS = _keys("max_iterations", "linesearch", "tol")
 
 # (method, problem class) -> Method.  Every default is the config
 # dataclass's own; a key missing from a row is rejected for that row.
-# Methods alternating numpy products with scipy factorizations hold numpy's
-# OpenBLAS copy; dfp and bfgs hold scipy's, which factors their LU inverses.
 METHODS = {
     ("ccom", SylvesterProblem): Method(
         lambda p, cfg: solve_ccom(p, cfg),
         CcomConfig,
         _keys("max_iterations", "tol"),
-        hold="numpy",
     ),
     ("dfp", SylvesterProblem): Method(
-        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "dfp"},
-        hold="scipy",
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "dfp"}
     ),
     ("bfgs", SylvesterProblem): Method(
-        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "bfgs"},
-        hold="scipy",
+        lambda p, cfg: solve_quasi_newton(p, cfg), QnConfig, _QN_KEYS, {"method": "bfgs"}
     ),
     ("cg", SylvesterProblem): Method(
         lambda p, cfg: solve_cg(p, cfg), BaselineConfig, _keys("tol", "max_iterations")
@@ -124,33 +116,28 @@ METHODS = {
         lambda p, cfg: solve_care_admm(p, cfg),
         AdmmConfig,
         _keys("alpha", "beta", "gamma", "tol", "max_iterations"),
-        hold="numpy",
     ),
     ("admm", LyapunovProblem): Method(
         lambda p, cfg: solve_lyapunov_admm(p, cfg),
         NewtonAdmmConfig,
         _keys("alpha", "beta", "tol", max_iterations="inner_max"),
-        hold="numpy",
     ),
     ("newton", CareProblem): Method(
         lambda p, cfg: solve_newton_care(p, cfg=cfg),
         BaselineConfig,
         _keys("tol", "max_iterations"),
         {"max_iterations": NEWTON_MAX_STEPS},
-        hold="numpy",
     ),
     ("newton-admm", CareProblem): Method(
         lambda p, cfg: solve_newton_admm(p, cfg=cfg),
         NewtonAdmmConfig,
         _keys("alpha", "beta", "tol", "outer_max", "inner_tol_value", "inner_max"),
-        hold="numpy",
     ),
     ("direct", SylvesterProblem): Method(
         _direct(lambda p: solve_kronecker_direct(p), lambda p, x: sylvester_residual(p, x))
     ),
     ("direct", LyapunovProblem): Method(
-        _direct(lambda p: solve_lyapunov_direct(p), lambda p, x: lyapunov_residual(p, x)),
-        hold="numpy",
+        _direct(lambda p: solve_lyapunov_direct(p), lambda p, x: lyapunov_residual(p, x))
     ),
 }
 
@@ -191,12 +178,13 @@ def configure(method: str, problem, params: dict | None = None):
 
 
 def run_method(method: str, problem, params: dict | None = None) -> SolveReport:
-    """Dispatch one solve through the method table, with the method's
-    ``hold`` copy of OpenBLAS at one thread from set-up to certificate.
+    """Dispatch one solve through the method table, with both OpenBLAS
+    copies at one thread (:func:`serial_products`) from set-up to
+    certificate.
     A CARE answer gets ``detail["certificate"]``, :func:`certify_care` of
     its solution; this is the one place any answer is certified."""
     spec, cfg = configure(method, problem, params)
-    with serial_products(spec.hold) if spec.hold else contextlib.nullcontext():
+    with serial_products():
         report = spec.solve(problem, cfg)
         if isinstance(problem, CareProblem):
             report.detail["certificate"] = certify_care(problem, report.solution, report.final_residual)

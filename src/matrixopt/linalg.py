@@ -4,8 +4,8 @@ All matrices are plain two-dimensional ``float64`` numpy arrays; the
 :func:`as_matrix` helper enforces that carrier contract (finite entries,
 explicit shape) at module boundaries.  Operations are pure functions of
 their inputs, apart from :func:`serial_products`, which sets the BLAS
-thread count of numpy's or scipy's OpenBLAS copy for the duration of a
-block; :func:`~matrixopt.harness.manifest.run_method` enters it once per
+thread count of numpy's and scipy's OpenBLAS copies for the duration of
+a block; :func:`~matrixopt.harness.manifest.run_method` enters it once per
 solve, and no solver enters it itself.  The LU and Cholesky solves call
 LAPACK directly, bit-identical to scipy's wrappers; :func:`lu_solve` and
 :func:`lu_inverse` share one factorization and pivot test.
@@ -244,62 +244,61 @@ def find_openblas(copy: str):
 
 
 def blas_environment() -> dict:
-    """Thread count and ``openblas_get_config`` string of each bundled
-    OpenBLAS copy (None when the copy is not found)."""
+    """Thread count a solve runs each bundled OpenBLAS copy at (read
+    inside :func:`serial_products`) and its ``openblas_get_config``
+    string (None when the copy is not found)."""
     threads, configs = {}, {}
-    for copy in OPENBLAS_COPIES:
-        controls = find_openblas(copy)
-        threads[copy] = None if controls is None else controls[0]()
-        config = _openblas_symbols(copy, "get_config")
-        if config is not None:
-            config[0].argtypes, config[0].restype = [], ctypes.c_char_p
-            config = config[0]().decode(errors="replace").strip()
-        configs[copy] = config
+    with serial_products():
+        for copy in OPENBLAS_COPIES:
+            controls = find_openblas(copy)
+            threads[copy] = None if controls is None else controls[0]()
+            config = _openblas_symbols(copy, "get_config")
+            if config is not None:
+                config[0].argtypes, config[0].restype = [], ctypes.c_char_p
+                config = config[0]().decode(errors="replace").strip()
+            configs[copy] = config
     return {"openblas_threads": threads, "openblas_config": configs}
 
 
 _UNSEEN = object()
 _serial = threading.Lock()
-_serial_state = {
-    copy: {"controls": _UNSEEN, "depth": 0, "saved": 1} for copy in OPENBLAS_COPIES
-}
+_serial_state = {"controls": _UNSEEN, "depth": 0, "lowered": []}
 
 
 @contextlib.contextmanager
-def serial_products(copy: str = "numpy"):
-    """Run the block with the OpenBLAS copy bundled with ``copy``
-    (``numpy`` or ``scipy``) at one thread.
+def serial_products():
+    """Run the block with both bundled OpenBLAS copies, numpy's and
+    scipy's, at one thread.
 
-    numpy and scipy each bundle an OpenBLAS copy with its own worker
-    threads.  A loop that alternates numpy products with scipy
-    factorizations keeps both pools spinning, which on a small machine
-    costs more than the threading gains of the copy held at one thread.
+    Each copy keeps its own pool of worker threads, and the rounding of
+    its inner products and factorizations depends on its thread count;
+    at one thread the bits do not depend on the host's core count.
 
     The setting is process-wide: blocks nest and may overlap across
-    threads.  Under one lock, each copy keeps its own depth count: the
-    first block to enter saves the copy's count and lowers it to one,
-    the last to leave restores it; a count of one is left alone.
-    Without a findable copy the block runs unchanged.
+    threads.  Under one lock and one depth count, the first block to
+    enter lowers each copy whose count is above one to one, and the
+    last to leave restores those counts.  A copy that cannot be found
+    is skipped, so without either the block runs unchanged.
     """
-    state = _serial_state[copy]
+    state = _serial_state
     with _serial:
         if state["controls"] is _UNSEEN:
-            state["controls"] = find_openblas(copy)
-        controls = state["controls"]
-        if controls is not None:
-            if state["depth"] == 0:
-                state["saved"] = controls[0]()
-                if state["saved"] > 1:
-                    controls[1](1)
-            state["depth"] += 1
+            found = [find_openblas(copy) for copy in OPENBLAS_COPIES]
+            state["controls"] = [controls for controls in found if controls is not None]
+        if state["depth"] == 0:
+            counts = [(set_, get()) for get, set_ in state["controls"]]
+            state["lowered"] = [(set_, count) for set_, count in counts if count > 1]
+            for set_, _ in state["lowered"]:
+                set_(1)
+        state["depth"] += 1
     try:
         yield
     finally:
-        if controls is not None:
-            with _serial:
-                state["depth"] -= 1
-                if state["depth"] == 0 and state["saved"] > 1:
-                    controls[1](state["saved"])
+        with _serial:
+            state["depth"] -= 1
+            if state["depth"] == 0:
+                for set_, count in state["lowered"]:
+                    set_(count)
 
 
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:

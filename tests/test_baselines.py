@@ -130,6 +130,15 @@ class TestAndersonRichardson:
             solve_anderson_richardson(p)
         assert err.value.report is None
 
+    def test_column_sums_that_overflow_raise_no_warning(self):
+        # Each column of A sums past the largest float: the step is still
+        # rejected as 1 / inf, with no overflow warning on the way.
+        a = np.full((2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=r"got 1 / inf$"):
+                run_method("ar", SylvesterProblem(a=a, b=a, c=np.ones((2, 2))))
+
     def test_huge_divergence_ends_on_its_bound_with_finite_numbers(self):
         # The same rotation from C = 1e150: the mixing's inner products
         # overflow once the residual passes about 1.3e154, below ar's

@@ -1,9 +1,9 @@
-"""Each method's solve runs with the OpenBLAS copy its method-table entry
-names (``hold``) at one thread, set-up and diagnostics included, and the
-other copy at its own count; ``run_method`` is the one place that holds
-a copy, so a solver called directly runs at the caller's counts.  Each
-copy gets its own thread count back afterwards, whatever way the solve
-ends."""
+"""Every method's solve runs with both OpenBLAS copies, numpy's and
+scipy's, at one thread, from set-up to certificate; ``run_method`` is
+the one place that holds them, so a solver called directly runs at the
+caller's counts.  Each copy gets its own thread count back afterwards,
+whatever way the solve ends, and a desk row gives the same bits at one
+and at two threads."""
 
 import os
 import sys
@@ -15,6 +15,7 @@ import pytest
 import matrixopt.baselines as baselines
 import matrixopt.care_admm as care_admm
 import matrixopt.ccom as ccom
+import matrixopt.harness.manifest as manifest
 import matrixopt.linalg as linalg
 import matrixopt.newton_admm as newton_admm
 import matrixopt.oracle as oracle
@@ -131,8 +132,6 @@ CASES = {
     ("direct", LyapunovProblem): (t9_lyapunov, {}, [(baselines, "symmetrize")]),
 }
 
-LAYOUTS = {"numpy": (1, 2), "scipy": (2, 1), None: (2, 2)}
-
 
 def test_every_method_has_a_layout_case():
     assert CASES.keys() == METHODS.keys()
@@ -145,7 +144,8 @@ def test_each_method_runs_at_its_declared_layout(
     key, fail, two_threads, scipy_two_threads, monkeypatch
 ):
     build, params, kernels = CASES[key]
-    hold = METHODS[key].hold
+    if key[1] is CareProblem:
+        kernels = [*kernels, (manifest, "certify_care")]
     seen = [
         record(monkeypatch, module, name, layout, fail=fail and i == 0)
         for i, (module, name) in enumerate(kernels)
@@ -154,11 +154,11 @@ def test_each_method_runs_at_its_declared_layout(
     if fail:
         with pytest.raises(Injected):
             run_method(key[0], problem, params)
-        assert seen[0] == [LAYOUTS[hold]]
+        assert seen[0] == [(1, 1)]
     else:
         run_method(key[0], problem, params)
         for calls in seen:
-            assert calls and set(calls) == {LAYOUTS[hold]}
+            assert calls and set(calls) == {(1, 1)}
     assert layout() == (2, 2)
 
 
@@ -180,20 +180,22 @@ def test_lyapunov_admm_set_up_runs_at_one_thread(two_threads, monkeypatch):
     assert threads() == 2
 
 
-def test_count_is_restored_after_any_exception(two_threads):
+@needs_scipy_copy
+def test_count_is_restored_after_any_exception(two_threads, scipy_two_threads):
     with pytest.raises(KeyError):
         with linalg.serial_products():
-            assert threads() == 1
+            assert layout() == (1, 1)
             raise KeyError("boom")
-    assert threads() == 2
+    assert layout() == (2, 2)
 
 
-def test_nested_guards_restore_only_at_the_outermost_exit(two_threads):
+@needs_scipy_copy
+def test_nested_guards_restore_only_at_the_outermost_exit(two_threads, scipy_two_threads):
     with linalg.serial_products():
         with linalg.serial_products():
-            assert threads() == 1
-        assert threads() == 1
-    assert threads() == 2
+            assert layout() == (1, 1)
+        assert layout() == (1, 1)
+    assert layout() == (2, 2)
 
 
 def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
@@ -232,33 +234,44 @@ def test_concurrent_solves_restore_the_count(two_threads, monkeypatch):
     assert threads() == 2
 
 
-def test_a_count_of_one_is_never_raised(monkeypatch):
+@needs_scipy_copy
+def test_a_count_of_one_is_never_raised(scipy_two_threads, monkeypatch):
     saved = threads()
     CONTROLS[1](1)
     try:
-        seen = record(monkeypatch, care_admm, "admm_step")
+        seen = record(monkeypatch, care_admm, "admm_step", layout)
         run_method("admm", T8(), T8_ADMM)
-        assert set(seen) == {1}
-        assert threads() == 1
+        assert set(seen) == {(1, 1)}
+        assert layout() == (1, 2)
     finally:
         CONTROLS[1](saved)
 
 
-def test_guard_is_a_no_op_without_the_library(two_threads, monkeypatch):
-    monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
-    monkeypatch.setitem(linalg._serial_state["numpy"], "controls", linalg._UNSEEN)
-    seen = record(monkeypatch, care_admm, "admm_step")
+@needs_scipy_copy
+@pytest.mark.parametrize("missing, held", [
+    ({"numpy", "scipy"}, (2, 2)),
+    ({"scipy"}, (1, 2)),
+], ids=["both", "scipy"])
+def test_guard_skips_a_copy_it_cannot_find(
+    missing, held, two_threads, scipy_two_threads, monkeypatch
+):
+    find = linalg.find_openblas
+    monkeypatch.setattr(linalg, "find_openblas", lambda copy: None if copy in missing else find(copy))
+    monkeypatch.setitem(linalg._serial_state, "controls", linalg._UNSEEN)
+    seen = record(monkeypatch, care_admm, "admm_step", layout)
     report = run_method("admm", T8(), T8_ADMM)
     assert report.iterations == 30
-    assert set(seen) == {2}
-    assert threads() == 2
+    assert set(seen) == {held}
+    assert layout() == (2, 2)
 
 
-def test_bench_summary_records_the_environment():
+@needs_scipy_copy
+def test_bench_summary_records_the_environment(two_threads, scipy_two_threads):
+    # The counts the solves ran at, not the process's.
     env = summary_json("t8", run_manifest(paper_suite("t8"), cap=16))["environment"]
     assert env["cpu_count"] == os.cpu_count()
-    assert env["openblas_threads"]["numpy"] == threads()
-    assert set(env["openblas_threads"]) == {"numpy", "scipy"}
+    assert env["openblas_threads"] == {"numpy": 1, "scipy": 1}
+    assert layout() == (2, 2)
 
 
 def test_bench_summary_names_each_blas_library():
@@ -283,34 +296,38 @@ def test_frobenius_norm_does_not_depend_on_the_thread_count(two_threads):
     assert threaded == pytest.approx(np.sqrt(np.sum(m * m)), rel=1e-14)
 
 
+def _desk_row(table, method, n, **overrides):
+    row = next(r for r in paper_suite(table) if r.method == method and r.source.order == n)
+    return method, row.source.build, {**row.params, **overrides}
+
+
+# Desk rows whose residuals once moved with the thread count, from
+# inner products (cg, bfgs) or Cholesky solves (admm, newton-admm).
+DESK_ROWS = {
+    "t6-cg-n128": _desk_row("t6", "cg", 128),
+    "t6-bfgs-n128": _desk_row("t6", "bfgs", 128),
+    "t9-newton-admm-n128": _desk_row("t9", "newton-admm", 128),
+    "t8-admm-n128-cap40": _desk_row("t8", "admm", 128, max_iterations=40),
+}
+
+
 @needs_scipy_copy
-def test_a_scipy_count_of_one_is_never_raised(monkeypatch):
-    saved = scipy_threads()
-    SCIPY_CONTROLS[1](1)
+@pytest.mark.parametrize("row", DESK_ROWS)
+def test_desk_rows_do_not_depend_on_the_thread_count(row):
+    # Both OpenBLAS copies at one and at two threads: one residual and
+    # one solution, to the bit.
+    method, build, params = DESK_ROWS[row]
+    saved = layout()
+    outcomes = set()
     try:
-        seen = record(monkeypatch, quasi_newton, "pseudo_inverse", scipy_threads)
-        run_method("bfgs", T6(), {})
-        assert set(seen) == {1}
-        assert scipy_threads() == 1
+        for count in (1, 2):
+            for _, set_ in (CONTROLS, SCIPY_CONTROLS):
+                set_(count)
+            if layout() != (count, count):
+                pytest.skip(f"OpenBLAS cannot run {count} threads here")
+            report = run_method(method, build(), params)
+            outcomes.add((report.final_residual.hex(), report.solution.tobytes()))
     finally:
-        SCIPY_CONTROLS[1](saved)
-
-
-@needs_scipy_copy
-def test_scipy_guard_is_a_no_op_without_the_library(scipy_two_threads, monkeypatch):
-    monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
-    monkeypatch.setitem(linalg._serial_state["scipy"], "controls", linalg._UNSEEN)
-    seen = record(monkeypatch, quasi_newton, "pseudo_inverse", scipy_threads)
-    report = run_method("dfp", T6(), {})
-    assert report.iterations == 2
-    assert seen == [2, 2]
-    assert scipy_threads() == 2
-
-
-def test_each_copy_keeps_its_own_depth(two_threads, scipy_two_threads):
-    with linalg.serial_products("scipy"):
-        assert layout() == (2, 1)
-        with linalg.serial_products("numpy"):
-            assert layout() == (1, 1)
-        assert layout() == (2, 1)
-    assert layout() == (2, 2)
+        for (_, set_), count in zip((CONTROLS, SCIPY_CONTROLS), saved):
+            set_(count)
+    assert len(outcomes) == 1

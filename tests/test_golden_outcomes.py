@@ -8,11 +8,9 @@ order of a solver's arithmetic, its stop rule or its history stride
 shows here as a changed outcome.  A case that raises pins the exception
 class instead.
 
-Final residuals depend on the BLAS thread count once a factorization
-or product is large enough to thread (the 256 x 256 Kronecker systems
-of the n=16 ccom and direct cases, the n=128 ADMM cases), so every case
-runs with both bundled OpenBLAS copies at two threads, the count the
-values were recorded at.
+Every case runs through ``run_method``, which holds both bundled
+OpenBLAS copies at one thread, so the values do not depend on the
+host's thread count.
 """
 
 import numpy as np
@@ -20,7 +18,6 @@ import pytest
 
 from matrixopt.errors import MatrixOptError
 from matrixopt.harness.manifest import run_method
-from matrixopt.linalg import OPENBLAS_COPIES, find_openblas
 from matrixopt.problems import (
     SUITE_IDS,
     CareProblem,
@@ -30,30 +27,6 @@ from matrixopt.problems import (
 )
 
 MAX_ORDER = 16
-
-# The BLAS thread count of both OpenBLAS copies when GOLDEN was recorded.
-RECORDED_THREADS = 2
-
-
-@pytest.fixture(scope="module", autouse=True)
-def recorded_thread_counts():
-    """Both OpenBLAS copies at RECORDED_THREADS for the module, then
-    each back at its own count."""
-    controls = {copy: find_openblas(copy) for copy in OPENBLAS_COPIES}
-    missing = [copy for copy, found in controls.items() if found is None]
-    if missing:
-        pytest.skip(f"cannot set the thread count of {', '.join(missing)}'s OpenBLAS")
-    saved = {copy: get() for copy, (get, _) in controls.items()}
-    try:
-        for copy, (get, set_) in controls.items():
-            set_(RECORDED_THREADS)
-            if get() != RECORDED_THREADS:
-                pytest.skip(f"{copy}'s OpenBLAS cannot run {RECORDED_THREADS} threads here")
-        yield
-    finally:
-        for copy, (_, set_) in controls.items():
-            set_(saved[copy])
-
 
 def _paper_cases():
     for table in SUITE_IDS:
@@ -97,8 +70,8 @@ def _care_cases():
     yield "t9-newton-admm-stagnating", (
         "newton-admm", t9, {"alpha": 1e-6, "beta": 1e-6, "outer_max": 5, "inner_max": 50},
     )
-    # n=128: large enough for numpy's OpenBLAS to split products and
-    # norms across threads.
+    # n=128: large enough that products and Cholesky solves would round
+    # differently at two threads than at the one thread they run at.
     yield "t8-admm-n128-cap40", (
         "admm", table_source("t8", 128).build, {**t8_admm, "max_iterations": 40},
     )
@@ -190,32 +163,32 @@ GOLDEN = {
     't4-bfgs-armijo': (2, 'converged', 3, 0.0),
     't4-bfgs-exact': (1, 'converged', 2, 0.0),
     't4-bfgs-wolfe': (2, 'converged', 3, 0.0),
-    't4-ccom': (1, 'converged', 2, 9.957827818901353e-16),
+    't4-ccom': (1, 'converged', 2, 9.355607455146016e-16),  # both OpenBLAS copies at one thread, was 9.957827818901353e-16
     't4-cg': (1, 'converged', 2, 0.0),
     't4-dfp-armijo': (2, 'converged', 3, 1.7763568394002505e-15),
     't4-dfp-exact': (1, 'converged', 2, 0.0),
     't4-dfp-wolfe': (2, 'converged', 3, 1.7763568394002505e-15),
-    't4-direct': (0, 'converged', 1, 5.897928109509803e-16),
+    't4-direct': (0, 'converged', 1, 5.75776771657374e-16),  # both OpenBLAS copies at one thread, was 5.897928109509803e-16
     't5-ar': (2, 'converged', 3, 0.0),
     't5-bfgs-armijo': (2, 'converged', 3, 0.0),
     't5-bfgs-exact': (1, 'converged', 2, 0.0),
     't5-bfgs-wolfe': (2, 'converged', 3, 0.0),
-    't5-ccom': (1, 'converged', 2, 8.238068436658583e-16),
+    't5-ccom': (1, 'converged', 2, 9.618798184860822e-16),  # both OpenBLAS copies at one thread, was 8.238068436658583e-16
     't5-cg': (1, 'converged', 2, 0.0),
     't5-dfp-armijo': (2, 'converged', 3, 4.884981308350689e-15),
     't5-dfp-exact': (1, 'converged', 2, 0.0),
     't5-dfp-wolfe': (2, 'converged', 3, 4.884981308350689e-15),
-    't5-direct': (0, 'converged', 1, 5.951686021532507e-16),
+    't5-direct': (0, 'converged', 1, 5.517448599762526e-16),  # both OpenBLAS copies at one thread, was 5.951686021532507e-16
     't6-ar': (16, 'converged', 17, 3.6304337894906403e-09),  # banded Sylvester operator, was 3.6304337552537845e-09
     't6-bfgs-armijo': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
     't6-bfgs-exact': (2, 'converged', 3, 4.2651787210335784e-16),  # identity start model, getri inverse, was 4.3952828076356995e-16
     't6-bfgs-wolfe': (2, 'converged', 3, 3.924968761886145e-16),  # identity start model, getri inverse, was 4.611046175249546e-16
-    't6-ccom': (1, 'converged', 2, 1.2196823201173783e-15),
+    't6-ccom': (1, 'converged', 2, 1.1855733436284167e-15),  # both OpenBLAS copies at one thread, was 1.2196823201173783e-15
     't6-cg': (9, 'converged', 10, 2.347073826271071e-09),
     't6-dfp-armijo': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
     't6-dfp-exact': (2, 'converged', 3, 3.650313286098203e-14),  # identity start model, getri inverse, was 3.299927058553371e-14
     't6-dfp-wolfe': (2, 'converged', 3, 3.219551131920639e-14),  # identity start model, getri inverse, was 3.081228427184746e-14
-    't6-direct': (0, 'converged', 1, 7.493329227000589e-16),
+    't6-direct': (0, 'converged', 1, 8.094429502810116e-16),  # both OpenBLAS copies at one thread, was 7.493329227000589e-16
     # The ammonia-reactor rows: 41,523 sweeps at n=9, where per-sweep
     # fixed cost rules.  First recorded before the constant systems
     # were inverted; the counts are those of that recording.
@@ -233,7 +206,9 @@ GOLDEN = {
     't9[1]-newton-n16': (4, 'converged', 5, 7.773881821003907e-13),  # dtrsyl Lyapunov solve, was 7.766680863108668e-13
     # Recorded before the ADMM loops ran numpy's OpenBLAS at one thread.
     't8-admm-n128-cap40': (40, 'max_iterations', 41, 0.2757818949065826),
-    't9-newton-admm-n128': (80, 'converged', 10, 9.284739452447572e-10),  # inverted constant systems, factored sweep terms, was 9.284719028069045e-10
+    # Both OpenBLAS copies at one thread, was 9.284739452447572e-10, and
+    # before inverted constant systems and factored sweep terms 9.284719028069045e-10.
+    't9-newton-admm-n128': (80, 'converged', 10, 9.284736772745944e-10),
     't8[3]-newton-n32': (4, 'converged', 5, 1.0836164719408108e-12),  # dtrsyl Lyapunov solve, was 1.0831627426627062e-12
     't8[5]-newton-n64': (4, 'converged', 5, 1.5140015596632074e-12),  # dtrsyl Lyapunov solve, was 1.5151954402005297e-12
     # Recorded before lu_solve called LAPACK getrf/getrs directly.

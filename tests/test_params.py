@@ -282,14 +282,6 @@ def test_readme_table_lists_each_methods_keys():
     assert _readme_keys() == {row: set(spec.keys) for row, spec in METHODS.items()}
 
 
-def test_readme_threading_table_lists_each_methods_hold():
-    held = _readme_table("## Threading", "| Method | Copy held at one thread |")
-    copies = {"numpy's": "numpy", "scipy's": "scipy", "none": None}
-    assert {row: copies[cell] for row, cell in held.items()} == {
-        row: spec.hold for row, spec in METHODS.items()
-    }
-
-
 def test_readme_command_lines_parse():
     """Every ``matrixopt`` line of the README's Command line example block,
     continuations joined, is accepted by the parser (it is not run)."""

@@ -1,5 +1,5 @@
-"""One thread policy: ``harness.manifest.run_method`` holds the OpenBLAS
-copy that a method's table entry names, and no solver holds one itself.
+"""One thread policy: ``harness.manifest.run_method`` holds both OpenBLAS
+copies at one thread for every method, and no solver holds one itself.
 A module that reads ``serial_products`` besides ``linalg`` (which
 defines it) and the manifest would bring back a per-solver hold.
 """
