@@ -1,16 +1,17 @@
 """Validated problem instances and the paper's table catalogue.
 
-The generators cover every coefficient-matrix family used in the
+The catalogue covers every coefficient-matrix family used in the
 reference tables (t1..t10), including the 9x9 tubular-ammonia-reactor
-state-space model.  The tables live in one catalogue: a family map gives
-each table's problem, read by :func:`table_source`, and a row table gives
-each table's rows with the published iteration/error/time figures
-attached as read-only reference metadata, read by :func:`paper_suite`.
+state-space model.  A family map gives each table's bands, and a
+:class:`ProblemSource` is a (table, order) pair built from them, read
+by :func:`table_source`; a row table gives each table's rows with the
+published iteration/error/time figures attached as read-only reference
+metadata, read by :func:`paper_suite`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -176,43 +177,50 @@ def ammonia_reactor() -> CareProblem:
 # Problem sources and benchmark suites
 # ---------------------------------------------------------------------------
 
-#: Generator names a ProblemSource may reference.
-GENERATORS = (
-    "sylvester_tridiagonal",
-    "care_tridiagonal",
-    "ammonia_reactor",
-)
+# Table id -> the (diagonal, sub, super) bands of its problem family.
+# Sylvester tables give A and B (C = I_n), CARE tables A and B^T
+# (N = B B^T, K = I_n).  t7 is the fixed-order ammonia reactor.
+_FAMILIES = {
+    "t1": {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)},
+    "t2": {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)},
+    "t3": {"a": (2.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0)},
+    "t4": {"a": (2.0, -1.0, -1.0), "b": (4.0, 1.0, 1.0)},
+    "t5": {"a": (3.0, -2.0, -2.0), "b": (6.0, 2.0, 2.0)},
+    "t6": {"a": (5.0, -1.0, -1.0), "b": (6.0, 2.0, 2.0)},
+    "t8": {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)},
+    "t9": {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)},
+    "t10": {"a": (3.0, 1.0, 1.0), "bt": (6.0, 2.0, 2.0)},
+}
 
 
 @dataclass(frozen=True)
 class ProblemSource:
-    """Reproducible recipe for one benchmark problem: a generator ``name``
-    from :data:`GENERATORS` with its generator-specific ``params``."""
+    """Reproducible recipe for one benchmark problem: reference table
+    ``table`` at order ``order``, built from the table's bands."""
 
-    name: str
+    table: str
     order: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in GENERATORS:
-            raise ValueError(f"unknown generator {self.name!r}")
+        if self.table not in SUITE_IDS:
+            raise _unknown_suite(self.table)
         if self.order < 1:
             raise ValueError("order must be positive")
 
+    # perfbench's reference cache keys on ``name``, ``order`` and ``params``.
+    name = property(lambda self: self.table)
+    params = property(lambda self: dict(_FAMILIES.get(self.table, {})))
+
     def build(self):
         """Instantiate the problem this source describes."""
-        if self.name == "ammonia_reactor":
+        if self.table == "t7":
             return ammonia_reactor()
-        n = self.order
-        if self.name == "sylvester_tridiagonal":
-            a = gen_tridiagonal(n, *self.params["a"])
-            b = gen_tridiagonal(n, *self.params["b"])
-            return SylvesterProblem(a=a, b=b, c=np.eye(n))
-        if self.name == "care_tridiagonal":
-            a = gen_tridiagonal(n, *self.params["a"])
-            bt = gen_tridiagonal(n, *self.params["bt"])
-            b = bt.T
-            return CareProblem(a=a, n_mat=symmetrize(b @ b.T), k_mat=np.eye(n))
+        n, bands = self.order, _FAMILIES[self.table]
+        a = gen_tridiagonal(n, *bands["a"])
+        if "b" in bands:
+            return SylvesterProblem(a=a, b=gen_tridiagonal(n, *bands["b"]), c=np.eye(n))
+        b = gen_tridiagonal(n, *bands["bt"]).T
+        return CareProblem(a=a, n_mat=symmetrize(b @ b.T), k_mat=np.eye(n))
 
 
 DESK_SCALE_MAX_ORDER = 256
@@ -231,22 +239,6 @@ class SuiteRow:
     paper_time_seconds: float | None = None
 
 
-# Table id -> (generator, bands) of its problem family.  Sylvester tables
-# give the A and B bands, CARE tables the A and B^T bands (N = B B^T,
-# K = I_n).  t7 is the fixed-order ammonia reactor.
-_FAMILIES = {
-    "t1": ("sylvester_tridiagonal", {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)}),
-    "t2": ("sylvester_tridiagonal", {"a": (2.0, -4.0, -4.0), "b": (1.0, 3.0, 3.0)}),
-    "t3": ("sylvester_tridiagonal", {"a": (2.0, 0.0, 0.0), "b": (1.0, 0.0, 0.0)}),
-    "t4": ("sylvester_tridiagonal", {"a": (2.0, -1.0, -1.0), "b": (4.0, 1.0, 1.0)}),
-    "t5": ("sylvester_tridiagonal", {"a": (3.0, -2.0, -2.0), "b": (6.0, 2.0, 2.0)}),
-    "t6": ("sylvester_tridiagonal", {"a": (5.0, -1.0, -1.0), "b": (6.0, 2.0, 2.0)}),
-    "t8": ("care_tridiagonal", {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)}),
-    "t9": ("care_tridiagonal", {"a": (6.0, 2.0, 1.0), "bt": (5.0, 2.0, 1.0)}),
-    "t10": ("care_tridiagonal", {"a": (3.0, 1.0, 1.0), "bt": (6.0, 2.0, 2.0)}),
-}
-
-
 def _unknown_suite(table_id: str) -> UnknownSuiteError:
     return UnknownSuiteError(f"unknown suite {table_id!r}; expected one of {', '.join(SUITE_IDS)}")
 
@@ -254,13 +246,7 @@ def _unknown_suite(table_id: str) -> UnknownSuiteError:
 def table_source(table_id: str, n: int) -> ProblemSource:
     """The problem of reference table ``table_id`` at order ``n``; t7's
     ammonia reactor has the fixed order 9 and ignores ``n``."""
-    if table_id == "t7":
-        return ProblemSource(name="ammonia_reactor", order=9)
-    try:
-        name, bands = _FAMILIES[table_id]
-    except KeyError:
-        raise _unknown_suite(table_id) from None
-    return ProblemSource(name=name, order=n, params=dict(bands))
+    return ProblemSource(table_id, 9 if table_id == "t7" else n)
 
 
 def _expand(refs, methods, params):

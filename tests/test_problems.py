@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from matrixopt.problems import (
     paper_suite,
     table_source,
 )
+from matrixopt.problems import _FAMILIES
 
 
 class TestGenTridiagonal:
@@ -110,32 +112,30 @@ class TestProblemValidation:
 
 
 class TestProblemSource:
-    def test_generator_names_validated(self):
+    def test_unknown_table_and_order_rejected(self):
+        with pytest.raises(UnknownSuiteError):
+            ProblemSource("nope", 4)
         with pytest.raises(ValueError):
-            ProblemSource(name="nope", order=4)
+            ProblemSource("t5", 0)
 
     def test_build_sylvester(self):
-        src = ProblemSource(
-            name="sylvester_tridiagonal",
-            order=4,
-            params={"a": (3, -2, -2), "b": (6, 2, 2)},
-        )
-        p = src.build()
+        p = ProblemSource("t5", 4).build()
         assert isinstance(p, SylvesterProblem)
         np.testing.assert_allclose(p.a, gen_tridiagonal(4, 3, -2, -2))
+        np.testing.assert_allclose(p.b, gen_tridiagonal(4, 6, 2, 2))
         np.testing.assert_allclose(p.c, np.eye(4))
 
     def test_build_care(self):
-        src = ProblemSource(
-            name="care_tridiagonal",
-            order=3,
-            params={"a": (6, 2, 1), "bt": (5, 2, 1)},
-        )
-        p = src.build()
+        p = ProblemSource("t8", 3).build()
         assert isinstance(p, CareProblem)
         b = gen_tridiagonal(3, 5, 2, 1).T
         np.testing.assert_allclose(p.n_mat, b @ b.T)
         np.testing.assert_allclose(p.k_mat, np.eye(3))
+
+    def test_a_source_is_its_table_and_order(self):
+        assert [f.name for f in dataclasses.fields(ProblemSource)] == ["table", "order"]
+        assert hash(table_source("t8", 16)) == hash(ProblemSource("t8", 16))
+        assert len({table_source("t8", 16), table_source("t9", 16), table_source("t8", 32)}) == 3
 
 
 class TestPaperSuite:
@@ -217,22 +217,23 @@ def test_transcribed_tables_have_the_structure_they_imply(table):
             assert not np.array_equal(p.a + p.b, shift * np.eye(n))
 
 
-# Row count and sha256 of the repr of each row's (source, method, params,
-# paper iterations, paper error, paper seconds), per table.  perfbench and
+# Row count and sha256 of the repr of the table's bands and each row's
+# (source, method, params, paper iterations, paper error, paper seconds),
+# per table.  perfbench and
 # the BENCH_t*.json records name rows by index (``t8[3] newton n=32``), so
 # a reordered or retyped row must show here; a deliberate catalogue edit
 # re-records its table's pin.
 CATALOGUE_PINS = {
-    "t1": (3, "1415dd175b5b06deae47eee71c45cac4c574cc672224be27c2db4f724c708c57"),
-    "t2": (3, "5118d0235b29c76146b92172c1f66a124d92e2cba45fd2814f5c02fc42ccf00d"),
-    "t3": (3, "c6883f93eafd3abddb665de617b3a32678027c3abdede81e81191a7a5d10836b"),
-    "t4": (4, "5ffce20e686f7ec07453a3f24e3f61cb20ef6309c6d3ef401dad6f7c4d7050e8"),
-    "t5": (18, "70f36b1e8b14d8f4cb61092f52128b2c7f070c1bfa6dcf3a5b812cef6f34a436"),
-    "t6": (24, "f05068559587f827295f4a220ab93ce896bf7ba31bd0646d79130e5046f2cfe7"),
-    "t7": (3, "34538b56f679a0e1f681fceaafe58f3961658fcb9377d09761755391dad8269f"),
-    "t8": (18, "6f2e09c31f052195689c9bcd836fd6d65e3addb2cac84fb517b06c3b00a46a26"),
-    "t9": (18, "e8e0fcbcbfc21e213c8bf2e11682d2e4e51e792bfc54d9a0f55a2b4f563ed2a5"),
-    "t10": (18, "377a40a8c690ad55888793621f359e9822cce3872c59df22a60e50bd7d8bc882"),
+    "t1": (3, "4f6f737e5edf0542971dfe100ffd0276ba1b5a00dd045f3e719940ef96529654"),
+    "t2": (3, "55c23193826c2735421688c063a06073017aee3f703849fe1d1ac8e6b388864d"),
+    "t3": (3, "cf8fcfd558994e853fc2790a77e786d82948dfa59b0ecbdfb92cf24a76eaadbc"),
+    "t4": (4, "394ac00ac1f020ef7d400db44cfe3a2210336641d6a5504006ab866868c26bc8"),
+    "t5": (18, "2e3092a519e670c61227de50ada9620667c841ae6ac442c2ad68dcf71e78924d"),
+    "t6": (24, "786ce18de6505a75a1afb4e8b2e0587a8f63ca4d0b152fbddb4d3f2ccca3117c"),
+    "t7": (3, "e67fa8f812632799f5291035e9dd27a8ee54c2043af8d5fcf02f366e5c65462c"),
+    "t8": (18, "69b027c1dc4623c4ffad4aa5afedcf697eafb6e812b305503d0079610181ba06"),
+    "t9": (18, "f31d1b3ad5be34c3bf03915eba870eeb43d900d12bc744305f7b9e8ad43eb057"),
+    "t10": (18, "87aa5c3d85b4e0d297cdf08603b305988e3c7ce415e9e0556b4a05e2d8fbb0b9"),
 }
 
 
@@ -247,7 +248,7 @@ def test_catalogue_rows_are_pinned(table):
         (r.source, r.method, r.params, r.paper_iterations, r.paper_error, r.paper_time_seconds)
         for r in rows
     ]
-    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    digest = hashlib.sha256(repr((_FAMILIES.get(table), fields)).encode()).hexdigest()
     assert (len(rows), digest) == CATALOGUE_PINS[table], (
         f"catalogue table {table} changed; re-record its pin if the edit is deliberate"
     )
