@@ -215,32 +215,27 @@ OPENBLAS_COPIES = {
 }
 
 
-def _openblas_symbols(copy: str, *names: str):
-    """The ``scipy_openblas_<name>`` functions of the OpenBLAS copy
-    bundled with ``copy`` (``numpy`` or ``scipy``), or None when there is
-    none to find.  Opening a copy that is already loaded returns its
-    handle."""
+def find_openblas(copy: str):
+    """(get, set, config) of the OpenBLAS copy bundled with ``copy``
+    (``numpy`` or ``scipy``): its thread-count getter and setter and its
+    ``openblas_get_config`` string, or None when there is none to find.
+    Opening a copy that is already loaded returns its handle."""
     pattern, suffix = OPENBLAS_COPIES[copy]
     site = Path(np.__file__).resolve().parent.parent
     for path in sorted(glob.glob(str(site / pattern))):
         try:
             lib = ctypes.CDLL(path)
-            return [getattr(lib, f"scipy_openblas_{name}{suffix}") for name in names]
+            get, set_, config = (
+                getattr(lib, f"scipy_openblas_{name}{suffix}")
+                for name in ("get_num_threads", "set_num_threads", "get_config")
+            )
         except (OSError, AttributeError):
             continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        return get, set_, config
     return None
-
-
-def find_openblas(copy: str):
-    """(get, set) thread-count controls of the OpenBLAS copy bundled
-    with ``copy``, or None when there is none to find."""
-    found = _openblas_symbols(copy, "get_num_threads", "set_num_threads")
-    if found is None:
-        return None
-    get, set_ = found
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
 
 
 def blas_environment() -> dict:
@@ -250,13 +245,9 @@ def blas_environment() -> dict:
     threads, configs = {}, {}
     with serial_products():
         for copy in OPENBLAS_COPIES:
-            controls = find_openblas(copy)
-            threads[copy] = None if controls is None else controls[0]()
-            config = _openblas_symbols(copy, "get_config")
-            if config is not None:
-                config[0].argtypes, config[0].restype = [], ctypes.c_char_p
-                config = config[0]().decode(errors="replace").strip()
-            configs[copy] = config
+            get, _, config = find_openblas(copy) or (None, None, None)
+            threads[copy] = get and get()
+            configs[copy] = config and config().decode(errors="replace").strip()
     return {"openblas_threads": threads, "openblas_config": configs}
 
 
@@ -286,7 +277,7 @@ def serial_products():
             found = [find_openblas(copy) for copy in OPENBLAS_COPIES]
             state["controls"] = [controls for controls in found if controls is not None]
         if state["depth"] == 0:
-            counts = [(set_, get()) for get, set_ in state["controls"]]
+            counts = [(set_, get()) for get, set_, _ in state["controls"]]
             state["lowered"] = [(set_, count) for set_, count in counts if count > 1]
             for set_, _ in state["lowered"]:
                 set_(1)

@@ -283,7 +283,7 @@ def test_bench_summary_names_each_blas_library():
 
 
 def test_bench_summary_names_no_library_it_cannot_find(monkeypatch):
-    monkeypatch.setattr(linalg, "_openblas_symbols", lambda copy, *names: None)
+    monkeypatch.setattr(linalg, "find_openblas", lambda copy: None)
     env = summary_json("t8", [])["environment"]
     assert env["openblas_config"] == env["openblas_threads"] == {"numpy": None, "scipy": None}
 
@@ -321,13 +321,13 @@ def test_desk_rows_do_not_depend_on_the_thread_count(row):
     outcomes = set()
     try:
         for count in (1, 2):
-            for _, set_ in (CONTROLS, SCIPY_CONTROLS):
+            for _, set_, _ in (CONTROLS, SCIPY_CONTROLS):
                 set_(count)
             if layout() != (count, count):
                 pytest.skip(f"OpenBLAS cannot run {count} threads here")
             report = run_method(method, build(), params)
             outcomes.add((report.final_residual.hex(), report.solution.tobytes()))
     finally:
-        for (_, set_), count in zip((CONTROLS, SCIPY_CONTROLS), saved):
+        for (_, set_, _), count in zip((CONTROLS, SCIPY_CONTROLS), saved):
             set_(count)
     assert len(outcomes) == 1

@@ -111,17 +111,17 @@ class TestFrobeniusAndInner:
         if None in controls:
             pytest.skip("an OpenBLAS copy's thread count cannot be set")
         m = np.asarray(np.random.default_rng(n).standard_normal((n, n)), order=order)
-        saved = [get() for get, _ in controls]
+        saved = [get() for get, _, _ in controls]
         norms = set()
         try:
             for threads in (1, 2):
-                for _, set_ in controls:
+                for _, set_, _ in controls:
                     set_(threads)
                 for hold in (contextlib.nullcontext, linalg.serial_products):
                     with hold():
                         norms.add(frobenius_norm(m).hex())
         finally:
-            for (_, set_), count in zip(controls, saved):
+            for (_, set_, _), count in zip(controls, saved):
                 set_(count)
         assert len(norms) == 1
 
