@@ -7,6 +7,7 @@ import pytest
 from matrixopt.errors import DimensionError, UnknownSuiteError
 from matrixopt.oracle import sylvester_residual
 from matrixopt.problems import (
+    _FAMILIES,
     SUITE_IDS,
     CareProblem,
     LyapunovProblem,
@@ -17,7 +18,6 @@ from matrixopt.problems import (
     paper_suite,
     table_source,
 )
-from matrixopt.problems import _FAMILIES
 
 
 class TestGenTridiagonal:
@@ -219,10 +219,10 @@ def test_transcribed_tables_have_the_structure_they_imply(table):
 
 # Row count and sha256 of the repr of the table's bands and each row's
 # (source, method, params, paper iterations, paper error, paper seconds),
-# per table.  perfbench and
-# the BENCH_t*.json records name rows by index (``t8[3] newton n=32``), so
-# a reordered or retyped row must show here; a deliberate catalogue edit
-# re-records its table's pin.
+# per table.  perfbench and the BENCH_t*.json records name rows by index
+# (``t8[3] newton n=32``), so a reordered or retyped row, or an edited
+# band, must show here; a deliberate catalogue edit re-records its
+# table's pin.
 CATALOGUE_PINS = {
     "t1": (3, "4f6f737e5edf0542971dfe100ffd0276ba1b5a00dd045f3e719940ef96529654"),
     "t2": (3, "55c23193826c2735421688c063a06073017aee3f703849fe1d1ac8e6b388864d"),
